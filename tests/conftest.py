@@ -7,9 +7,11 @@ to a single run; every test that needs them must treat them as read-only.
 import numpy as np
 import pytest
 
+from nbv.bitstream import RegionSpec, StreamHeader, write_header
 from nbv.core import Frame, SequenceConfig, make_frame
-from nbv.encoder import encode_sequence
-from nbv.gnn import TrainConfig
+from nbv.encoder import _encode_period, encode_sequence, rd_lambda, train_param_set
+from nbv.entropy import BitWriter
+from nbv.gnn import SetContext, TrainConfig
 from nbv.tools import synth_sequence
 
 
@@ -51,3 +53,23 @@ def pan_encode(pan_frames, pan_config):
     stream, report = encode_sequence(pan_frames, pan_config,
                                      train_cfg=fast_train())
     return stream, report
+
+
+def forced_stream():
+    """(stream bytes, _PeriodPass) for one 3-frame period whose right block
+    column is a forced region, so every frame generates two blocks whatever
+    their RD cost."""
+    frames = synth_sequence("pan", 96, 64, 3, velocity=(4, 0), seed=9)
+    config = SequenceConfig(width=96, height=64, frame_count=3, qp=20,
+                            gnn_interval=3, gnn_enabled=True,
+                            gnn_arch=(3, 8, 1536))
+    ctx = SetContext(cols=3, rows=2, start_frame=0, span=3)
+    regions = [[RegionSpec(2, 0, 2, 1, False)] for _ in range(3)]
+    qparams, n = train_param_set(frames, 0, regions, ctx,
+                                 config.gnn_arch, fast_train(60))
+    assert n == 6
+    period = _encode_period(frames, 0, regions, qparams, ctx, config,
+                            rd_lambda(config.qp), 3, 2)
+    w = BitWriter()
+    write_header(w, StreamHeader(96, 64, 3, 20, True, 3))
+    return w.to_bytes() + period.data, period

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import fast_train, rand_frame
-from nbv.bitstream import BlockMode, RegionSpec, StreamHeader, write_header
+from conftest import fast_train, forced_stream, rand_frame
+from nbv.bitstream import BlockMode, RegionSpec
 from nbv.core import Frame, SequenceConfig, make_frame
 from nbv.decoder import decode_sequence
 from nbv.encoder import (
@@ -18,7 +18,6 @@ from nbv.encoder import (
     select_generation_regions,
     train_param_set,
 )
-from nbv.entropy import BitWriter
 from nbv.gnn import SetContext, TrainConfig
 from nbv.tools import synth_sequence
 
@@ -298,25 +297,8 @@ class TestEncodeSequence:
 class TestForcedGenerationWirePath:
     """Forced regions exercise generated blocks end to end regardless of RD."""
 
-    def build_forced_stream(self):
-        frames = synth_sequence("pan", 96, 64, 3, velocity=(4, 0), seed=9)
-        config = SequenceConfig(width=96, height=64, frame_count=3, qp=20,
-                                gnn_interval=3, gnn_enabled=True,
-                                gnn_arch=(3, 8, 1536))
-        ctx = SetContext(cols=3, rows=2, start_frame=0, span=3)
-        regions = [[RegionSpec(2, 0, 2, 1, False)] for _ in range(3)]
-        qparams, n = train_param_set(frames, 0, regions, ctx,
-                                     config.gnn_arch, fast_train(60))
-        assert n == 6
-        period = _encode_period(frames, 0, regions, qparams, ctx, config,
-                                rd_lambda(config.qp), 3, 2)
-        w = BitWriter()
-        write_header(w, StreamHeader(96, 64, 3, 20, True, 3))
-        data = w.to_bytes() + period.data
-        return data, period
-
     def test_forced_blocks_are_generated_on_every_frame(self):
-        data, period = self.build_forced_stream()
+        data, period = forced_stream()
         decoded, report = decode_sequence(data)
         assert report.n_param_sets == 1
         assert [r.n_gen for r in report.rows] == [2, 2, 2]
@@ -326,5 +308,5 @@ class TestForcedGenerationWirePath:
             assert res.n_gen == 2
 
     def test_generated_blocks_still_carry_residuals(self):
-        _, period = self.build_forced_stream()
+        _, period = forced_stream()
         assert all(fb.residuals > 0 for fb in period.frame_bits)
