@@ -10,7 +10,7 @@ same quantized network, so generator output is bit-identical on both sides.
 
 import numpy as np
 
-from nbv.bitstream import param_set_size_bits
+from nbv.bitstream import param_set_bits
 from nbv.core import BlockCoord, extract_block
 from nbv.gnn import (
     SetContext,
@@ -35,7 +35,7 @@ print(f"dataset: {len(coords)} blocks -> {inputs.shape} inputs, "
 
 arch = (3, 32, 48, 1536)
 print(f"architecture {arch}: {param_count(arch)} parameters, "
-      f"serialized set is {param_set_size_bits(arch) // 8} bytes")
+      f"serialized set is {param_set_bits(arch) // 8} bytes")
 
 params = train(arch, inputs, targets, TrainConfig(steps=2000, seed=0))
 qparams = quantize_params(params)

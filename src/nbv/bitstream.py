@@ -168,6 +168,16 @@ def write_param_set(w: BitWriter, qparams: QuantizedGnnParams) -> int:
     return w.bit_position - start
 
 
+def param_set_bits(layer_sizes) -> int:
+    """Bits write_param_set emits for an architecture, tag included."""
+    sizes = check_architecture(layer_sizes)
+    bits = 8 + 8 + 16 * (len(sizes) - 2)
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        n = fan_out * (fan_in + 1)
+        bits += 32 + 8 * ((10 * n + 7) // 8)
+    return bits
+
+
 def _parse_param_set_body(r: BitReader) -> QuantizedGnnParams:
     n_layers = r.read_bits(8)
     if not 2 <= n_layers <= MAX_LAYERS:
@@ -199,16 +209,6 @@ def parse_param_set(r: BitReader) -> QuantizedGnnParams:
     if tag != UNIT_PARAM_SET:
         raise StreamError(f"expected parameter-set unit, found tag {tag}")
     return _parse_param_set_body(r)
-
-
-def param_set_size_bits(layer_sizes) -> int:
-    """Exact unit size the layout produces for an architecture."""
-    sizes = check_architecture(layer_sizes)
-    bits = 8 + 8 + 16 * (len(sizes) - 2)
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        n = fan_out * (fan_in + 1)
-        bits += 32 + 8 * ((10 * n + 7) // 8)
-    return bits
 
 
 @dataclass(eq=False)

@@ -5,7 +5,9 @@ prediction, motion compensation, and generator evaluation produce the
 prediction basis, and the same residual path adds the coded correction.
 A parameter-set unit installs the generator for the frames that follow it;
 the set's time axis starts at the next frame and spans at most one
-keyframe interval, both derivable from the header alone.
+keyframe interval, both derivable from the header alone. A frame outside
+that span may not generate blocks: a period that ships no set cannot reuse
+an earlier one.
 """
 
 from __future__ import annotations
@@ -76,10 +78,16 @@ def _decode_frame(
 ) -> tuple[Frame, DecodeRow]:
     if fu.frame_type == "P" and prev_recon is None:
         raise StreamError(f"frame {frame_idx} is predicted but has no reference")
-    if np.any(fu.gen_map) and qparams is None:
-        raise StreamError(
-            f"frame {frame_idx} uses generated blocks before any parameter set"
-        )
+    if np.any(fu.gen_map):
+        if qparams is None:
+            raise StreamError(
+                f"frame {frame_idx} uses generated blocks before any parameter set"
+            )
+        if not ctx.start_frame <= frame_idx < ctx.start_frame + ctx.span:
+            raise StreamError(
+                f"frame {frame_idx} generates blocks outside its parameter "
+                f"set's frames {ctx.start_frame}..{ctx.start_frame + ctx.span - 1}"
+            )
     recon = blank_frame(width, height)
     n_intra = n_inter = n_gen = 0
     for by in range(rows):

@@ -5,12 +5,18 @@ starting with an I frame. Per period the encoder estimates global motion on
 the source frames, derives generation regions (a margin on the edge where
 new content enters under panning, four margins under a declared zoom),
 overfits the generator network on the source blocks of those regions, and
-then encodes the period twice: once with the network (parameter-set bits
-included) and once without. The cheaper encoding by total rate-distortion
-cost J = SSD + lambda * bits is emitted, so enabling the generator can
-never lose to the baseline. Every candidate is costed with exact coded
-bits, and reconstruction runs through the same code path the decoder uses,
-which keeps the two bit-identical.
+encodes the period with the network (parameter-set bits included). The
+network is kept only when that pass's total rate-distortion cost
+J = SSD + lambda * bits is strictly below the cost of the same period coded
+without it, so enabling the generator can never lose to the baseline.
+
+The pass without the network runs first and its J becomes the budget.
+Because J with the network is at least lambda times the parameter-set
+bits, a budget at or below that product rules the network out before any
+training; otherwise the network pass stops as soon as its cost so far
+reaches the budget. Every candidate is costed with exact coded bits, and
+reconstruction runs through the same code path the decoder uses, which
+keeps the two bit-identical.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .bitstream import (
     FrameUnit,
     RegionSpec,
     StreamHeader,
+    param_set_bits,
     validate_regions,
     write_frame,
     write_header,
@@ -222,7 +229,9 @@ def _ssd(a: Block32, b: Block32) -> int:
 
 @dataclass
 class _FrameResult:
-    unit: FrameUnit
+    # The frame unit is written and dropped, not kept here: its residual
+    # levels are most of a pass's memory, and a finished pass stays alive
+    # while the next one trains and codes.
     recon: Frame
     distortion: int
     n_intra: int
@@ -235,7 +244,7 @@ def _encode_frame(
     regions: list[RegionSpec], qparams: QuantizedGnnParams | None,
     ctx: SetContext | None, qp: int, lam: float, search_range: int,
     cols: int, rows: int,
-) -> _FrameResult:
+) -> tuple[FrameUnit, _FrameResult]:
     recon = blank_frame(source.display_width, source.display_height)
     gen_map = np.zeros((rows, cols), dtype=bool)
     payloads: list[BlockPayload] = []
@@ -310,7 +319,7 @@ def _encode_frame(
                 left_mode = mode
 
     unit = FrameUnit(frame_type, list(regions), gen_map, payloads)
-    return _FrameResult(unit, recon, dist_total, n_intra, n_inter, n_gen)
+    return unit, _FrameResult(recon, dist_total, n_intra, n_inter, n_gen)
 
 
 @dataclass
@@ -336,22 +345,34 @@ def _encode_period(
     period_frames: list[Frame], start: int, regions_per_frame: list[list[RegionSpec]],
     qparams: QuantizedGnnParams | None, ctx: SetContext | None,
     config: SequenceConfig, lam: float, cols: int, rows: int,
-) -> _PeriodPass:
+    budget: float = math.inf, results: list[_FrameResult] | None = None,
+) -> _PeriodPass | None:
+    """Code one period; None once its cost so far reaches budget.
+
+    The cost so far, SSD plus lambda times the bits written, only grows
+    frame by frame, so a stopped pass could not have finished below budget.
+    Frame results are appended to `results` when a list is given, so the
+    caller can see how far a stopped pass got.
+    """
     w = BitWriter()
     param_bits = write_param_set(w, qparams) if qparams is not None else 0
     frame_bits = []
-    results = []
+    results = [] if results is None else results
+    distortion = 0
     prev_recon: Frame | None = None
     for offset, source in enumerate(period_frames):
+        if distortion + lam * w.bit_position >= budget:
+            return None
         frame_idx = start + offset
         frame_type = "I" if offset == 0 else "P"
         regions = regions_per_frame[offset] if qparams is not None else []
-        res = _encode_frame(
+        unit, res = _encode_frame(
             source, prev_recon, frame_idx, frame_type, regions,
             qparams, ctx, config.qp, lam, config.search_range, cols, rows,
         )
-        frame_bits.append(write_frame(w, res.unit, cols, rows))
+        frame_bits.append(write_frame(w, unit, cols, rows))
         results.append(res)
+        distortion += res.distortion
         prev_recon = res.recon
     return _PeriodPass(w.to_bytes(), frame_bits, param_bits, results)
 
@@ -380,6 +401,25 @@ CSV_COLUMNS = (
 
 
 @dataclass
+class PeriodRecord:
+    """Why one keyframe period kept or dropped its network.
+
+    outcome is "off" (generator disabled), "bound" (lambda * param_bits
+    already reaches j_without, so nothing was trained), "no_regions" (no
+    frame had a generation region), "aborted" (the network pass reached
+    j_without before its last frame), "lost" (it finished at or above
+    j_without) or "kept".
+    """
+
+    start: int
+    j_without: float
+    param_bits: int
+    train_samples: int = 0
+    frames_coded_with: int = 0
+    outcome: str = "off"
+
+
+@dataclass
 class EncodeReport:
     rows: list[EncodeRow]
     total_bits: int
@@ -387,6 +427,7 @@ class EncodeReport:
     rd_cost: float
     mode_histogram: dict[str, int]
     recon_frames: list[Frame]
+    periods: list[PeriodRecord]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -422,6 +463,47 @@ def _period_global_motion(frames: list[Frame], search_range: int) -> GlobalMotio
     return GlobalMotion(_median_toward_zero(dxs), _median_toward_zero(dys))
 
 
+def _network_pass(
+    period: list[Frame], record: PeriodRecord, config: SequenceConfig,
+    train_cfg: TrainConfig, zoom_hint: str, lam: float,
+) -> _PeriodPass | None:
+    """The period coded with a freshly trained network, if that beats
+    record.j_without; fills in the rest of the record."""
+    if lam * record.param_bits >= record.j_without:
+        # J_with = SSD + lambda * bits >= lambda * param_bits
+        record.outcome = "bound"
+        return None
+    start, span = record.start, len(period)
+    cols, rows = block_grid_dims(config.width, config.height)
+    gm = _period_global_motion(period, config.search_range)
+    ctx = SetContext(cols, rows, start, span)
+    regions_per_frame = [
+        select_generation_regions(gm, cols, rows, offset, zoom_hint)
+        for offset in range(span)
+    ]
+    qparams, record.train_samples = train_param_set(
+        period, start, regions_per_frame, ctx, config.gnn_arch, train_cfg
+    )
+    if qparams is None:
+        record.outcome = "no_regions"
+        return None
+    coded: list[_FrameResult] = []
+    with_gnn = _encode_period(
+        period, start, regions_per_frame, qparams, ctx,
+        config, lam, cols, rows, record.j_without, coded,
+    )
+    record.frames_coded_with = len(coded)
+    if with_gnn is None:
+        record.outcome = "aborted"
+        return None
+    # Never-worse fallback: strict improvement keeps the network.
+    if with_gnn.j(lam) < record.j_without:
+        record.outcome = "kept"
+        return with_gnn
+    record.outcome = "lost"
+    return None
+
+
 def encode_sequence(
     frames: list[Frame], config: SequenceConfig,
     train_cfg: TrainConfig | None = None, zoom_hint: str = "none",
@@ -455,39 +537,23 @@ def encode_sequence(
 
     rows_out: list[EncodeRow] = []
     recons: list[Frame] = []
+    periods: list[PeriodRecord] = []
     hist = {"intra": 0, "inter": 0, "gen": 0}
     total_dist = 0
+    param_bits = param_set_bits(config.gnn_arch) if config.gnn_enabled else 0
 
     for start in range(0, config.frame_count, config.gnn_interval):
         period = frames[start:start + config.gnn_interval]
-        span = len(period)
-        chosen: _PeriodPass | None = None
+        chosen = _encode_period(
+            period, start, [[] for _ in period], None, None,
+            config, lam, cols, rows,
+        )
+        record = PeriodRecord(start, chosen.j(lam), param_bits)
         if config.gnn_enabled:
-            gm = _period_global_motion(period, config.search_range)
-            ctx = SetContext(cols, rows, start, span)
-            regions_per_frame = [
-                select_generation_regions(gm, cols, rows, offset, zoom_hint)
-                for offset in range(span)
-            ]
-            qparams, _ = train_param_set(
-                period, start, regions_per_frame, ctx, config.gnn_arch, train_cfg
-            )
-            if qparams is not None:
-                with_gnn = _encode_period(
-                    period, start, regions_per_frame, qparams, ctx,
-                    config, lam, cols, rows,
-                )
-                without = _encode_period(
-                    period, start, [[] for _ in period], None, None,
-                    config, lam, cols, rows,
-                )
-                # Never-worse fallback: strict improvement keeps the network.
-                chosen = with_gnn if with_gnn.j(lam) < without.j(lam) else without
-        if chosen is None:
-            chosen = _encode_period(
-                period, start, [[] for _ in period], None, None,
-                config, lam, cols, rows,
-            )
+            chosen = _network_pass(
+                period, record, config, train_cfg, zoom_hint, lam,
+            ) or chosen
+        periods.append(record)
 
         w.write_bytes(chosen.data)
         for offset, (res, fb) in enumerate(zip(chosen.results, chosen.frame_bits)):
@@ -522,5 +588,6 @@ def encode_sequence(
         rd_cost=total_dist + lam * len(data) * 8,
         mode_histogram=hist,
         recon_frames=recons,
+        periods=periods,
     )
     return data, report

@@ -10,7 +10,7 @@ from nbv.bitstream import (
     FrameUnit,
     RegionSpec,
     StreamHeader,
-    param_set_size_bits,
+    param_set_bits,
     parse_frame,
     parse_header,
     parse_param_set,
@@ -88,8 +88,8 @@ class TestHeader:
 
 class TestParamSetUnit:
     def test_default_architecture_exact_size(self):
-        assert param_set_size_bits(DEFAULT_ARCH) == 973_152
-        assert param_set_size_bits(DEFAULT_ARCH) // 8 == 121_644
+        assert param_set_bits(DEFAULT_ARCH) == 973_152
+        assert param_set_bits(DEFAULT_ARCH) // 8 == 121_644
         q = qparams_for(DEFAULT_ARCH)
         w = BitWriter()
         assert write_param_set(w, q) == 973_152
@@ -120,7 +120,7 @@ class TestParamSetUnit:
 
     def test_each_layer_is_byte_aligned(self):
         # hidden width 5: first layer holds 20 levels = 200 bits, padded to 208
-        assert param_set_size_bits((3, 5, 1536)) == (
+        assert param_set_bits((3, 5, 1536)) == (
             8 + 8 + 16
             + 32 + 8 * ((10 * 20 + 7) // 8)
             + 32 + 8 * ((10 * (1536 * 6) + 7) // 8)

@@ -101,6 +101,21 @@ class TestStateRules:
         with pytest.raises(StreamError):
             decode_sequence(data)
 
+    def test_generated_block_outside_the_sets_span_rejected(self):
+        # at interval 1 the set before frame 0 covers frame 0 only; frame 1
+        # ships no set of its own, so it must not reuse the stale one
+        reg = RegionSpec(0, 0, 0, 0, False)
+        gen_unit = one_block_unit("I", BlockMode.GEN, regions=[reg], gen=True)
+        in_span = write_stream(StreamHeader(32, 32, 1, 20, True, 1),
+                               [("param_set", tiny_qparams()), ("frame", gen_unit)])
+        _, report = decode_sequence(in_span)
+        assert report.gnn_calls == 1
+        stale = write_stream(StreamHeader(32, 32, 2, 20, True, 1), [
+            ("param_set", tiny_qparams()), ("frame", gen_unit), ("frame", gen_unit),
+        ])
+        with pytest.raises(StreamError, match="outside its parameter set"):
+            decode_sequence(stale)
+
     def test_parameter_set_must_precede_an_i_frame(self):
         units = [
             ("frame", one_block_unit("I")),

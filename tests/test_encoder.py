@@ -1,16 +1,22 @@
 """Encoder decisions: lambda, mode choice, global motion, regions, reports."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
+import nbv.encoder
 from conftest import fast_train, forced_stream, rand_frame
-from nbv.bitstream import BlockMode, RegionSpec
+from nbv.bitstream import BlockMode, RegionSpec, param_set_bits, write_param_set
 from nbv.core import Frame, SequenceConfig, make_frame
 from nbv.decoder import decode_sequence
 from nbv.encoder import (
     GlobalMotion,
+    PeriodRecord,
     RdCost,
     _encode_period,
+    _network_pass,
     choose_block_mode,
     encode_sequence,
     estimate_global_motion,
@@ -18,8 +24,10 @@ from nbv.encoder import (
     select_generation_regions,
     train_param_set,
 )
-from nbv.gnn import SetContext, TrainConfig
+from nbv.entropy import BitWriter
+from nbv.gnn import SetContext, init_params, quantize_params
 from nbv.tools import synth_sequence
+from test_golden import CASES, GOLDEN, encode_case
 
 
 def frames_equal(a: Frame, b: Frame) -> bool:
@@ -310,3 +318,96 @@ class TestForcedGenerationWirePath:
     def test_generated_blocks_still_carry_residuals(self):
         _, period = forced_stream()
         assert all(fb.residuals > 0 for fb in period.frame_bits)
+
+
+class TestRdBound:
+    """The fallback pass runs first; its J bounds the network's chances."""
+
+    @pytest.mark.parametrize("arch", [
+        (3, 4, 1536), (3, 8, 1536), (3, 25, 40, 60, 1536),
+        (3, 6, 5, 4, 3, 2, 7, 1536),
+    ])
+    def test_param_set_bits_matches_the_writer(self, arch):
+        q = quantize_params(init_params(arch, seed=1))
+        assert param_set_bits(arch) == write_param_set(BitWriter(), q)
+
+    def test_bound_skips_motion_training_and_the_network_pass(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("ran although the bound rules the network out")
+
+        monkeypatch.setattr(nbv.encoder, "train", fail)
+        monkeypatch.setattr(nbv.encoder, "_period_global_motion", fail)
+        stream, report = encode_case("pan_qp20_default_arch")
+        assert hashlib.sha256(stream).hexdigest() == GOLDEN["pan_qp20_default_arch"][0]
+        lam = rd_lambda(20)
+        assert [p.start for p in report.periods] == [0, 4]
+        for p in report.periods:
+            assert p.outcome == "bound"
+            assert p.param_bits == 973_152
+            assert lam * p.param_bits >= p.j_without
+            assert p.train_samples == p.frames_coded_with == 0
+
+    @pytest.mark.parametrize("name", ["pan_qp8_tiny_arch", "zoom_out_qp8_tiny_arch"])
+    def test_training_runs_once_per_period_the_bound_admits(self, name, monkeypatch):
+        calls = []
+        real_train = nbv.encoder.train
+
+        def counting_train(*args, **kwargs):
+            calls.append(len(args[1]))
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(nbv.encoder, "train", counting_train)
+        stream, report = encode_case(name)
+        assert hashlib.sha256(stream).hexdigest() == GOLDEN[name][0]
+        span = CASES[name][1].gnn_interval
+        assert calls == [p.train_samples for p in report.periods]
+        for p in report.periods:
+            assert p.outcome in ("aborted", "lost")
+            assert p.train_samples > 0
+            assert 0 < p.frames_coded_with <= span
+        assert report.mode_histogram["gen"] == 0
+
+    def test_network_kept_only_strictly_below_the_budget(self):
+        make_frames, config, steps, hint = CASES["pan_qp8_tiny_arch"]
+        period = make_frames()
+        lam = rd_lambda(config.qp)
+        free = PeriodRecord(0, math.inf, param_set_bits(config.gnn_arch))
+        with_gnn = _network_pass(period, free, config, fast_train(steps), hint, lam)
+        assert free.outcome == "kept" and free.frames_coded_with == len(period)
+        # a tie at the full J runs every frame, then goes to the fallback
+        tie = PeriodRecord(0, with_gnn.j(lam), free.param_bits)
+        assert _network_pass(period, tie, config, fast_train(steps), hint, lam) is None
+        assert tie.outcome == "lost" and tie.frames_coded_with == len(period)
+
+    def test_no_regions_trains_nothing(self, static_frames):
+        cfg = SequenceConfig(width=96, height=64, frame_count=6, qp=4,
+                             gnn_interval=3, gnn_arch=(3, 4, 1536))
+        _, report = encode_sequence(static_frames, cfg, train_cfg=fast_train(5))
+        assert [p.outcome for p in report.periods] == ["no_regions"] * 2
+        assert all(p.train_samples == 0 for p in report.periods)
+
+    def test_generator_off_records_each_period(self, pan_frames):
+        cfg = SequenceConfig(width=96, height=64, frame_count=8, qp=20,
+                             gnn_interval=4, gnn_enabled=False)
+        _, report = encode_sequence(pan_frames, cfg)
+        assert [(p.start, p.outcome, p.param_bits) for p in report.periods] == [
+            (0, "off", 0), (4, "off", 0)]
+        header_j = rd_lambda(20) * report.rows[0].bits_header
+        assert sum(p.j_without for p in report.periods) + header_j == (
+            pytest.approx(report.rd_cost))
+
+    def test_encode_period_stops_at_the_budget(self, pan_frames, pan_config):
+        lam = rd_lambda(pan_config.qp)
+        args = (pan_frames[:4], 0, [[]] * 4, None, None, pan_config, lam, 3, 2)
+        full = _encode_period(*args)
+        coded = []
+        assert _encode_period(*args, budget=0.0, results=coded) is None
+        assert coded == []
+        # the last check runs before the last frame, on a cost below the full J
+        tight = _encode_period(*args, budget=full.j(lam))
+        assert tight.data == full.data
+        assert tight.frame_bits == full.frame_bits
+        first = full.results[0].distortion + lam * full.frame_bits[0].total
+        coded = []
+        assert _encode_period(*args, budget=first, results=coded) is None
+        assert len(coded) == 1
