@@ -36,8 +36,10 @@ from .entropy import (
     StreamError,
     se_decode,
     se_encode,
+    se_length,
     ue_decode,
     ue_encode,
+    ue_length,
 )
 from .gnn import (
     INPUT_SIZE,
@@ -49,6 +51,7 @@ from .gnn import (
     QuantizedLayer,
     check_architecture,
 )
+from .prediction import IntraMode
 from .residual import TILES_PER_BLOCK, read_block_tiles, write_block_tiles
 
 MAGIC = b"NBV1"
@@ -73,6 +76,29 @@ _INTRA_SYMBOL_I = {
     BlockMode.INTRA_DC: 0, BlockMode.INTRA_H: 1, BlockMode.INTRA_V: 2,
 }
 _I_SYMBOL_MODE = {v: k for k, v in _INTRA_SYMBOL_I.items()}
+
+# The intra predictor each intra block mode selects, for encoder and decoder.
+_MODE_TO_INTRA = {
+    BlockMode.INTRA_DC: IntraMode.DC,
+    BlockMode.INTRA_H: IntraMode.HORIZONTAL,
+    BlockMode.INTRA_V: IntraMode.VERTICAL,
+}
+
+
+def _mode_symbol(frame_type: str, mode: BlockMode) -> int:
+    return int(mode) if frame_type == "P" else _INTRA_SYMBOL_I[mode]
+
+
+def block_syntax_bits(frame_type: str, mode: BlockMode,
+                      mvd: tuple[int, int] | None = None) -> int:
+    """Bits write_frame spends on one block's mode symbol and motion-vector
+    difference; generated blocks carry neither."""
+    if mode == BlockMode.GEN:
+        return 0
+    bits = ue_length(_mode_symbol(frame_type, mode))
+    if mode == BlockMode.INTER:
+        bits += se_length(mvd[0]) + se_length(mvd[1])
+    return bits
 
 
 @dataclass
@@ -326,10 +352,7 @@ def write_frame(w: BitWriter, fu: FrameUnit, cols: int, rows: int) -> FrameBits:
     for payload in fu.blocks:
         if payload.mode != BlockMode.GEN:
             p0 = w.bit_position
-            if fu.frame_type == "P":
-                ue_encode(w, int(payload.mode))
-            else:
-                ue_encode(w, _INTRA_SYMBOL_I[payload.mode])
+            ue_encode(w, _mode_symbol(fu.frame_type, payload.mode))
             bits.modes += w.bit_position - p0
             if payload.mode == BlockMode.INTER:
                 p0 = w.bit_position
@@ -342,7 +365,7 @@ def write_frame(w: BitWriter, fu: FrameUnit, cols: int, rows: int) -> FrameBits:
 
 
 def _parse_frame_body(r: BitReader, cols: int, rows: int,
-                      bits: FrameBits | None = None) -> FrameUnit:
+                      bits: FrameBits) -> FrameUnit:
     start = r.bit_position - 8  # tag already consumed
     frame_type = "I" if r.read_bits(1) == 0 else "P"
     n_regions = ue_decode(r)
@@ -368,9 +391,7 @@ def _parse_frame_body(r: BitReader, cols: int, rows: int,
         else:
             for bx, by in reg.blocks():
                 gen_map[by, bx] = True
-    mode_bits = r.bit_position - start
-    mv_bits = 0
-    res_bits = 0
+    bits.modes += r.bit_position - start
     blocks = []
     for i in range(cols * rows):
         by, bx = divmod(i, cols)
@@ -380,7 +401,7 @@ def _parse_frame_body(r: BitReader, cols: int, rows: int,
         else:
             p0 = r.bit_position
             sym = ue_decode(r)
-            mode_bits += r.bit_position - p0
+            bits.modes += r.bit_position - p0
             if frame_type == "P":
                 if sym > 3:
                     raise StreamError(f"bad P-frame mode symbol {sym}")
@@ -393,16 +414,12 @@ def _parse_frame_body(r: BitReader, cols: int, rows: int,
             if mode == BlockMode.INTER:
                 p0 = r.bit_position
                 mvd = (se_decode(r), se_decode(r))
-                mv_bits += r.bit_position - p0
+                bits.mvs += r.bit_position - p0
         p0 = r.bit_position
         tiles = read_block_tiles(r)
-        res_bits += r.bit_position - p0
+        bits.residuals += r.bit_position - p0
         blocks.append(BlockPayload(mode, mvd, tiles))
-    mode_bits += r.byte_align()
-    if bits is not None:
-        bits.modes += mode_bits
-        bits.mvs += mv_bits
-        bits.residuals += res_bits
+    bits.modes += r.byte_align()
     return FrameUnit(frame_type, regions, gen_map, blocks)
 
 
@@ -411,7 +428,7 @@ def parse_frame(r: BitReader, cols: int, rows: int,
     tag = r.read_bits(8)
     if tag != UNIT_FRAME:
         raise StreamError(f"expected frame unit, found tag {tag}")
-    return _parse_frame_body(r, cols, rows, bits)
+    return _parse_frame_body(r, cols, rows, FrameBits() if bits is None else bits)
 
 
 def write_stream(header: StreamHeader, units) -> bytes:
@@ -435,28 +452,39 @@ def write_stream(header: StreamHeader, units) -> bytes:
     return w.to_bytes()
 
 
-def parse_stream(data: bytes):
+def parse_stream(data: bytes, bits: list | None = None):
     """Parse a stream; returns (header, unit generator).
 
     The generator yields ('param_set', QuantizedGnnParams) and
     ('frame', FrameUnit) in stream order, stops after the header's frame
-    count, and rejects unknown tags and trailing bytes.
+    count, and rejects unknown tags and trailing bytes. When `bits` is a
+    list, the header's size in bits is appended to it, then each unit's
+    bits before the unit is yielded: an int for a parameter set, a
+    FrameBits for a frame. Both include the unit's tag.
     """
     r = BitReader(data)
     header = parse_header(r)
     cols, rows = header.grid()
+    if bits is not None:
+        bits.append(r.bit_position)
 
     def units():
         done = 0
         while done < header.frame_count:
+            start = r.bit_position
             tag = r.read_bits(8)
             if tag == UNIT_PARAM_SET:
-                yield "param_set", _parse_param_set_body(r)
+                unit = "param_set", _parse_param_set_body(r)
+                unit_bits = r.bit_position - start
             elif tag == UNIT_FRAME:
-                yield "frame", _parse_frame_body(r, cols, rows)
+                unit_bits = FrameBits()
+                unit = "frame", _parse_frame_body(r, cols, rows, unit_bits)
                 done += 1
             else:
                 raise StreamError(f"unknown unit tag {tag}")
+            if bits is not None:
+                bits.append(unit_bits)
+            yield unit
         if r.bits_remaining:
             raise StreamError(f"{r.bits_remaining} trailing bits after last frame")
 

@@ -9,6 +9,7 @@ stream.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .core import SequenceConfig, read_yuv, write_yuv
@@ -76,11 +77,11 @@ def _write_text(path, text: str) -> None:
             f.write(text)
 
 
-def _build_config(args) -> SequenceConfig:
+def _build_config(args, qp: int, gnn_enabled: bool) -> SequenceConfig:
     cfg = SequenceConfig(
         width=args.width, height=args.height, frame_count=args.frames,
-        qp=args.qp, gnn_interval=args.gnn_interval,
-        gnn_enabled=args.gnn == "on", gnn_arch=_parse_arch(args.gnn_arch),
+        qp=qp, gnn_interval=args.gnn_interval,
+        gnn_enabled=gnn_enabled, gnn_arch=_parse_arch(args.gnn_arch),
         search_range=args.search_range,
     )
     try:
@@ -99,7 +100,7 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_encode(args) -> int:
-    config = _build_config(args)
+    config = _build_config(args, args.qp, args.gnn == "on")
     train_cfg = _train_config(args)
     frames = _read_input_frames(args.input, args.width, args.height, args.frames)
     data, report = encode_sequence(frames, config, train_cfg, args.zoom_hint)
@@ -144,12 +145,7 @@ def cmd_metrics(args) -> int:
     fbytes = (args.width * args.height
               + 2 * ((args.width + 1) // 2) * ((args.height + 1) // 2))
     if args.frames is None:
-        import os
-        try:
-            size = os.path.getsize(args.ref)
-        except OSError:
-            raise
-        n_frames = size // fbytes
+        n_frames = os.path.getsize(args.ref) // fbytes
         if n_frames < 1:
             raise OSError(f"{args.ref} holds no complete frame")
     else:
@@ -168,9 +164,7 @@ def cmd_inspect(args) -> int:
     with open(args.input, "rb") as f:
         data = f.read()
     acct = bit_accounting(data)
-    from .bitstream import parse_header
-    from .entropy import BitReader
-    h = parse_header(BitReader(data))
+    h = acct.header
     print(f"container: {h.width}x{h.height}, {h.frame_count} frames, "
           f"qp {h.qp}, gnn {'on' if h.gnn_enabled else 'off'}, "
           f"interval {h.gnn_interval}")
@@ -187,20 +181,8 @@ def cmd_sweep(args) -> int:
     qps = _parse_int_list(args.qps, "--qps")
     if not qps:
         raise UsageError("--qps needs at least one value")
-    configs = []
-    for qp in qps:
-        for gnn_on in (True, False):
-            cfg = SequenceConfig(
-                width=args.width, height=args.height, frame_count=args.frames,
-                qp=qp, gnn_interval=args.gnn_interval, gnn_enabled=gnn_on,
-                gnn_arch=_parse_arch(args.gnn_arch),
-                search_range=args.search_range,
-            )
-            try:
-                cfg.validate()
-            except ValueError as e:
-                raise UsageError(str(e))
-            configs.append(cfg)
+    configs = [_build_config(args, qp, gnn_on)
+               for qp in qps for gnn_on in (True, False)]
     train_cfg = _train_config(args)
     frames = _read_input_frames(args.input, args.width, args.height, args.frames)
     lines = ["qp,mode,total_bits,mean_psnr_y"]
@@ -213,11 +195,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _add_gnn_flags(p, with_qp=True):
-    if with_qp:
-        p.add_argument("--qp", type=int, required=True, help="quantizer, 0..51")
-    p.add_argument("--gnn", choices=("on", "off"), default="on",
-                   help="enable the block generator (default on)")
+def _add_gnn_flags(p):
     p.add_argument("--gnn-interval", type=int, default=16,
                    help="keyframe period in frames (default 16)")
     p.add_argument("--gnn-arch", default="25,40,60", metavar="H1,H2,...",
@@ -244,6 +222,9 @@ def build_parser() -> _Parser:
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--frames", type=int, required=True)
+    p.add_argument("--qp", type=int, required=True, help="quantizer, 0..51")
+    p.add_argument("--gnn", choices=("on", "off"), default="on",
+                   help="enable the block generator (default on)")
     _add_gnn_flags(p)
     p.add_argument("--report", help="per-frame CSV report path ('-' = stdout)")
     p.set_defaults(func=cmd_encode)
@@ -286,13 +267,7 @@ def build_parser() -> _Parser:
     p.add_argument("--frames", type=int, required=True)
     p.add_argument("--qps", required=True, metavar="Q1,Q2,...",
                    help="qp values to encode at")
-    p.add_argument("--gnn-interval", type=int, default=16)
-    p.add_argument("--gnn-arch", default="25,40,60", metavar="H1,H2,...")
-    p.add_argument("--gnn-steps", type=int, default=5000)
-    p.add_argument("--gnn-lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--search-range", type=int, default=8)
-    p.add_argument("--zoom-hint", choices=ZOOM_HINTS, default="none")
+    _add_gnn_flags(p)
     p.add_argument("--output", help="CSV path (default stdout)")
     p.set_defaults(func=cmd_sweep)
 

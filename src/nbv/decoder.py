@@ -12,24 +12,17 @@ an earlier one.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitstream import BlockMode, FrameUnit, parse_stream
+from .bitstream import _MODE_TO_INTRA, BlockMode, FrameUnit, parse_stream
 from .core import BlockCoord, Frame, blank_frame, insert_block
 from .entropy import StreamError
 from .gnn import QuantizedGnnParams, SetContext, generate_block
-from .prediction import IntraMode, MotionVector, intra_predict, motion_compensate
+from .prediction import MotionVector, intra_predict, motion_compensate
 from .residual import apply_block_residual
-
-_MODE_TO_INTRA = {
-    BlockMode.INTRA_DC: IntraMode.DC,
-    BlockMode.INTRA_H: IntraMode.HORIZONTAL,
-    BlockMode.INTRA_V: IntraMode.VERTICAL,
-}
+from .tools import csv_text
 
 
 @dataclass
@@ -59,16 +52,7 @@ class DecodeReport:
         return sum(r.gnn_calls for r in self.rows)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in self.rows:
-            writer.writerow([r.frame, r.n_intra, r.n_inter, r.n_gen, r.gnn_calls])
-        return buf.getvalue()
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            f.write(self.to_csv())
+        return csv_text(self.rows, CSV_COLUMNS)
 
 
 def _decode_frame(

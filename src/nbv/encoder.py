@@ -21,8 +21,6 @@ keeps the two bit-identical.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,12 +28,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .bitstream import (
+    _MODE_TO_INTRA,
     BlockMode,
     BlockPayload,
     FrameBits,
     FrameUnit,
     RegionSpec,
     StreamHeader,
+    block_syntax_bits,
     param_set_bits,
     validate_regions,
     write_frame,
@@ -52,7 +52,7 @@ from .core import (
     extract_block,
     insert_block,
 )
-from .entropy import BitWriter, se_length, ue_length
+from .entropy import BitWriter
 from .gnn import (
     QuantizedGnnParams,
     SetContext,
@@ -65,23 +65,15 @@ from .gnn import (
     train,
 )
 from .prediction import (
-    IntraMode,
     MotionVector,
     intra_predict,
     motion_compensate,
     motion_search,
 )
 from .residual import apply_block_residual, block_tiles_bits, encode_block_residual
-from .tools import plane_psnr
+from .tools import csv_text, frame_psnr
 
 ZOOM_HINTS = ("none", "out", "in")
-
-_MODE_TO_INTRA = {
-    BlockMode.INTRA_DC: IntraMode.DC,
-    BlockMode.INTRA_H: IntraMode.HORIZONTAL,
-    BlockMode.INTRA_V: IntraMode.VERTICAL,
-}
-_I_FRAME_SYMBOL = {BlockMode.INTRA_DC: 0, BlockMode.INTRA_H: 1, BlockMode.INTRA_V: 2}
 
 
 def rd_lambda(qp: int) -> float:
@@ -212,11 +204,22 @@ def train_param_set(
     return quantize_params(params), len(inputs)
 
 
-def choose_block_mode(candidates: list[tuple[BlockMode, RdCost]]) -> BlockMode:
+@dataclass(eq=False)
+class Candidate:
+    """One way to code a block, costed with the bits the writer will emit."""
+
+    mode: BlockMode
+    mvd: tuple[int, int] | None  # present iff mode is INTER
+    tiles: list[np.ndarray]
+    recon: Block32
+    cost: RdCost
+
+
+def choose_block_mode(candidates: list[Candidate]) -> Candidate:
     """Pick the minimum-J candidate; ties go to the earlier BlockMode rank."""
     if not candidates:
         raise ValueError("no candidates")
-    return min(candidates, key=lambda mc: (mc[1].j, int(mc[0])))[0]
+    return min(candidates, key=lambda c: (c.cost.j, int(c.mode)))
 
 
 def _ssd(a: Block32, b: Block32) -> int:
@@ -251,6 +254,17 @@ def _encode_frame(
     dist_total = 0
     n_intra = n_inter = n_gen = 0
 
+    def candidate(mode: BlockMode, basis: Block32,
+                  mvd: tuple[int, int] | None = None) -> Candidate:
+        # sel_bit is the same for every candidate of a block, so it never
+        # decides; it is charged so that each cost holds the block's bits.
+        tiles = encode_block_residual(src_block, basis, qp)
+        bits = (sel_bit + block_syntax_bits(frame_type, mode, mvd)
+                + block_tiles_bits(tiles))
+        rec = apply_block_residual(basis, tiles, qp)
+        return Candidate(mode, mvd, tiles, rec,
+                         RdCost.of(_ssd(src_block, rec), bits, lam))
+
     for by in range(rows):
         left_mode: BlockMode | None = None
         left_mv = MotionVector(0, 0)
@@ -261,62 +275,38 @@ def _encode_frame(
             sel_bit = 1 if region is not None and region.selectable else 0
             mv_pred = left_mv if left_mode == BlockMode.INTER else MotionVector(0, 0)
 
+            candidates = []
             if region is not None and not region.selectable:
                 # Forced region: no choice, no mode symbol.
-                basis = generate_block(qparams, c, frame_idx, ctx)
-                tiles = encode_block_residual(src_block, basis, qp)
-                chosen = (BlockMode.GEN, None, tiles,
-                          apply_block_residual(basis, tiles, qp))
+                candidates.append(candidate(
+                    BlockMode.GEN, generate_block(qparams, c, frame_idx, ctx)))
             else:
-                candidates = []
                 if frame_type == "P":
                     mv, _ = motion_search(src_block, prev_recon, c, search_range)
-                    basis = motion_compensate(prev_recon, c, mv)
-                    mvd = (mv.dx - mv_pred.dx, mv.dy - mv_pred.dy)
-                    tiles = encode_block_residual(src_block, basis, qp)
-                    bits = (sel_bit + ue_length(int(BlockMode.INTER))
-                            + se_length(mvd[0]) + se_length(mvd[1])
-                            + block_tiles_bits(tiles))
-                    rec = apply_block_residual(basis, tiles, qp)
-                    candidates.append((BlockMode.INTER, mvd, tiles, rec,
-                                       RdCost.of(_ssd(src_block, rec), bits, lam)))
+                    candidates.append(candidate(
+                        BlockMode.INTER, motion_compensate(prev_recon, c, mv),
+                        (mv.dx - mv_pred.dx, mv.dy - mv_pred.dy)))
                 for mode in (BlockMode.INTRA_DC, BlockMode.INTRA_H, BlockMode.INTRA_V):
-                    basis = intra_predict(recon, c, _MODE_TO_INTRA[mode])
-                    tiles = encode_block_residual(src_block, basis, qp)
-                    symbol = int(mode) if frame_type == "P" else _I_FRAME_SYMBOL[mode]
-                    bits = sel_bit + ue_length(symbol) + block_tiles_bits(tiles)
-                    rec = apply_block_residual(basis, tiles, qp)
-                    candidates.append((mode, None, tiles, rec,
-                                       RdCost.of(_ssd(src_block, rec), bits, lam)))
+                    candidates.append(candidate(
+                        mode, intra_predict(recon, c, _MODE_TO_INTRA[mode])))
                 if region is not None and qparams is not None:
-                    basis = generate_block(qparams, c, frame_idx, ctx)
-                    tiles = encode_block_residual(src_block, basis, qp)
-                    bits = sel_bit + block_tiles_bits(tiles)
-                    rec = apply_block_residual(basis, tiles, qp)
-                    candidates.append((BlockMode.GEN, None, tiles, rec,
-                                       RdCost.of(_ssd(src_block, rec), bits, lam)))
-                best = choose_block_mode([(m, cost) for m, _, _, _, cost in candidates])
-                mvd, tiles, rec = next(
-                    (mvd, tiles, rec) for m, mvd, tiles, rec, _ in candidates
-                    if m == best
-                )
-                chosen = (best, mvd if best == BlockMode.INTER else None, tiles, rec)
+                    candidates.append(candidate(
+                        BlockMode.GEN, generate_block(qparams, c, frame_idx, ctx)))
+            best = choose_block_mode(candidates)
 
-            mode, mvd, tiles, rec_block = chosen
-            insert_block(recon, c, rec_block)
-            dist_total += _ssd(src_block, rec_block)
-            payloads.append(BlockPayload(mode, mvd, tiles))
-            if mode == BlockMode.GEN:
+            insert_block(recon, c, best.recon)
+            dist_total += best.cost.distortion
+            payloads.append(BlockPayload(best.mode, best.mvd, best.tiles))
+            left_mode = best.mode
+            if best.mode == BlockMode.GEN:
                 gen_map[by, bx] = True
                 n_gen += 1
-                left_mode = mode
-            elif mode == BlockMode.INTER:
+            elif best.mode == BlockMode.INTER:
                 n_inter += 1
-                left_mode = mode
-                left_mv = MotionVector(mv_pred.dx + mvd[0], mv_pred.dy + mvd[1])
+                left_mv = MotionVector(mv_pred.dx + best.mvd[0],
+                                       mv_pred.dy + best.mvd[1])
             else:
                 n_intra += 1
-                left_mode = mode
 
     unit = FrameUnit(frame_type, list(regions), gen_map, payloads)
     return unit, _FrameResult(recon, dist_total, n_intra, n_inter, n_gen)
@@ -430,20 +420,7 @@ class EncodeReport:
     periods: list[PeriodRecord]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in self.rows:
-            writer.writerow([
-                r.frame, r.type, f"{r.psnr_y:.4f}", f"{r.psnr_cb:.4f}",
-                f"{r.psnr_cr:.4f}", r.bits_header, r.bits_params, r.bits_modes,
-                r.bits_mv, r.bits_residual, r.n_gen_blocks,
-            ])
-        return buf.getvalue()
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            f.write(self.to_csv())
+        return csv_text(self.rows, CSV_COLUMNS)
 
 
 def _period_global_motion(frames: list[Frame], search_range: int) -> GlobalMotion:
@@ -558,15 +535,13 @@ def encode_sequence(
         w.write_bytes(chosen.data)
         for offset, (res, fb) in enumerate(zip(chosen.results, chosen.frame_bits)):
             frame_idx = start + offset
-            src = frames[offset + start]
-            dw, dh = src.display_width, src.display_height
-            cw, ch = (dw + 1) // 2, (dh + 1) // 2
+            psnr_y, psnr_cb, psnr_cr = frame_psnr(frames[frame_idx], res.recon)
             rows_out.append(EncodeRow(
                 frame=frame_idx,
                 type="I" if offset == 0 else "P",
-                psnr_y=plane_psnr(src.y[:dh, :dw], res.recon.y[:dh, :dw]),
-                psnr_cb=plane_psnr(src.cb[:ch, :cw], res.recon.cb[:ch, :cw]),
-                psnr_cr=plane_psnr(src.cr[:ch, :cw], res.recon.cr[:ch, :cw]),
+                psnr_y=psnr_y,
+                psnr_cb=psnr_cb,
+                psnr_cr=psnr_cr,
                 bits_header=header_bits if frame_idx == 0 else 0,
                 bits_params=chosen.param_bits if offset == 0 else 0,
                 bits_modes=fb.modes,

@@ -131,47 +131,44 @@ def backward(params: Params, inputs: np.ndarray, targets: np.ndarray) -> Params:
     return grads
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+BATCH_SIZE = 1024
+
+
 @dataclass
 class TrainConfig:
-    """Optimizer settings; the defaults overfit one period at full quality."""
+    """Training settings; the defaults overfit one period at full quality."""
 
-    optimizer: str = "adam"
     lr: float = 1e-3
     steps: int = 5000
-    batch_size: int | None = None  # None: full batch up to 1024 samples
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def train(layer_sizes, inputs: np.ndarray, targets: np.ndarray,
           cfg: TrainConfig | None = None) -> Params:
     """Overfit the network on (input, target) rows; fully seeded and repeatable.
 
-    Runs exactly cfg.steps optimizer updates. Datasets at or below the batch
-    size train full batch; larger ones are visited in seeded shuffled
-    minibatches, reshuffled each epoch.
+    Runs exactly cfg.steps Adam updates (ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+    at learning rate cfg.lr. Datasets of at most BATCH_SIZE rows train full
+    batch; larger ones are visited in seeded shuffled minibatches of
+    BATCH_SIZE, reshuffled each epoch.
     """
     cfg = cfg or TrainConfig()
     x = np.asarray(inputs, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or t.ndim != 2 or x.shape[0] != t.shape[0] or x.shape[0] == 0:
         raise ValueError("inputs and targets must be matching non-empty batches")
-    if cfg.optimizer not in ("sgd", "adam"):
-        raise ValueError(f"unknown optimizer: {cfg.optimizer}")
     if cfg.steps < 0 or cfg.lr <= 0:
         raise ValueError("steps must be >= 0 and lr > 0")
 
     rng = np.random.default_rng(cfg.seed)
     params = init_params(layer_sizes, rng)
     n = x.shape[0]
-    batch = cfg.batch_size if cfg.batch_size else 1024
-    full = n <= batch
-
-    if cfg.optimizer == "adam":
-        m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
-        v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
+    full = n <= BATCH_SIZE
+    m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
+    v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
 
     order = np.empty(0, dtype=np.int64)
     cursor = 0
@@ -179,34 +176,30 @@ def train(layer_sizes, inputs: np.ndarray, targets: np.ndarray,
         if full:
             bx, bt = x, t
         else:
-            if cursor + batch > len(order):
+            if cursor + BATCH_SIZE > len(order):
                 order = rng.permutation(n)
                 cursor = 0
-            idx = order[cursor:cursor + batch]
-            cursor += batch
+            idx = order[cursor:cursor + BATCH_SIZE]
+            cursor += BATCH_SIZE
             bx, bt = x[idx], t[idx]
         grads = backward(params, bx, bt)
-        if cfg.optimizer == "sgd":
-            params = [(w - cfg.lr * gw, b - cfg.lr * gb)
-                      for (w, b), (gw, gb) in zip(params, grads)]
-        else:
-            tstep = step + 1
-            bc1 = 1.0 - cfg.beta1 ** tstep
-            bc2 = 1.0 - cfg.beta2 ** tstep
-            new_params = []
-            for li, ((w, b), (gw, gb)) in enumerate(zip(params, grads)):
-                mw, mb = m[li]
-                vw, vb = v[li]
-                mw = cfg.beta1 * mw + (1.0 - cfg.beta1) * gw
-                mb = cfg.beta1 * mb + (1.0 - cfg.beta1) * gb
-                vw = cfg.beta2 * vw + (1.0 - cfg.beta2) * (gw * gw)
-                vb = cfg.beta2 * vb + (1.0 - cfg.beta2) * (gb * gb)
-                m[li] = (mw, mb)
-                v[li] = (vw, vb)
-                w = w - cfg.lr * (mw / bc1) / (np.sqrt(vw / bc2) + cfg.eps)
-                b = b - cfg.lr * (mb / bc1) / (np.sqrt(vb / bc2) + cfg.eps)
-                new_params.append((w, b))
-            params = new_params
+        tstep = step + 1
+        bc1 = 1.0 - ADAM_BETA1 ** tstep
+        bc2 = 1.0 - ADAM_BETA2 ** tstep
+        new_params = []
+        for li, ((w, b), (gw, gb)) in enumerate(zip(params, grads)):
+            mw, mb = m[li]
+            vw, vb = v[li]
+            mw = ADAM_BETA1 * mw + (1.0 - ADAM_BETA1) * gw
+            mb = ADAM_BETA1 * mb + (1.0 - ADAM_BETA1) * gb
+            vw = ADAM_BETA2 * vw + (1.0 - ADAM_BETA2) * (gw * gw)
+            vb = ADAM_BETA2 * vb + (1.0 - ADAM_BETA2) * (gb * gb)
+            m[li] = (mw, mb)
+            v[li] = (vw, vb)
+            w = w - cfg.lr * (mw / bc1) / (np.sqrt(vw / bc2) + ADAM_EPS)
+            b = b - cfg.lr * (mb / bc1) / (np.sqrt(vb / bc2) + ADAM_EPS)
+            new_params.append((w, b))
+        params = new_params
     return params
 
 

@@ -3,9 +3,11 @@
 A coding unit decomposes into 24 8x8 tiles (16 luma, 4 Cb, 4 Cr, each group
 in raster order). Each tile is transformed with the orthonormal 8x8 DCT-II,
 quantized with a uniform scalar step of 2^(qp/6), and entropy coded as
-run-level pairs in zigzag order. Reconstruction adds the dequantized
-residual onto the prediction basis and rounds half away from zero; the
-encoder and decoder share that code path, so there is no drift.
+run-level pairs in zigzag order. encode_block_residual quantizes a block's
+tiles through quantize, and apply_block_residual dequantizes them through
+dequantize, adds the residual onto the prediction basis and rounds half
+away from zero. The encoder and decoder share that reconstruction path,
+so there is no drift.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .entropy import (
     se_encode,
     ue_decode,
     ue_encode,
-    ue_length,
 )
 
 _N = 8
@@ -51,9 +52,6 @@ ZIGZAG = np.array([
     53, 60, 61, 54, 47, 55, 62, 63,
 ], dtype=np.int64)
 
-_UNZIGZAG = np.empty(64, dtype=np.int64)
-_UNZIGZAG[ZIGZAG] = np.arange(64)
-
 # Coded length of ue(v) for every value a run or level mapping can produce.
 _UE_LEN = np.array([2 * (v + 1).bit_length() - 1 for v in range(1 << 16)],
                    dtype=np.int64)
@@ -77,17 +75,24 @@ def qstep(qp: int) -> float:
 
 
 def quantize(coeffs: np.ndarray, qp: int) -> np.ndarray:
-    """Quantize one 8x8 coefficient tile to 64 integer levels in zigzag order."""
+    """Quantize 8x8 coefficient tiles, shape (..., 8, 8), to integer levels
+    in zigzag order, shape (..., 64)."""
     step = qstep(qp)
-    flat = round_half_away(np.asarray(coeffs, np.float64).reshape(64) / step)
-    return flat.astype(np.int32)[ZIGZAG]
+    c = np.asarray(coeffs, np.float64)
+    flat = round_half_away(c.reshape(c.shape[:-2] + (64,)) / step)
+    return flat.astype(np.int32)[..., ZIGZAG]
 
 
 def dequantize(levels: np.ndarray, qp: int) -> np.ndarray:
-    """Inverse of quantize: 64 zigzag levels back to an 8x8 coefficient tile."""
+    """Inverse of quantize: zigzag levels (..., 64) back to coefficient
+    tiles (..., 8, 8)."""
     step = qstep(qp)
-    flat = np.asarray(levels, np.float64)[_UNZIGZAG] * step
-    return flat.reshape(_N, _N)
+    lv = np.asarray(levels, np.float64)
+    # C order on purpose: einsum picks its loop order from the strides, and
+    # another order can round dct8_inverse differently.
+    flat = np.empty(lv.shape)
+    flat[..., ZIGZAG] = lv
+    return flat.reshape(lv.shape[:-1] + (_N, _N)) * step
 
 
 def code_coeffs(w: BitWriter, levels: np.ndarray) -> int:
@@ -153,13 +158,10 @@ def _block_planes(block: Block32):
 
 def encode_block_residual(source: Block32, basis: Block32, qp: int) -> list[np.ndarray]:
     """Quantized residual levels for all 24 tiles, each 64 values in zigzag order."""
-    step = qstep(qp)
     out: list[np.ndarray] = []
     for src, bas in zip(_block_planes(source), _block_planes(basis)):
         res = src.astype(np.int32) - bas.astype(np.int32)
-        coeffs = dct8_forward(_plane_tiles(res))
-        flat = round_half_away(coeffs.reshape(-1, 64) / step).astype(np.int32)
-        zz = flat[:, ZIGZAG]
+        zz = quantize(dct8_forward(_plane_tiles(res)), qp)
         out.extend(zz[i] for i in range(zz.shape[0]))
     return out
 
@@ -172,11 +174,7 @@ def apply_block_residual(basis: Block32, tiles: list[np.ndarray], qp: int) -> Bl
     """
     if len(tiles) != TILES_PER_BLOCK:
         raise ValueError(f"expected {TILES_PER_BLOCK} tiles, got {len(tiles)}")
-    step = qstep(qp)
-    zz = np.asarray(tiles, dtype=np.float64)
-    flat = np.empty_like(zz)
-    flat[:, ZIGZAG] = zz
-    res = dct8_inverse(flat.reshape(-1, _N, _N) * step)
+    res = dct8_inverse(dequantize(tiles, qp))
     planes = []
     offset = 0
     for bas, size in ((basis.y, BLOCK), (basis.cb, CHROMA_BLOCK), (basis.cr, CHROMA_BLOCK)):
@@ -203,17 +201,3 @@ def read_block_tiles(r: BitReader) -> list[np.ndarray]:
 def block_tiles_bits(tiles: list[np.ndarray]) -> int:
     """Exact coded size of all 24 tiles; equals what write_block_tiles emits."""
     return sum(coeff_bits(t) for t in tiles)
-
-
-def code_block_residual(
-    w: BitWriter, source: Block32, basis: Block32, qp: int
-) -> tuple[Block32, int]:
-    """Code source - basis; returns the reconstruction and the bits written."""
-    tiles = encode_block_residual(source, basis, qp)
-    bits = write_block_tiles(w, tiles)
-    return apply_block_residual(basis, tiles, qp), bits
-
-
-def decode_block_residual(r: BitReader, basis: Block32, qp: int) -> Block32:
-    """Parse one coding unit's residual and reconstruct onto basis."""
-    return apply_block_residual(basis, read_block_tiles(r), qp)

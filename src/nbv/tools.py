@@ -7,8 +7,9 @@ velocity per frame (pan), or a centered window growing or shrinking per
 frame with bilinear resampling (zoom). Pan frames are exact integer shifts
 of each other wherever they overlap, which motion search should recover.
 
-bit_accounting replays a stream and charges every bit to one of five
-categories that sum exactly to the stream size. The bandwidth helpers
+bit_accounting folds the per-unit bit counts parse_stream reports into
+five categories that sum exactly to the stream size, and csv_text renders
+the encoder's and decoder's per-frame reports. The bandwidth helpers
 express the scenario arithmetic for shipping network parameters in a coded
 stream: parameter bits against a target bitrate, generated blocks against
 the block budget, and generator evaluations per second.
@@ -16,22 +17,16 @@ the block budget, and generator evaluations per second.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitstream import (
-    BIT_CATEGORIES,
-    UNIT_FRAME,
-    UNIT_PARAM_SET,
-    FrameBits,
-    _parse_frame_body,
-    _parse_param_set_body,
-    parse_header,
-)
+from .bitstream import BIT_CATEGORIES, StreamHeader, parse_stream
 from .core import Frame, make_frame, round_half_away
-from .entropy import BitReader, StreamError
+from .entropy import StreamError
 from .gnn import param_count
 
 SYNTH_KINDS = ("static", "pan", "zoom_out", "zoom_in")
@@ -186,6 +181,7 @@ class UnitInfo:
 class BitAccounting:
     """Where every bit of a stream went; categories sum to total_bits."""
 
+    header: StreamHeader
     categories: dict[str, int]
     total_bits: int
     units: list[UnitInfo] = field(default_factory=list)
@@ -195,47 +191,42 @@ class BitAccounting:
 
 
 def bit_accounting(data: bytes) -> BitAccounting:
-    """Replay a stream, charging each bit to exactly one category."""
-    r = BitReader(data)
-    header = parse_header(r)
-    cols, rows = header.grid()
+    """Parse a stream, charging each bit to exactly one category."""
+    sizes: list = []
+    header, stream_units = parse_stream(data, sizes)
     cats = dict.fromkeys(BIT_CATEGORIES, 0)
-    cats["header"] = r.bit_position
+    cats["header"] = sizes[0]
     units: list[UnitInfo] = []
-    done = 0
-    while done < header.frame_count:
-        start = r.bit_position
-        tag = r.read_bits(8)
-        if tag == UNIT_PARAM_SET:
-            qp = _parse_param_set_body(r)
-            bits = r.bit_position - start
+    for kind, payload in stream_units:
+        if kind == "param_set":
+            bits = sizes[-1]
             cats["param_sets"] += bits
-            sizes = qp.layer_sizes
-            units.append(UnitInfo(
-                len(units), "param_set", bits,
-                f"layers={list(sizes)} params={param_count(sizes)}",
-            ))
-        elif tag == UNIT_FRAME:
-            fb = FrameBits()
-            fu = _parse_frame_body(r, cols, rows, fb)
-            bits = r.bit_position - start
+            layers = payload.layer_sizes
+            detail = f"layers={list(layers)} params={param_count(layers)}"
+        else:
+            fb = sizes[-1]
             cats["regions_and_modes"] += fb.modes
             cats["mvs"] += fb.mvs
             cats["residuals"] += fb.residuals
-            n_gen = int(fu.gen_map.sum())
-            units.append(UnitInfo(
-                len(units), "frame", bits,
-                f"type={fu.frame_type} regions={len(fu.regions)} gen_blocks={n_gen}",
-            ))
-            done += 1
-        else:
-            raise StreamError(f"unknown unit tag {tag}")
-    if r.bits_remaining:
-        raise StreamError(f"{r.bits_remaining} trailing bits after last frame")
-    acct = BitAccounting(cats, len(data) * 8, units)
+            bits = fb.total
+            detail = (f"type={payload.frame_type} regions={len(payload.regions)} "
+                      f"gen_blocks={int(payload.gen_map.sum())}")
+        units.append(UnitInfo(len(units), kind, bits, detail))
+    acct = BitAccounting(header, cats, len(data) * 8, units)
     if sum(cats.values()) != acct.total_bits:
         raise StreamError("bit accounting does not sum to stream size")
     return acct
+
+
+def csv_text(rows, columns) -> str:
+    """A report's rows as CSV, one column per attribute; floats to 4 places."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for r in rows:
+        values = (getattr(r, c) for c in columns)
+        writer.writerow([f"{v:.4f}" if isinstance(v, float) else v for v in values])
+    return buf.getvalue()
 
 
 def param_bandwidth_share(

@@ -10,6 +10,7 @@ from nbv.bitstream import (
     FrameUnit,
     RegionSpec,
     StreamHeader,
+    block_syntax_bits,
     param_set_bits,
     parse_frame,
     parse_header,
@@ -304,6 +305,54 @@ class TestFrameUnit:
         ue_encode(w, 5)  # more regions than blocks
         with pytest.raises(StreamError):
             parse_frame(BitReader(w.to_bytes()), 1, 1)
+
+
+class TestBlockSyntaxBits:
+    """block_syntax_bits against the bits write_frame emits for one block."""
+
+    # Frame syntax around the block in a 1x1 grid: tag 8, frame type 1 and
+    # ue(0) regions 1; a selectable region adds ue(1) 3, four ue(0)
+    # corners 4, the kind bit and the selection bit.
+    OVERHEAD = {False: 10, True: 18}
+    MVDS = ([(v, 0) for v in range(-70, 71)] + [(0, v) for v in range(-70, 71)]
+            + list(zip(range(-70, 71), range(70, -71, -1))))
+
+    def emitted_syntax_bits(self, unit, with_region):
+        w = BitWriter()
+        bits = write_frame(w, unit, 1, 1)
+        data = w.to_bytes()
+        # The last residual tile is all zero, coded as a single 1 bit, so the
+        # unit's last set bit ends the syntax; alignment pads with zeros.
+        last = max(i for i in range(8 * len(data))
+                   if data[i // 8] >> (7 - i % 8) & 1)
+        assert bits.residuals == 24 and bits.total == 8 * len(data)
+        return last + 1 - self.OVERHEAD[with_region] - bits.residuals
+
+    def cases(self):
+        for with_region in (False, True):
+            regions = [RegionSpec(0, 0, 0, 0, True)] if with_region else []
+            for frame_type in ("I", "P"):
+                modes = [BlockMode.INTRA_DC, BlockMode.INTRA_H, BlockMode.INTRA_V]
+                for mode in modes:
+                    yield with_region, single_block_unit(frame_type, mode,
+                                                         regions=regions)
+                if frame_type == "P":
+                    for mvd in self.MVDS:
+                        yield with_region, single_block_unit(
+                            "P", BlockMode.INTER, mvd, regions=regions)
+                if with_region:
+                    yield with_region, single_block_unit(
+                        frame_type, BlockMode.GEN, regions=regions, gen=True)
+
+    def test_cost_equals_emitted_bits(self):
+        n = 0
+        for with_region, unit in self.cases():
+            block = unit.blocks[0]
+            expected = self.emitted_syntax_bits(unit, with_region)
+            got = block_syntax_bits(unit.frame_type, block.mode, block.mvd)
+            assert got == expected, (unit.frame_type, block.mode, block.mvd)
+            n += 1
+        assert n == 2 * (3 + 3 + len(self.MVDS)) + 2
 
 
 class TestStreamFraming:

@@ -8,10 +8,17 @@ import pytest
 
 import nbv.encoder
 from conftest import fast_train, forced_stream, rand_frame
-from nbv.bitstream import BlockMode, RegionSpec, param_set_bits, write_param_set
+from nbv.bitstream import (
+    BlockMode,
+    RegionSpec,
+    param_set_bits,
+    parse_stream,
+    write_param_set,
+)
 from nbv.core import Frame, SequenceConfig, make_frame
 from nbv.decoder import decode_sequence
 from nbv.encoder import (
+    Candidate,
     GlobalMotion,
     PeriodRecord,
     RdCost,
@@ -46,34 +53,38 @@ class TestLambda:
             assert rd_lambda(qp + 3) == pytest.approx(2 * rd_lambda(qp))
 
 
+def cand(mode: BlockMode, cost: RdCost) -> Candidate:
+    return Candidate(mode, None, [], None, cost)
+
+
 class TestModeChoice:
     def test_strict_minimum_wins_regardless_of_order(self):
         import itertools
         cands = [
-            (BlockMode.INTER, RdCost(100, 10, 1.0)),
-            (BlockMode.INTRA_DC, RdCost(90, 30, 1.0)),
-            (BlockMode.GEN, RdCost(80, 25, 1.0)),
+            cand(BlockMode.INTER, RdCost(100, 10, 1.0)),
+            cand(BlockMode.INTRA_DC, RdCost(90, 30, 1.0)),
+            cand(BlockMode.GEN, RdCost(80, 25, 1.0)),
         ]
-        best = min(cands, key=lambda mc: mc[1].j)[0]
+        best = min(cands, key=lambda c: c.cost.j)
         for perm in itertools.permutations(cands):
-            assert choose_block_mode(list(perm)) == best
+            assert choose_block_mode(list(perm)) is best
 
     def test_exact_tie_prefers_earlier_mode_rank(self):
         import itertools
         tie = [
-            (BlockMode.GEN, RdCost(50, 50, 1.0)),
-            (BlockMode.INTER, RdCost(50, 50, 1.0)),
-            (BlockMode.INTRA_H, RdCost(50, 50, 1.0)),
+            cand(BlockMode.GEN, RdCost(50, 50, 1.0)),
+            cand(BlockMode.INTER, RdCost(50, 50, 1.0)),
+            cand(BlockMode.INTRA_H, RdCost(50, 50, 1.0)),
         ]
         for perm in itertools.permutations(tie):
-            assert choose_block_mode(list(perm)) == BlockMode.INTER
+            assert choose_block_mode(list(perm)).mode == BlockMode.INTER
 
     def test_tie_between_intra_and_generated(self):
         cands = [
-            (BlockMode.GEN, RdCost(10, 0, 1.0)),
-            (BlockMode.INTRA_DC, RdCost(10, 0, 1.0)),
+            cand(BlockMode.GEN, RdCost(10, 0, 1.0)),
+            cand(BlockMode.INTRA_DC, RdCost(10, 0, 1.0)),
         ]
-        assert choose_block_mode(cands) == BlockMode.INTRA_DC
+        assert choose_block_mode(cands).mode == BlockMode.INTRA_DC
 
     def test_empty_candidate_list_rejected(self):
         with pytest.raises(ValueError):
@@ -411,3 +422,36 @@ class TestRdBound:
         coded = []
         assert _encode_period(*args, budget=first, results=coded) is None
         assert len(coded) == 1
+
+
+def parsed_unit_bits(stream):
+    """(header bits, [(kind, bits)]) as parse_stream reports them."""
+    sizes = []
+    _, units = parse_stream(stream, sizes)
+    kinds = [kind for kind, _ in units]
+    return sizes[0], list(zip(kinds, sizes[1:], strict=True))
+
+
+def frame_bits_tuple(fb):
+    return fb.modes, fb.mvs, fb.residuals
+
+
+class TestAccountingSymmetry:
+    """What the parser counts equals what the writer reported when encoding."""
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_golden_encode(self, name):
+        stream, report = encode_case(name)
+        header_bits, units = parsed_unit_bits(stream)
+        assert header_bits == report.rows[0].bits_header
+        assert [frame_bits_tuple(b) for kind, b in units if kind == "frame"] == [
+            (r.bits_modes, r.bits_mv, r.bits_residual) for r in report.rows]
+        assert [b for kind, b in units if kind == "param_set"] == [
+            r.bits_params for r in report.rows if r.bits_params]
+
+    def test_forced_region_period(self):
+        stream, period = forced_stream()
+        _, units = parsed_unit_bits(stream)
+        assert units[0] == ("param_set", period.param_bits)
+        assert [frame_bits_tuple(b) for _, b in units[1:]] == [
+            frame_bits_tuple(fb) for fb in period.frame_bits]

@@ -91,6 +91,14 @@ class TestQuantization:
             back = dequantize(quantize(coeffs, qp), qp)
             assert np.max(np.abs(back - coeffs)) <= qstep(qp) / 2 + 1e-9
 
+    def test_batch_matches_single_tiles(self):
+        rng = np.random.default_rng(3)
+        coeffs = rng.uniform(-300, 300, (24, 8, 8))
+        tiles = [quantize(c, 20) for c in coeffs]  # as blocks carry them
+        assert np.array_equal(quantize(coeffs, 20), tiles)
+        single = np.stack([dequantize(t, 20) for t in tiles])
+        assert np.array_equal(dequantize(tiles, 20), single)
+
     def test_zigzag_is_a_permutation(self):
         assert sorted(ZIGZAG.tolist()) == list(range(64))
         # first scan steps walk the top-left corner
