@@ -51,7 +51,7 @@ from .gnn import (
     QuantizedLayer,
     check_architecture,
 )
-from .prediction import IntraMode
+from .prediction import IntraMode, MotionVector
 from .residual import TILES_PER_BLOCK, read_block_tiles, write_block_tiles
 
 MAGIC = b"NBV1"
@@ -99,6 +99,13 @@ def block_syntax_bits(frame_type: str, mode: BlockMode,
     if mode == BlockMode.INTER:
         bits += se_length(mvd[0]) + se_length(mvd[1])
     return bits
+
+
+def mv_predictor(left_mode: BlockMode | None, left_mv: MotionVector) -> MotionVector:
+    """The vector an inter block's motion-vector difference is coded against:
+    the left neighbor's vector when that block is inter, else zero. The
+    first block of a row has no left neighbor (left_mode None)."""
+    return left_mv if left_mode == BlockMode.INTER else MotionVector(0, 0)
 
 
 @dataclass
@@ -276,7 +283,7 @@ def validate_regions(regions: list[RegionSpec], cols: int, rows: int) -> None:
 class BlockPayload:
     mode: BlockMode
     mvd: tuple[int, int] | None  # present iff mode is INTER
-    tiles: list[np.ndarray]  # 24 level arrays of 64 each
+    tiles: np.ndarray  # (24, 64) residual levels, zigzag order
 
 
 @dataclass(eq=False)

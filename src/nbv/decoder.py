@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitstream import _MODE_TO_INTRA, BlockMode, FrameUnit, parse_stream
+from .bitstream import _MODE_TO_INTRA, BlockMode, FrameUnit, mv_predictor, parse_stream
 from .core import BlockCoord, Frame, blank_frame, insert_block
 from .entropy import StreamError
 from .gnn import QuantizedGnnParams, SetContext, generate_block
@@ -85,7 +85,7 @@ def _decode_frame(
                 basis = generate_block(qparams, c, frame_idx, ctx)
                 n_gen += 1
             elif mode == BlockMode.INTER:
-                pred = left_mv if left_mode == BlockMode.INTER else MotionVector(0, 0)
+                pred = mv_predictor(left_mode, left_mv)
                 mv = MotionVector(pred.dx + payload.mvd[0], pred.dy + payload.mvd[1])
                 basis = motion_compensate(prev_recon, c, mv)
                 left_mv = mv

@@ -16,7 +16,9 @@ bits, a budget at or below that product rules the network out before any
 training; otherwise the network pass stops as soon as its cost so far
 reaches the budget. Every candidate is costed with exact coded bits, and
 reconstruction runs through the same code path the decoder uses, which
-keeps the two bit-identical.
+keeps the two bit-identical. A block's candidates are costed together:
+their prediction bases are stacked, and one batched call each quantizes,
+bit-counts and reconstructs all of them.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .bitstream import (
     RegionSpec,
     StreamHeader,
     block_syntax_bits,
+    mv_predictor,
     param_set_bits,
     validate_regions,
     write_frame,
@@ -210,7 +213,7 @@ class Candidate:
 
     mode: BlockMode
     mvd: tuple[int, int] | None  # present iff mode is INTER
-    tiles: list[np.ndarray]
+    tiles: np.ndarray  # (24, 64) residual levels
     recon: Block32
     cost: RdCost
 
@@ -222,11 +225,18 @@ def choose_block_mode(candidates: list[Candidate]) -> Candidate:
     return min(candidates, key=lambda c: (c.cost.j, int(c.mode)))
 
 
-def _ssd(a: Block32, b: Block32) -> int:
+def _stack_blocks(blocks: list[Block32]) -> Block32:
+    """One Block32 whose planes carry a leading axis over the given blocks."""
+    return Block32(*(np.stack(planes) for planes in
+                     zip(*((b.y, b.cb, b.cr) for b in blocks))))
+
+
+def _ssd(source: Block32, recon: Block32) -> np.ndarray:
+    """SSD against the source of each block along recon's leading axes."""
     total = 0
-    for pa, pb in ((a.y, b.y), (a.cb, b.cb), (a.cr, b.cr)):
-        d = pa.astype(np.int64) - pb.astype(np.int64)
-        total += int((d * d).sum())
+    for ps, pr in ((source.y, recon.y), (source.cb, recon.cb), (source.cr, recon.cr)):
+        d = pr.astype(np.int64) - ps.astype(np.int64)
+        total = total + (d * d).sum(axis=(-2, -1))
     return total
 
 
@@ -248,22 +258,19 @@ def _encode_frame(
     ctx: SetContext | None, qp: int, lam: float, search_range: int,
     cols: int, rows: int,
 ) -> tuple[FrameUnit, _FrameResult]:
+    """Code one frame block by block in raster order.
+
+    Each block's candidates (inter, the three intra modes and, in a region,
+    the generator; in a forced region the generator alone) are costed
+    together: their prediction bases are stacked on a leading axis, and one
+    call each transforms and quantizes, counts the tile bits of, and
+    reconstructs all of them.
+    """
     recon = blank_frame(source.display_width, source.display_height)
     gen_map = np.zeros((rows, cols), dtype=bool)
     payloads: list[BlockPayload] = []
     dist_total = 0
     n_intra = n_inter = n_gen = 0
-
-    def candidate(mode: BlockMode, basis: Block32,
-                  mvd: tuple[int, int] | None = None) -> Candidate:
-        # sel_bit is the same for every candidate of a block, so it never
-        # decides; it is charged so that each cost holds the block's bits.
-        tiles = encode_block_residual(src_block, basis, qp)
-        bits = (sel_bit + block_syntax_bits(frame_type, mode, mvd)
-                + block_tiles_bits(tiles))
-        rec = apply_block_residual(basis, tiles, qp)
-        return Candidate(mode, mvd, tiles, rec,
-                         RdCost.of(_ssd(src_block, rec), bits, lam))
 
     for by in range(rows):
         left_mode: BlockMode | None = None
@@ -273,30 +280,45 @@ def _encode_frame(
             src_block = extract_block(source, c)
             region = next((r for r in regions if r.contains(bx, by)), None)
             sel_bit = 1 if region is not None and region.selectable else 0
-            mv_pred = left_mv if left_mode == BlockMode.INTER else MotionVector(0, 0)
+            mv_pred = mv_predictor(left_mode, left_mv)
 
-            candidates = []
+            # (mode, mvd, prediction basis) of every candidate
+            cands: list[tuple[BlockMode, tuple[int, int] | None, Block32]] = []
             if region is not None and not region.selectable:
                 # Forced region: no choice, no mode symbol.
-                candidates.append(candidate(
-                    BlockMode.GEN, generate_block(qparams, c, frame_idx, ctx)))
+                cands.append((BlockMode.GEN, None,
+                              generate_block(qparams, c, frame_idx, ctx)))
             else:
                 if frame_type == "P":
                     mv, _ = motion_search(src_block, prev_recon, c, search_range)
-                    candidates.append(candidate(
-                        BlockMode.INTER, motion_compensate(prev_recon, c, mv),
-                        (mv.dx - mv_pred.dx, mv.dy - mv_pred.dy)))
+                    cands.append((BlockMode.INTER,
+                                  (mv.dx - mv_pred.dx, mv.dy - mv_pred.dy),
+                                  motion_compensate(prev_recon, c, mv)))
                 for mode in (BlockMode.INTRA_DC, BlockMode.INTRA_H, BlockMode.INTRA_V):
-                    candidates.append(candidate(
-                        mode, intra_predict(recon, c, _MODE_TO_INTRA[mode])))
+                    cands.append((mode, None,
+                                  intra_predict(recon, c, _MODE_TO_INTRA[mode])))
                 if region is not None and qparams is not None:
-                    candidates.append(candidate(
-                        BlockMode.GEN, generate_block(qparams, c, frame_idx, ctx)))
-            best = choose_block_mode(candidates)
+                    cands.append((BlockMode.GEN, None,
+                                  generate_block(qparams, c, frame_idx, ctx)))
+
+            basis = _stack_blocks([b for _, _, b in cands])
+            levels = encode_block_residual(src_block, basis, qp)
+            tile_bits = block_tiles_bits(levels)
+            rec = apply_block_residual(basis, levels, qp)
+            ssd = _ssd(src_block, rec)
+            # sel_bit is the same for every candidate of a block, so it never
+            # decides; it is charged so that each cost holds the block's bits.
+            best = choose_block_mode([
+                Candidate(mode, mvd, levels[i], Block32(rec.y[i], rec.cb[i], rec.cr[i]),
+                          RdCost.of(int(ssd[i]), sel_bit + int(tile_bits[i])
+                                    + block_syntax_bits(frame_type, mode, mvd), lam))
+                for i, (mode, mvd, _) in enumerate(cands)
+            ])
 
             insert_block(recon, c, best.recon)
             dist_total += best.cost.distortion
-            payloads.append(BlockPayload(best.mode, best.mvd, best.tiles))
+            # A copy, so the payload does not keep every candidate's levels.
+            payloads.append(BlockPayload(best.mode, best.mvd, best.tiles.copy()))
             left_mode = best.mode
             if best.mode == BlockMode.GEN:
                 gen_map[by, bx] = True

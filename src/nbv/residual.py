@@ -8,6 +8,14 @@ tiles through quantize, and apply_block_residual dequantizes them through
 dequantize, adds the residual onto the prediction basis and rounds half
 away from zero. The encoder and decoder share that reconstruction path,
 so there is no drift.
+
+Like dct8_forward, the block-level functions work on batches: leading axes
+of the basis planes and of the levels pass through. The encoder stacks a
+block's RDO candidates on one such axis and costs them all in one call to
+encode_block_residual, block_tiles_bits and apply_block_residual; the
+decoder calls the same functions on one block. Every candidate's tiles
+meet the same per-tile arithmetic either way, so a batch gives bitwise the
+levels, bits and pixels of one call per candidate.
 """
 
 from __future__ import annotations
@@ -108,12 +116,11 @@ def code_coeffs(w: BitWriter, levels: np.ndarray) -> int:
     return w.bit_position - start
 
 
-def decode_coeffs(r: BitReader) -> np.ndarray:
-    """Read one tile's run-level pairs back to 64 zigzag levels."""
+def _read_coeffs(r: BitReader, levels: np.ndarray) -> None:
+    """Read one tile's run-level pairs into 64 zeroed zigzag levels."""
     count = ue_decode(r)
     if count > 64:
         raise StreamError(f"coefficient count {count} exceeds tile size")
-    levels = np.zeros(64, dtype=np.int32)
     pos = 0
     for _ in range(count):
         pos += ue_decode(r)
@@ -124,69 +131,89 @@ def decode_coeffs(r: BitReader) -> np.ndarray:
             raise StreamError("zero level in run-level pair")
         levels[pos] = level
         pos += 1
+
+
+def decode_coeffs(r: BitReader) -> np.ndarray:
+    """Read one tile's run-level pairs back to 64 zigzag levels."""
+    levels = np.zeros(64, dtype=np.int32)
+    _read_coeffs(r, levels)
     return levels
 
 
-def coeff_bits(levels: np.ndarray) -> int:
-    """Exact coded size of one tile's levels without writing them."""
-    nz = np.nonzero(levels)[0]
-    if len(nz) == 0:
-        return 1
-    runs = np.diff(nz, prepend=-1) - 1
-    vals = levels[nz]
-    se_codes = np.where(vals > 0, 2 * vals - 1, -2 * vals)
-    return int(_UE_LEN[len(nz)] + _UE_LEN[runs].sum() + _UE_LEN[se_codes].sum())
+def coeff_bits(levels: np.ndarray) -> np.ndarray:
+    """Exact coded size of each tile's levels, shape (..., 64) -> (...),
+    without writing them. Equals what code_coeffs emits per tile."""
+    lv = np.asarray(levels)
+    nz = lv != 0
+    scan = np.arange(64)
+    # Each nonzero's run is the gap back to the previous nonzero: the
+    # running maximum of nonzero positions, shifted one place right.
+    last = np.maximum.accumulate(np.where(nz, scan, -1), axis=-1)
+    prev = np.concatenate(
+        [np.full(lv.shape[:-1] + (1,), -1), last[..., :-1]], axis=-1)
+    se_codes = np.where(lv > 0, 2 * lv - 1, -2 * lv)
+    pair_bits = np.where(nz, _UE_LEN[scan - prev - 1] + _UE_LEN[se_codes], 0)
+    return _UE_LEN[nz.sum(axis=-1)] + pair_bits.sum(axis=-1)
 
 
 def _plane_tiles(plane: np.ndarray) -> np.ndarray:
-    """View an (8m, 8n) plane as (m*n, 8, 8) tiles in raster order."""
-    h, w = plane.shape
-    return (plane.reshape(h // _N, _N, w // _N, _N)
-            .transpose(0, 2, 1, 3)
-            .reshape(-1, _N, _N))
+    """View (..., 8m, 8n) planes as (..., m*n, 8, 8) tiles in raster order."""
+    *lead, h, w = plane.shape
+    return (plane.reshape(*lead, h // _N, _N, w // _N, _N)
+            .swapaxes(-3, -2)
+            .reshape(*lead, -1, _N, _N))
 
 
 def _tiles_to_plane(tiles: np.ndarray, h: int, w: int) -> np.ndarray:
-    return (tiles.reshape(h // _N, w // _N, _N, _N)
-            .transpose(0, 2, 1, 3)
-            .reshape(h, w))
+    lead = tiles.shape[:-3]
+    return (tiles.reshape(*lead, h // _N, w // _N, _N, _N)
+            .swapaxes(-3, -2)
+            .reshape(*lead, h, w))
 
 
 def _block_planes(block: Block32):
     return (block.y, block.cb, block.cr)
 
 
-def encode_block_residual(source: Block32, basis: Block32, qp: int) -> list[np.ndarray]:
-    """Quantized residual levels for all 24 tiles, each 64 values in zigzag order."""
-    out: list[np.ndarray] = []
-    for src, bas in zip(_block_planes(source), _block_planes(basis)):
-        res = src.astype(np.int32) - bas.astype(np.int32)
-        zz = quantize(dct8_forward(_plane_tiles(res)), qp)
-        out.extend(zz[i] for i in range(zz.shape[0]))
-    return out
+def encode_block_residual(source: Block32, basis: Block32, qp: int) -> np.ndarray:
+    """Quantized residual levels of all 24 tiles in zigzag order, (..., 24, 64).
 
-
-def apply_block_residual(basis: Block32, tiles: list[np.ndarray], qp: int) -> Block32:
-    """Reconstruct a coding unit from its basis and coded residual levels.
-
-    This is the single reconstruction path used by both the encoder's local
-    loop and the decoder, so the two stay bit-identical by construction.
+    The basis planes may carry leading candidate axes, (..., 32, 32) and
+    (..., 16, 16); they pass through to the levels, so one call costs all of
+    a block's candidates against the same source.
     """
-    if len(tiles) != TILES_PER_BLOCK:
-        raise ValueError(f"expected {TILES_PER_BLOCK} tiles, got {len(tiles)}")
-    res = dct8_inverse(dequantize(tiles, qp))
+    tiles = np.concatenate([
+        _plane_tiles(src.astype(np.int32) - bas.astype(np.int32))
+        for src, bas in zip(_block_planes(source), _block_planes(basis))
+    ], axis=-3)
+    return quantize(dct8_forward(tiles), qp)
+
+
+def apply_block_residual(basis: Block32, levels: np.ndarray, qp: int) -> Block32:
+    """Reconstruct coding units from their bases and coded residual levels.
+
+    levels is (..., 24, 64) and its leading axes match the basis planes',
+    as encode_block_residual returns them. This is the single
+    reconstruction path used by both the encoder's local loop and the
+    decoder, so the two stay bit-identical by construction.
+    """
+    levels = np.asarray(levels)
+    if levels.shape[-2:] != (TILES_PER_BLOCK, 64):
+        raise ValueError(f"expected {TILES_PER_BLOCK} tiles of 64 levels, "
+                         f"got shape {levels.shape}")
+    res = dct8_inverse(dequantize(levels, qp))
     planes = []
     offset = 0
-    for bas, size in ((basis.y, BLOCK), (basis.cb, CHROMA_BLOCK), (basis.cr, CHROMA_BLOCK)):
+    for bas, size in zip(_block_planes(basis), (BLOCK, CHROMA_BLOCK, CHROMA_BLOCK)):
         n = (size // _N) ** 2
-        rplane = _tiles_to_plane(res[offset:offset + n], size, size)
+        rplane = _tiles_to_plane(res[..., offset:offset + n, :, :], size, size)
         rec = round_half_away(bas.astype(np.float64) + rplane)
         planes.append(np.clip(rec, 0, 255).astype(np.uint8))
         offset += n
     return Block32(*planes)
 
 
-def write_block_tiles(w: BitWriter, tiles: list[np.ndarray]) -> int:
+def write_block_tiles(w: BitWriter, tiles: np.ndarray) -> int:
     """Write all 24 tiles of one coding unit; returns bits written."""
     start = w.bit_position
     for t in tiles:
@@ -194,10 +221,15 @@ def write_block_tiles(w: BitWriter, tiles: list[np.ndarray]) -> int:
     return w.bit_position - start
 
 
-def read_block_tiles(r: BitReader) -> list[np.ndarray]:
-    return [decode_coeffs(r) for _ in range(TILES_PER_BLOCK)]
+def read_block_tiles(r: BitReader) -> np.ndarray:
+    """Read all 24 tiles of one coding unit as (24, 64) levels."""
+    levels = np.zeros((TILES_PER_BLOCK, 64), dtype=np.int32)
+    for row in levels:
+        _read_coeffs(r, row)
+    return levels
 
 
-def block_tiles_bits(tiles: list[np.ndarray]) -> int:
-    """Exact coded size of all 24 tiles; equals what write_block_tiles emits."""
-    return sum(coeff_bits(t) for t in tiles)
+def block_tiles_bits(tiles: np.ndarray) -> np.ndarray:
+    """Exact coded size of each block's 24 tiles, (..., 24, 64) -> (...);
+    equals what write_block_tiles emits."""
+    return coeff_bits(tiles).sum(axis=-1)

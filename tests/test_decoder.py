@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import fast_train
+from conftest import fast_train, forced_stream
 from nbv.bitstream import (
     BlockMode,
     BlockPayload,
@@ -18,7 +20,7 @@ from nbv.decoder import CSV_COLUMNS, decode_sequence
 from nbv.encoder import _encode_period, rd_lambda, train_param_set
 from nbv.entropy import BitWriter, StreamError
 from nbv.gnn import SetContext, init_params, quantize_params
-from nbv.tools import synth_sequence
+from nbv.tools import bit_accounting, synth_sequence
 
 
 def zero_tiles():
@@ -198,3 +200,36 @@ class TestMultiplePeriods:
         _, report = decode_sequence(data)
         assert [r.n_gen for r in report.rows] == [2] * 6
         assert report.gnn_calls == 12
+
+
+@pytest.fixture(scope="module")
+def forced_bytes():
+    stream, _ = forced_stream()
+    return stream
+
+
+def mutate(data: bytes, draw) -> bytes:
+    """1-3 bit flips anywhere in the stream, or a truncation."""
+    if draw(st.booleans()):
+        return data[:draw(st.integers(0, len(data) - 1))]
+    out = bytearray(data)
+    for bit in draw(st.lists(st.integers(0, 8 * len(data) - 1),
+                             min_size=1, max_size=3, unique=True)):
+        out[bit // 8] ^= 0x80 >> (bit % 8)
+    return bytes(out)
+
+
+class TestMutatedStreams:
+    """A damaged stream either still parses or ends in StreamError, never in
+    another exception. The forced-region stream holds a parameter set and
+    generated blocks, so mutations reach every unit kind."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_only_stream_errors(self, forced_bytes, data):
+        damaged = mutate(forced_bytes, data.draw)
+        for consume in (decode_sequence, bit_accounting):
+            try:
+                consume(damaged)
+            except StreamError:
+                pass

@@ -145,12 +145,18 @@ class TestCoefficientCoding:
 
     def test_coeff_bits_matches_written_bits(self):
         rng = np.random.default_rng(4)
+        batch, written = [], []
         for _ in range(200):
             levels = rng.integers(-300, 301, 64)
             levels[rng.random(64) < rng.uniform(0.3, 1.0)] = 0
             levels = levels.astype(np.int32)
             w = BitWriter()
-            assert code_coeffs(w, levels) == coeff_bits(levels)
+            written.append(code_coeffs(w, levels))
+            assert written[-1] == coeff_bits(levels)
+            batch.append(levels)
+        # one call over all tiles gives each tile's count
+        assert np.array_equal(coeff_bits(np.reshape(batch, (10, 20, 64))),
+                              np.reshape(written, (10, 20)))
 
     def test_count_above_tile_size_rejected(self):
         w = BitWriter()
@@ -229,6 +235,50 @@ class TestBlockResidual:
         assert len(back) == 24
         for a, b in zip(tiles, back):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("case", ["zero", "last_scan_position", "dense", "qp0_extremes"])
+    def test_tile_bits_equal_written_bits(self, case):
+        rng = np.random.default_rng(6)
+        tiles = np.zeros((24, 64), dtype=np.int32)
+        if case == "last_scan_position":
+            tiles[:, 63] = rng.choice([-3, -1, 1, 2], 24)
+        elif case == "dense":
+            tiles[:] = rng.choice([-5, -2, -1, 1, 3, 7], (24, 64))
+        elif case == "qp0_extremes":
+            # the largest levels qp 0 produces: a DC of 8 * 255 = 2040
+            tiles[:] = rng.choice([-1000, 1000], (24, 64))
+            tiles[:, 0] = rng.choice([-2040, 2040], 24)
+        w = BitWriter()
+        assert block_tiles_bits(tiles) == write_block_tiles(w, tiles)
+        assert np.array_equal(read_block_tiles(BitReader(w.to_bytes())), tiles)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_stacked_candidates_match_single_calls(self, n):
+        rng = np.random.default_rng(n)
+        src, _ = self.block_pair(n)
+        bases = [extract_block(rand_frame(64, 64, seed=50 + 10 * n + i), BlockCoord(0, 0))
+                 for i in range(n)]
+        # half of them near the source, so that small residuals occur too
+        for b in bases[::2]:
+            for dst, ref in ((b.y, src.y), (b.cb, src.cb), (b.cr, src.cr)):
+                noise = rng.integers(-6, 7, ref.shape)
+                dst[:] = np.clip(ref.astype(int) + noise, 0, 255)
+        stacked = Block32(np.stack([b.y for b in bases]),
+                          np.stack([b.cb for b in bases]),
+                          np.stack([b.cr for b in bases]))
+        for qp in (0, 14, 33):
+            levels = encode_block_residual(src, stacked, qp)
+            bits = block_tiles_bits(levels)
+            rec = apply_block_residual(stacked, levels, qp)
+            assert levels.shape == (n, 24, 64) and bits.shape == (n,)
+            for i, b in enumerate(bases):
+                single = encode_block_residual(src, b, qp)
+                assert np.array_equal(levels[i], single)
+                assert bits[i] == block_tiles_bits(single)
+                one = apply_block_residual(b, single, qp)
+                for a, c in ((rec.y[i], one.y), (rec.cb[i], one.cb), (rec.cr[i], one.cr)):
+                    assert a.dtype == c.dtype == np.uint8
+                    assert np.array_equal(a, c)
 
     def test_reconstruction_clamps_to_8bit(self):
         src, _ = self.block_pair(3)
