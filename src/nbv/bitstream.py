@@ -51,7 +51,6 @@ from .gnn import (
     QuantizedLayer,
     check_architecture,
 )
-from .prediction import IntraMode, MotionVector
 from .residual import TILES_PER_BLOCK, read_block_tiles, write_block_tiles
 
 MAGIC = b"NBV1"
@@ -77,13 +76,6 @@ _INTRA_SYMBOL_I = {
 }
 _I_SYMBOL_MODE = {v: k for k, v in _INTRA_SYMBOL_I.items()}
 
-# The intra predictor each intra block mode selects, for encoder and decoder.
-_MODE_TO_INTRA = {
-    BlockMode.INTRA_DC: IntraMode.DC,
-    BlockMode.INTRA_H: IntraMode.HORIZONTAL,
-    BlockMode.INTRA_V: IntraMode.VERTICAL,
-}
-
 
 def _mode_symbol(frame_type: str, mode: BlockMode) -> int:
     return int(mode) if frame_type == "P" else _INTRA_SYMBOL_I[mode]
@@ -99,13 +91,6 @@ def block_syntax_bits(frame_type: str, mode: BlockMode,
     if mode == BlockMode.INTER:
         bits += se_length(mvd[0]) + se_length(mvd[1])
     return bits
-
-
-def mv_predictor(left_mode: BlockMode | None, left_mv: MotionVector) -> MotionVector:
-    """The vector an inter block's motion-vector difference is coded against:
-    the left neighbor's vector when that block is inter, else zero. The
-    first block of a row has no left neighbor (left_mode None)."""
-    return left_mv if left_mode == BlockMode.INTER else MotionVector(0, 0)
 
 
 @dataclass

@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .core import SequenceConfig, read_yuv, write_yuv
+from .core import SequenceConfig, read_yuv, write_yuv, yuv_frame_bytes
 from .decoder import decode_sequence
 from .encoder import ZOOM_HINTS, encode_sequence
 from .entropy import StreamError
@@ -142,8 +142,7 @@ def cmd_synth(args) -> int:
 def cmd_metrics(args) -> int:
     if args.width < 1 or args.height < 1:
         raise UsageError("width and height must be positive")
-    fbytes = (args.width * args.height
-              + 2 * ((args.width + 1) // 2) * ((args.height + 1) // 2))
+    fbytes = yuv_frame_bytes(args.width, args.height)
     if args.frames is None:
         n_frames = os.path.getsize(args.ref) // fbytes
         if n_frames < 1:

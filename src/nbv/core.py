@@ -166,7 +166,8 @@ def insert_block(frame: Frame, c: BlockCoord, block: Block32) -> Frame:
     return frame
 
 
-def _yuv_frame_bytes(width: int, height: int) -> int:
+def yuv_frame_bytes(width: int, height: int) -> int:
+    """Bytes of one planar 8-bit 4:2:0 frame of the given display size."""
     cw, ch = (width + 1) // 2, (height + 1) // 2
     return width * height + 2 * cw * ch
 
@@ -175,7 +176,7 @@ def read_yuv(path, width: int, height: int, n_frames: int) -> list[Frame]:
     """Read n_frames of planar 8-bit 4:2:0 video; frames come back padded."""
     if width < 1 or height < 1 or n_frames < 1:
         raise ValueError("dimensions and frame count must be positive")
-    fbytes = _yuv_frame_bytes(width, height)
+    fbytes = yuv_frame_bytes(width, height)
     with open(path, "rb") as f:
         data = f.read()
     if len(data) < n_frames * fbytes:

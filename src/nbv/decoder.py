@@ -1,8 +1,11 @@
-"""Decoder: reconstructs frames from a coded stream.
+"""Decoder: reconstructs frames from a coded stream, and owns the block walk.
 
-Reconstruction mirrors the encoder block for block: the same intra
-prediction, motion compensation, and generator evaluation produce the
-prediction basis, and the same residual path adds the coded correction.
+`FrameWalk` rebuilds a frame block by block in raster order. It keeps the
+motion-vector predictor and maps each block mode to its prediction: the
+generator, motion compensation, or intra prediction from the frame so far.
+The encoder rebuilds every block it codes through the same walk, so its
+reconstruction is the decoder's by construction.
+
 A parameter-set unit installs the generator for the frames that follow it;
 the set's time axis starts at the next frame and spans at most one
 keyframe interval, both derivable from the header alone. A frame outside
@@ -16,13 +19,74 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitstream import _MODE_TO_INTRA, BlockMode, FrameUnit, mv_predictor, parse_stream
-from .core import BlockCoord, Frame, blank_frame, insert_block
+from .bitstream import BlockMode, FrameUnit, parse_stream
+from .core import BLOCK, Block32, BlockCoord, Frame, blank_frame, insert_block
 from .entropy import StreamError
 from .gnn import QuantizedGnnParams, SetContext, generate_block
-from .prediction import MotionVector, intra_predict, motion_compensate
+from .prediction import IntraMode, MotionVector, intra_predict, motion_compensate
 from .residual import apply_block_residual
 from .tools import csv_text
+
+# The intra predictor each intra block mode selects.
+_MODE_TO_INTRA = {
+    BlockMode.INTRA_DC: IntraMode.DC,
+    BlockMode.INTRA_H: IntraMode.HORIZONTAL,
+    BlockMode.INTRA_V: IntraMode.VERTICAL,
+}
+
+_ZERO_MV = MotionVector(0, 0)
+
+
+class FrameWalk:
+    """One frame's blocks in raster order, rebuilt in place.
+
+    Iterating yields each block's coordinate. Before a block is put,
+    `mv_pred` is the vector its motion-vector difference is coded against:
+    the left block's vector when that block is inter, and zero after any
+    other block and at the start of each row.
+    """
+
+    def __init__(self, width: int, height: int, prev_recon: Frame | None,
+                 frame_idx: int, qparams: QuantizedGnnParams | None,
+                 ctx: SetContext | None) -> None:
+        self.recon = blank_frame(width, height)
+        self.modes = np.zeros((self.recon.height // BLOCK, self.recon.width // BLOCK),
+                              dtype=np.int8)
+        self.mv_pred = _ZERO_MV
+        self._prev_recon = prev_recon
+        self._frame_idx = frame_idx
+        self._qparams = qparams
+        self._ctx = ctx
+
+    def __iter__(self):
+        rows, cols = self.modes.shape
+        for by in range(rows):
+            self.mv_pred = _ZERO_MV
+            for bx in range(cols):
+                yield BlockCoord(bx, by)
+
+    def basis(self, mode: BlockMode, c: BlockCoord,
+              mv: MotionVector | None) -> Block32:
+        """The prediction a block of this mode starts from (mv: inter only)."""
+        if mode == BlockMode.GEN:
+            return generate_block(self._qparams, c, self._frame_idx, self._ctx)
+        if mode == BlockMode.INTER:
+            return motion_compensate(self._prev_recon, c, mv)
+        return intra_predict(self.recon, c, _MODE_TO_INTRA[mode])
+
+    def put(self, c: BlockCoord, mode: BlockMode, mv: MotionVector | None,
+            block: Block32) -> None:
+        """Insert a rebuilt block and record its mode (mv: inter only)."""
+        insert_block(self.recon, c, block)
+        self.modes[c.by, c.bx] = mode
+        self.mv_pred = mv if mode == BlockMode.INTER else _ZERO_MV
+
+
+def mode_counts(modes: np.ndarray) -> tuple[int, int, int]:
+    """(intra, inter, generated) block counts of a frame's mode map."""
+    n_inter = int(np.count_nonzero(modes == BlockMode.INTER))
+    n_gen = int(np.count_nonzero(modes == BlockMode.GEN))
+    return modes.size - n_inter - n_gen, n_inter, n_gen
 
 
 @dataclass
@@ -58,7 +122,7 @@ class DecodeReport:
 def _decode_frame(
     fu: FrameUnit, prev_recon: Frame | None, frame_idx: int,
     qparams: QuantizedGnnParams | None, ctx: SetContext | None,
-    width: int, height: int, qp: int, cols: int, rows: int,
+    width: int, height: int, qp: int,
 ) -> tuple[Frame, DecodeRow]:
     if fu.frame_type == "P" and prev_recon is None:
         raise StreamError(f"frame {frame_idx} is predicted but has no reference")
@@ -72,32 +136,13 @@ def _decode_frame(
                 f"frame {frame_idx} generates blocks outside its parameter "
                 f"set's frames {ctx.start_frame}..{ctx.start_frame + ctx.span - 1}"
             )
-    recon = blank_frame(width, height)
-    n_intra = n_inter = n_gen = 0
-    for by in range(rows):
-        left_mode: BlockMode | None = None
-        left_mv = MotionVector(0, 0)
-        for bx in range(cols):
-            c = BlockCoord(bx, by)
-            payload = fu.blocks[by * cols + bx]
-            mode = payload.mode
-            if mode == BlockMode.GEN:
-                basis = generate_block(qparams, c, frame_idx, ctx)
-                n_gen += 1
-            elif mode == BlockMode.INTER:
-                pred = mv_predictor(left_mode, left_mv)
-                mv = MotionVector(pred.dx + payload.mvd[0], pred.dy + payload.mvd[1])
-                basis = motion_compensate(prev_recon, c, mv)
-                left_mv = mv
-                n_inter += 1
-            else:
-                basis = intra_predict(recon, c, _MODE_TO_INTRA[mode])
-                n_intra += 1
-            left_mode = mode
-            rec = apply_block_residual(basis, payload.tiles, qp)
-            insert_block(recon, c, rec)
-    row = DecodeRow(frame_idx, fu.frame_type, n_intra, n_inter, n_gen)
-    return recon, row
+    walk = FrameWalk(width, height, prev_recon, frame_idx, qparams, ctx)
+    for c, payload in zip(walk, fu.blocks):
+        mv = None if payload.mvd is None else MotionVector(
+            walk.mv_pred.dx + payload.mvd[0], walk.mv_pred.dy + payload.mvd[1])
+        basis = walk.basis(payload.mode, c, mv)
+        walk.put(c, payload.mode, mv, apply_block_residual(basis, payload.tiles, qp))
+    return walk.recon, DecodeRow(frame_idx, fu.frame_type, *mode_counts(walk.modes))
 
 
 def decode_sequence(data: bytes) -> tuple[list[Frame], DecodeReport]:
@@ -130,7 +175,7 @@ def decode_sequence(data: bytes) -> tuple[list[Frame], DecodeReport]:
             pending_param_set = False
             recon, row = _decode_frame(
                 fu, prev_recon, len(frames), qparams, ctx,
-                header.width, header.height, header.qp, cols, rows,
+                header.width, header.height, header.qp,
             )
             frames.append(recon)
             report.rows.append(row)

@@ -15,8 +15,8 @@ Because J with the network is at least lambda times the parameter-set
 bits, a budget at or below that product rules the network out before any
 training; otherwise the network pass stops as soon as its cost so far
 reaches the budget. Every candidate is costed with exact coded bits, and
-reconstruction runs through the same code path the decoder uses, which
-keeps the two bit-identical. A block's candidates are costed together:
+every block is rebuilt through the decoder's own block walk, which keeps
+the two bit-identical. A block's candidates are costed together:
 their prediction bases are stacked, and one batched call each quantizes,
 bit-counts and reconstructs all of them.
 """
@@ -30,7 +30,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .bitstream import (
-    _MODE_TO_INTRA,
     BlockMode,
     BlockPayload,
     FrameBits,
@@ -38,7 +37,6 @@ from .bitstream import (
     RegionSpec,
     StreamHeader,
     block_syntax_bits,
-    mv_predictor,
     param_set_bits,
     validate_regions,
     write_frame,
@@ -50,11 +48,10 @@ from .core import (
     Block32,
     Frame,
     SequenceConfig,
-    blank_frame,
     block_grid_dims,
     extract_block,
-    insert_block,
 )
+from .decoder import FrameWalk, mode_counts
 from .entropy import BitWriter
 from .gnn import (
     QuantizedGnnParams,
@@ -62,17 +59,11 @@ from .gnn import (
     TrainConfig,
     block_to_targets,
     check_architecture,
-    generate_block,
     gnn_input,
     quantize_params,
     train,
 )
-from .prediction import (
-    MotionVector,
-    intra_predict,
-    motion_compensate,
-    motion_search,
-)
+from .prediction import motion_search
 from .residual import apply_block_residual, block_tiles_bits, encode_block_residual
 from .tools import csv_text, frame_psnr
 
@@ -256,9 +247,8 @@ def _encode_frame(
     source: Frame, prev_recon: Frame | None, frame_idx: int, frame_type: str,
     regions: list[RegionSpec], qparams: QuantizedGnnParams | None,
     ctx: SetContext | None, qp: int, lam: float, search_range: int,
-    cols: int, rows: int,
 ) -> tuple[FrameUnit, _FrameResult]:
-    """Code one frame block by block in raster order.
+    """Code one frame through the decoder's block walk.
 
     Each block's candidates (inter, the three intra modes and, in a region,
     the generator; in a forced region the generator alone) are costed
@@ -266,72 +256,53 @@ def _encode_frame(
     call each transforms and quantizes, counts the tile bits of, and
     reconstructs all of them.
     """
-    recon = blank_frame(source.display_width, source.display_height)
-    gen_map = np.zeros((rows, cols), dtype=bool)
+    walk = FrameWalk(source.display_width, source.display_height,
+                     prev_recon, frame_idx, qparams, ctx)
     payloads: list[BlockPayload] = []
     dist_total = 0
-    n_intra = n_inter = n_gen = 0
 
-    for by in range(rows):
-        left_mode: BlockMode | None = None
-        left_mv = MotionVector(0, 0)
-        for bx in range(cols):
-            c = BlockCoord(bx, by)
-            src_block = extract_block(source, c)
-            region = next((r for r in regions if r.contains(bx, by)), None)
-            sel_bit = 1 if region is not None and region.selectable else 0
-            mv_pred = mv_predictor(left_mode, left_mv)
+    for c in walk:
+        src_block = extract_block(source, c)
+        region = next((r for r in regions if r.contains(c.bx, c.by)), None)
+        sel_bit = 1 if region is not None and region.selectable else 0
 
-            # (mode, mvd, prediction basis) of every candidate
-            cands: list[tuple[BlockMode, tuple[int, int] | None, Block32]] = []
-            if region is not None and not region.selectable:
-                # Forced region: no choice, no mode symbol.
-                cands.append((BlockMode.GEN, None,
-                              generate_block(qparams, c, frame_idx, ctx)))
-            else:
-                if frame_type == "P":
-                    mv, _ = motion_search(src_block, prev_recon, c, search_range)
-                    cands.append((BlockMode.INTER,
-                                  (mv.dx - mv_pred.dx, mv.dy - mv_pred.dy),
-                                  motion_compensate(prev_recon, c, mv)))
-                for mode in (BlockMode.INTRA_DC, BlockMode.INTRA_H, BlockMode.INTRA_V):
-                    cands.append((mode, None,
-                                  intra_predict(recon, c, _MODE_TO_INTRA[mode])))
-                if region is not None and qparams is not None:
-                    cands.append((BlockMode.GEN, None,
-                                  generate_block(qparams, c, frame_idx, ctx)))
+        mv = None  # the inter candidate's vector
+        # (mode, motion-vector difference) of every candidate
+        cands: list[tuple[BlockMode, tuple[int, int] | None]] = []
+        if region is not None and not region.selectable:
+            # Forced region: no choice, no mode symbol.
+            cands.append((BlockMode.GEN, None))
+        else:
+            if frame_type == "P":
+                mv, _ = motion_search(src_block, prev_recon, c, search_range)
+                cands.append((BlockMode.INTER, (mv.dx - walk.mv_pred.dx,
+                                                mv.dy - walk.mv_pred.dy)))
+            cands += [(mode, None) for mode in
+                      (BlockMode.INTRA_DC, BlockMode.INTRA_H, BlockMode.INTRA_V)]
+            if region is not None and qparams is not None:
+                cands.append((BlockMode.GEN, None))
 
-            basis = _stack_blocks([b for _, _, b in cands])
-            levels = encode_block_residual(src_block, basis, qp)
-            tile_bits = block_tiles_bits(levels)
-            rec = apply_block_residual(basis, levels, qp)
-            ssd = _ssd(src_block, rec)
-            # sel_bit is the same for every candidate of a block, so it never
-            # decides; it is charged so that each cost holds the block's bits.
-            best = choose_block_mode([
-                Candidate(mode, mvd, levels[i], Block32(rec.y[i], rec.cb[i], rec.cr[i]),
-                          RdCost.of(int(ssd[i]), sel_bit + int(tile_bits[i])
-                                    + block_syntax_bits(frame_type, mode, mvd), lam))
-                for i, (mode, mvd, _) in enumerate(cands)
-            ])
+        basis = _stack_blocks([walk.basis(mode, c, mv) for mode, _ in cands])
+        levels = encode_block_residual(src_block, basis, qp)
+        tile_bits = block_tiles_bits(levels)
+        rec = apply_block_residual(basis, levels, qp)
+        ssd = _ssd(src_block, rec)
+        # sel_bit is the same for every candidate of a block, so it never
+        # decides; it is charged so that each cost holds the block's bits.
+        best = choose_block_mode([
+            Candidate(mode, mvd, levels[i], Block32(rec.y[i], rec.cb[i], rec.cr[i]),
+                      RdCost.of(int(ssd[i]), sel_bit + int(tile_bits[i])
+                                + block_syntax_bits(frame_type, mode, mvd), lam))
+            for i, (mode, mvd) in enumerate(cands)
+        ])
 
-            insert_block(recon, c, best.recon)
-            dist_total += best.cost.distortion
-            # A copy, so the payload does not keep every candidate's levels.
-            payloads.append(BlockPayload(best.mode, best.mvd, best.tiles.copy()))
-            left_mode = best.mode
-            if best.mode == BlockMode.GEN:
-                gen_map[by, bx] = True
-                n_gen += 1
-            elif best.mode == BlockMode.INTER:
-                n_inter += 1
-                left_mv = MotionVector(mv_pred.dx + best.mvd[0],
-                                       mv_pred.dy + best.mvd[1])
-            else:
-                n_intra += 1
+        walk.put(c, best.mode, mv, best.recon)
+        dist_total += best.cost.distortion
+        # A copy, so the payload does not keep every candidate's levels.
+        payloads.append(BlockPayload(best.mode, best.mvd, best.tiles.copy()))
 
-    unit = FrameUnit(frame_type, list(regions), gen_map, payloads)
-    return unit, _FrameResult(recon, dist_total, n_intra, n_inter, n_gen)
+    unit = FrameUnit(frame_type, list(regions), walk.modes == BlockMode.GEN, payloads)
+    return unit, _FrameResult(walk.recon, dist_total, *mode_counts(walk.modes))
 
 
 @dataclass
@@ -357,30 +328,29 @@ def _encode_period(
     period_frames: list[Frame], start: int, regions_per_frame: list[list[RegionSpec]],
     qparams: QuantizedGnnParams | None, ctx: SetContext | None,
     config: SequenceConfig, lam: float, cols: int, rows: int,
-    budget: float = math.inf, results: list[_FrameResult] | None = None,
-) -> _PeriodPass | None:
-    """Code one period; None once its cost so far reaches budget.
+    budget: float = math.inf,
+) -> _PeriodPass:
+    """Code one period, stopping before a frame once its cost so far
+    reaches budget; a stopped pass holds the frames coded before the stop.
 
     The cost so far, SSD plus lambda times the bits written, only grows
     frame by frame, so a stopped pass could not have finished below budget.
-    Frame results are appended to `results` when a list is given, so the
-    caller can see how far a stopped pass got.
     """
     w = BitWriter()
     param_bits = write_param_set(w, qparams) if qparams is not None else 0
     frame_bits = []
-    results = [] if results is None else results
+    results = []
     distortion = 0
     prev_recon: Frame | None = None
     for offset, source in enumerate(period_frames):
         if distortion + lam * w.bit_position >= budget:
-            return None
+            break
         frame_idx = start + offset
         frame_type = "I" if offset == 0 else "P"
         regions = regions_per_frame[offset] if qparams is not None else []
         unit, res = _encode_frame(
             source, prev_recon, frame_idx, frame_type, regions,
-            qparams, ctx, config.qp, lam, config.search_range, cols, rows,
+            qparams, ctx, config.qp, lam, config.search_range,
         )
         frame_bits.append(write_frame(w, unit, cols, rows))
         results.append(res)
@@ -486,13 +456,12 @@ def _network_pass(
     if qparams is None:
         record.outcome = "no_regions"
         return None
-    coded: list[_FrameResult] = []
     with_gnn = _encode_period(
         period, start, regions_per_frame, qparams, ctx,
-        config, lam, cols, rows, record.j_without, coded,
+        config, lam, cols, rows, record.j_without,
     )
-    record.frames_coded_with = len(coded)
-    if with_gnn is None:
+    record.frames_coded_with = len(with_gnn.results)
+    if record.frames_coded_with < span:
         record.outcome = "aborted"
         return None
     # Never-worse fallback: strict improvement keeps the network.

@@ -15,11 +15,12 @@ from nbv.bitstream import (
     write_header,
     write_stream,
 )
-from nbv.core import SequenceConfig
+from nbv.core import BlockCoord, SequenceConfig, extract_block
 from nbv.decoder import CSV_COLUMNS, decode_sequence
 from nbv.encoder import _encode_period, rd_lambda, train_param_set
 from nbv.entropy import BitWriter, StreamError
 from nbv.gnn import SetContext, init_params, quantize_params
+from nbv.prediction import MotionVector, motion_compensate
 from nbv.tools import bit_accounting, synth_sequence
 
 
@@ -161,6 +162,38 @@ class TestStateRules:
     def test_garbage_rejected(self):
         with pytest.raises(StreamError):
             decode_sequence(b"not a stream at all")
+
+
+class TestMotionVectorPredictor:
+    """An inter block's difference is coded against the left block's vector
+    when that block is inter, and against zero after any other block and at
+    the start of each row."""
+
+    def test_vectors_follow_the_left_neighbour_context(self):
+        rng = np.random.default_rng(3)
+        textured = FrameUnit("I", [], np.zeros((2, 3), dtype=bool), [
+            BlockPayload(mode, None, rng.integers(-6, 7, (24, 64)).astype(np.int32))
+            for mode in (BlockMode.INTRA_DC, BlockMode.INTRA_H, BlockMode.INTRA_V) * 2
+        ])
+        inter = FrameUnit("P", [], np.zeros((2, 3), dtype=bool), [
+            BlockPayload(mode, mvd, zero_tiles()) for mode, mvd in (
+                (BlockMode.INTER, (2, 1)), (BlockMode.INTRA_H, None),
+                (BlockMode.INTER, (1, 0)),
+                (BlockMode.INTER, (0, 2)), (BlockMode.INTER, (-1, 0)),
+                (BlockMode.INTRA_V, None))
+        ])
+        data = write_stream(StreamHeader(96, 64, 2, 20, False, 16),
+                            [("frame", textured), ("frame", inter)])
+        (frame0, frame1), _ = decode_sequence(data)
+        # after an intra block the vector is coded against zero, each row
+        # starts from zero, and an inter left neighbour's vector chains
+        for (bx, by), mv in (((0, 0), (2, 1)), ((2, 0), (1, 0)),
+                             ((0, 1), (0, 2)), ((1, 1), (-1, 2))):
+            c = BlockCoord(bx, by)
+            want = motion_compensate(frame0, c, MotionVector(*mv))
+            got = extract_block(frame1, c)
+            for g, w in ((got.y, want.y), (got.cb, want.cb), (got.cr, want.cr)):
+                assert np.array_equal(g, w), (c, mv)
 
 
 class TestMultiplePeriods:

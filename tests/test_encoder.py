@@ -411,17 +411,13 @@ class TestRdBound:
         lam = rd_lambda(pan_config.qp)
         args = (pan_frames[:4], 0, [[]] * 4, None, None, pan_config, lam, 3, 2)
         full = _encode_period(*args)
-        coded = []
-        assert _encode_period(*args, budget=0.0, results=coded) is None
-        assert coded == []
+        assert _encode_period(*args, budget=0.0).results == []
         # the last check runs before the last frame, on a cost below the full J
         tight = _encode_period(*args, budget=full.j(lam))
         assert tight.data == full.data
         assert tight.frame_bits == full.frame_bits
         first = full.results[0].distortion + lam * full.frame_bits[0].total
-        coded = []
-        assert _encode_period(*args, budget=first, results=coded) is None
-        assert len(coded) == 1
+        assert len(_encode_period(*args, budget=first).results) == 1
 
 
 def parsed_unit_bits(stream):
@@ -448,6 +444,17 @@ class TestAccountingSymmetry:
             (r.bits_modes, r.bits_mv, r.bits_residual) for r in report.rows]
         assert [b for kind, b in units if kind == "param_set"] == [
             r.bits_params for r in report.rows if r.bits_params]
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_encoder_and_decoder_count_the_same_modes(self, name):
+        stream, report = encode_case(name)
+        _, dec = decode_sequence(stream)
+        assert [r.n_gen_blocks for r in report.rows] == [r.n_gen for r in dec.rows]
+        assert report.mode_histogram == {
+            "intra": sum(r.n_intra for r in dec.rows),
+            "inter": sum(r.n_inter for r in dec.rows),
+            "gen": sum(r.n_gen for r in dec.rows),
+        }
 
     def test_forced_region_period(self):
         stream, period = forced_stream()
