@@ -19,6 +19,13 @@ boundary at its end):
               against the left neighbor's vector for inter, then the 24
               residual tiles. Generated blocks carry no mode symbol; their
               membership is implied by the regions and selection bits.
+
+Everything after a frame's selection bits is exp-Golomb codes, so
+write_frame and the frame parser code that payload in bulk, a frame at a
+time: the writer builds all of the frame's code numbers and packs them in
+one call, and the parser walks the codes of each chunk the bulk reader
+returns with one Python step per block and per tile. The layout above is
+the same bit for bit as coding each field on its own.
 """
 
 from __future__ import annotations
@@ -29,17 +36,20 @@ from enum import IntEnum
 
 import numpy as np
 
-from .core import block_grid_dims
+from .core import MAX_LUMA_SAMPLES, block_grid_dims
 from .entropy import (
     BitReader,
     BitWriter,
     StreamError,
-    se_decode,
-    se_encode,
+    read_ue_codes,
     se_length,
+    se_to_ue,
     ue_decode,
     ue_encode,
     ue_length,
+    ue_lengths,
+    ue_to_se,
+    write_ue_codes,
 )
 from .gnn import (
     INPUT_SIZE,
@@ -51,7 +61,7 @@ from .gnn import (
     QuantizedLayer,
     check_architecture,
 )
-from .residual import TILES_PER_BLOCK, read_block_tiles, write_block_tiles
+from .residual import TILES_PER_BLOCK, scatter_tiles, tile_codes, walk_tiles
 
 MAGIC = b"NBV1"
 UNIT_PARAM_SET = 1
@@ -74,11 +84,17 @@ class BlockMode(IntEnum):
 _INTRA_SYMBOL_I = {
     BlockMode.INTRA_DC: 0, BlockMode.INTRA_H: 1, BlockMode.INTRA_V: 2,
 }
-_I_SYMBOL_MODE = {v: k for k, v in _INTRA_SYMBOL_I.items()}
 
 
 def _mode_symbol(frame_type: str, mode: BlockMode) -> int:
     return int(mode) if frame_type == "P" else _INTRA_SYMBOL_I[mode]
+
+
+# the inverse of _mode_symbol, per frame type
+_SYMBOL_MODE = {
+    "I": {_mode_symbol("I", m): m for m in _INTRA_SYMBOL_I},
+    "P": {_mode_symbol("P", m): m for m in BlockMode if m != BlockMode.GEN},
+}
 
 
 def block_syntax_bits(frame_type: str, mode: BlockMode,
@@ -141,6 +157,9 @@ def parse_header(r: BitReader) -> StreamHeader:
     r.byte_align()
     if width < 1 or height < 1:
         raise StreamError("zero frame dimension")
+    if width * height > MAX_LUMA_SAMPLES:
+        raise StreamError(f"{width}x{height} frame exceeds {MAX_LUMA_SAMPLES} "
+                          "luma samples")
     if qp > 51:
         raise StreamError(f"qp {qp} out of range")
     if gnn_enabled > 1:
@@ -341,19 +360,94 @@ def write_frame(w: BitWriter, fu: FrameUnit, cols: int, rows: int) -> FrameBits:
             for bx, by in reg.blocks():
                 w.write_bits(1 if fu.gen_map[by, bx] else 0, 1)
     bits.modes += w.bit_position - start
-    for payload in fu.blocks:
-        if payload.mode != BlockMode.GEN:
-            p0 = w.bit_position
-            ue_encode(w, _mode_symbol(fu.frame_type, payload.mode))
-            bits.modes += w.bit_position - p0
-            if payload.mode == BlockMode.INTER:
-                p0 = w.bit_position
-                se_encode(w, payload.mvd[0])
-                se_encode(w, payload.mvd[1])
-                bits.mvs += w.bit_position - p0
-        bits.residuals += write_block_tiles(w, payload.tiles)
+    # The payload is all exp-Golomb codes: each block's mode symbol and
+    # vector difference, inserted before its 24 tiles' codes.
+    heads, head_block, mv_heads = [], [], []
+    for i, payload in enumerate(fu.blocks):
+        if payload.mode == BlockMode.GEN:
+            continue
+        heads.append(_mode_symbol(fu.frame_type, payload.mode))
+        head_block.append(i)
+        if payload.mode == BlockMode.INTER:
+            mv_heads += (se_to_ue(payload.mvd[0]), se_to_ue(payload.mvd[1]))
+            heads += mv_heads[-2:]
+            head_block += (i, i)
+    tiles, counts = tile_codes([payload.tiles for payload in fu.blocks])
+    block_codes = TILES_PER_BLOCK + 2 * counts.sum(axis=1)
+    block_start = np.cumsum(block_codes) - block_codes
+    payload_bits = write_ue_codes(
+        w, np.insert(tiles, block_start[head_block], heads))
+    mv_bits = int(ue_lengths(mv_heads).sum())
+    mode_bits = int(ue_lengths(heads).sum()) - mv_bits
+    bits.modes += mode_bits
+    bits.mvs += mv_bits
+    bits.residuals += payload_bits - mode_bits - mv_bits
     bits.modes += w.byte_align()
     return bits
+
+
+def _read_payloads(r: BitReader, frame_type: str, gen_map: np.ndarray,
+                   bits: FrameBits) -> list[BlockPayload]:
+    """Read every block's mode symbol, vector difference and tiles in bulk.
+
+    One Python step per block and per tile walks the codes; each chunk's
+    tiles are decoded by one scatter into the frame's (blocks, 24, 64)
+    levels, which the payloads view.
+    """
+    generated = gen_map.reshape(-1).tolist()
+    levels = np.zeros((len(generated), TILES_PER_BLOCK, 64), dtype=np.int32)
+    tile_rows = levels.reshape(-1, 64)
+    symbols = _SYMBOL_MODE[frame_type]
+    blocks: list[BlockPayload] = []
+    tiles_left = 0  # tiles still to read in the last block begun
+
+    def walk(chunk):
+        nonlocal tiles_left
+        values = chunk.values.tolist()
+        k = 0
+        first_row = len(blocks) * TILES_PER_BLOCK - tiles_left
+        starts: list[int] = []
+        head_codes: list[int] = []
+        mv_codes: list[int] = []
+        while True:
+            if not tiles_left:
+                i = len(blocks)
+                if i == len(generated):
+                    break
+                mode, mvd = BlockMode.GEN, None
+                if not generated[i]:
+                    if k >= len(values):
+                        break
+                    mode = symbols.get(values[k])
+                    if mode is None:
+                        raise StreamError(
+                            f"bad {frame_type}-frame mode symbol {values[k]}")
+                    if mode == BlockMode.INTER:
+                        if k + 3 > len(values):
+                            break
+                        mvd = (ue_to_se(values[k + 1]), ue_to_se(values[k + 2]))
+                        mv_codes += (k + 1, k + 2)
+                    head_codes.append(k)
+                    k += 1 if mvd is None else 3
+                blocks.append(BlockPayload(mode, mvd, levels[i]))
+                tiles_left = TILES_PER_BLOCK
+            before = len(starts)
+            k = walk_tiles(values, k, tiles_left, starts)
+            tiles_left -= len(starts) - before
+            if tiles_left:
+                break
+        scatter_tiles(chunk.values, starts,
+                      tile_rows[first_row:first_row + len(starts)])
+        lengths = np.diff(chunk.ends, prepend=0)
+        mode_bits = int(lengths[head_codes].sum())
+        mv_bits = int(lengths[mv_codes].sum())
+        bits.modes += mode_bits
+        bits.mvs += mv_bits
+        bits.residuals += (int(chunk.ends[k - 1]) if k else 0) - mode_bits - mv_bits
+        return k, len(blocks) == len(generated) and not tiles_left
+
+    read_ue_codes(r, walk)
+    return blocks
 
 
 def _parse_frame_body(r: BitReader, cols: int, rows: int,
@@ -384,33 +478,7 @@ def _parse_frame_body(r: BitReader, cols: int, rows: int,
             for bx, by in reg.blocks():
                 gen_map[by, bx] = True
     bits.modes += r.bit_position - start
-    blocks = []
-    for i in range(cols * rows):
-        by, bx = divmod(i, cols)
-        if gen_map[by, bx]:
-            mode = BlockMode.GEN
-            mvd = None
-        else:
-            p0 = r.bit_position
-            sym = ue_decode(r)
-            bits.modes += r.bit_position - p0
-            if frame_type == "P":
-                if sym > 3:
-                    raise StreamError(f"bad P-frame mode symbol {sym}")
-                mode = BlockMode(sym)
-            else:
-                if sym > 2:
-                    raise StreamError(f"bad I-frame mode symbol {sym}")
-                mode = _I_SYMBOL_MODE[sym]
-            mvd = None
-            if mode == BlockMode.INTER:
-                p0 = r.bit_position
-                mvd = (se_decode(r), se_decode(r))
-                bits.mvs += r.bit_position - p0
-        p0 = r.bit_position
-        tiles = read_block_tiles(r)
-        bits.residuals += r.bit_position - p0
-        blocks.append(BlockPayload(mode, mvd, tiles))
+    blocks = _read_payloads(r, frame_type, gen_map, bits)
     bits.modes += r.byte_align()
     return FrameUnit(frame_type, regions, gen_map, blocks)
 
@@ -457,6 +525,10 @@ def parse_stream(data: bytes, bits: list | None = None):
     r = BitReader(data)
     header = parse_header(r)
     cols, rows = header.grid()
+    # every block costs at least one ue(0) per tile
+    if header.frame_count * cols * rows * TILES_PER_BLOCK > r.bits_remaining:
+        raise StreamError(f"{r.bits_remaining} bits cannot hold "
+                          f"{header.frame_count} frames of {cols}x{rows} blocks")
     if bits is not None:
         bits.append(r.bit_position)
 

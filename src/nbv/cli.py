@@ -9,6 +9,8 @@ stream.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import os
 import sys
 
@@ -163,6 +165,9 @@ def cmd_inspect(args) -> int:
     with open(args.input, "rb") as f:
         data = f.read()
     acct = bit_accounting(data)
+    if args.json:
+        print(json.dumps(dataclasses.asdict(acct)))
+        return EXIT_OK
     h = acct.header
     print(f"container: {h.width}x{h.height}, {h.frame_count} frames, "
           f"qp {h.qp}, gnn {'on' if h.gnn_enabled else 'off'}, "
@@ -257,6 +262,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("inspect", help="dump stream structure and bit accounting")
     p.add_argument("--input", required=True, help="stream file")
+    p.add_argument("--json", action="store_true",
+                   help="print the bit accounting as one JSON object")
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("sweep", help="rate-distortion sweep over qp values")

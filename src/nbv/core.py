@@ -18,6 +18,9 @@ import numpy as np
 BLOCK = 32
 CHROMA_BLOCK = 16
 SAMPLES_PER_BLOCK = BLOCK * BLOCK + 2 * CHROMA_BLOCK * CHROMA_BLOCK
+# Largest picture in luma samples: HEVC level 6.2's MaxLumaPs. It bounds
+# what a stream header can make a decoder allocate.
+MAX_LUMA_SAMPLES = 35_651_584
 
 
 def round_half_away(x):
@@ -85,6 +88,8 @@ class SequenceConfig:
             raise ValueError("frame dimensions must be positive")
         if self.width > 0xFFFF or self.height > 0xFFFF:
             raise ValueError("frame dimensions exceed the 16-bit header fields")
+        if self.width * self.height > MAX_LUMA_SAMPLES:
+            raise ValueError(f"frame exceeds {MAX_LUMA_SAMPLES} luma samples")
         if self.frame_count < 1:
             raise ValueError("frame count must be positive")
         if not 0 <= self.qp <= 51:

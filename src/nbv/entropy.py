@@ -3,9 +3,21 @@
 Bit order is MSB-first within each byte. Zero padding to a byte boundary
 happens only through explicit byte_align() calls at unit boundaries, so a
 stream is a deterministic function of the write calls that produced it.
+
+Header and region fields are coded one call at a time (ue_encode,
+ue_decode and the se pair). A frame's block payloads, which are nothing but
+exp-Golomb codes, are coded in bulk with numpy: write_ue_codes packs an
+array of code numbers in one call, and read_ue_codes feeds the codes at a
+reader's position to a structure walk in chunks of at most _CHUNK_MAX bits.
+Both produce and consume exactly the bits of the one-at-a-time calls; the
+wire layout does not depend on which path wrote or reads it.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
 
 
 class StreamError(Exception):
@@ -37,6 +49,16 @@ class BitWriter:
             self._buf.append((acc >> nacc) & 0xFF)
         self._acc = acc & ((1 << nacc) - 1)
         self._nacc = nacc
+
+    def write_bit_array(self, bits: np.ndarray) -> None:
+        """Write an array of 0/1 values, first element first."""
+        n = len(bits)
+        packed = np.packbits(bits).tobytes()
+        acc = (self._acc << n) | (int.from_bytes(packed, "big") >> (-n % 8))
+        nacc = self._nacc + n
+        self._buf += (acc >> (nacc & 7)).to_bytes(nacc >> 3, "big")
+        self._acc = acc & ((1 << (nacc & 7)) - 1)
+        self._nacc = nacc & 7
 
     def byte_align(self) -> int:
         """Pad with zero bits to the next byte boundary; returns bits added."""
@@ -94,6 +116,12 @@ class BitReader:
         self._pos = pos
         return value
 
+    def skip(self, n: int) -> None:
+        """Move forward n bits."""
+        if n < 0 or self._pos + n > self._nbits:
+            raise StreamError("read past end of stream")
+        self._pos += n
+
     def byte_align(self) -> int:
         """Skip to the next byte boundary; returns bits skipped."""
         pad = (-self._pos) % 8
@@ -117,6 +145,7 @@ class BitReader:
 # A prefix of 32 or more zeros cannot come from a valid encoder.
 
 _UE_MAX = 0xFFFFFFFE
+_MAX_ZEROS = 31
 
 
 def ue_length(v: int) -> int:
@@ -124,6 +153,13 @@ def ue_length(v: int) -> int:
     if v < 0 or v > _UE_MAX:
         raise ValueError(f"ue value out of range: {v}")
     return 2 * (v + 1).bit_length() - 1
+
+
+def ue_lengths(values) -> np.ndarray:
+    """Coded length in bits of ue(v) for each v of an integer array in range."""
+    # frexp's exponent is the bit length of v + 1, exact below 2^53
+    _, bit_length = np.frexp(np.asarray(values, dtype=np.int64) + 1.0)
+    return 2 * bit_length.astype(np.int64) - 1
 
 
 def ue_encode(w: BitWriter, v: int) -> None:
@@ -139,30 +175,146 @@ def ue_decode(r: BitReader) -> int:
     zeros = 0
     while r.read_bits(1) == 0:
         zeros += 1
-        if zeros >= 32:
+        if zeros > _MAX_ZEROS:
             raise StreamError("malformed exp-Golomb prefix")
     rest = r.read_bits(zeros) if zeros else 0
     return ((1 << zeros) | rest) - 1
 
 
-def _se_to_ue(v: int) -> int:
-    # 0 -> 0, positive v -> 2v - 1, negative v -> -2v
-    if v > 0:
-        return 2 * v - 1
-    return -2 * v
+def se_to_ue(v):
+    """The ue code number of a signed value: 0, 1, -1, 2, -2 ... -> 0, 1, 2,
+    3, 4 ...; works on ints and on integer arrays."""
+    return 2 * abs(v) - (v > 0)
+
+
+def ue_to_se(code):
+    """Inverse of se_to_ue, on ints and on integer arrays."""
+    return ((code + 1) >> 1) * (2 * (code & 1) - 1)
 
 
 def se_length(v: int) -> int:
     """Coded length in bits of se(v)."""
-    return ue_length(_se_to_ue(v))
+    return ue_length(se_to_ue(v))
 
 
 def se_encode(w: BitWriter, v: int) -> None:
-    ue_encode(w, _se_to_ue(v))
+    ue_encode(w, se_to_ue(v))
 
 
 def se_decode(r: BitReader) -> int:
-    code = ue_decode(r)
-    if code & 1:
-        return (code + 1) >> 1
-    return -(code >> 1)
+    return ue_to_se(ue_decode(r))
+
+
+# Bulk codes. The writer packs about _CHUNK_MAX bits per numpy pass and the
+# reader looks at most _CHUNK_MAX bits ahead, so their scratch memory is
+# bounded whatever the size of a frame. The reader's first chunk is
+# _CHUNK_MIN bits, so reading one small tile stays cheap.
+
+_CHUNK_MIN = 1 << 8
+_CHUNK_MAX = 1 << 16
+
+
+def write_ue_codes(w: BitWriter, values) -> int:
+    """Write ue(v) for each v of an integer array, in order; returns bits written."""
+    v = np.asarray(values, dtype=np.int64).reshape(-1)
+    if not v.size:
+        return 0
+    if v.min() < 0 or v.max() > _UE_MAX:
+        raise ValueError("ue value out of range")
+    lengths = ue_lengths(v)
+    ends = np.cumsum(lengths)
+    cuts = np.searchsorted(ends, np.arange(_CHUNK_MAX, ends[-1], _CHUNK_MAX))
+    for lo, hi in zip((0, *cuts), (*cuts, v.size)):
+        # the codeword of v is v + 1 right-aligned in ue_length(v) bits;
+        # bit b of the slice is bit (end of its code - 1 - b) of that value
+        n = lengths[lo:hi]
+        shifts = (np.repeat(ends[lo:hi], n)
+                  - np.arange(ends[lo] - n[0] + 1, ends[hi - 1] + 1))
+        bits = (np.repeat(v[lo:hi] + 1, n) >> shifts) & 1
+        w.write_bit_array(bits.astype(np.uint8))
+    return int(ends[-1])
+
+
+class UeChunk(NamedTuple):
+    """The exp-Golomb codes that lie wholly in a window of a stream."""
+
+    values: np.ndarray  # int64 ue values, in stream order
+    ends: np.ndarray  # int64 bit offset after each code, from the window start
+    error: str | None  # why no further code can follow, or None if more bits may
+
+
+def peek_ue_codes(r: BitReader, max_bits: int) -> UeChunk:
+    """The chain of ue codes that starts at r's position and lies wholly in
+    its next max_bits bits, without moving r. The chain stops at the first
+    code that runs past the window or has a prefix of 32 or more zeros."""
+    pos = r.bit_position
+    first, skew = pos >> 3, pos & 7
+    stop = min(len(r._data), first + (skew + max_bits + 7) // 8)
+    size = stop - first
+    n = 8 * size
+    # eight zero bytes past the window give every code a 64-bit view below
+    raw = np.zeros(size + 8, dtype=np.uint8)
+    raw[:size] = np.frombuffer(r._data, dtype=np.uint8, count=size, offset=first)
+    at = np.arange(n)
+    # Position of the next 1 bit from every position, n where none follows;
+    # a code starting at p has nxt[p] - p zeros and ends at 2 nxt[p] - p + 1.
+    ones = np.where(np.unpackbits(raw[:size]).view(bool), at, n)
+    nxt = np.minimum.accumulate(ones[::-1])[::-1]
+    jump = np.empty(n + 1, dtype=np.int64)
+    np.subtract(2 * nxt, at - 1, out=jump[:n])
+    np.minimum(jump, n, out=jump)
+    jump[n] = n
+    # Pointer doubling: starts holds the first 2^k code starts and jump
+    # leaps 2^k codes, so each round doubles the chain; n ends it.
+    starts = np.array([skew])
+    while True:
+        starts = np.concatenate((starts, jump[starts]))
+        if starts[-1] >= n:
+            break
+        jump = jump[jump]
+    starts = starts[:np.searchsorted(starts, n)]
+    lead = nxt[starts]
+    zeros = lead - starts
+    ends = lead + zeros + 1
+    # jump leads on through a bad code as if it were good: cut the chain
+    # at the first code with too many zeros or an end past the window
+    error = None
+    bad = np.flatnonzero((zeros > _MAX_ZEROS) | (ends > n))
+    if len(bad):
+        if zeros[bad[0]] > _MAX_ZEROS:
+            error = "malformed exp-Golomb prefix"
+        lead, zeros, ends = lead[:bad[0]], zeros[:bad[0]], ends[:bad[0]]
+    if error is None and stop == len(r._data):
+        error = "read past end of stream"
+    # v + 1 is the zeros + 1 bits from the leading 1: shift them to the top
+    # of the big-endian 64 bits from the byte that holds it, then down
+    windows = np.ndarray((size + 1,), dtype=">u8", buffer=raw, strides=(1,))
+    values = ((windows[lead >> 3] << (lead & 7).astype(np.uint64))
+              >> (63 - zeros).astype(np.uint64)).astype(np.int64) - 1
+    return UeChunk(values, ends - skew, error)
+
+
+def read_ue_codes(r: BitReader, walk) -> None:
+    """Feed the ue codes at r's position to a structure walk, chunk by chunk.
+
+    walk(chunk) takes a UeChunk and returns (used, done): how many codes it
+    consumed, whole syntax items only, and whether its structure is
+    complete. r moves past the used codes. While the walk is not done, the
+    next chunk starts there, twice as long up to _CHUNK_MAX bits, and the
+    walk resumes where it stopped. StreamError when the walk needs a code
+    that no further bits can complete. An item must fit in _CHUNK_MAX - 7
+    bits.
+    """
+    size = _CHUNK_MIN
+    while True:
+        chunk = peek_ue_codes(r, size)
+        used, done = walk(chunk)
+        if used:
+            r.skip(int(chunk.ends[used - 1]))
+        if done:
+            return
+        if chunk.error is not None:
+            raise StreamError(chunk.error)
+        if not used and size == _CHUNK_MAX:
+            raise StreamError("syntax item longer than the chunk cap")
+        size = min(2 * size, _CHUNK_MAX)

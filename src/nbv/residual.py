@@ -3,11 +3,18 @@
 A coding unit decomposes into 24 8x8 tiles (16 luma, 4 Cb, 4 Cr, each group
 in raster order). Each tile is transformed with the orthonormal 8x8 DCT-II,
 quantized with a uniform scalar step of 2^(qp/6), and entropy coded as
-run-level pairs in zigzag order. encode_block_residual quantizes a block's
-tiles through quantize, and apply_block_residual dequantizes them through
-dequantize, adds the residual onto the prediction basis and rounds half
-away from zero. The encoder and decoder share that reconstruction path,
-so there is no drift.
+run-level pairs in zigzag order: ue(count), then per nonzero ue(run) and
+se(level). encode_block_residual quantizes a block's tiles through
+quantize, and apply_block_residual dequantizes them through dequantize,
+adds the residual onto the prediction basis and rounds half away from
+zero. The encoder and decoder share that reconstruction path, so there is
+no drift.
+
+Tiles are coded in bulk, with the same bits as one pair at a time:
+tile_codes turns any number of tiles into their code numbers with numpy,
+sharing its run and level mapping with coeff_bits; a reader steps over
+the whole tiles in a chunk of codes with walk_tiles and decodes them with
+one scatter_tiles assignment.
 
 Like dct8_forward, the block-level functions work on batches: leading axes
 of the basis planes and of the levels pass through. The encoder stacks a
@@ -27,10 +34,11 @@ from .entropy import (
     BitReader,
     BitWriter,
     StreamError,
-    se_decode,
-    se_encode,
-    ue_decode,
-    ue_encode,
+    read_ue_codes,
+    se_to_ue,
+    ue_lengths,
+    ue_to_se,
+    write_ue_codes,
 )
 
 _N = 8
@@ -60,9 +68,10 @@ ZIGZAG = np.array([
     53, 60, 61, 54, 47, 55, 62, 63,
 ], dtype=np.int64)
 
+_SCAN = np.arange(64, dtype=np.int8)  # small: runs cost one byte per level
+
 # Coded length of ue(v) for every value a run or level mapping can produce.
-_UE_LEN = np.array([2 * (v + 1).bit_length() - 1 for v in range(1 << 16)],
-                   dtype=np.int64)
+_UE_LEN = ue_lengths(np.arange(1 << 16))
 
 
 def dct8_forward(tile: np.ndarray) -> np.ndarray:
@@ -103,41 +112,15 @@ def dequantize(levels: np.ndarray, qp: int) -> np.ndarray:
     return flat.reshape(lv.shape[:-1] + (_N, _N)) * step
 
 
-def code_coeffs(w: BitWriter, levels: np.ndarray) -> int:
-    """Write one tile's 64 zigzag levels as run-level pairs; returns bits written."""
-    start = w.bit_position
-    nz = np.nonzero(levels)[0]
-    ue_encode(w, len(nz))
-    prev = -1
-    for idx in nz:
-        ue_encode(w, int(idx) - prev - 1)
-        se_encode(w, int(levels[idx]))
-        prev = int(idx)
-    return w.bit_position - start
-
-
-def _read_coeffs(r: BitReader, levels: np.ndarray) -> None:
-    """Read one tile's run-level pairs into 64 zeroed zigzag levels."""
-    count = ue_decode(r)
-    if count > 64:
-        raise StreamError(f"coefficient count {count} exceeds tile size")
-    pos = 0
-    for _ in range(count):
-        pos += ue_decode(r)
-        if pos >= 64:
-            raise StreamError("coefficient run overflows tile")
-        level = se_decode(r)
-        if level == 0:
-            raise StreamError("zero level in run-level pair")
-        levels[pos] = level
-        pos += 1
-
-
-def decode_coeffs(r: BitReader) -> np.ndarray:
-    """Read one tile's run-level pairs back to 64 zigzag levels."""
-    levels = np.zeros(64, dtype=np.int32)
-    _read_coeffs(r, levels)
-    return levels
+def _runs(nz: np.ndarray) -> np.ndarray:
+    """The zero run before each scan position of (..., 64) nonzero masks."""
+    # Each nonzero's run is the gap back to the previous nonzero: the
+    # running maximum of nonzero positions, shifted one place right.
+    last = np.maximum.accumulate(np.where(nz, _SCAN, -1), axis=-1)
+    prev = np.concatenate(
+        [np.full(nz.shape[:-1] + (1,), -1, dtype=_SCAN.dtype), last[..., :-1]],
+        axis=-1)
+    return _SCAN - prev - 1
 
 
 def coeff_bits(levels: np.ndarray) -> np.ndarray:
@@ -145,15 +128,101 @@ def coeff_bits(levels: np.ndarray) -> np.ndarray:
     without writing them. Equals what code_coeffs emits per tile."""
     lv = np.asarray(levels)
     nz = lv != 0
-    scan = np.arange(64)
-    # Each nonzero's run is the gap back to the previous nonzero: the
-    # running maximum of nonzero positions, shifted one place right.
-    last = np.maximum.accumulate(np.where(nz, scan, -1), axis=-1)
-    prev = np.concatenate(
-        [np.full(lv.shape[:-1] + (1,), -1), last[..., :-1]], axis=-1)
-    se_codes = np.where(lv > 0, 2 * lv - 1, -2 * lv)
-    pair_bits = np.where(nz, _UE_LEN[scan - prev - 1] + _UE_LEN[se_codes], 0)
+    pair_bits = np.where(nz, _UE_LEN[_runs(nz)] + _UE_LEN[se_to_ue(lv)], 0)
     return _UE_LEN[nz.sum(axis=-1)] + pair_bits.sum(axis=-1)
+
+
+def tile_codes(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ue code numbers of (..., 64) tiles in stream order, and each
+    tile's nonzero count, shape (...).
+
+    A tile is ue(count), then per nonzero in scan order ue(run) and
+    se(level).
+    """
+    lv = np.asarray(levels)
+    flat = lv.reshape(-1, 64)
+    nz = flat != 0
+    counts = nz.sum(axis=1)
+    tile, scan = np.nonzero(nz)
+    # tile t opens after t counts and 2 * (pairs before it) pair codes, so
+    # pair p, in tile t, starts at code t + 1 + 2p
+    out = np.empty(len(counts) + 2 * len(tile), dtype=np.int64)
+    out[np.arange(len(counts)) + 2 * (np.cumsum(counts) - counts)] = counts
+    at = tile + 1 + 2 * np.arange(len(tile))
+    out[at] = _runs(nz)[tile, scan]
+    out[at + 1] = se_to_ue(flat[tile, scan].astype(np.int64))
+    return out, counts.reshape(lv.shape[:-1])
+
+
+def walk_tiles(values: list, k: int, n: int, starts: list) -> int:
+    """Step over up to n whole tiles of the code values from index k.
+
+    Appends each tile's first index (its count code) to starts and returns
+    the index after the last whole tile; stops early where a tile runs past
+    the end of values.
+    """
+    end = len(values)
+    for _ in range(n):
+        if k >= end:
+            break
+        count = values[k]
+        if count > 64:
+            raise StreamError(f"coefficient count {count} exceeds tile size")
+        stop = k + 1 + 2 * count
+        if stop > end:
+            break
+        starts.append(k)
+        k = stop
+    return k
+
+
+def scatter_tiles(values: np.ndarray, starts: list, out: np.ndarray) -> None:
+    """Decode the tiles walk_tiles found into out, zeroed (len(starts), 64)
+    levels, with one assignment."""
+    if not starts:
+        return
+    starts = np.asarray(starts)
+    counts = values[starts]
+    tile = np.repeat(np.arange(len(starts)), counts)
+    first = np.cumsum(counts) - counts  # index of each tile's first pair
+    at = starts[tile] + 1 + 2 * (np.arange(len(tile)) - first[tile])
+    codes = values[at + 1]
+    # positions run on from each tile's start: a cumulative sum of run + 1
+    steps = np.cumsum(values[at] + 1)
+    pos = steps - np.concatenate(([0], steps))[first][tile] - 1
+    if np.any(pos > 63):
+        raise StreamError("coefficient run overflows tile")
+    if np.any(codes == 0):
+        raise StreamError("zero level in run-level pair")
+    out[tile, pos] = ue_to_se(codes)
+
+
+def read_tiles(r: BitReader, n: int) -> np.ndarray:
+    """Read n tiles of run-level codes as (n, 64) zigzag levels."""
+    levels = np.zeros((n, 64), dtype=np.int32)
+    done = 0
+
+    def walk(chunk):
+        nonlocal done
+        starts: list[int] = []
+        used = walk_tiles(chunk.values.tolist(), 0, n - done, starts)
+        scatter_tiles(chunk.values, starts, levels[done:done + len(starts)])
+        done += len(starts)
+        return used, done == n
+
+    read_ue_codes(r, walk)
+    return levels
+
+
+def code_coeffs(w: BitWriter, levels: np.ndarray) -> int:
+    """Write (..., 64) tiles of zigzag levels as run-level pairs, in order;
+    returns bits written."""
+    return write_ue_codes(w, tile_codes(levels)[0])
+
+
+def decode_coeffs(r: BitReader) -> np.ndarray:
+    """Read one tile's run-level pairs back to 64 zigzag levels."""
+    return read_tiles(r, 1)[0]
 
 
 def _plane_tiles(plane: np.ndarray) -> np.ndarray:
@@ -213,23 +282,7 @@ def apply_block_residual(basis: Block32, levels: np.ndarray, qp: int) -> Block32
     return Block32(*planes)
 
 
-def write_block_tiles(w: BitWriter, tiles: np.ndarray) -> int:
-    """Write all 24 tiles of one coding unit; returns bits written."""
-    start = w.bit_position
-    for t in tiles:
-        code_coeffs(w, t)
-    return w.bit_position - start
-
-
-def read_block_tiles(r: BitReader) -> np.ndarray:
-    """Read all 24 tiles of one coding unit as (24, 64) levels."""
-    levels = np.zeros((TILES_PER_BLOCK, 64), dtype=np.int32)
-    for row in levels:
-        _read_coeffs(r, row)
-    return levels
-
-
 def block_tiles_bits(tiles: np.ndarray) -> np.ndarray:
     """Exact coded size of each block's 24 tiles, (..., 24, 64) -> (...);
-    equals what write_block_tiles emits."""
+    equals what code_coeffs emits for them."""
     return coeff_bits(tiles).sum(axis=-1)

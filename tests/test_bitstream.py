@@ -1,5 +1,7 @@
 """Container format: header, parameter sets, frame units, stream framing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,11 @@ from nbv.bitstream import (
     write_param_set,
     write_stream,
 )
-from nbv.entropy import BitReader, BitWriter, StreamError
+from nbv.core import MAX_LUMA_SAMPLES, SequenceConfig
+from nbv.decoder import decode_sequence
+from nbv.entropy import BitReader, BitWriter, StreamError, se_length, ue_length
 from nbv.gnn import QuantizedGnnParams, QuantizedLayer, init_params, quantize_params
+from nbv.residual import block_tiles_bits
 
 DEFAULT_ARCH = (3, 25, 40, 60, 1536)
 
@@ -410,3 +415,133 @@ class TestStreamFraming:
         back_header, back_units = parse_stream(data)
         assert list(back_units) == []
         assert back_header.frame_count == 0
+
+
+def random_frame(rng, cols, rows):
+    """A frame unit of random modes, vectors and tiles; the right block
+    column is a selectable region with random selections."""
+    frame_type = "IP"[int(rng.integers(2))]
+    regions = [RegionSpec(cols - 1, 0, cols - 1, rows - 1, True)]
+    gen_map = np.zeros((rows, cols), dtype=bool)
+    gen_map[:, -1] = rng.random(rows) < 0.5
+    modes = [BlockMode.INTRA_DC, BlockMode.INTRA_H, BlockMode.INTRA_V]
+    if frame_type == "P":
+        modes.append(BlockMode.INTER)
+    density = rng.uniform(0.0, 1.0)
+    blocks = []
+    for i in range(cols * rows):
+        by, bx = divmod(i, cols)
+        mode = BlockMode.GEN if gen_map[by, bx] else modes[rng.integers(len(modes))]
+        mvd = None
+        if mode == BlockMode.INTER:
+            mvd = tuple(int(v) for v in rng.integers(-70, 71, 2) << rng.integers(0, 8))
+        tiles = rng.integers(-300, 301, (24, 64)) >> rng.integers(0, 9, (24, 1))
+        tiles[rng.random((24, 64)) > density] = 0
+        blocks.append(BlockPayload(mode, mvd, tiles.astype(np.int32)))
+    return FrameUnit(frame_type, regions, gen_map, blocks)
+
+
+class TestBulkFramePayload:
+    """Random frames through write_frame and parse_stream: the payloads come
+    back and every bit is charged where the cost functions say."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_frames_round_trip(self, seed):
+        rng = np.random.default_rng(seed)
+        cols, rows = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        units = [random_frame(rng, cols, rows) for _ in range(3)]
+        header = StreamHeader(32 * cols, 32 * rows, len(units), 20, False, 16)
+        data = write_stream(header, [("frame", u) for u in units])
+        sizes = []
+        _, parsed = parse_stream(data, sizes)
+        parsed = list(parsed)
+        assert len(parsed) == len(sizes) - 1 == len(units)
+        for unit, (kind, back), bits in zip(units, parsed, sizes[1:]):
+            assert kind == "frame" and back.frame_type == unit.frame_type
+            assert np.array_equal(back.gen_map, unit.gen_map)
+            syntax = tiles = mvs = 0
+            for a, b in zip(unit.blocks, back.blocks):
+                assert (a.mode, a.mvd) == (b.mode, b.mvd)
+                assert np.array_equal(a.tiles, b.tiles)
+                syntax += block_syntax_bits(unit.frame_type, a.mode, a.mvd)
+                tiles += int(block_tiles_bits(a.tiles))
+                if a.mvd is not None:
+                    mvs += se_length(a.mvd[0]) + se_length(a.mvd[1])
+            # tag, frame type, one region: count, corners, kind, selections
+            fixed = 9 + ue_length(1) + sum(ue_length(v) for v in (cols - 1, 0, cols - 1, rows - 1))
+            fixed += 1 + rows
+            pad = -(fixed + syntax + tiles) % 8
+            assert (bits.modes + bits.mvs, bits.mvs, bits.residuals) == (
+                fixed + syntax + pad, mvs, tiles)
+        assert 8 * len(data) == sizes[0] + sum(b.total for b in sizes[1:])
+
+    def test_frame_larger_than_the_chunk_cap(self):
+        rng = np.random.default_rng(40)
+        unit = random_frame(rng, 4, 2)
+        for block in unit.blocks:
+            block.tiles[:] = rng.choice([-900, -5, 3, 700], (24, 64))
+        w = BitWriter()
+        bits = write_frame(w, unit, 4, 2)
+        assert bits.residuals > 8 * 24 * 64 * 10
+        got = FrameBits()
+        back = parse_frame(BitReader(w.to_bytes()), 4, 2, got)
+        assert got == bits
+        for a, b in zip(unit.blocks, back.blocks):
+            assert (a.mode, a.mvd) == (b.mode, b.mvd)
+            assert np.array_equal(a.tiles, b.tiles)
+
+
+def peak_bytes(call) -> int:
+    """Peak traced allocation while call runs; call must raise StreamError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(StreamError):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestResourceCaps:
+    """Crafted headers end in StreamError before anything frame-sized is
+    allocated."""
+
+    def crafted(self, width, height, frames, payload=b""):
+        w = BitWriter()
+        write_header(w, StreamHeader(width, height, frames, 20, False, 16))
+        return w.to_bytes() + payload
+
+    def test_picture_above_the_luma_cap_rejected(self):
+        data = self.crafted(0xFFFF, 0xFFFF, 1, bytes(64))
+        for call in (lambda: parse_header(BitReader(data)),
+                     lambda: parse_stream(data), lambda: decode_sequence(data)):
+            assert peak_bytes(call) < 10 << 20
+
+    def test_cap_is_hevc_level_6_2(self):
+        assert MAX_LUMA_SAMPLES == 35_651_584 == 8192 * 4352
+        parse_header(BitReader(self.crafted(8192, 4352, 1)))
+        with pytest.raises(StreamError):
+            parse_header(BitReader(self.crafted(8192, 4353, 1)))
+
+    def test_stream_too_short_for_its_frames_rejected(self):
+        data = self.crafted(8192, 4096, 1000, bytes(1024))
+        assert parse_header(BitReader(data)).frame_count == 1000
+        for call in (lambda: parse_stream(data), lambda: decode_sequence(data)):
+            assert peak_bytes(call) < 10 << 20
+
+    def test_shortest_possible_frames_accepted(self):
+        # one ue(0) per tile is the least a block can cost
+        header = StreamHeader(64, 32, 3, 20, False, 16)
+        units = [("frame", FrameUnit("I", [], np.zeros((1, 2), dtype=bool), [
+            BlockPayload(BlockMode.INTRA_DC, None, np.zeros((24, 64), np.int32))
+            for _ in range(2)])) for _ in range(3)]
+        data = write_stream(header, units)
+        assert len(data) * 8 - 120 < 3 * 2 * 24 + 3 * 24
+        assert len(list(parse_stream(data)[1])) == 3
+        with pytest.raises(StreamError):
+            parse_stream(data[:15 + (3 * 2 * 24) // 8 - 1])
+
+    def test_config_above_the_luma_cap_rejected(self):
+        SequenceConfig(8192, 4352, 1, 20).validate()
+        with pytest.raises(ValueError):
+            SequenceConfig(8192, 4353, 1, 20).validate()

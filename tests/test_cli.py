@@ -1,9 +1,13 @@
 """Command-line driver: full pipeline plus exit-code discipline."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from nbv.cli import EXIT_IO, EXIT_OK, EXIT_STREAM, EXIT_USAGE, main
+from nbv.tools import bit_accounting
 
 FRAME_BYTES = 96 * 64 + 2 * 48 * 32  # one 96x64 I420 frame
 
@@ -87,6 +91,18 @@ class TestPipeline:
         assert total_line[0] == "total"
         assert int(total_line[1]) == 8 * stream.stat().st_size
         assert sum(int(v) for v in cats.values()) == int(total_line[1])
+
+    def test_inspect_json_is_the_bit_accounting(self, workdir, capsys):
+        stream = workdir / "out.nbv"
+        assert main(["inspect", "--input", str(stream), "--json"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1  # one object on one line
+        doc = json.loads(out)
+        assert sum(doc["categories"].values()) == doc["total_bits"]
+        assert doc["total_bits"] == 8 * stream.stat().st_size
+        assert doc == dataclasses.asdict(bit_accounting(stream.read_bytes()))
+        assert doc["header"]["width"] == 96 and doc["header"]["gnn_enabled"] is True
+        assert [u["kind"] for u in doc["units"]].count("frame") == 8
 
     def test_sweep_emits_on_and_off_rows_per_qp(self, workdir, tmp_path):
         out = tmp_path / "sweep.csv"

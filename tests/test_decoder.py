@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fast_train, forced_stream
+from test_golden import encode_case
 from nbv.bitstream import (
     BlockMode,
     BlockPayload,
@@ -252,17 +253,37 @@ def mutate(data: bytes, draw) -> bytes:
     return bytes(out)
 
 
+# golden encodes with two periods each of I and P frames whose blocks carry
+# inter vectors; neither keeps a region, which the forced stream covers
+P_FRAME_CASES = ("pan_qp20_generator_off", "zoom_out_qp8_tiny_arch")
+
+
+@pytest.fixture(scope="module", params=P_FRAME_CASES)
+def p_frame_bytes(request):
+    stream, _ = encode_case(request.param)
+    return stream
+
+
+def consume_damaged(damaged: bytes) -> None:
+    for consume in (decode_sequence, bit_accounting):
+        try:
+            consume(damaged)
+        except StreamError:
+            pass
+
+
 class TestMutatedStreams:
     """A damaged stream either still parses or ends in StreamError, never in
     another exception. The forced-region stream holds a parameter set and
-    generated blocks, so mutations reach every unit kind."""
+    generated blocks, so mutations reach every unit kind; the golden P-frame
+    streams add inter vectors over several frames and periods."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_only_stream_errors(self, forced_bytes, data):
-        damaged = mutate(forced_bytes, data.draw)
-        for consume in (decode_sequence, bit_accounting):
-            try:
-                consume(damaged)
-            except StreamError:
-                pass
+        consume_damaged(mutate(forced_bytes, data.draw))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_p_frame_streams_only_stream_errors(self, p_frame_bytes, data):
+        consume_damaged(mutate(p_frame_bytes, data.draw))

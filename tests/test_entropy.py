@@ -1,17 +1,26 @@
 """Bit I/O and exp-Golomb codes: exact codewords, round trips, error paths."""
 
+import numpy as np
 import pytest
 
 from nbv.entropy import (
+    _CHUNK_MAX,
+    _CHUNK_MIN,
     BitReader,
     BitWriter,
     StreamError,
+    peek_ue_codes,
+    read_ue_codes,
     se_decode,
     se_encode,
     se_length,
+    se_to_ue,
     ue_decode,
     ue_encode,
     ue_length,
+    ue_lengths,
+    ue_to_se,
+    write_ue_codes,
 )
 
 
@@ -198,3 +207,142 @@ class TestSignedExpGolomb:
         for v in values:
             assert se_decode(r) == v
             assert ue_decode(r) == abs(v)
+
+
+# 0, every 2^k - 2 (the longest code of each length) and 2^32 - 2, whose
+# code has a 31-zero prefix
+EDGE_VALUES = [0] + [(1 << k) - 2 for k in range(2, 33)]
+
+
+def mixed_values(seed, n=3000):
+    """Random ue values of every code length, short ones most often."""
+    rng = np.random.default_rng(seed)
+    v = rng.integers(0, 1 << rng.integers(1, 33, n), dtype=np.int64)
+    return [int(x) for x in v] + EDGE_VALUES
+
+
+def read_all(r, n):
+    """n ue values through the chunked bulk reader, one code per item."""
+    got = []
+
+    def walk(chunk):
+        take = min(n - len(got), len(chunk.values))
+        got.extend(chunk.values[:take].tolist())
+        return take, len(got) == n
+
+    read_ue_codes(r, walk)
+    return got
+
+
+class TestBulkCodes:
+    """The bulk writer and reader against ue_encode and ue_decode."""
+
+    def test_lengths_match_scalar(self):
+        values = mixed_values(0)
+        assert ue_lengths(values).tolist() == [ue_length(v) for v in values]
+
+    @pytest.mark.parametrize("offset", range(8))
+    def test_packing_equals_scalar_loop(self, offset):
+        values = mixed_values(offset)
+        scalar, bulk = BitWriter(), BitWriter()
+        for w in (scalar, bulk):
+            w.write_bits(0b1011011, 7)
+            w.write_bits(0, offset)
+        for v in values:
+            ue_encode(scalar, v)
+        written = write_ue_codes(bulk, values)
+        assert written == sum(ue_length(v) for v in values)
+        assert bulk.bit_position == scalar.bit_position
+        assert bulk.to_bytes() == scalar.to_bytes()
+        # the writer goes on from where the packed codes stopped
+        for w in (scalar, bulk):
+            w.write_bits(0b101, 3)
+        assert bulk.to_bytes() == scalar.to_bytes()
+
+    def test_packing_rejects_out_of_range(self):
+        for bad in ([-1], [0, 0xFFFFFFFF]):
+            with pytest.raises(ValueError):
+                write_ue_codes(BitWriter(), bad)
+
+    @pytest.mark.parametrize("offset", range(8))
+    def test_reading_equals_ue_decode(self, offset):
+        # about 80 kbit of codes: chunks grow from the smallest to the cap,
+        # so codes straddle chunk ends of every size
+        values = mixed_values(10 + offset)
+        w = BitWriter()
+        w.write_bits(0, offset)
+        write_ue_codes(w, values)
+        assert w.bit_position > _CHUNK_MAX
+        data = w.to_bytes()
+        r = BitReader(data)
+        r.read_bits(offset)
+        assert read_all(r, len(values)) == values
+        assert r.bit_position == w.bit_position
+        scalar = BitReader(data)
+        scalar.read_bits(offset)
+        assert [ue_decode(scalar) for _ in values] == values
+
+    def test_every_window_holds_the_codes_that_fit(self):
+        values = mixed_values(20, 200)
+        w = BitWriter()
+        w.write_bits(0, 5)
+        for v in values:
+            ue_encode(w, v)
+        ends = np.cumsum([ue_length(v) for v in values])
+        r = BitReader(w.to_bytes())
+        r.read_bits(5)
+        for size in list(range(1, 80)) + [500, 4099, _CHUNK_MAX]:
+            chunk = peek_ue_codes(r, size)
+            # the window ends at a byte boundary; codes ending before it fit
+            fit = int(np.searchsorted(ends, (5 + size + 7) // 8 * 8 - 5, "right"))
+            assert chunk.values.tolist() == values[:fit]
+            assert chunk.ends.tolist() == ends[:fit].tolist()
+        assert r.bit_position == 5  # peeking does not move the reader
+
+    def test_32_zero_prefix_is_stream_error(self):
+        w = BitWriter()
+        write_ue_codes(w, [3, 0])
+        w.write_bits(0, 32)
+        w.write_bits(0xFFFFFFFF, 32)
+        r = BitReader(w.to_bytes())
+        chunk = peek_ue_codes(r, 1000)
+        assert chunk.values.tolist() == [3, 0]
+        assert chunk.error == "malformed exp-Golomb prefix"
+        with pytest.raises(StreamError):
+            read_all(BitReader(w.to_bytes()), 3)
+
+    def test_31_zero_prefix_still_decodes(self):
+        w = BitWriter()
+        write_ue_codes(w, [(1 << 32) - 2, 5])
+        assert w.bit_position == 63 + 5
+        assert read_all(BitReader(w.to_bytes()), 2) == [(1 << 32) - 2, 5]
+
+    def test_every_truncation_is_stream_error(self):
+        values = [0, 7, 1 << 20, 3, 0, 0, 12, (1 << 32) - 2, 1, 64]
+        w = BitWriter()
+        write_ue_codes(w, values)
+        data = w.to_bytes()
+        for cut in range(len(data)):
+            with pytest.raises(StreamError):
+                read_all(BitReader(data[:cut]), len(values))
+        assert read_all(BitReader(data), len(values)) == values
+
+    def test_chunks_start_small(self):
+        sizes = []
+
+        def walk(chunk):
+            sizes.append(len(chunk.values))
+            return 0, True
+
+        w = BitWriter()
+        write_ue_codes(w, [0] * 10_000)
+        read_ue_codes(BitReader(w.to_bytes()), walk)
+        assert sizes == [_CHUNK_MIN]  # one bit per ue(0)
+
+    def test_signed_mapping_on_ints_and_arrays(self):
+        values = list(range(-300, 301)) + [-(1 << 31) + 1, (1 << 31) - 1]
+        codes = [se_to_ue(v) for v in values]
+        assert np.array_equal(se_to_ue(np.array(values)), codes)
+        assert [ue_to_se(c) for c in codes] == values
+        assert np.array_equal(ue_to_se(np.array(codes)), values)
+        assert [se_length(v) for v in values] == [ue_length(c) for c in codes]

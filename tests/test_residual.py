@@ -5,7 +5,14 @@ import pytest
 
 from conftest import rand_frame
 from nbv.core import Block32, BlockCoord, extract_block
-from nbv.entropy import BitReader, BitWriter, StreamError, se_encode, ue_encode
+from nbv.entropy import (
+    BitReader,
+    BitWriter,
+    StreamError,
+    se_encode,
+    ue_encode,
+    ue_lengths,
+)
 from nbv.residual import (
     DCT_MATRIX,
     ZIGZAG,
@@ -20,8 +27,8 @@ from nbv.residual import (
     encode_block_residual,
     qstep,
     quantize,
-    read_block_tiles,
-    write_block_tiles,
+    read_tiles,
+    tile_codes,
 )
 
 
@@ -183,6 +190,85 @@ class TestCoefficientCoding:
             decode_coeffs(BitReader(w.to_bytes()))
 
 
+def scalar_tile_codes(w, levels):
+    """The run-level syntax spelled out one code at a time."""
+    nz = np.flatnonzero(levels)
+    ue_encode(w, len(nz))
+    prev = -1
+    for idx in nz:
+        ue_encode(w, int(idx) - prev - 1)
+        se_encode(w, int(levels[idx]))
+        prev = int(idx)
+
+
+def random_tile_batch(rng, n):
+    """n tiles from empty to dense, with levels up to qp 0's extremes."""
+    tiles = rng.integers(-2040, 2041, (n, 64)) >> rng.integers(0, 12, (n, 1))
+    tiles[rng.random((n, 64)) < rng.uniform(0.0, 1.0, (n, 1))] = 0
+    tiles[: n // 8] = 0
+    tiles[n // 8: n // 4, 63] = rng.choice([-1, 1], n // 4 - n // 8)
+    return tiles.astype(np.int32)
+
+
+class TestBulkTiles:
+    """The bulk tile codes against a one-code-at-a-time spelling."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_written_bits_equal_scalar_codes(self, seed):
+        tiles = random_tile_batch(np.random.default_rng(seed), 300)
+        scalar, bulk = BitWriter(), BitWriter()
+        for w in (scalar, bulk):
+            w.write_bits(0, seed + 1)
+        for t in tiles:
+            scalar_tile_codes(scalar, t)
+        assert code_coeffs(bulk, tiles) == scalar.bit_position - seed - 1
+        assert bulk.to_bytes() == scalar.to_bytes()
+
+    def test_code_lengths_equal_coeff_bits(self):
+        tiles = random_tile_batch(np.random.default_rng(5), 200)
+        for t, want in zip(tiles, coeff_bits(tiles)):
+            codes, counts = tile_codes(t)
+            assert counts == np.count_nonzero(t)
+            assert ue_lengths(codes).sum() == want
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_many_tiles_read_back_across_chunks(self, seed):
+        tiles = random_tile_batch(np.random.default_rng(10 + seed), 500)
+        w = BitWriter()
+        w.write_bits(1, 3)
+        bits = code_coeffs(w, tiles)
+        assert bits > 100_000  # several chunks at the cap
+        r = BitReader(w.to_bytes())
+        r.read_bits(3)
+        assert np.array_equal(read_tiles(r, len(tiles)), tiles)
+        assert r.bit_position == 3 + bits
+
+    @pytest.mark.parametrize("fault", ["count", "run", "zero_level"])
+    def test_fault_in_a_later_tile_is_stream_error(self, fault):
+        w = BitWriter()
+        code_coeffs(w, random_tile_batch(np.random.default_rng(1), 40))
+        if fault == "count":
+            ue_encode(w, 65)
+        elif fault == "run":
+            for v in (2, 30, 1, 33, 1):  # second coefficient lands at 64
+                ue_encode(w, v)
+        else:
+            for v in (1, 0, 0):
+                ue_encode(w, v)
+        w.write_bits(0xFFFF, 16)
+        with pytest.raises(StreamError):
+            read_tiles(BitReader(w.to_bytes()), 41)
+
+    def test_every_truncation_is_stream_error(self):
+        tiles = random_tile_batch(np.random.default_rng(2), 24)
+        w = BitWriter()
+        code_coeffs(w, tiles)
+        data = w.to_bytes()
+        for cut in range(len(data)):
+            with pytest.raises(StreamError):
+                read_tiles(BitReader(data[:cut]), 24)
+
+
 class TestBlockResidual:
     def block_pair(self, seed):
         fr = rand_frame(64, 64, seed=seed)
@@ -229,9 +315,9 @@ class TestBlockResidual:
         rng = np.random.default_rng(5)
         tiles = rand_tiles(rng)
         w = BitWriter()
-        bits = write_block_tiles(w, tiles)
+        bits = code_coeffs(w, tiles)
         assert bits == block_tiles_bits(tiles)
-        back = read_block_tiles(BitReader(w.to_bytes()))
+        back = read_tiles(BitReader(w.to_bytes()), 24)
         assert len(back) == 24
         for a, b in zip(tiles, back):
             assert np.array_equal(a, b)
@@ -249,8 +335,8 @@ class TestBlockResidual:
             tiles[:] = rng.choice([-1000, 1000], (24, 64))
             tiles[:, 0] = rng.choice([-2040, 2040], 24)
         w = BitWriter()
-        assert block_tiles_bits(tiles) == write_block_tiles(w, tiles)
-        assert np.array_equal(read_block_tiles(BitReader(w.to_bytes())), tiles)
+        assert block_tiles_bits(tiles) == code_coeffs(w, tiles)
+        assert np.array_equal(read_tiles(BitReader(w.to_bytes()), 24), tiles)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_stacked_candidates_match_single_calls(self, n):
