@@ -4,7 +4,10 @@ Prediction errors are coded per 8x8 tile: orthonormal DCT, divide by a
 step that doubles every 6 qp, round half away from zero, run-level code
 the survivors in zigzag order. A 32x32 block is 16 luma tiles plus 4+4
 chroma tiles, 24 in all. Lower qp keeps more coefficients and costs more
-bits; qp 0 has step 1 and reconstructs within +/-2 per sample.
+bits; qp 0 has step 1 and reconstructs within +/-2 per sample. The
+decoder side (dequantization and inverse DCT) runs in fixed-point int64,
+so every machine rebuilds the same pixels; the float inverse below is the
+reference it is tested against.
 """
 
 import numpy as np

@@ -3,7 +3,7 @@
 Layout (all multi-bit fields MSB-first, every unit zero-padded to a byte
 boundary at its end):
 
-  header      "NBV1", width u16, height u16, frame_count u32, qp u8,
+  header      "NBV2", width u16, height u16, frame_count u32, qp u8,
               gnn_enabled u8, gnn_interval u8
   unit        tag u8: 1 = parameter set, 2 = frame
   param set   layer_count u8, hidden sizes u16 each, then per weight layer:
@@ -63,7 +63,7 @@ from .gnn import (
 )
 from .residual import TILES_PER_BLOCK, scatter_tiles, tile_codes, walk_tiles
 
-MAGIC = b"NBV1"
+MAGIC = b"NBV2"
 UNIT_PARAM_SET = 1
 UNIT_FRAME = 2
 
@@ -147,6 +147,10 @@ def write_header(w: BitWriter, h: StreamHeader) -> int:
 def parse_header(r: BitReader) -> StreamHeader:
     magic = bytes(r.read_bits(8) for _ in range(4))
     if magic != MAGIC:
+        if magic[:3] == MAGIC[:3]:
+            raise StreamError("unsupported stream version "
+                              f"{magic.decode('latin-1')} (this decoder reads "
+                              f"{MAGIC.decode()})")
         raise StreamError(f"bad magic {magic!r}")
     width = r.read_bits(16)
     height = r.read_bits(16)

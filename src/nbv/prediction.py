@@ -79,6 +79,8 @@ def _half_toward_zero(v: int) -> int:
 
 def _clamped_window(plane: np.ndarray, y0: int, x0: int, h: int, w: int) -> np.ndarray:
     ph, pw = plane.shape
+    if 0 <= y0 and y0 + h <= ph and 0 <= x0 and x0 + w <= pw:
+        return plane[y0:y0 + h, x0:x0 + w]
     ys = np.clip(np.arange(y0, y0 + h), 0, ph - 1)
     xs = np.clip(np.arange(x0, x0 + w), 0, pw - 1)
     return plane[np.ix_(ys, xs)]

@@ -59,7 +59,7 @@ class TestHeader:
         h = StreamHeader(320, 192, 64, 20, True, 16)
         nbits, raw, back = self.round_trip(h)
         assert nbits == 120 and len(raw) == 15
-        assert raw[:4] == b"NBV1"
+        assert raw[:4] == b"NBV2"
         assert back == h
 
     def test_field_extremes_round_trip(self):
@@ -70,6 +70,13 @@ class TestHeader:
     def test_bad_magic_rejected(self):
         with pytest.raises(StreamError):
             parse_header(BitReader(b"XXXX" + bytes(11)))
+
+    def test_version_1_rejected_by_name(self):
+        w = BitWriter()
+        write_header(w, StreamHeader(32, 32, 1, 20, True, 16))
+        old = b"NBV1" + w.to_bytes()[4:]
+        with pytest.raises(StreamError, match="unsupported stream version NBV1"):
+            parse_header(BitReader(old))
 
     def test_out_of_range_fields_rejected_on_parse(self):
         raw = bytearray(self.round_trip(StreamHeader(32, 32, 1, 20, True, 16))[1])
@@ -288,6 +295,17 @@ class TestFrameUnit:
         w.write_bits(0b00100, 5)  # ue(3): beyond the last I mode symbol
         with pytest.raises(StreamError):
             parse_frame(BitReader(w.to_bytes()), 1, 1)
+
+    @pytest.mark.parametrize("level", [2040, 2041, -2041])
+    def test_levels_beyond_2040_rejected_on_parse(self, level):
+        unit = single_block_unit("I")
+        unit.blocks[0].tiles[5][3] = level  # the writer does not check
+        data = write_stream(StreamHeader(32, 32, 1, 0, False, 16), [("frame", unit)])
+        if abs(level) <= 2040:
+            assert decode_sequence(data)[0][0].y.dtype == np.uint8
+        else:
+            with pytest.raises(StreamError, match="level beyond"):
+                decode_sequence(data)
 
     def test_overlapping_regions_rejected_on_parse(self):
         w = BitWriter()

@@ -43,7 +43,7 @@ class TestPipeline:
 
     def test_stream_is_tagged_container(self, workdir):
         raw = (workdir / "out.nbv").read_bytes()
-        assert raw[:4] == b"NBV1"
+        assert raw[:4] == b"NBV2"
 
     def test_decode_restores_frame_geometry(self, workdir):
         assert (workdir / "dec.yuv").stat().st_size == 8 * FRAME_BYTES
@@ -187,10 +187,22 @@ class TestExitCodes:
 
     def test_corrupt_stream_is_stream_error(self, tmp_path):
         bad = tmp_path / "bad.nbv"
-        bad.write_bytes(b"NBV1" + bytes(40))
+        bad.write_bytes(b"NBV2" + bytes(40))
         code = main(["decode", "--input", str(bad),
                      "--output", str(tmp_path / "never.yuv")])
         assert code == EXIT_STREAM
+
+    @pytest.mark.parametrize("command", ["decode", "inspect"])
+    def test_version_1_stream_is_stream_error(self, workdir, tmp_path, capsys,
+                                              command):
+        old = tmp_path / "v1.nbv"
+        old.write_bytes(b"NBV1" + (workdir / "out.nbv").read_bytes()[4:])
+        args = [command, "--input", str(old)]
+        if command == "decode":
+            args += ["--output", str(tmp_path / "never.yuv")]
+        assert main(args) == EXIT_STREAM
+        assert "unsupported stream version NBV1" in capsys.readouterr().err
+        assert not (tmp_path / "never.yuv").exists()
 
     def test_truncated_stream_is_stream_error(self, workdir, tmp_path):
         raw = (workdir / "out.nbv").read_bytes()

@@ -7,9 +7,14 @@ Either must update the hash on purpose and say why in CHANGES.md.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nbv
 from conftest import fast_train, forced_stream
 from nbv.core import SequenceConfig
 from nbv.decoder import decode_sequence
@@ -52,20 +57,20 @@ CASES = {
 # name -> (stream sha256, decoded planes sha256)
 GOLDEN = {
     "pan_qp20_default_arch": (
-        "740ab5c8188415d7cfd7ea5ddce3f45f23da0c33c4913deb15f22e5e0386645d",
-        "b4e2010742c96892cbe50ef038c272c452c511b652af3a4b2127e71bb02ae34d"),
+        "f8daf12173b0e4e6554591c16d6440010edfc38fb412ce3b6bd215764c0fbd95",
+        "51cdb2247e526f38306204fae98f1bb6632462f64a21873bca56ff152dd257e7"),
     "pan_qp8_tiny_arch": (
-        "73b4fc477931e6eb4d6fb6ed1b2a06aa0d09523b79c52a439af014966b7b5f5a",
-        "bbaaa8f77c4af33923e27262eef388aaa957f5a1dc394a050a3dc732fea841f3"),
+        "1ac13658821f18433f720734ad375867b27b3bb89903c422bc1cd596e6301c43",
+        "2207aa604303956eb222543fcc65dfbc1b00c4f5827a66254e1845b893103f7a"),
     "zoom_out_qp8_tiny_arch": (
-        "0c17c1f1e4bc953997c2f6b4a49302f961edb185380ab170c216e799cd358653",
-        "dcbbaf919a40614b1b35fdc1fa1da6f376928a3df85b6fa53110262a029bb5a5"),
+        "9894808a2f0b10bba441914cd74065aa055e6db447f659d785c5a83f2e780789",
+        "adf97db73e3035dea00524f7213a0e99c724faae2fb9185f5ffa277b0c192ace"),
     "pan_qp20_generator_off": (
-        "8a91f1220170cf3a2dfe12aa191e1e3ee2adcf5a9f40e49d7431e61ec15c903a",
-        "b4e2010742c96892cbe50ef038c272c452c511b652af3a4b2127e71bb02ae34d"),
+        "be7f8387169e436cb87c2bbf0ef48a9ec811e05c3ed2511186154ca349da24d0",
+        "51cdb2247e526f38306204fae98f1bb6632462f64a21873bca56ff152dd257e7"),
     "forced_regions": (
-        "96204659d4e330e7381c9dea5e3738936086451083a5176a2a660615a7a50718",
-        "7259e69eb91ef2423503dee3878bdcddeace7f9ffa72a8890270f65732fa4f3c"),
+        "67bedfbdd480a8bdb4678d037492bd2d25f7ffd3ae067079923cb94c1133aab2",
+        "bc83f90e5de4e33ce9f33f80c36ee4c9c18e42021dfbc321d8326c83d3af805a"),
 }
 
 
@@ -73,25 +78,25 @@ GOLDEN = {
 # stream has no encoder report
 REPORT_GOLDEN = {
     "pan_qp20_default_arch": (
-        "f162fa0f2e45d477a0bb3adb3d713b1210a6595cca32666d8321095e00560f94",
+        "b33236ce082ce67aef98036f88ade0a5c48fbb611bd6f80fcac307e1bf15855d",
         "7287cd8d26ea715cbf34e9f20d688b1cf02927ed25442d6a806bc02a920498db",
-        "09ee8fcaecb2389be4d564dda079b5842b8843b61fd31bc814985c5d5d669778"),
+        "9c3240f3d8b55d0421e111c5dd725c9c9ac999cb591a66d4d212513239666972"),
     "pan_qp20_generator_off": (
-        "f162fa0f2e45d477a0bb3adb3d713b1210a6595cca32666d8321095e00560f94",
+        "b33236ce082ce67aef98036f88ade0a5c48fbb611bd6f80fcac307e1bf15855d",
         "7287cd8d26ea715cbf34e9f20d688b1cf02927ed25442d6a806bc02a920498db",
-        "09ee8fcaecb2389be4d564dda079b5842b8843b61fd31bc814985c5d5d669778"),
+        "9c3240f3d8b55d0421e111c5dd725c9c9ac999cb591a66d4d212513239666972"),
     "pan_qp8_tiny_arch": (
-        "a595a20e2426300ae8b982650c61ca412d11c1aa9e5337f41b09186c144ae711",
+        "fd57c593171ea1bcf314ebe37f670e61438e73f5a32b275531896252f123e65b",
         "98c3d9fde9f6f2b45f29b4c2ce2035ec35c06f311bc10da4539e5f1ba78eeb97",
-        "8dd8a8837b6aee14a033906861544546b9af65f8eab91f6f2ff0be2fa5c29bec"),
+        "c78c3ef734a0dc24e873ce49890055fdcd18d7221e3361baa5139cb15cfc07c8"),
     "zoom_out_qp8_tiny_arch": (
-        "c743ddadf64dc79004b333435ab04d34f5b68107faf86993e520c757f2a004a5",
+        "cb5039dbbd1800a4e251089cca94bc0bc88f894f78d59c97e8b7a1e5e43a222f",
         "2aaccb2ad0a1a90ede25c8b04bd4a9f96cc08e39f569c3aaf65dc9bd54c70365",
-        "d2628106bf848eb8968a43d5661d76345bafbd18fbcc2351f334ac8d09fdea15"),
+        "54b664bec87779c050a7039087ae05156779db7b35bc697a50c578b5ed4c0f72"),
     "forced_regions": (
         None,
         "7e474d0e6f46192daecbd0365f77fd1db23f99d5899eb6d6cb343628421c9e5a",
-        "90f552d2a11dfeccefec8b9e907bdcd29a14991fcffe44496a04e3f5189e4d08"),
+        "e75ddbf67dfcd857d2c1c9fa78a3e55eb062c7c67c804ee10392d7f19eab3af7"),
 }
 
 
@@ -144,3 +149,35 @@ def test_forced_region_reports_match_golden():
     assert sha256_text(dec_report.to_csv()) == REPORT_GOLDEN["forced_regions"][1]
     assert (sha256_text(accounting_text(bit_accounting(stream)))
             == REPORT_GOLDEN["forced_regions"][2])
+
+
+# Prints the decoded-plane sha256 of each stream file named on the command line.
+DECODE_SCRIPT = """
+import hashlib, sys
+from nbv.decoder import decode_sequence
+for path in sys.argv[1:]:
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        frames, _ = decode_sequence(f.read())
+    for frame in frames:
+        for plane in (frame.y, frame.cb, frame.cr):
+            h.update(plane.tobytes())
+    print(h.hexdigest())
+"""
+
+
+def test_decoded_planes_do_not_depend_on_blas_threads(tmp_path):
+    paths = []
+    for name in sorted(GOLDEN):
+        stream = forced_stream()[0] if name == "forced_regions" else encode_case(name)[0]
+        paths.append(tmp_path / f"{name}.nbv")
+        paths[-1].write_bytes(stream)
+    src = str(Path(nbv.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", DECODE_SCRIPT, *map(str, paths)],
+                             env=env, capture_output=True, text=True, check=True)
+        runs[threads] = out.stdout.split()
+    assert runs["1"] == runs["2"] == [GOLDEN[name][1] for name in sorted(GOLDEN)]

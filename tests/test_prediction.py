@@ -8,6 +8,7 @@ from nbv.core import BLOCK, BlockCoord, blank_frame, extract_block
 from nbv.prediction import (
     IntraMode,
     MotionVector,
+    _clamped_window,
     intra_predict,
     motion_compensate,
     motion_search,
@@ -180,6 +181,24 @@ class TestMotionCompensate:
             want = clamped_window_py(ref.cb, c.by * 16 + cmv[1],
                                      c.bx * 16 + cmv[0], 16, 16)
             assert np.array_equal(got.cb, want)
+
+    def test_window_inside_and_at_the_edges_matches_the_clamped_fetch(self):
+        plane = rand_frame(96, 64, seed=21).y
+        h, w = 32, 32
+        for y0 in (-1, 0, 1, 16, 31, 32, 33):
+            for x0 in (-1, 0, 1, 40, 63, 64, 65):
+                got = _clamped_window(plane, y0, x0, h, w)
+                assert got.shape == (h, w) and got.dtype == plane.dtype
+                assert np.array_equal(got, clamped_window_py(plane, y0, x0, h, w))
+
+    def test_compensated_block_does_not_alias_the_reference(self):
+        ref = rand_frame(96, 64, seed=22)
+        before = [p.copy() for p in (ref.y, ref.cb, ref.cr)]
+        got = motion_compensate(ref, BlockCoord(1, 0), MotionVector(3, 2))
+        for p in (got.y, got.cb, got.cr):
+            p[:] = 0
+        for p, b in zip((ref.y, ref.cb, ref.cr), before):
+            assert np.array_equal(p, b)
 
     def test_search_winner_reproduces_reported_sad(self):
         ref = rand_frame(96, 64, seed=19)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_frame
-from nbv.core import Block32, BlockCoord, extract_block
+from nbv.core import Block32, BlockCoord, extract_block, round_half_away
 from nbv.entropy import (
     BitReader,
     BitWriter,
@@ -14,7 +16,10 @@ from nbv.entropy import (
     ue_lengths,
 )
 from nbv.residual import (
+    DCT_INT,
     DCT_MATRIX,
+    LEVEL_SCALE,
+    MAX_LEVEL,
     ZIGZAG,
     apply_block_residual,
     block_tiles_bits,
@@ -22,8 +27,10 @@ from nbv.residual import (
     coeff_bits,
     dct8_forward,
     dct8_inverse,
+    dct8_inverse_int,
     decode_coeffs,
     dequantize,
+    dequantize_int,
     encode_block_residual,
     qstep,
     quantize,
@@ -118,6 +125,141 @@ class TestQuantization:
         levels = quantize(coeffs, 0)
         assert levels[2] == 12 and np.count_nonzero(levels) == 1
         assert dequantize(levels, 0)[1, 0] == pytest.approx(12.0)
+
+
+def legal_levels(rng, n, qp):
+    """n random tiles from empty to dense, every |level * qstep| <= 2040."""
+    bound = int(MAX_LEVEL // qstep(qp))
+    levels = rng.integers(-bound, bound + 1, (n, 64))
+    levels[rng.random((n, 64)) < rng.uniform(0.0, 1.0, (n, 1))] = 0
+    return levels.astype(np.int32)
+
+
+def integer_residual(levels, qp):
+    return dct8_inverse_int(dequantize_int(levels, qp))
+
+
+class TestFixedPoint:
+    """The integer reconstruction against its float reference."""
+
+    def test_scale_table_is_two_to_the_sixth_root(self):
+        assert LEVEL_SCALE.tolist() == [4096, 4598, 5161, 5793, 6502, 7298]
+        for qp in range(52):
+            one = dequantize_int(np.eye(64, dtype=np.int32)[0], qp)[0, 0]
+            assert one == int(LEVEL_SCALE[qp % 6]) << (qp // 6)
+            assert abs(one / 4096 - qstep(qp)) <= qstep(qp) * 1e-4
+
+    def test_dequantize_places_levels_by_scan(self):
+        levels = np.zeros(64, dtype=np.int32)
+        levels[2] = 12  # scan position 2 is row 1, column 0
+        coeffs = dequantize_int(levels, 0)
+        assert coeffs.dtype == np.int64
+        assert coeffs[1, 0] == 12 << 12 and np.count_nonzero(coeffs) == 1
+        assert np.array_equal(dequantize_int(levels, 6), 2 * coeffs)
+
+    def test_dequantize_error_bound(self):
+        rng = np.random.default_rng(2)
+        coeffs = rng.uniform(-100, 100, (8, 8))
+        for qp in (0, 12, 24, 51):
+            back = dequantize_int(quantize(coeffs, qp), qp) / 4096
+            assert np.max(np.abs(back - coeffs)) <= qstep(qp) / 2 + 100 * 1e-4
+
+    def test_batch_matches_single_tiles(self):
+        levels = legal_levels(np.random.default_rng(3), 24, 20)
+        single = np.stack([dequantize_int(t, 20) for t in levels])
+        assert np.array_equal(dequantize_int(levels, 20), single)
+
+    @pytest.mark.parametrize("qp", [0, 8, 20, 32, 51])
+    def test_within_one_of_the_float_reference(self, qp):
+        levels = legal_levels(np.random.default_rng(qp), 20_000, qp)
+        want = round_half_away(dct8_inverse(dequantize(levels, qp)))
+        assert np.max(np.abs(integer_residual(levels, qp) - want)) <= 1
+
+    def test_dc_only_tiles_are_exact(self):
+        levels = np.zeros((6, 64), dtype=np.int32)
+        levels[:, 0] = [16, -16, 2040, -2040, 4, -4]  # 8 * pixel value at qp 0
+        res = integer_residual(levels, 0)
+        assert res.dtype == np.int64
+        for tile, want in zip(res, (2, -2, 255, -255, 1, -1)):  # +-0.5 -> +-1
+            assert np.all(tile == want)
+        assert np.all(integer_residual(levels[4], 6) == 1)
+
+    def test_exact_halves_round_away_from_zero(self):
+        # DCT_INT[2, 0] = 7568 = 2^4 * 473, so a coefficient of 2^31 there
+        # puts pixel (0, 0) at 473^2 / 2 exactly
+        basis = DCT_INT[2].tolist()
+        for sign in (1, -1):
+            coeffs = np.zeros((8, 8), np.int64)
+            coeffs[2, 2] = sign << 31
+            got = dct8_inverse_int(coeffs)
+            for i in range(8):
+                for j in range(8):
+                    x = (sign << 31) * basis[i] * basis[j]  # exact Python ints
+                    want = (abs(x) + (1 << 39)) >> 40
+                    assert got[i, j] == (want if x > 0 else -want)
+            assert got[0, 0] == sign * (473**2 + 1) // 2
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 51), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_result_is_independent_of_layout_and_batching(self, qp, n, seed):
+        levels = legal_levels(np.random.default_rng(seed), n, qp)
+        coeffs = dequantize_int(levels, qp)
+        want = dct8_inverse_int(coeffs)
+        transposed = np.ascontiguousarray(coeffs.swapaxes(-1, -2)).swapaxes(-1, -2)
+        assert not transposed.flags.c_contiguous
+        strided = np.zeros(coeffs.shape[:-1] + (16,), np.int64)
+        strided[..., ::2] = coeffs
+        for layout in (np.asfortranarray(coeffs), transposed, strided[..., ::2]):
+            assert np.array_equal(dct8_inverse_int(layout), want)
+        assert np.array_equal(dct8_inverse_int(coeffs[::-1]), want[::-1])
+        one_at_a_time = np.stack([dct8_inverse_int(c) for c in coeffs])
+        assert np.array_equal(one_at_a_time, want)
+        assert np.array_equal(integer_residual(np.asfortranarray(levels), qp), want)
+
+
+class TestLevelBound:
+    """Levels beyond +-MAX_LEVEL end in StreamError when a stream is parsed."""
+
+    def test_full_range_residual_quantizes_to_the_bound(self):
+        full = Block32(np.full((32, 32), 255, np.uint8), np.full((16, 16), 255, np.uint8),
+                       np.full((16, 16), 255, np.uint8))
+        empty = Block32(np.zeros((32, 32), np.uint8), np.zeros((16, 16), np.uint8),
+                        np.zeros((16, 16), np.uint8))
+        for src, basis, dc in ((full, empty, MAX_LEVEL), (empty, full, -MAX_LEVEL)):
+            levels = encode_block_residual(src, basis, 0)
+            assert np.all(levels[:, 0] == dc) and not np.any(levels[:, 1:])
+            w = BitWriter()
+            code_coeffs(w, levels)
+            back = read_tiles(BitReader(w.to_bytes()), 24)
+            assert np.array_equal(back, levels)
+            rec = apply_block_residual(basis, back, 0)
+            for a, b in ((rec.y, src.y), (rec.cb, src.cb), (rec.cr, src.cr)):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("level", [MAX_LEVEL + 1, -MAX_LEVEL - 1, 2**31 - 1])
+    def test_level_beyond_the_bound_rejected(self, level):
+        w = BitWriter()
+        code_coeffs(w, np.zeros((3, 64), np.int32))
+        for v in (2, 0):  # two coefficients, the first at position 0
+            ue_encode(w, v)
+        se_encode(w, 1)
+        ue_encode(w, 5)
+        se_encode(w, level)
+        with pytest.raises(StreamError, match="level beyond"):
+            read_tiles(BitReader(w.to_bytes()), 4)
+
+    def test_level_two_to_the_forty_rejected(self):
+        # se(2^40) is ue(2^41 - 1): 41 zeros, a 1, then 41 zeros
+        w = BitWriter()
+        for v in (1, 0):
+            ue_encode(w, v)
+        for n in (32, 9):
+            w.write_bits(0, n)
+        w.write_bits(1, 1)
+        for n in (32, 9):
+            w.write_bits(0, n)
+        with pytest.raises(StreamError):
+            read_tiles(BitReader(w.to_bytes()), 1)
 
 
 class TestCoefficientCoding:
