@@ -61,7 +61,7 @@ from .gnn import (
     QuantizedLayer,
     check_architecture,
 )
-from .residual import TILES_PER_BLOCK, scatter_tiles, tile_codes, walk_tiles
+from .residual import MAX_LEVEL, TILES_PER_BLOCK, scatter_tiles, tile_codes, walk_tiles
 
 MAGIC = b"NBV2"
 UNIT_PARAM_SET = 1
@@ -348,6 +348,11 @@ def _check_frame_unit(fu: FrameUnit, cols: int, rows: int) -> None:
 def write_frame(w: BitWriter, fu: FrameUnit, cols: int, rows: int) -> FrameBits:
     """Write one frame unit including its tag; returns the bit breakdown."""
     _check_frame_unit(fu, cols, rows)
+    levels = np.asarray([payload.tiles for payload in fu.blocks])
+    # The parser refuses these levels, so the writer refuses them too,
+    # before it writes anything.
+    if np.any((levels > MAX_LEVEL) | (levels < -MAX_LEVEL)):
+        raise ValueError(f"residual level beyond +-{MAX_LEVEL}")
     bits = FrameBits()
     start = w.bit_position
     w.write_bits(UNIT_FRAME, 8)
@@ -376,7 +381,7 @@ def write_frame(w: BitWriter, fu: FrameUnit, cols: int, rows: int) -> FrameBits:
             mv_heads += (se_to_ue(payload.mvd[0]), se_to_ue(payload.mvd[1]))
             heads += mv_heads[-2:]
             head_block += (i, i)
-    tiles, counts = tile_codes([payload.tiles for payload in fu.blocks])
+    tiles, counts = tile_codes(levels)
     block_codes = TILES_PER_BLOCK + 2 * counts.sum(axis=1)
     block_start = np.cumsum(block_codes) - block_codes
     payload_bits = write_ue_codes(

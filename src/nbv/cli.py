@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .core import SequenceConfig, read_yuv, write_yuv, yuv_frame_bytes
+from .core import MAX_SEARCH_RANGE, SequenceConfig, read_yuv, write_yuv, yuv_frame_bytes
 from .decoder import decode_sequence
 from .encoder import ZOOM_HINTS, encode_sequence
 from .entropy import StreamError
@@ -211,7 +211,8 @@ def _add_gnn_flags(p):
     p.add_argument("--seed", type=int, default=0,
                    help="training seed (default 0)")
     p.add_argument("--search-range", type=int, default=8,
-                   help="motion search range in pels (default 8)")
+                   help=f"motion search range in pels, 0 to {MAX_SEARCH_RANGE} "
+                        "(default 8)")
     p.add_argument("--zoom-hint", choices=ZOOM_HINTS, default="none",
                    help="declare zoom direction for region placement")
 

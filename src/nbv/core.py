@@ -21,6 +21,9 @@ SAMPLES_PER_BLOCK = BLOCK * BLOCK + 2 * CHROMA_BLOCK * CHROMA_BLOCK
 # Largest picture in luma samples: HEVC level 6.2's MaxLumaPs. It bounds
 # what a stream header can make a decoder allocate.
 MAX_LUMA_SAMPLES = 35_651_584
+# Largest motion search range in pels. The search makes one pass over the
+# frame per offset, (2r + 1)^2 passes in all; 64 is 16,641 passes.
+MAX_SEARCH_RANGE = 64
 
 
 def round_half_away(x):
@@ -94,8 +97,9 @@ class SequenceConfig:
             raise ValueError("frame count must be positive")
         if not 0 <= self.qp <= 51:
             raise ValueError(f"qp out of range [0, 51]: {self.qp}")
-        if self.search_range < 0:
-            raise ValueError("search range must be non-negative")
+        if not 0 <= self.search_range <= MAX_SEARCH_RANGE:
+            raise ValueError(
+                f"search range out of range [0, {MAX_SEARCH_RANGE}]: {self.search_range}")
         if self.gnn_enabled:
             if not 1 <= self.gnn_interval <= 120:
                 raise ValueError("generator interval must be in [1, 120]")

@@ -18,7 +18,10 @@ reaches the budget. Every candidate is costed with exact coded bits, and
 every block is rebuilt through the decoder's own block walk, which keeps
 the two bit-identical. A block's candidates are costed together:
 their prediction bases are stacked, and one batched call each quantizes,
-bit-counts and reconstructs all of them.
+bit-counts and reconstructs all of them. A P frame's motion vectors come
+from one whole-frame search against the previous reconstruction, made
+before the walk; global motion reads its sample blocks from the same
+kind of search between source frames.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from .gnn import (
     quantize_params,
     train,
 )
-from .prediction import motion_search
+from .prediction import motion_field
 from .residual import apply_block_residual, block_tiles_bits, encode_block_residual
 from .tools import csv_text, frame_psnr
 
@@ -91,7 +94,7 @@ class GlobalMotion(NamedTuple):
     dy: int
 
 
-def _median_toward_zero(values: list[int]) -> int:
+def _median_toward_zero(values: list[int] | np.ndarray) -> int:
     # np.median averages the middle pair on even counts; a half-integer
     # result truncates toward zero.
     med = float(np.median(np.asarray(values, dtype=np.float64)))
@@ -103,15 +106,10 @@ def estimate_global_motion(cur: Frame, ref: Frame, search_range: int) -> GlobalM
     cols, rows = block_grid_dims(cur.width, cur.height)
     bxs = [min(cols - 1, ((2 * i + 1) * cols) // 8) for i in range(4)]
     bys = [min(rows - 1, ((2 * i + 1) * rows) // 8) for i in range(4)]
-    dxs: list[int] = []
-    dys: list[int] = []
-    for by in bys:
-        for bx in bxs:
-            c = BlockCoord(bx, by)
-            mv, _ = motion_search(extract_block(cur, c), ref, c, search_range)
-            dxs.append(mv.dx)
-            dys.append(mv.dy)
-    return GlobalMotion(_median_toward_zero(dxs), _median_toward_zero(dys))
+    field = motion_field(cur, ref, search_range)
+    sample = np.ix_(bys, bxs)
+    return GlobalMotion(_median_toward_zero(field.dx[sample]),
+                        _median_toward_zero(field.dy[sample]))
 
 
 def _axis_margin(comp: int, frames_since_set: int, extent: int) -> int:
@@ -250,14 +248,20 @@ def _encode_frame(
 ) -> tuple[FrameUnit, _FrameResult]:
     """Code one frame through the decoder's block walk.
 
-    Each block's candidates (inter, the three intra modes and, in a region,
-    the generator; in a forced region the generator alone) are costed
+    A P frame's vectors are searched for all blocks at once, before the
+    walk. Each block's candidates (inter, the three intra modes and, in a
+    region, the generator; in a forced region the generator alone) are costed
     together: their prediction bases are stacked on a leading axis, and one
     call each transforms and quantizes, counts the tile bits of, and
     reconstructs all of them.
     """
     walk = FrameWalk(source.display_width, source.display_height,
                      prev_recon, frame_idx, qparams, ctx)
+    # Every block's search is against the previous frame alone, so a P
+    # frame's vectors do not depend on the walk and are found in one pass.
+    field = None
+    if frame_type == "P":
+        field = motion_field(source, prev_recon, search_range)
     payloads: list[BlockPayload] = []
     dist_total = 0
 
@@ -274,7 +278,7 @@ def _encode_frame(
             cands.append((BlockMode.GEN, None))
         else:
             if frame_type == "P":
-                mv, _ = motion_search(src_block, prev_recon, c, search_range)
+                mv, _ = field.at(c)
                 cands.append((BlockMode.INTER, (mv.dx - walk.mv_pred.dx,
                                                 mv.dy - walk.mv_pred.dy)))
             cands += [(mode, None) for mode in

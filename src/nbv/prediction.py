@@ -7,6 +7,11 @@ source pixels are unavailable falls back to DC (flat 128 when nothing is
 available). Motion estimation is an exhaustive integer search on luma SAD
 against the previous reconstructed frame; compensation clamps out-of-frame
 taps to the padded frame edge and halves the vector toward zero for chroma.
+
+The search runs a whole frame at a time: motion_field pads the reference
+once by edge replication and, per offset, takes one int16 absolute
+difference of the whole frame, summed per block. motion_search is the same
+search on one block and its clamped window.
 """
 
 from __future__ import annotations
@@ -15,9 +20,16 @@ from enum import IntEnum
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import BLOCK, CHROMA_BLOCK, Block32, BlockCoord, Frame, block_grid_dims
+from .core import (
+    BLOCK,
+    CHROMA_BLOCK,
+    MAX_SEARCH_RANGE,
+    Block32,
+    BlockCoord,
+    Frame,
+    block_grid_dims,
+)
 
 
 class IntraMode(IntEnum):
@@ -101,32 +113,91 @@ def motion_compensate(ref: Frame, c: BlockCoord, mv: MotionVector) -> Block32:
     )
 
 
+class MotionField(NamedTuple):
+    """Each block's best vector and its luma SAD, as (rows, cols) arrays."""
+
+    dx: np.ndarray
+    dy: np.ndarray
+    sad: np.ndarray
+
+    def at(self, c: BlockCoord) -> tuple[MotionVector, int]:
+        """The vector and SAD of the block at c."""
+        return (MotionVector(int(self.dx[c.by, c.bx]), int(self.dy[c.by, c.bx])),
+                int(self.sad[c.by, c.bx]))
+
+
+def _check_range(r: int) -> None:
+    # (2r + 1)^2 offsets, each a pass over the searched samples.
+    if not 0 <= r <= MAX_SEARCH_RANGE:
+        raise ValueError(f"search range must be in [0, {MAX_SEARCH_RANGE}]")
+
+
+def _search_offsets(r: int) -> np.ndarray:
+    """The (dy, dx) offsets of [-r, r]^2 in tie order: smaller |dx| + |dy|
+    first, then (dy, dx) raster order."""
+    dy, dx = np.divmod(np.arange((2 * r + 1) ** 2), 2 * r + 1)
+    dy -= r
+    dx -= r
+    order = np.lexsort((dx, dy, np.abs(dx) + np.abs(dy)))
+    return np.stack([dy[order], dx[order]], axis=1)
+
+
+def _search(cur: np.ndarray, padded_ref: np.ndarray, r: int) -> MotionField:
+    """Exhaustive luma-SAD search of every 32x32 block of cur.
+
+    padded_ref is the reference with r extra samples on every side, so the
+    candidate at offset (dy, dx) of the block at (y, x) starts at
+    padded_ref[r + y + dy, r + x + dx]. Offsets are visited in tie order and
+    a later one wins only with a strictly smaller SAD, which is the argmin
+    over the offset axis without holding every offset's SADs.
+    """
+    h, w = cur.shape
+    rows, cols = h // BLOCK, w // BLOCK
+    offsets = _search_offsets(r)
+    cur16 = cur.astype(np.int16)
+    ref16 = padded_ref.astype(np.int16)
+    diff = np.empty((h, w), np.int16)
+    # 32 rows of |difference| sum to at most 32 * 255, within int16.
+    row_sums = np.empty((rows, w), np.int16)
+    sad = np.empty((rows, cols), np.int32)
+    best = np.full((rows, cols), np.iinfo(np.int32).max, np.int32)
+    best_k = np.zeros((rows, cols), np.intp)
+    better = np.empty((rows, cols), bool)
+    for k, (dy, dx) in enumerate(offsets):
+        np.subtract(cur16, ref16[r + dy:r + dy + h, r + dx:r + dx + w], out=diff)
+        np.abs(diff, out=diff)
+        diff.reshape(rows, BLOCK, w).sum(axis=1, dtype=np.int16, out=row_sums)
+        row_sums.reshape(rows, cols, BLOCK).sum(axis=2, dtype=np.int32, out=sad)
+        np.less(sad, best, out=better)
+        np.copyto(best, sad, where=better)
+        np.copyto(best_k, k, where=better)
+    return MotionField(offsets[best_k, 1], offsets[best_k, 0], best)
+
+
+def motion_field(cur: Frame, ref: Frame, search_range: int) -> MotionField:
+    """Exhaustive luma-SAD search of every block of cur over [-range, range]^2.
+
+    Out-of-frame reference samples clamp to the padded frame edge. Ties
+    prefer the smaller |dx| + |dy|, then the earlier candidate in (dy, dx)
+    raster order, which keeps results platform independent.
+    """
+    if cur.y.shape != ref.y.shape:
+        raise ValueError(
+            f"current luma {cur.y.shape} does not match reference {ref.y.shape}")
+    _check_range(search_range)
+    r = search_range
+    return _search(cur.y, np.pad(ref.y, r, mode="edge"), r)
+
+
 def motion_search(
     cur: Block32, ref: Frame, c: BlockCoord, search_range: int
 ) -> tuple[MotionVector, int]:
-    """Exhaustive luma-SAD search over [-range, range]^2.
-
-    Ties prefer the smaller |dx| + |dy|, then the earlier candidate in
-    (dy, dx) raster order, which keeps results platform independent.
-    """
-    if search_range < 0:
-        raise ValueError("search range must be non-negative")
+    """motion_field's search for the one block cur at c of ref's grid."""
+    _check_range(search_range)
     cols, rows = block_grid_dims(ref.width, ref.height)
     if not (0 <= c.bx < cols and 0 <= c.by < rows):
         raise ValueError(f"block coordinate {c} outside {cols}x{rows} grid")
     r = search_range
-    y0, x0 = c.by * BLOCK, c.bx * BLOCK
-    region = _clamped_window(ref.y, y0 - r, x0 - r,
-                             BLOCK + 2 * r, BLOCK + 2 * r).astype(np.int32)
-    wins = sliding_window_view(region, (BLOCK, BLOCK))
-    sad = np.abs(wins - cur.y.astype(np.int32)).sum(axis=(2, 3))
-
-    offs = np.arange(-r, r + 1)
-    taxicab = np.abs(offs)[:, None] + np.abs(offs)[None, :]
-    best = sad.min()
-    mask = sad == best
-    tie = np.where(mask, taxicab, taxicab.max() + 1).min()
-    mask &= taxicab == tie
-    iy = int(np.nonzero(mask.any(axis=1))[0][0])
-    ix = int(np.nonzero(mask[iy])[0][0])
-    return MotionVector(int(offs[ix]), int(offs[iy])), int(sad[iy, ix])
+    window = _clamped_window(ref.y, c.by * BLOCK - r, c.bx * BLOCK - r,
+                             BLOCK + 2 * r, BLOCK + 2 * r)
+    return _search(cur.y, window, r).at(BlockCoord(0, 0))

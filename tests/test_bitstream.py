@@ -26,9 +26,9 @@ from nbv.bitstream import (
 )
 from nbv.core import MAX_LUMA_SAMPLES, SequenceConfig
 from nbv.decoder import decode_sequence
-from nbv.entropy import BitReader, BitWriter, StreamError, se_length, ue_length
+from nbv.entropy import BitReader, BitWriter, StreamError, se_length, ue_encode, ue_length
 from nbv.gnn import QuantizedGnnParams, QuantizedLayer, init_params, quantize_params
-from nbv.residual import block_tiles_bits
+from nbv.residual import block_tiles_bits, code_coeffs
 
 DEFAULT_ARCH = (3, 25, 40, 60, 1536)
 
@@ -298,14 +298,37 @@ class TestFrameUnit:
 
     @pytest.mark.parametrize("level", [2040, 2041, -2041])
     def test_levels_beyond_2040_rejected_on_parse(self, level):
-        unit = single_block_unit("I")
-        unit.blocks[0].tiles[5][3] = level  # the writer does not check
-        data = write_stream(StreamHeader(32, 32, 1, 0, False, 16), [("frame", unit)])
+        # The writer refuses such levels, so the frame unit is coded by
+        # hand: tag, I frame, no regions, the DC mode symbol, then tiles.
+        header = StreamHeader(32, 32, 1, 0, False, 16)
+        tiles = np.zeros((24, 64), dtype=np.int32)
+        tiles[5, 3] = level
+        w = BitWriter()
+        write_header(w, header)
+        w.write_bits(2, 8)
+        w.write_bits(0, 1)
+        ue_encode(w, 0)
+        ue_encode(w, 0)
+        code_coeffs(w, tiles)
+        w.byte_align()
+        data = w.to_bytes()
         if abs(level) <= 2040:
+            unit = single_block_unit("I")
+            unit.blocks[0].tiles[5][3] = level
+            assert data == write_stream(header, [("frame", unit)])
             assert decode_sequence(data)[0][0].y.dtype == np.uint8
         else:
             with pytest.raises(StreamError, match="level beyond"):
                 decode_sequence(data)
+
+    @pytest.mark.parametrize("level", [2041, -2041, 2**31 - 1, -2**31])
+    def test_levels_beyond_2040_rejected_on_write(self, level):
+        unit = single_block_unit("P", BlockMode.INTER, mvd=(1, 0))
+        unit.blocks[0].tiles[23][63] = level
+        w = BitWriter()
+        with pytest.raises(ValueError, match="level beyond"):
+            write_frame(w, unit, 1, 1)
+        assert w.bit_position == 0
 
     def test_overlapping_regions_rejected_on_parse(self):
         w = BitWriter()

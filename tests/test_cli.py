@@ -154,6 +154,21 @@ class TestExitCodes:
         ])
         assert code == EXIT_USAGE and not out.exists()
 
+    @pytest.mark.parametrize("search_range", ["65", "1000000", "-1"])
+    def test_search_range_beyond_the_bound_is_usage_error(
+            self, workdir, tmp_path, monkeypatch, search_range):
+        def no_search(*args):
+            raise AssertionError("a search ran at an invalid range")
+
+        monkeypatch.setattr("nbv.encoder.motion_field", no_search)
+        out = tmp_path / "never.nbv"
+        code = main([
+            "encode", "--input", str(workdir / "in.yuv"), "--output", str(out),
+            "--width", "96", "--height", "64", "--frames", "8", "--qp", "20",
+            "--gnn", "off", "--search-range", search_range,
+        ])
+        assert code == EXIT_USAGE and not out.exists()
+
     def test_negative_steps_rejected(self, workdir, tmp_path):
         code = main([
             "encode", "--input", str(workdir / "in.yuv"),

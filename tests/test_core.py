@@ -7,6 +7,7 @@ from conftest import rand_frame
 from nbv.core import (
     BLOCK,
     CHROMA_BLOCK,
+    MAX_SEARCH_RANGE,
     SAMPLES_PER_BLOCK,
     Block32,
     BlockCoord,
@@ -165,6 +166,8 @@ class TestSequenceConfig:
         {"gnn_interval": 0},
         {"gnn_interval": 121},  # generator periods cap at 120
         {"gnn_enabled": False, "gnn_interval": 256},
+        {"search_range": MAX_SEARCH_RANGE + 1},
+        {"search_range": 1_000_000},
     ])
     def test_invalid_config_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -172,3 +175,7 @@ class TestSequenceConfig:
 
     def test_disabled_generator_allows_longer_keyframe_interval(self):
         self.base(gnn_enabled=False, gnn_interval=200).validate()
+
+    def test_search_range_bounds_are_inclusive(self):
+        self.base(search_range=0).validate()
+        self.base(search_range=MAX_SEARCH_RANGE).validate()

@@ -1,5 +1,6 @@
 """Encoder decisions: lambda, mode choice, global motion, regions, reports."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -15,7 +16,14 @@ from nbv.bitstream import (
     parse_stream,
     write_param_set,
 )
-from nbv.core import Frame, SequenceConfig, make_frame
+from nbv.core import (
+    BlockCoord,
+    Frame,
+    SequenceConfig,
+    block_grid_dims,
+    extract_block,
+    make_frame,
+)
 from nbv.decoder import decode_sequence
 from nbv.encoder import (
     Candidate,
@@ -33,6 +41,7 @@ from nbv.encoder import (
 )
 from nbv.entropy import BitWriter
 from nbv.gnn import SetContext, init_params, quantize_params
+from nbv.prediction import motion_search
 from nbv.tools import synth_sequence
 from test_golden import CASES, GOLDEN, encode_case
 
@@ -140,6 +149,23 @@ class TestGlobalMotion:
                 cur.y[y0:y0 + 32, x0:x0 + 32] = ref.y[y0:y0 + 32, x0:x0 + 32]
         gm = estimate_global_motion(cur, ref, 8)
         assert gm == GlobalMotion(2, 0)
+
+    @pytest.mark.parametrize("size, seed", [((128, 96), 23), ((100, 70), 24),
+                                            ((320, 192), 25)])
+    def test_matches_the_median_of_sixteen_block_searches(self, size, seed):
+        cur, ref = windowed_pair((3, -1), size=size, seed=seed)
+        rng = np.random.default_rng(seed)
+        cur.y[:] = np.clip(cur.y + rng.integers(-40, 41, cur.y.shape), 0, 255)
+        cols, rows = block_grid_dims(cur.width, cur.height)
+        dxs, dys = [], []
+        for by in [min(rows - 1, ((2 * i + 1) * rows) // 8) for i in range(4)]:
+            for bx in [min(cols - 1, ((2 * i + 1) * cols) // 8) for i in range(4)]:
+                c = BlockCoord(bx, by)
+                mv, _ = motion_search(extract_block(cur, c), ref, c, 5)
+                dxs.append(mv.dx)
+                dys.append(mv.dy)
+        want = GlobalMotion(int(float(np.median(dxs))), int(float(np.median(dys))))
+        assert estimate_global_motion(cur, ref, 5) == want
 
 
 class TestRegionSelection:
@@ -311,6 +337,40 @@ class TestEncodeSequence:
         lines = report.to_csv().strip().split("\n")
         assert lines[0].split(",")[:3] == ["frame", "type", "psnr_y"]
         assert len(lines) == 1 + 8
+
+
+class TestMotionFieldPerFrame:
+    @pytest.mark.parametrize("gnn", [False, True])
+    def test_one_search_per_p_frame_coded(self, pan_frames, pan_config,
+                                          gnn, monkeypatch):
+        calls, p_frames, gm_calls = [], [], []
+        real_field = nbv.encoder.motion_field
+        real_write = nbv.encoder.write_frame
+        real_gm = nbv.encoder.estimate_global_motion
+
+        def counting_field(*args):
+            calls.append(args)
+            return real_field(*args)
+
+        def counting_write(w, unit, *args):
+            p_frames.append(unit.frame_type == "P")
+            return real_write(w, unit, *args)
+
+        def counting_gm(*args):
+            gm_calls.append(args)
+            return real_gm(*args)
+
+        monkeypatch.setattr(nbv.encoder, "motion_field", counting_field)
+        monkeypatch.setattr(nbv.encoder, "write_frame", counting_write)
+        monkeypatch.setattr(nbv.encoder, "estimate_global_motion", counting_gm)
+        # qp 8 and a one-unit network, so the bound admits the network pass
+        config = dataclasses.replace(pan_config, qp=8, gnn_enabled=gnn,
+                                     gnn_arch=(3, 1, 1536))
+        encode_sequence(pan_frames, config, train_cfg=fast_train(20))
+        assert len(p_frames) >= 8 and sum(p_frames) >= 6
+        # each global-motion estimate runs one search of its own
+        assert len(calls) == sum(p_frames) + len(gm_calls)
+        assert bool(gm_calls) == gnn
 
 
 class TestForcedGenerationWirePath:

@@ -2,15 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_frame
-from nbv.core import BLOCK, BlockCoord, blank_frame, extract_block
+from nbv.core import (
+    BLOCK,
+    MAX_SEARCH_RANGE,
+    BlockCoord,
+    blank_frame,
+    block_grid_dims,
+    extract_block,
+    make_frame,
+)
 from nbv.prediction import (
     IntraMode,
     MotionVector,
     _clamped_window,
     intra_predict,
     motion_compensate,
+    motion_field,
     motion_search,
 )
 
@@ -26,13 +37,20 @@ def clamped_window_py(plane, y0, x0, h, w):
     return out
 
 
+def clamped_window_idx(plane, y0, x0, h, w):
+    """Edge-clamped window fetch by clipped index arrays."""
+    ys = np.clip(np.arange(y0, y0 + h), 0, plane.shape[0] - 1)
+    xs = np.clip(np.arange(x0, x0 + w), 0, plane.shape[1] - 1)
+    return plane[ys][:, xs]
+
+
 def search_oracle(cur_y, ref, c, r):
     """Exhaustive reference search with the documented tie-break."""
     best = None
     y0, x0 = c.by * BLOCK, c.bx * BLOCK
     for dy in range(-r, r + 1):
         for dx in range(-r, r + 1):
-            win = clamped_window_py(ref.y, y0 + dy, x0 + dx, BLOCK, BLOCK)
+            win = clamped_window_idx(ref.y, y0 + dy, x0 + dx, BLOCK, BLOCK)
             sad = int(np.abs(win.astype(np.int64) - cur_y.astype(np.int64)).sum())
             key = (sad, abs(dx) + abs(dy), dy, dx)
             if best is None or key < best[0]:
@@ -155,6 +173,129 @@ class TestMotionSearch:
         with pytest.raises(ValueError):
             motion_search(extract_block(ref, BlockCoord(0, 0)), ref,
                           BlockCoord(0, 0), -1)
+
+
+def luma_frame(y):
+    """A frame with the given luma and flat chroma; the search reads luma only."""
+    h, w = y.shape
+    chroma = np.full(((h + 1) // 2, (w + 1) // 2), 128, np.uint8)
+    return make_frame(y, chroma, chroma)
+
+
+def periodic_luma(h, w, py, px, rng, phase=(0, 0)):
+    """A texture repeating every py rows and px columns, shifted by phase."""
+    tile = rng.integers(0, 256, (py, px), dtype=np.uint8)
+    ys = (np.arange(h) + phase[0]) % py
+    xs = (np.arange(w) + phase[1]) % px
+    return tile[ys][:, xs]
+
+
+def assert_field_matches_block_searches(cur, ref, r):
+    field = motion_field(cur, ref, r)
+    cols, rows = block_grid_dims(cur.width, cur.height)
+    assert field.dx.shape == field.dy.shape == field.sad.shape == (rows, cols)
+    for by in range(rows):
+        for bx in range(cols):
+            c = BlockCoord(bx, by)
+            blk = extract_block(cur, c)
+            want = search_oracle(blk.y, ref, c, r)
+            assert field.at(c) == want, (c, r)
+            assert motion_search(blk, ref, c, r) == want, (c, r)
+    return field
+
+
+class TestMotionField:
+    """The whole-frame search against the per-block reference search."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_block_matches_the_reference_search(self, data):
+        w = data.draw(st.integers(1, 100), label="width")
+        h = data.draw(st.integers(1, 80), label="height")
+        r = data.draw(st.integers(0, 8), label="range")
+        kind = data.draw(st.sampled_from(["random", "flat", "periodic", "shifted"]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if kind == "random":
+            ref_y = rng.integers(0, 256, (h, w), dtype=np.uint8)
+            cur_y = rng.integers(0, 256, (h, w), dtype=np.uint8)
+        elif kind == "flat":
+            ref_y = np.full((h, w), rng.integers(0, 256), np.uint8)
+            cur_y = np.full((h, w), rng.integers(0, 256), np.uint8)
+        elif kind == "periodic":
+            py, px = (data.draw(st.integers(1, 4)) for _ in range(2))
+            sy, sx = (data.draw(st.integers(0, 3)) for _ in range(2))
+            ref_y = periodic_luma(h, w, py, px, rng)
+            cur_y = np.roll(ref_y, (sy, sx), axis=(0, 1))
+        else:
+            sy, sx = (data.draw(st.integers(-10, 10)) for _ in range(2))
+            ref_y = rng.integers(0, 256, (h, w), dtype=np.uint8)
+            cur_y = np.roll(ref_y, (sy, sx), axis=(0, 1))
+        assert_field_matches_block_searches(luma_frame(cur_y), luma_frame(ref_y), r)
+
+    def test_flat_frames_tie_everywhere_and_pick_zero(self):
+        ref = luma_frame(np.full((70, 100), 90, np.uint8))
+        cur = luma_frame(np.full((70, 100), 97, np.uint8))
+        field = assert_field_matches_block_searches(cur, ref, 5)
+        assert not field.dx.any() and not field.dy.any()
+        assert np.all(field.sad == 7 * BLOCK * BLOCK)
+
+    @pytest.mark.parametrize("period, phase, want", [
+        # zero SAD at dx -6, -2, 2 and 6 on every row offset
+        ((1, 4), (0, 2), MotionVector(-2, 0)),
+        # zero SAD at every odd dy and even dx; dy -1 and 1 tie at taxicab 1
+        ((2, 2), (1, 0), MotionVector(0, -1)),
+        # zero SAD at every odd dy and odd dx; four ties at taxicab 2
+        ((2, 2), (1, 1), MotionVector(-1, -1)),
+    ])
+    def test_periodic_texture_ties_follow_the_rule(self, period, phase, want):
+        rng = np.random.default_rng(31)
+        ref_y = periodic_luma(128, 128, *period, rng)
+        rng = np.random.default_rng(31)
+        cur_y = periodic_luma(128, 128, *period, rng, phase)
+        field = assert_field_matches_block_searches(
+            luma_frame(cur_y), luma_frame(ref_y), 6)
+        # the interior blocks' windows lie inside the frame
+        assert field.at(BlockCoord(1, 1)) == (want, 0)
+        assert field.at(BlockCoord(2, 2)) == (want, 0)
+
+    def test_edge_and_corner_blocks_of_an_odd_size(self):
+        rng = np.random.default_rng(41)
+        ref, cur = (luma_frame(rng.integers(0, 256, (67, 97), dtype=np.uint8))
+                    for _ in range(2))
+        assert_field_matches_block_searches(cur, ref, 8)
+
+    def test_recovers_a_global_shift_away_from_the_edges(self):
+        ref = rand_frame(160, 128, seed=43)
+        cur = luma_frame(np.roll(ref.y, (3, -5), axis=(0, 1)))
+        field = motion_field(cur, ref, 8)
+        assert np.all(field.dx[1:-1, 1:-1] == 5) and np.all(field.dy[1:-1, 1:-1] == -3)
+        assert not field.sad[1:-1, 1:-1].any()
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match="does not match"):
+            motion_field(rand_frame(96, 64, seed=1), rand_frame(64, 64, seed=2), 2)
+        with pytest.raises(ValueError, match="does not match"):
+            motion_field(rand_frame(64, 96, seed=1), rand_frame(64, 64, seed=2), 0)
+
+    @pytest.mark.parametrize("r", [-1, MAX_SEARCH_RANGE + 1, 10**6])
+    def test_range_beyond_the_bound_rejected_before_any_search(self, r, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched at an invalid range")
+
+        monkeypatch.setattr("nbv.prediction._search", no_search)
+        frame = rand_frame(64, 64, seed=3)
+        with pytest.raises(ValueError, match="search range"):
+            motion_field(frame, frame, r)
+        with pytest.raises(ValueError, match="search range"):
+            motion_search(extract_block(frame, BlockCoord(0, 0)), frame,
+                          BlockCoord(0, 0), r)
+
+    def test_oracle_window_matches_the_per_sample_fetch(self):
+        plane = rand_frame(96, 64, seed=44).y
+        for y0 in (-9, -1, 0, 33, 40):
+            for x0 in (-9, 0, 63, 70):
+                assert np.array_equal(clamped_window_idx(plane, y0, x0, 32, 32),
+                                      clamped_window_py(plane, y0, x0, 32, 32))
 
 
 class TestMotionCompensate:
