@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -219,6 +220,24 @@ class TestRegionSelection:
     def test_unknown_hint_rejected(self):
         with pytest.raises(ValueError):
             select_generation_regions(GlobalMotion(0, 0), 4, 4, 1, hint="pan")
+
+    def test_planner_output_is_pinned(self):
+        # Every grid from 1x1 to 6x5, motion component, elapsed-frame count
+        # and hint below, one line per call; the sha256 was taken before the
+        # planner's margin geometry was rewritten and must not move.
+        comps = (-9, -1, 0, 1, 9)
+        lines = []
+        for cols, rows, dx, dy, since, hint in itertools.product(
+                range(1, 7), range(1, 6), comps, comps, (0, 1, 16),
+                ("none", "out", "in")):
+            regs = select_generation_regions(GlobalMotion(dx, dy), cols, rows,
+                                             since, hint)
+            boxes = ";".join(f"{r.x0},{r.y0},{r.x1},{r.y1},{int(r.selectable)}"
+                             for r in regs)
+            lines.append(f"{cols}x{rows} {dx},{dy} {since} {hint}: {boxes}")
+        assert len(lines) == 6750
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "437ba14ca852dceca2e0c29652cdc509010361ffe172598dc3462494b4a5d01a")
 
 
 class TestTrainParamSet:
