@@ -144,6 +144,8 @@ def cmd_synth(args) -> int:
 def cmd_metrics(args) -> int:
     if args.width < 1 or args.height < 1:
         raise UsageError("width and height must be positive")
+    if args.frames is not None and args.frames < 1:
+        raise UsageError("--frames must be positive")
     fbytes = yuv_frame_bytes(args.width, args.height)
     if args.frames is None:
         n_frames = os.path.getsize(args.ref) // fbytes
@@ -214,7 +216,9 @@ def _add_gnn_flags(p):
                    help=f"motion search range in pels, 0 to {MAX_SEARCH_RANGE} "
                         "(default 8)")
     p.add_argument("--zoom-hint", choices=ZOOM_HINTS, default="none",
-                   help="declare zoom direction for region placement")
+                   help="declare a zoom: in and out both place four margin "
+                        "regions, full-height left and right columns and "
+                        "top and bottom bands between them")
 
 
 def build_parser() -> _Parser:

@@ -78,17 +78,6 @@ def rd_lambda(qp: int) -> float:
     return 0.85 * 2.0 ** ((qp - 12) / 3.0)
 
 
-@dataclass(frozen=True)
-class RdCost:
-    distortion: int  # SSD over the block's 1536 samples
-    bits: int  # exact coded bits for the candidate
-    j: float
-
-    @classmethod
-    def of(cls, distortion: int, bits: int, lam: float) -> "RdCost":
-        return cls(distortion, bits, distortion + lam * bits)
-
-
 class GlobalMotion(NamedTuple):
     dx: int
     dy: int
@@ -112,9 +101,13 @@ def estimate_global_motion(cur: Frame, ref: Frame, search_range: int) -> GlobalM
                         _median_toward_zero(field.dy[sample]))
 
 
-def _axis_margin(comp: int, frames_since_set: int, extent: int) -> int:
-    width = math.ceil(abs(comp) * frames_since_set / 32)
-    return min(max(width, 1), max(1, extent // 4))
+def _axis_margin(comp: int, frames_since_set: int, extent: int) -> tuple[int, int]:
+    """(low-edge, high-edge) margin widths in blocks for one motion component."""
+    if not comp:
+        return 0, 0
+    width = min(max(math.ceil(abs(comp) * frames_since_set / 32), 1),
+                max(1, extent // 4))
+    return (0, width) if comp > 0 else (width, 0)
 
 
 def select_generation_regions(
@@ -132,36 +125,26 @@ def select_generation_regions(
     """
     if hint not in ZOOM_HINTS:
         raise ValueError(f"zoom hint must be one of {ZOOM_HINTS}")
-    regs: list[RegionSpec] = []
     if hint != "none":
-        wh = max(1, cols // 4)
-        wv = max(1, rows // 4)
-        regs.append(RegionSpec(0, 0, wh - 1, rows - 1, True))
-        if cols - wh >= wh:
-            regs.append(RegionSpec(cols - wh, 0, cols - 1, rows - 1, True))
-        x_lo, x_hi = wh, cols - 1 - wh
-        if x_lo <= x_hi:
-            regs.append(RegionSpec(x_lo, 0, x_hi, wv - 1, True))
-            if rows - wv >= wv:
-                regs.append(RegionSpec(x_lo, rows - wv, x_hi, rows - 1, True))
-        validate_regions(regs, cols, rows)
-        return regs
-
-    x_lo, x_hi = 0, cols - 1
-    if gm.dx:
-        wx = _axis_margin(gm.dx, frames_since_set, cols)
-        if gm.dx > 0:
-            regs.append(RegionSpec(cols - wx, 0, cols - 1, rows - 1, True))
-            x_hi = cols - 1 - wx
-        else:
-            regs.append(RegionSpec(0, 0, wx - 1, rows - 1, True))
-            x_lo = wx
-    if gm.dy and x_lo <= x_hi:
-        wy = _axis_margin(gm.dy, frames_since_set, rows)
-        if gm.dy > 0:
-            regs.append(RegionSpec(x_lo, rows - wy, x_hi, rows - 1, True))
-        else:
-            regs.append(RegionSpec(x_lo, 0, x_hi, wy - 1, True))
+        left, top = max(1, cols // 4), max(1, rows // 4)
+        # a grid one block wide or high has room for one margin on that axis
+        right = left if cols >= 2 * left else 0
+        bottom = top if rows >= 2 * top else 0
+    else:
+        left, right = _axis_margin(gm.dx, frames_since_set, cols)
+        top, bottom = _axis_margin(gm.dy, frames_since_set, rows)
+    # Full-height columns first, then bands between them.
+    regs: list[RegionSpec] = []
+    if left:
+        regs.append(RegionSpec(0, 0, left - 1, rows - 1, True))
+    if right:
+        regs.append(RegionSpec(cols - right, 0, cols - 1, rows - 1, True))
+    x_lo, x_hi = left, cols - 1 - right
+    if x_lo <= x_hi:
+        if top:
+            regs.append(RegionSpec(x_lo, 0, x_hi, top - 1, True))
+        if bottom:
+            regs.append(RegionSpec(x_lo, rows - bottom, x_hi, rows - 1, True))
     validate_regions(regs, cols, rows)
     return regs
 
@@ -196,22 +179,11 @@ def train_param_set(
     return quantize_params(params), len(inputs)
 
 
-@dataclass(eq=False)
-class Candidate:
-    """One way to code a block, costed with the bits the writer will emit."""
-
-    mode: BlockMode
-    mvd: tuple[int, int] | None  # present iff mode is INTER
-    tiles: np.ndarray  # (24, 64) residual levels
-    recon: Block32
-    cost: RdCost
-
-
-def choose_block_mode(candidates: list[Candidate]) -> Candidate:
-    """Pick the minimum-J candidate; ties go to the earlier BlockMode rank."""
-    if not candidates:
+def choose_block_mode(j: np.ndarray, modes: list[BlockMode]) -> int:
+    """Index of the minimum-J candidate; ties go to the earlier BlockMode rank."""
+    if not modes:
         raise ValueError("no candidates")
-    return min(candidates, key=lambda c: (c.cost.j, int(c.mode)))
+    return min(range(len(modes)), key=lambda i: (j[i], int(modes[i])))
 
 
 def _stack_blocks(blocks: list[Block32]) -> Block32:
@@ -288,22 +260,19 @@ def _encode_frame(
 
         basis = _stack_blocks([walk.basis(mode, c, mv) for mode, _ in cands])
         levels = encode_block_residual(src_block, basis, qp)
-        tile_bits = block_tiles_bits(levels)
         rec = apply_block_residual(basis, levels, qp)
         ssd = _ssd(src_block, rec)
         # sel_bit is the same for every candidate of a block, so it never
         # decides; it is charged so that each cost holds the block's bits.
-        best = choose_block_mode([
-            Candidate(mode, mvd, levels[i], Block32(rec.y[i], rec.cb[i], rec.cr[i]),
-                      RdCost.of(int(ssd[i]), sel_bit + int(tile_bits[i])
-                                + block_syntax_bits(frame_type, mode, mvd), lam))
-            for i, (mode, mvd) in enumerate(cands)
-        ])
+        bits = sel_bit + block_tiles_bits(levels) + np.array(
+            [block_syntax_bits(frame_type, mode, mvd) for mode, mvd in cands])
+        i = choose_block_mode(ssd + lam * bits, [mode for mode, _ in cands])
+        mode, mvd = cands[i]
 
-        walk.put(c, best.mode, mv, best.recon)
-        dist_total += best.cost.distortion
+        walk.put(c, mode, mv, Block32(rec.y[i], rec.cb[i], rec.cr[i]))
+        dist_total += int(ssd[i])
         # A copy, so the payload does not keep every candidate's levels.
-        payloads.append(BlockPayload(best.mode, best.mvd, best.tiles.copy()))
+        payloads.append(BlockPayload(mode, mvd, levels[i].copy()))
 
     unit = FrameUnit(frame_type, list(regions), walk.modes == BlockMode.GEN, payloads)
     return unit, _FrameResult(walk.recon, dist_total, *mode_counts(walk.modes))
@@ -351,9 +320,8 @@ def _encode_period(
             break
         frame_idx = start + offset
         frame_type = "I" if offset == 0 else "P"
-        regions = regions_per_frame[offset] if qparams is not None else []
         unit, res = _encode_frame(
-            source, prev_recon, frame_idx, frame_type, regions,
+            source, prev_recon, frame_idx, frame_type, regions_per_frame[offset],
             qparams, ctx, config.qp, lam, config.search_range,
         )
         frame_bits.append(write_frame(w, unit, cols, rows))
@@ -448,7 +416,9 @@ def _network_pass(
         return None
     start, span = record.start, len(period)
     cols, rows = block_grid_dims(config.width, config.height)
-    gm = _period_global_motion(period, config.search_range)
+    # A zoom hint places its margins without reading global motion.
+    gm = (_period_global_motion(period, config.search_range)
+          if zoom_hint == "none" else GlobalMotion(0, 0))
     ctx = SetContext(cols, rows, start, span)
     regions_per_frame = [
         select_generation_regions(gm, cols, rows, offset, zoom_hint)

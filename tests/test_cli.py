@@ -266,6 +266,14 @@ class TestExitCodes:
                      "--width", "96", "--height", "64"])
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("frames", ["0", "-3"])
+    def test_metrics_nonpositive_frames_is_usage_error(self, tmp_path, frames):
+        # checked before any file is read, so missing files do not matter
+        missing = str(tmp_path / "missing.yuv")
+        code = main(["metrics", "--ref", missing, "--test", missing,
+                     "--width", "96", "--height", "64", "--frames", frames])
+        assert code == EXIT_USAGE
+
     def test_help_exits_clean(self, capsys):
         assert main(["--help"]) == EXIT_OK
         assert "encode" in capsys.readouterr().out

@@ -27,10 +27,8 @@ from nbv.core import (
 )
 from nbv.decoder import decode_sequence
 from nbv.encoder import (
-    Candidate,
     GlobalMotion,
     PeriodRecord,
-    RdCost,
     _encode_period,
     _network_pass,
     choose_block_mode,
@@ -63,42 +61,43 @@ class TestLambda:
             assert rd_lambda(qp + 3) == pytest.approx(2 * rd_lambda(qp))
 
 
-def cand(mode: BlockMode, cost: RdCost) -> Candidate:
-    return Candidate(mode, None, [], None, cost)
-
-
 class TestModeChoice:
     def test_strict_minimum_wins_regardless_of_order(self):
-        import itertools
-        cands = [
-            cand(BlockMode.INTER, RdCost(100, 10, 1.0)),
-            cand(BlockMode.INTRA_DC, RdCost(90, 30, 1.0)),
-            cand(BlockMode.GEN, RdCost(80, 25, 1.0)),
-        ]
-        best = min(cands, key=lambda c: c.cost.j)
-        for perm in itertools.permutations(cands):
-            assert choose_block_mode(list(perm)) is best
+        j = [110.0, 120.0, 105.0]
+        modes = [BlockMode.INTER, BlockMode.INTRA_DC, BlockMode.GEN]
+        for perm in itertools.permutations(range(3)):
+            got = choose_block_mode(np.array([j[k] for k in perm]),
+                                    [modes[k] for k in perm])
+            assert perm[got] == 2
 
     def test_exact_tie_prefers_earlier_mode_rank(self):
-        import itertools
-        tie = [
-            cand(BlockMode.GEN, RdCost(50, 50, 1.0)),
-            cand(BlockMode.INTER, RdCost(50, 50, 1.0)),
-            cand(BlockMode.INTRA_H, RdCost(50, 50, 1.0)),
-        ]
-        for perm in itertools.permutations(tie):
-            assert choose_block_mode(list(perm)).mode == BlockMode.INTER
+        for perm in itertools.permutations(BlockMode):
+            modes = list(perm)
+            got = choose_block_mode(np.full(len(modes), 100.0), modes)
+            assert modes[got] == BlockMode.INTER
+            # without the inter candidate, the next rank takes the tie
+            rest = [m for m in modes if m != BlockMode.INTER]
+            assert rest[choose_block_mode(np.full(4, 100.0), rest)] == (
+                BlockMode.INTRA_DC)
 
     def test_tie_between_intra_and_generated(self):
-        cands = [
-            cand(BlockMode.GEN, RdCost(10, 0, 1.0)),
-            cand(BlockMode.INTRA_DC, RdCost(10, 0, 1.0)),
-        ]
-        assert choose_block_mode(cands).mode == BlockMode.INTRA_DC
+        modes = [BlockMode.GEN, BlockMode.INTRA_DC]
+        assert choose_block_mode(np.array([10.0, 10.0]), modes) == 1
 
     def test_empty_candidate_list_rejected(self):
         with pytest.raises(ValueError):
-            choose_block_mode([])
+            choose_block_mode(np.zeros(0), [])
+
+    def test_array_cost_equals_the_scalar_cost(self):
+        # J = SSD + lambda * bits over the candidate axis in int64 and float64
+        # gives, value for value, the Python sum of an int SSD and int bits.
+        rng = np.random.default_rng(5)
+        ssd = rng.integers(0, 1536 * 255 ** 2, 500, dtype=np.int64)
+        bits = rng.integers(0, 1 << 20, 500, dtype=np.int64)
+        for qp in range(52):
+            lam = rd_lambda(qp)
+            want = [int(d) + lam * int(b) for d, b in zip(ssd, bits)]
+            assert (ssd + lam * bits).tolist() == want
 
 
 def windowed_pair(shift: tuple[int, int], size=(128, 96), margin=16, seed=21):
@@ -359,9 +358,9 @@ class TestEncodeSequence:
 
 
 class TestMotionFieldPerFrame:
-    @pytest.mark.parametrize("gnn", [False, True])
-    def test_one_search_per_p_frame_coded(self, pan_frames, pan_config,
-                                          gnn, monkeypatch):
+    def count_searches(self, frames, config, monkeypatch, hint="none"):
+        """(motion_field calls, whether each written frame is a P frame,
+        estimate_global_motion calls) of one encode."""
         calls, p_frames, gm_calls = [], [], []
         real_field = nbv.encoder.motion_field
         real_write = nbv.encoder.write_frame
@@ -382,14 +381,31 @@ class TestMotionFieldPerFrame:
         monkeypatch.setattr(nbv.encoder, "motion_field", counting_field)
         monkeypatch.setattr(nbv.encoder, "write_frame", counting_write)
         monkeypatch.setattr(nbv.encoder, "estimate_global_motion", counting_gm)
+        encode_sequence(frames, config, train_cfg=fast_train(20), zoom_hint=hint)
+        return calls, p_frames, gm_calls
+
+    @pytest.mark.parametrize("gnn", [False, True])
+    def test_one_search_per_p_frame_coded(self, pan_frames, pan_config,
+                                          gnn, monkeypatch):
         # qp 8 and a one-unit network, so the bound admits the network pass
         config = dataclasses.replace(pan_config, qp=8, gnn_enabled=gnn,
                                      gnn_arch=(3, 1, 1536))
-        encode_sequence(pan_frames, config, train_cfg=fast_train(20))
+        calls, p_frames, gm_calls = self.count_searches(pan_frames, config,
+                                                        monkeypatch)
         assert len(p_frames) >= 8 and sum(p_frames) >= 6
         # each global-motion estimate runs one search of its own
         assert len(calls) == sum(p_frames) + len(gm_calls)
         assert bool(gm_calls) == gnn
+
+    def test_hinted_encode_makes_no_global_motion_search(self, pan_frames,
+                                                         pan_config, monkeypatch):
+        config = dataclasses.replace(pan_config, qp=8, gnn_arch=(3, 1, 1536))
+        calls, p_frames, gm_calls = self.count_searches(pan_frames, config,
+                                                        monkeypatch, hint="out")
+        # the network pass ran: more frames were coded than the clip holds
+        assert len(p_frames) > len(pan_frames)
+        assert gm_calls == []
+        assert len(calls) == sum(p_frames)
 
 
 class TestForcedGenerationWirePath:
