@@ -265,6 +265,25 @@ class TestFrameUnit:
         assert (got_bits.modes, got_bits.mvs, got_bits.residuals) == (
             bits.modes, bits.mvs, bits.residuals)
 
+    def test_selection_bits_run_region_by_region(self):
+        # Bits of the first region in its own raster order (1001), then the
+        # second region's (1); frame raster order would give 10101.
+        cols, rows = 3, 2
+        regions = [RegionSpec(1, 0, 2, 1, True), RegionSpec(0, 1, 0, 1, True)]
+        generated = {(1, 0), (2, 1), (0, 1)}
+        gen_map = np.zeros((rows, cols), dtype=bool)
+        blocks = []
+        for by in range(rows):
+            for bx in range(cols):
+                gen_map[by, bx] = (bx, by) in generated
+                mode = BlockMode.GEN if gen_map[by, bx] else BlockMode.INTRA_DC
+                blocks.append(BlockPayload(mode, None, zero_tiles()))
+        unit = FrameUnit("P", regions, gen_map, blocks)
+        w = BitWriter()
+        write_frame(w, unit, cols, rows)
+        assert w.to_bytes().hex() == (
+            "02b56b559affffffffffff5fffffffffffebfffffffffffc")
+
     def test_unit_consistency_enforced_on_write(self):
         bad = single_block_unit("I", BlockMode.INTER, mvd=(0, 0))
         with pytest.raises(ValueError):
