@@ -20,12 +20,17 @@ boundary at its end):
               residual tiles. Generated blocks carry no mode symbol; their
               membership is implied by the regions and selection bits.
 
+A FrameUnit holds a frame's blocks as three arrays: each block's BlockMode
+(GEN where it is generated), its motion-vector difference (zero unless
+inter) and its 24 tiles of residual levels.
+
 Everything after a frame's selection bits is exp-Golomb codes, so
 write_frame and the frame parser code that payload in bulk, a frame at a
 time: the writer builds all of the frame's code numbers and packs them in
 one call, and the parser walks the codes of each chunk the bulk reader
-returns with one Python step per block and per tile. The layout above is
-the same bit for bit as coding each field on its own.
+returns with one Python step per block and per tile, writing modes and
+vectors and scattering levels straight into the unit's arrays. The layout
+above is the same bit for bit as coding each field on its own.
 """
 
 from __future__ import annotations
@@ -72,7 +77,8 @@ BIT_CATEGORIES = ("header", "param_sets", "regions_and_modes", "mvs", "residuals
 
 
 class BlockMode(IntEnum):
-    """Block kinds; the order doubles as the P-frame symbol and the RD tie rank."""
+    """Block kinds in RD tie rank. A coded block's mode symbol is its rank,
+    less one in an I frame, which has no inter mode; GEN has no symbol."""
 
     INTER = 0
     INTRA_DC = 1
@@ -81,20 +87,9 @@ class BlockMode(IntEnum):
     GEN = 4
 
 
-_INTRA_SYMBOL_I = {
-    BlockMode.INTRA_DC: 0, BlockMode.INTRA_H: 1, BlockMode.INTRA_V: 2,
-}
-
-
-def _mode_symbol(frame_type: str, mode: BlockMode) -> int:
-    return int(mode) if frame_type == "P" else _INTRA_SYMBOL_I[mode]
-
-
-# the inverse of _mode_symbol, per frame type
-_SYMBOL_MODE = {
-    "I": {_mode_symbol("I", m): m for m in _INTRA_SYMBOL_I},
-    "P": {_mode_symbol("P", m): m for m in BlockMode if m != BlockMode.GEN},
-}
+def _mode_symbol(frame_type: str, mode):
+    """A coded block's mode symbol; works on ints and on integer arrays."""
+    return mode - (frame_type == "I")
 
 
 def block_syntax_bits(frame_type: str, mode: BlockMode,
@@ -103,7 +98,7 @@ def block_syntax_bits(frame_type: str, mode: BlockMode,
     difference; generated blocks carry neither."""
     if mode == BlockMode.GEN:
         return 0
-    bits = ue_length(_mode_symbol(frame_type, mode))
+    bits = ue_length(int(_mode_symbol(frame_type, mode)))
     if mode == BlockMode.INTER:
         bits += se_length(mvd[0]) + se_length(mvd[1])
     return bits
@@ -262,16 +257,23 @@ class RegionSpec:
     y1: int
     selectable: bool  # forced regions generate every block, no per-block bit
 
-    def contains(self, bx: int, by: int) -> bool:
-        return self.x0 <= bx <= self.x1 and self.y0 <= by <= self.y1
+    @property
+    def area(self) -> tuple[slice, slice]:
+        """The (row, col) slices of a block map that this region covers."""
+        return np.s_[self.y0:self.y1 + 1, self.x0:self.x1 + 1]
 
-    def block_count(self) -> int:
-        return (self.x1 - self.x0 + 1) * (self.y1 - self.y0 + 1)
 
-    def blocks(self):
-        for by in range(self.y0, self.y1 + 1):
-            for bx in range(self.x0, self.x1 + 1):
-                yield bx, by
+# region_map's block kinds; 0 is a block outside every region
+FORCED, SELECTABLE = 1, 2
+
+
+def region_map(regions: list[RegionSpec], cols: int, rows: int) -> np.ndarray:
+    """(rows, cols) int8 map of each block's region kind: 0, FORCED or
+    SELECTABLE. The regions must not overlap."""
+    kinds = np.zeros((rows, cols), dtype=np.int8)
+    for reg in regions:
+        kinds[reg.area] = SELECTABLE if reg.selectable else FORCED
+    return kinds
 
 
 def validate_regions(regions: list[RegionSpec], cols: int, rows: int) -> None:
@@ -288,18 +290,12 @@ def validate_regions(regions: list[RegionSpec], cols: int, rows: int) -> None:
 
 
 @dataclass(eq=False)
-class BlockPayload:
-    mode: BlockMode
-    mvd: tuple[int, int] | None  # present iff mode is INTER
-    tiles: np.ndarray  # (24, 64) residual levels, zigzag order
-
-
-@dataclass(eq=False)
 class FrameUnit:
     frame_type: str  # "I" or "P"
     regions: list[RegionSpec]
-    gen_map: np.ndarray  # (rows, cols) bool, True where a block is generated
-    blocks: list[BlockPayload]  # frame raster order
+    modes: np.ndarray  # (rows, cols) int8 BlockMode values
+    mvds: np.ndarray  # (rows, cols, 2) int32 (dx, dy), zero unless inter
+    blocks: np.ndarray  # (rows * cols, 24, 64) int32 levels, zigzag, raster order
 
 
 @dataclass
@@ -319,36 +315,28 @@ def _check_frame_unit(fu: FrameUnit, cols: int, rows: int) -> None:
     if fu.frame_type not in ("I", "P"):
         raise ValueError(f"bad frame type {fu.frame_type!r}")
     validate_regions(fu.regions, cols, rows)
-    if fu.gen_map.shape != (rows, cols):
-        raise ValueError("gen_map shape does not match grid")
-    if len(fu.blocks) != cols * rows:
-        raise ValueError("payload count does not match grid")
-    in_forced = np.zeros((rows, cols), dtype=bool)
-    in_any = np.zeros((rows, cols), dtype=bool)
-    for reg in fu.regions:
-        in_any[reg.y0:reg.y1 + 1, reg.x0:reg.x1 + 1] = True
-        if not reg.selectable:
-            in_forced[reg.y0:reg.y1 + 1, reg.x0:reg.x1 + 1] = True
-    if np.any(fu.gen_map & ~in_any):
+    if (fu.modes.shape != (rows, cols) or fu.mvds.shape != (rows, cols, 2)
+            or fu.blocks.shape != (rows * cols, TILES_PER_BLOCK, 64)):
+        raise ValueError("unit arrays do not match the grid")
+    if np.any((fu.modes < BlockMode.INTER) | (fu.modes > BlockMode.GEN)):
+        raise ValueError("mode outside BlockMode")
+    kinds = region_map(fu.regions, cols, rows)
+    gen = fu.modes == BlockMode.GEN
+    if np.any(gen & (kinds == 0)):
         raise ValueError("generated block outside every region")
-    if np.any(in_forced & ~fu.gen_map):
+    if np.any((kinds == FORCED) & ~gen):
         raise ValueError("forced-region block not marked generated")
-    for i, p in enumerate(fu.blocks):
-        by, bx = divmod(i, cols)
-        if (p.mode == BlockMode.GEN) != bool(fu.gen_map[by, bx]):
-            raise ValueError(f"mode/gen_map mismatch at block ({bx},{by})")
-        if fu.frame_type == "I" and p.mode == BlockMode.INTER:
-            raise ValueError("inter block in an I frame")
-        if (p.mvd is not None) != (p.mode == BlockMode.INTER):
-            raise ValueError("motion vector difference present iff inter")
-        if len(p.tiles) != TILES_PER_BLOCK:
-            raise ValueError("bad residual tile count")
+    inter = fu.modes == BlockMode.INTER
+    if fu.frame_type == "I" and np.any(inter):
+        raise ValueError("inter block in an I frame")
+    if np.any(fu.mvds[~inter]):
+        raise ValueError("motion vector difference on a non-inter block")
 
 
 def write_frame(w: BitWriter, fu: FrameUnit, cols: int, rows: int) -> FrameBits:
     """Write one frame unit including its tag; returns the bit breakdown."""
     _check_frame_unit(fu, cols, rows)
-    levels = np.asarray([payload.tiles for payload in fu.blocks])
+    levels = fu.blocks
     # The parser refuses these levels, so the writer refuses them too,
     # before it writes anything.
     if np.any((levels > MAX_LEVEL) | (levels < -MAX_LEVEL)):
@@ -359,35 +347,31 @@ def write_frame(w: BitWriter, fu: FrameUnit, cols: int, rows: int) -> FrameBits:
     w.write_bits(0 if fu.frame_type == "I" else 1, 1)
     ue_encode(w, len(fu.regions))
     for reg in fu.regions:
-        ue_encode(w, reg.x0)
-        ue_encode(w, reg.y0)
-        ue_encode(w, reg.x1)
-        ue_encode(w, reg.y1)
+        for corner in (reg.x0, reg.y0, reg.x1, reg.y1):
+            ue_encode(w, corner)
         w.write_bits(1 if reg.selectable else 0, 1)
+    gen = fu.modes == BlockMode.GEN
     for reg in fu.regions:
         if reg.selectable:
-            for bx, by in reg.blocks():
-                w.write_bits(1 if fu.gen_map[by, bx] else 0, 1)
+            w.write_bit_array(gen[reg.area].reshape(-1))
     bits.modes += w.bit_position - start
-    # The payload is all exp-Golomb codes: each block's mode symbol and
-    # vector difference, inserted before its 24 tiles' codes.
-    heads, head_block, mv_heads = [], [], []
-    for i, payload in enumerate(fu.blocks):
-        if payload.mode == BlockMode.GEN:
-            continue
-        heads.append(_mode_symbol(fu.frame_type, payload.mode))
-        head_block.append(i)
-        if payload.mode == BlockMode.INTER:
-            mv_heads += (se_to_ue(payload.mvd[0]), se_to_ue(payload.mvd[1]))
-            heads += mv_heads[-2:]
-            head_block += (i, i)
+    # The payload is all exp-Golomb codes: each coded block's mode symbol
+    # and an inter block's vector difference, before its 24 tiles' codes.
+    modes = fu.modes.reshape(-1)
+    coded = np.flatnonzero(modes != BlockMode.GEN)
+    inter = coded[modes[coded] == BlockMode.INTER]
+    symbols = _mode_symbol(fu.frame_type, modes[coded])
+    mv_codes = se_to_ue(fu.mvds.reshape(-1, 2)[inter].T.reshape(-1).astype(np.int64))
     tiles, counts = tile_codes(levels)
     block_codes = TILES_PER_BLOCK + 2 * counts.sum(axis=1)
     block_start = np.cumsum(block_codes) - block_codes
-    payload_bits = write_ue_codes(
-        w, np.insert(tiles, block_start[head_block], heads))
-    mv_bits = int(ue_lengths(mv_heads).sum())
-    mode_bits = int(ue_lengths(heads).sum()) - mv_bits
+    # codes inserted at one place keep their given order: the symbol, then
+    # the x and the y difference
+    payload_bits = write_ue_codes(w, np.insert(
+        tiles, block_start[np.concatenate((coded, inter, inter))],
+        np.concatenate((symbols, mv_codes))))
+    mv_bits = int(ue_lengths(mv_codes).sum())
+    mode_bits = int(ue_lengths(symbols).sum())
     bits.modes += mode_bits
     bits.mvs += mv_bits
     bits.residuals += payload_bits - mode_bits - mv_bits
@@ -395,50 +379,50 @@ def write_frame(w: BitWriter, fu: FrameUnit, cols: int, rows: int) -> FrameBits:
     return bits
 
 
-def _read_payloads(r: BitReader, frame_type: str, gen_map: np.ndarray,
-                   bits: FrameBits) -> list[BlockPayload]:
-    """Read every block's mode symbol, vector difference and tiles in bulk.
+def _read_payloads(r: BitReader, fu: FrameUnit, bits: FrameBits) -> None:
+    """Read every coded block's mode symbol, vector difference and tiles in
+    bulk, into the unit's arrays; its modes hold GEN where the regions and
+    selection bits put it.
 
     One Python step per block and per tile walks the codes; each chunk's
-    tiles are decoded by one scatter into the frame's (blocks, 24, 64)
-    levels, which the payloads view.
+    tiles are decoded by one scatter into the unit's levels.
     """
-    generated = gen_map.reshape(-1).tolist()
-    levels = np.zeros((len(generated), TILES_PER_BLOCK, 64), dtype=np.int32)
-    tile_rows = levels.reshape(-1, 64)
-    symbols = _SYMBOL_MODE[frame_type]
-    blocks: list[BlockPayload] = []
+    modes = fu.modes.reshape(-1)  # views into the unit's arrays
+    mvds = fu.mvds.reshape(-1, 2)
+    tile_rows = fu.blocks.reshape(-1, 64)
+    generated = (modes == BlockMode.GEN).tolist()
+    first_mode = int(fu.frame_type == "I")  # the mode of symbol 0
+    begun = 0  # blocks whose tiles have started
     tiles_left = 0  # tiles still to read in the last block begun
 
     def walk(chunk):
-        nonlocal tiles_left
+        nonlocal begun, tiles_left
         values = chunk.values.tolist()
         k = 0
-        first_row = len(blocks) * TILES_PER_BLOCK - tiles_left
+        first_row = begun * TILES_PER_BLOCK - tiles_left
         starts: list[int] = []
         head_codes: list[int] = []
         mv_codes: list[int] = []
         while True:
             if not tiles_left:
-                i = len(blocks)
-                if i == len(generated):
+                if begun == len(generated):
                     break
-                mode, mvd = BlockMode.GEN, None
-                if not generated[i]:
+                if not generated[begun]:
                     if k >= len(values):
                         break
-                    mode = symbols.get(values[k])
-                    if mode is None:
+                    mode = first_mode + values[k]
+                    if mode >= BlockMode.GEN:
                         raise StreamError(
-                            f"bad {frame_type}-frame mode symbol {values[k]}")
+                            f"bad {fu.frame_type}-frame mode symbol {values[k]}")
                     if mode == BlockMode.INTER:
                         if k + 3 > len(values):
                             break
-                        mvd = (ue_to_se(values[k + 1]), ue_to_se(values[k + 2]))
+                        mvds[begun] = ue_to_se(values[k + 1]), ue_to_se(values[k + 2])
                         mv_codes += (k + 1, k + 2)
+                    modes[begun] = mode
                     head_codes.append(k)
-                    k += 1 if mvd is None else 3
-                blocks.append(BlockPayload(mode, mvd, levels[i]))
+                    k += 3 if mode == BlockMode.INTER else 1
+                begun += 1
                 tiles_left = TILES_PER_BLOCK
             before = len(starts)
             k = walk_tiles(values, k, tiles_left, starts)
@@ -453,10 +437,9 @@ def _read_payloads(r: BitReader, frame_type: str, gen_map: np.ndarray,
         bits.modes += mode_bits
         bits.mvs += mv_bits
         bits.residuals += (int(chunk.ends[k - 1]) if k else 0) - mode_bits - mv_bits
-        return k, len(blocks) == len(generated) and not tiles_left
+        return k, begun == len(generated) and not tiles_left
 
     read_ue_codes(r, walk)
-    return blocks
 
 
 def _parse_frame_body(r: BitReader, cols: int, rows: int,
@@ -468,28 +451,24 @@ def _parse_frame_body(r: BitReader, cols: int, rows: int,
         raise StreamError(f"region count {n_regions} exceeds grid")
     regions = []
     for _ in range(n_regions):
-        x0 = ue_decode(r)
-        y0 = ue_decode(r)
-        x1 = ue_decode(r)
-        y1 = ue_decode(r)
-        selectable = r.read_bits(1) == 1
-        regions.append(RegionSpec(x0, y0, x1, y1, selectable))
+        corners = [ue_decode(r) for _ in range(4)]  # x0, y0, x1, y1
+        regions.append(RegionSpec(*corners, r.read_bits(1) == 1))
     try:
         validate_regions(regions, cols, rows)
     except ValueError as e:
         raise StreamError(str(e)) from e
-    gen_map = np.zeros((rows, cols), dtype=bool)
+    gen = region_map(regions, cols, rows) == FORCED
     for reg in regions:
         if reg.selectable:
-            for bx, by in reg.blocks():
-                gen_map[by, bx] = r.read_bits(1) == 1
-        else:
-            for bx, by in reg.blocks():
-                gen_map[by, bx] = True
+            area = gen[reg.area]  # a view into gen
+            area.flat = [r.read_bits(1) for _ in range(area.size)]
     bits.modes += r.bit_position - start
-    blocks = _read_payloads(r, frame_type, gen_map, bits)
+    fu = FrameUnit(frame_type, regions, (gen * BlockMode.GEN).astype(np.int8),
+                   np.zeros((rows, cols, 2), dtype=np.int32),
+                   np.zeros((rows * cols, TILES_PER_BLOCK, 64), dtype=np.int32))
+    _read_payloads(r, fu, bits)
     bits.modes += r.byte_align()
-    return FrameUnit(frame_type, regions, gen_map, blocks)
+    return fu
 
 
 def parse_frame(r: BitReader, cols: int, rows: int,

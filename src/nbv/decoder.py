@@ -27,13 +27,6 @@ from .prediction import IntraMode, MotionVector, intra_predict, motion_compensat
 from .residual import apply_block_residual
 from .tools import csv_text
 
-# The intra predictor each intra block mode selects.
-_MODE_TO_INTRA = {
-    BlockMode.INTRA_DC: IntraMode.DC,
-    BlockMode.INTRA_H: IntraMode.HORIZONTAL,
-    BlockMode.INTRA_V: IntraMode.VERTICAL,
-}
-
 _ZERO_MV = MotionVector(0, 0)
 
 
@@ -72,7 +65,8 @@ class FrameWalk:
             return generate_block(self._qparams, c, self._frame_idx, self._ctx)
         if mode == BlockMode.INTER:
             return motion_compensate(self._prev_recon, c, mv)
-        return intra_predict(self.recon, c, _MODE_TO_INTRA[mode])
+        # the intra block modes rank as the intra predictors do
+        return intra_predict(self.recon, c, IntraMode(mode - BlockMode.INTRA_DC))
 
     def put(self, c: BlockCoord, mode: BlockMode, mv: MotionVector | None,
             block: Block32) -> None:
@@ -126,7 +120,7 @@ def _decode_frame(
 ) -> tuple[Frame, DecodeRow]:
     if fu.frame_type == "P" and prev_recon is None:
         raise StreamError(f"frame {frame_idx} is predicted but has no reference")
-    if np.any(fu.gen_map):
+    if np.any(fu.modes == BlockMode.GEN):
         if qparams is None:
             raise StreamError(
                 f"frame {frame_idx} uses generated blocks before any parameter set"
@@ -137,11 +131,12 @@ def _decode_frame(
                 f"set's frames {ctx.start_frame}..{ctx.start_frame + ctx.span - 1}"
             )
     walk = FrameWalk(width, height, prev_recon, frame_idx, qparams, ctx)
-    for c, payload in zip(walk, fu.blocks):
-        mv = None if payload.mvd is None else MotionVector(
-            walk.mv_pred.dx + payload.mvd[0], walk.mv_pred.dy + payload.mvd[1])
-        basis = walk.basis(payload.mode, c, mv)
-        walk.put(c, payload.mode, mv, apply_block_residual(basis, payload.tiles, qp))
+    for c, mode, mvd, tiles in zip(walk, fu.modes.reshape(-1).tolist(),
+                                   fu.mvds.reshape(-1, 2).tolist(), fu.blocks):
+        mv = None if mode != BlockMode.INTER else MotionVector(
+            walk.mv_pred.dx + mvd[0], walk.mv_pred.dy + mvd[1])
+        basis = walk.basis(mode, c, mv)
+        walk.put(c, mode, mv, apply_block_residual(basis, tiles, qp))
     return walk.recon, DecodeRow(frame_idx, fu.frame_type, *mode_counts(walk.modes))
 
 

@@ -33,14 +33,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .bitstream import (
+    FORCED,
+    SELECTABLE,
     BlockMode,
-    BlockPayload,
     FrameBits,
     FrameUnit,
     RegionSpec,
     StreamHeader,
     block_syntax_bits,
     param_set_bits,
+    region_map,
     validate_regions,
     write_frame,
     write_header,
@@ -67,7 +69,12 @@ from .gnn import (
     train,
 )
 from .prediction import motion_field
-from .residual import apply_block_residual, block_tiles_bits, encode_block_residual
+from .residual import (
+    TILES_PER_BLOCK,
+    apply_block_residual,
+    block_tiles_bits,
+    encode_block_residual,
+)
 from .tools import csv_text, frame_psnr
 
 ZOOM_HINTS = ("none", "out", "in")
@@ -163,16 +170,11 @@ def train_param_set(
     inputs = []
     targets = []
     for offset, regs in enumerate(regions_per_frame):
-        if not regs:
-            continue
         frame_idx = start_frame + offset
-        frame = src_frames[offset]
-        for by in range(ctx.rows):
-            for bx in range(ctx.cols):
-                if any(r.contains(bx, by) for r in regs):
-                    c = BlockCoord(bx, by)
-                    inputs.append(gnn_input(ctx, c, frame_idx))
-                    targets.append(block_to_targets(extract_block(frame, c)))
+        for by, bx in zip(*np.nonzero(region_map(regs, ctx.cols, ctx.rows))):
+            c = BlockCoord(int(bx), int(by))
+            inputs.append(gnn_input(ctx, c, frame_idx))
+            targets.append(block_to_targets(extract_block(src_frames[offset], c)))
     if not inputs:
         return None, 0
     params = train(layer_sizes, np.asarray(inputs), np.asarray(targets), cfg)
@@ -234,18 +236,22 @@ def _encode_frame(
     field = None
     if frame_type == "P":
         field = motion_field(source, prev_recon, search_range)
-    payloads: list[BlockPayload] = []
+    rows, cols = walk.modes.shape
+    kinds = region_map(regions, cols, rows).tolist()
+    # the unit's arrays, filled with each block's winner as the walk goes
+    mvds = np.zeros((rows, cols, 2), dtype=np.int32)
+    blocks = np.zeros((rows * cols, TILES_PER_BLOCK, 64), dtype=np.int32)
     dist_total = 0
 
-    for c in walk:
+    for n, c in enumerate(walk):
         src_block = extract_block(source, c)
-        region = next((r for r in regions if r.contains(c.bx, c.by)), None)
-        sel_bit = 1 if region is not None and region.selectable else 0
+        kind = kinds[c.by][c.bx]
+        sel_bit = int(kind == SELECTABLE)
 
         mv = None  # the inter candidate's vector
         # (mode, motion-vector difference) of every candidate
         cands: list[tuple[BlockMode, tuple[int, int] | None]] = []
-        if region is not None and not region.selectable:
+        if kind == FORCED:
             # Forced region: no choice, no mode symbol.
             cands.append((BlockMode.GEN, None))
         else:
@@ -255,7 +261,7 @@ def _encode_frame(
                                                 mv.dy - walk.mv_pred.dy)))
             cands += [(mode, None) for mode in
                       (BlockMode.INTRA_DC, BlockMode.INTRA_H, BlockMode.INTRA_V)]
-            if region is not None and qparams is not None:
+            if kind == SELECTABLE and qparams is not None:
                 cands.append((BlockMode.GEN, None))
 
         basis = _stack_blocks([walk.basis(mode, c, mv) for mode, _ in cands])
@@ -271,10 +277,11 @@ def _encode_frame(
 
         walk.put(c, mode, mv, Block32(rec.y[i], rec.cb[i], rec.cr[i]))
         dist_total += int(ssd[i])
-        # A copy, so the payload does not keep every candidate's levels.
-        payloads.append(BlockPayload(mode, mvd, levels[i].copy()))
+        if mvd is not None:
+            mvds[c.by, c.bx] = mvd
+        blocks[n] = levels[i]
 
-    unit = FrameUnit(frame_type, list(regions), walk.modes == BlockMode.GEN, payloads)
+    unit = FrameUnit(frame_type, list(regions), walk.modes, mvds, blocks)
     return unit, _FrameResult(walk.recon, dist_total, *mode_counts(walk.modes))
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitstream import BIT_CATEGORIES, StreamHeader, parse_stream
+from .bitstream import BIT_CATEGORIES, BlockMode, StreamHeader, parse_stream
 from .core import Frame, make_frame, round_half_away
 from .entropy import StreamError
 from .gnn import param_count
@@ -210,7 +210,7 @@ def bit_accounting(data: bytes) -> BitAccounting:
             cats["residuals"] += fb.residuals
             bits = fb.total
             detail = (f"type={payload.frame_type} regions={len(payload.regions)} "
-                      f"gen_blocks={int(payload.gen_map.sum())}")
+                      f"gen_blocks={np.count_nonzero(payload.modes == BlockMode.GEN)}")
         units.append(UnitInfo(len(units), kind, bits, detail))
     acct = BitAccounting(header, cats, len(data) * 8, units)
     if sum(cats.values()) != acct.total_bits:

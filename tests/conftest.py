@@ -7,7 +7,7 @@ to a single run; every test that needs them must treat them as read-only.
 import numpy as np
 import pytest
 
-from nbv.bitstream import RegionSpec, StreamHeader, write_header
+from nbv.bitstream import FrameUnit, RegionSpec, StreamHeader, write_header
 from nbv.core import Frame, SequenceConfig, make_frame
 from nbv.encoder import _encode_period, encode_sequence, rd_lambda, train_param_set
 from nbv.entropy import BitWriter
@@ -22,6 +22,18 @@ def rand_frame(width: int, height: int, seed: int = 0) -> Frame:
         rng.integers(0, 256, (height // 2, width // 2), dtype=np.uint8),
         rng.integers(0, 256, (height // 2, width // 2), dtype=np.uint8),
     )
+
+
+def frame_unit(frame_type: str, blocks, cols: int = 1, regions=()) -> FrameUnit:
+    """A FrameUnit from per-block (mode, mvd, tiles) tuples in raster order,
+    cols blocks a row; mvd None stands for zero, and tiles is anything that
+    reshapes to (24, 64)."""
+    rows = len(blocks) // cols
+    modes = np.array([mode for mode, _, _ in blocks], dtype=np.int8)
+    mvds = np.array([mvd or (0, 0) for _, mvd, _ in blocks], dtype=np.int32)
+    tiles = np.array([np.reshape(t, (24, 64)) for _, _, t in blocks], dtype=np.int32)
+    return FrameUnit(frame_type, list(regions), modes.reshape(rows, cols),
+                     mvds.reshape(rows, cols, 2), tiles)
 
 
 def fast_train(steps: int = 150) -> TrainConfig:

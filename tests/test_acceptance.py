@@ -16,10 +16,9 @@ import time
 import numpy as np
 import pytest
 
+from conftest import frame_unit
 from nbv.bitstream import (
     BlockMode,
-    BlockPayload,
-    FrameUnit,
     RegionSpec,
     StreamHeader,
     parse_frame,
@@ -248,39 +247,30 @@ def test_criterion_7_round_trips():
             failures.append(f"parameter set {arch}")
 
     cols, rows = 3, 2
-    gen_map = np.zeros((rows, cols), dtype=bool)
-    gen_map[:, 0] = True
     blocks = []
     for i in range(cols * rows):
-        by, bx = divmod(i, cols)
         tiles24 = [np.zeros(64, dtype=np.int32) for _ in range(24)]
         tiles24[0][:4] = rng.integers(-20, 21, 4)
-        if gen_map[by, bx]:
-            blocks.append(BlockPayload(BlockMode.GEN, None, tiles24))
+        if i % cols == 0:
+            blocks.append((BlockMode.GEN, None, tiles24))
         elif i == 4:
-            blocks.append(BlockPayload(BlockMode.INTER, (2, -5), tiles24))
+            blocks.append((BlockMode.INTER, (2, -5), tiles24))
         else:
-            blocks.append(BlockPayload(BlockMode.INTRA_H, None, tiles24))
-    fu = FrameUnit("P", [RegionSpec(0, 0, 0, 1, False)], gen_map, blocks)
+            blocks.append((BlockMode.INTRA_H, None, tiles24))
+    fu = frame_unit("P", blocks, cols, [RegionSpec(0, 0, 0, 1, False)])
     w = BitWriter()
     write_frame(w, fu, cols, rows)
     back = parse_frame(BitReader(w.to_bytes()), cols, rows)
-    same = (back.frame_type == "P" and np.array_equal(back.gen_map, gen_map)
-            and all(a.mode == b.mode and a.mvd == b.mvd
-                    and all(np.array_equal(ta, tb)
-                            for ta, tb in zip(a.tiles, b.tiles))
-                    for a, b in zip(fu.blocks, back.blocks)))
+    same = (back.frame_type == "P" and np.array_equal(back.modes, fu.modes)
+            and np.array_equal(back.mvds, fu.mvds)
+            and np.array_equal(back.blocks, fu.blocks))
     if not same:
         failures.append("frame unit")
 
     header = StreamHeader(96, 64, 1, 30, True, 16)
     q = quantize_params(init_params((3, 1536), seed=1))
-    fu_small = FrameUnit(
-        "I", [], np.zeros((2, 3), dtype=bool),
-        [BlockPayload(BlockMode.INTRA_DC, None,
-                      [np.zeros(64, dtype=np.int32) for _ in range(24)])
-         for _ in range(6)],
-    )
+    fu_small = frame_unit("I", [(BlockMode.INTRA_DC, None, np.zeros((24, 64)))] * 6,
+                          cols=3)
     data = write_stream(header, [("param_set", q), ("frame", fu_small)])
     back_header, units = parse_stream(data)
     kinds = [k for k, _ in units]

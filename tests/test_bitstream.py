@@ -5,9 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import frame_unit
 from nbv.bitstream import (
+    FORCED,
+    SELECTABLE,
     BlockMode,
-    BlockPayload,
     FrameBits,
     FrameUnit,
     RegionSpec,
@@ -18,6 +20,7 @@ from nbv.bitstream import (
     parse_header,
     parse_param_set,
     parse_stream,
+    region_map,
     validate_regions,
     write_frame,
     write_header,
@@ -42,10 +45,8 @@ def qparams_for(arch, seed=0):
 
 
 def single_block_unit(frame_type="I", mode=BlockMode.INTRA_DC, mvd=None,
-                      regions=(), gen=False):
-    gen_map = np.array([[gen]], dtype=bool)
-    return FrameUnit(frame_type, list(regions), gen_map,
-                     [BlockPayload(mode, mvd, zero_tiles())])
+                      regions=()):
+    return frame_unit(frame_type, [(mode, mvd, zero_tiles())], regions=regions)
 
 
 class TestHeader:
@@ -202,7 +203,13 @@ class TestRegions:
         validate_regions(regs, 3, 2)
 
     def test_block_count(self):
-        assert RegionSpec(112, 0, 119, 67, False).block_count() == 8 * 68
+        regs = [RegionSpec(1, 0, 2, 0, True), RegionSpec(0, 1, 0, 1, False)]
+        assert region_map(regs, 3, 2).tolist() == [[0, SELECTABLE, SELECTABLE],
+                                                   [FORCED, 0, 0]]
+        assert region_map([], 3, 2).tolist() == [[0, 0, 0], [0, 0, 0]]
+        kinds = region_map([RegionSpec(112, 0, 119, 67, False)], 120, 68)
+        assert np.count_nonzero(kinds) == np.count_nonzero(kinds == FORCED) == 8 * 68
+        assert np.all(kinds[:, 112:] == FORCED)
 
 
 class TestFrameUnit:
@@ -222,7 +229,7 @@ class TestFrameUnit:
 
     def test_selectable_region_spends_one_bit_per_block(self):
         reg = RegionSpec(0, 0, 0, 0, True)
-        unit = single_block_unit("I", BlockMode.GEN, regions=[reg], gen=True)
+        unit = single_block_unit("I", BlockMode.GEN, regions=[reg])
         w = BitWriter()
         bits = write_frame(w, unit, 1, 1)
         # generated block carries no mode symbol, only the selection bit
@@ -233,13 +240,10 @@ class TestFrameUnit:
         rng = np.random.default_rng(8)
         cols, rows = 3, 2
         regions = [RegionSpec(0, 0, 0, 1, False), RegionSpec(2, 0, 2, 1, True)]
-        gen_map = np.zeros((rows, cols), dtype=bool)
-        gen_map[:, 0] = True  # forced column
-        gen_map[0, 2] = True  # one selected block
         blocks = []
         for i in range(cols * rows):
             by, bx = divmod(i, cols)
-            if gen_map[by, bx]:
+            if bx == 0 or (bx, by) == (2, 0):  # forced column, one selected
                 mode, mvd = BlockMode.GEN, None
             elif by == 1 and bx == 1:
                 mode, mvd = BlockMode.INTER, (-3, 7)
@@ -247,8 +251,8 @@ class TestFrameUnit:
                 mode, mvd = BlockMode.INTRA_V, None
             tiles = zero_tiles()
             tiles[0][:5] = rng.integers(-9, 10, 5)
-            blocks.append(BlockPayload(mode, mvd, tiles))
-        unit = FrameUnit("P", regions, gen_map, blocks)
+            blocks.append((mode, mvd, tiles))
+        unit = frame_unit("P", blocks, cols, regions)
         w = BitWriter()
         bits = write_frame(w, unit, cols, rows)
         got_bits = FrameBits()
@@ -257,11 +261,9 @@ class TestFrameUnit:
         for a, b in zip(back.regions, regions):
             assert (a.x0, a.y0, a.x1, a.y1, a.selectable) == (
                 b.x0, b.y0, b.x1, b.y1, b.selectable)
-        assert np.array_equal(back.gen_map, gen_map)
-        for a, b in zip(unit.blocks, back.blocks):
-            assert a.mode == b.mode and a.mvd == b.mvd
-            for ta, tb in zip(a.tiles, b.tiles):
-                assert np.array_equal(ta, tb)
+        assert np.array_equal(back.modes, unit.modes)
+        assert np.array_equal(back.mvds, unit.mvds)
+        assert np.array_equal(back.blocks, unit.blocks)
         assert (got_bits.modes, got_bits.mvs, got_bits.residuals) == (
             bits.modes, bits.mvs, bits.residuals)
 
@@ -271,14 +273,12 @@ class TestFrameUnit:
         cols, rows = 3, 2
         regions = [RegionSpec(1, 0, 2, 1, True), RegionSpec(0, 1, 0, 1, True)]
         generated = {(1, 0), (2, 1), (0, 1)}
-        gen_map = np.zeros((rows, cols), dtype=bool)
         blocks = []
         for by in range(rows):
             for bx in range(cols):
-                gen_map[by, bx] = (bx, by) in generated
-                mode = BlockMode.GEN if gen_map[by, bx] else BlockMode.INTRA_DC
-                blocks.append(BlockPayload(mode, None, zero_tiles()))
-        unit = FrameUnit("P", regions, gen_map, blocks)
+                mode = BlockMode.GEN if (bx, by) in generated else BlockMode.INTRA_DC
+                blocks.append((mode, None, zero_tiles()))
+        unit = frame_unit("P", blocks, cols, regions)
         w = BitWriter()
         write_frame(w, unit, cols, rows)
         assert w.to_bytes().hex() == (
@@ -288,16 +288,43 @@ class TestFrameUnit:
         bad = single_block_unit("I", BlockMode.INTER, mvd=(0, 0))
         with pytest.raises(ValueError):
             write_frame(BitWriter(), bad, 1, 1)  # inter block in an I frame
-        bad = single_block_unit("P", BlockMode.INTER, mvd=None)
-        with pytest.raises(ValueError):
-            write_frame(BitWriter(), bad, 1, 1)  # inter needs its vector
-        bad = single_block_unit("I", BlockMode.GEN, gen=True)  # no region
+        bad = single_block_unit("I", BlockMode.GEN)  # no region
         with pytest.raises(ValueError):
             write_frame(BitWriter(), bad, 1, 1)
         reg = RegionSpec(0, 0, 0, 0, False)
         bad = single_block_unit("I", BlockMode.INTRA_DC, regions=[reg])
         with pytest.raises(ValueError):
             write_frame(BitWriter(), bad, 1, 1)  # forced block left ungenerated
+
+    @pytest.mark.parametrize("mode", [-1, 5, 7])
+    def test_mode_outside_block_mode_rejected_on_write(self, mode):
+        # P-frame mode 7 would be written as ue(7), which the parser refuses
+        unit = single_block_unit("P")
+        unit.modes[0, 0] = mode
+        w = BitWriter()
+        with pytest.raises(ValueError, match="mode outside BlockMode"):
+            write_frame(w, unit, 1, 1)
+        assert w.bit_position == 0
+
+    @pytest.mark.parametrize("mode", [BlockMode.INTRA_DC, BlockMode.INTRA_H,
+                                      BlockMode.INTRA_V, BlockMode.GEN])
+    def test_vector_difference_on_non_inter_block_rejected_on_write(self, mode):
+        unit = single_block_unit("P", mode, mvd=(0, -1),
+                                 regions=[RegionSpec(0, 0, 0, 0, True)])
+        with pytest.raises(ValueError, match="non-inter block"):
+            write_frame(BitWriter(), unit, 1, 1)
+
+    def test_arrays_off_the_grid_rejected_on_write(self):
+        unit = frame_unit("P", [(BlockMode.INTER, (1, 2), zero_tiles())] * 2, cols=2)
+        write_frame(BitWriter(), unit, 2, 1)
+        bad = [unit.modes.reshape(2, 1), unit.mvds[:, :1], unit.blocks[:, :23]]
+        for i, array in enumerate(bad):
+            fields = [unit.modes, unit.mvds, unit.blocks]
+            fields[i] = array
+            with pytest.raises(ValueError, match="do not match the grid"):
+                write_frame(BitWriter(), FrameUnit("P", [], *fields), 2, 1)
+        with pytest.raises(ValueError, match="do not match the grid"):
+            write_frame(BitWriter(), unit, 1, 2)
 
     def test_bad_mode_symbols_rejected_on_parse(self):
         w = BitWriter()
@@ -333,7 +360,7 @@ class TestFrameUnit:
         data = w.to_bytes()
         if abs(level) <= 2040:
             unit = single_block_unit("I")
-            unit.blocks[0].tiles[5][3] = level
+            unit.blocks[0, 5, 3] = level
             assert data == write_stream(header, [("frame", unit)])
             assert decode_sequence(data)[0][0].y.dtype == np.uint8
         else:
@@ -343,7 +370,7 @@ class TestFrameUnit:
     @pytest.mark.parametrize("level", [2041, -2041, 2**31 - 1, -2**31])
     def test_levels_beyond_2040_rejected_on_write(self, level):
         unit = single_block_unit("P", BlockMode.INTER, mvd=(1, 0))
-        unit.blocks[0].tiles[23][63] = level
+        unit.blocks[0, 23, 63] = level
         w = BitWriter()
         with pytest.raises(ValueError, match="level beyond"):
             write_frame(w, unit, 1, 1)
@@ -407,15 +434,15 @@ class TestBlockSyntaxBits:
                             "P", BlockMode.INTER, mvd, regions=regions)
                 if with_region:
                     yield with_region, single_block_unit(
-                        frame_type, BlockMode.GEN, regions=regions, gen=True)
+                        frame_type, BlockMode.GEN, regions=regions)
 
     def test_cost_equals_emitted_bits(self):
         n = 0
         for with_region, unit in self.cases():
-            block = unit.blocks[0]
+            mode, mvd = unit.modes[0, 0], unit.mvds[0, 0].tolist()
             expected = self.emitted_syntax_bits(unit, with_region)
-            got = block_syntax_bits(unit.frame_type, block.mode, block.mvd)
-            assert got == expected, (unit.frame_type, block.mode, block.mvd)
+            got = block_syntax_bits(unit.frame_type, mode, mvd)
+            assert got == expected, (unit.frame_type, mode, mvd)
             n += 1
         assert n == 2 * (3 + 3 + len(self.MVDS)) + 2
 
@@ -439,7 +466,7 @@ class TestStreamFraming:
         assert back_header == header
         assert [k for k, _ in back_units] == ["param_set", "frame", "frame"]
         assert back_units[1][1].frame_type == "I"
-        assert back_units[2][1].blocks[0].mvd == (1, -1)
+        assert back_units[2][1].mvds[0, 0].tolist() == [1, -1]
 
     def test_frame_count_must_match_header(self):
         header, units = self.small_stream()
@@ -497,8 +524,8 @@ def random_frame(rng, cols, rows):
             mvd = tuple(int(v) for v in rng.integers(-70, 71, 2) << rng.integers(0, 8))
         tiles = rng.integers(-300, 301, (24, 64)) >> rng.integers(0, 9, (24, 1))
         tiles[rng.random((24, 64)) > density] = 0
-        blocks.append(BlockPayload(mode, mvd, tiles.astype(np.int32)))
-    return FrameUnit(frame_type, regions, gen_map, blocks)
+        blocks.append((mode, mvd, tiles))
+    return frame_unit(frame_type, blocks, cols, regions)
 
 
 class TestBulkFramePayload:
@@ -518,15 +545,16 @@ class TestBulkFramePayload:
         assert len(parsed) == len(sizes) - 1 == len(units)
         for unit, (kind, back), bits in zip(units, parsed, sizes[1:]):
             assert kind == "frame" and back.frame_type == unit.frame_type
-            assert np.array_equal(back.gen_map, unit.gen_map)
-            syntax = tiles = mvs = 0
-            for a, b in zip(unit.blocks, back.blocks):
-                assert (a.mode, a.mvd) == (b.mode, b.mvd)
-                assert np.array_equal(a.tiles, b.tiles)
-                syntax += block_syntax_bits(unit.frame_type, a.mode, a.mvd)
-                tiles += int(block_tiles_bits(a.tiles))
-                if a.mvd is not None:
-                    mvs += se_length(a.mvd[0]) + se_length(a.mvd[1])
+            assert np.array_equal(back.modes, unit.modes)
+            assert np.array_equal(back.mvds, unit.mvds)
+            assert np.array_equal(back.blocks, unit.blocks)
+            syntax = mvs = 0
+            for mode, mvd in zip(unit.modes.reshape(-1).tolist(),
+                                 unit.mvds.reshape(-1, 2).tolist()):
+                syntax += block_syntax_bits(unit.frame_type, mode, mvd)
+                if mode == BlockMode.INTER:
+                    mvs += se_length(mvd[0]) + se_length(mvd[1])
+            tiles = int(block_tiles_bits(unit.blocks).sum())
             # tag, frame type, one region: count, corners, kind, selections
             fixed = 9 + ue_length(1) + sum(ue_length(v) for v in (cols - 1, 0, cols - 1, rows - 1))
             fixed += 1 + rows
@@ -538,17 +566,16 @@ class TestBulkFramePayload:
     def test_frame_larger_than_the_chunk_cap(self):
         rng = np.random.default_rng(40)
         unit = random_frame(rng, 4, 2)
-        for block in unit.blocks:
-            block.tiles[:] = rng.choice([-900, -5, 3, 700], (24, 64))
+        unit.blocks[:] = rng.choice([-900, -5, 3, 700], unit.blocks.shape)
         w = BitWriter()
         bits = write_frame(w, unit, 4, 2)
         assert bits.residuals > 8 * 24 * 64 * 10
         got = FrameBits()
         back = parse_frame(BitReader(w.to_bytes()), 4, 2, got)
         assert got == bits
-        for a, b in zip(unit.blocks, back.blocks):
-            assert (a.mode, a.mvd) == (b.mode, b.mvd)
-            assert np.array_equal(a.tiles, b.tiles)
+        assert np.array_equal(back.modes, unit.modes)
+        assert np.array_equal(back.mvds, unit.mvds)
+        assert np.array_equal(back.blocks, unit.blocks)
 
 
 def peak_bytes(call) -> int:
@@ -592,9 +619,8 @@ class TestResourceCaps:
     def test_shortest_possible_frames_accepted(self):
         # one ue(0) per tile is the least a block can cost
         header = StreamHeader(64, 32, 3, 20, False, 16)
-        units = [("frame", FrameUnit("I", [], np.zeros((1, 2), dtype=bool), [
-            BlockPayload(BlockMode.INTRA_DC, None, np.zeros((24, 64), np.int32))
-            for _ in range(2)])) for _ in range(3)]
+        units = [("frame", frame_unit("I", [(BlockMode.INTRA_DC, None, zero_tiles())] * 2,
+                                      cols=2)) for _ in range(3)]
         data = write_stream(header, units)
         assert len(data) * 8 - 120 < 3 * 2 * 24 + 3 * 24
         assert len(list(parse_stream(data)[1])) == 3

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fast_train, forced_stream
+from conftest import fast_train, forced_stream, frame_unit
 from test_golden import encode_case
 from nbv.bitstream import (
     BlockMode,
-    BlockPayload,
-    FrameUnit,
     RegionSpec,
     StreamHeader,
     write_header,
@@ -30,10 +28,8 @@ def zero_tiles():
 
 
 def one_block_unit(frame_type="I", mode=BlockMode.INTRA_DC, mvd=None,
-                   regions=(), gen=False):
-    gen_map = np.array([[gen]], dtype=bool)
-    return FrameUnit(frame_type, list(regions), gen_map,
-                     [BlockPayload(mode, mvd, zero_tiles())])
+                   regions=()):
+    return frame_unit(frame_type, [(mode, mvd, zero_tiles())], regions=regions)
 
 
 def tiny_header(frame_count, gnn_enabled=True):
@@ -100,7 +96,7 @@ class TestStateRules:
 
     def test_generated_block_needs_a_parameter_set(self):
         reg = RegionSpec(0, 0, 0, 0, True)
-        unit = one_block_unit("I", BlockMode.GEN, regions=[reg], gen=True)
+        unit = one_block_unit("I", BlockMode.GEN, regions=[reg])
         data = write_stream(tiny_header(1), [("frame", unit)])
         with pytest.raises(StreamError):
             decode_sequence(data)
@@ -109,7 +105,7 @@ class TestStateRules:
         # at interval 1 the set before frame 0 covers frame 0 only; frame 1
         # ships no set of its own, so it must not reuse the stale one
         reg = RegionSpec(0, 0, 0, 0, False)
-        gen_unit = one_block_unit("I", BlockMode.GEN, regions=[reg], gen=True)
+        gen_unit = one_block_unit("I", BlockMode.GEN, regions=[reg])
         in_span = write_stream(StreamHeader(32, 32, 1, 20, True, 1),
                                [("param_set", tiny_qparams()), ("frame", gen_unit)])
         _, report = decode_sequence(in_span)
@@ -172,17 +168,17 @@ class TestMotionVectorPredictor:
 
     def test_vectors_follow_the_left_neighbour_context(self):
         rng = np.random.default_rng(3)
-        textured = FrameUnit("I", [], np.zeros((2, 3), dtype=bool), [
-            BlockPayload(mode, None, rng.integers(-6, 7, (24, 64)).astype(np.int32))
+        textured = frame_unit("I", [
+            (mode, None, rng.integers(-6, 7, (24, 64)))
             for mode in (BlockMode.INTRA_DC, BlockMode.INTRA_H, BlockMode.INTRA_V) * 2
-        ])
-        inter = FrameUnit("P", [], np.zeros((2, 3), dtype=bool), [
-            BlockPayload(mode, mvd, zero_tiles()) for mode, mvd in (
+        ], cols=3)
+        inter = frame_unit("P", [
+            (mode, mvd, zero_tiles()) for mode, mvd in (
                 (BlockMode.INTER, (2, 1)), (BlockMode.INTRA_H, None),
                 (BlockMode.INTER, (1, 0)),
                 (BlockMode.INTER, (0, 2)), (BlockMode.INTER, (-1, 0)),
                 (BlockMode.INTRA_V, None))
-        ])
+        ], cols=3)
         data = write_stream(StreamHeader(96, 64, 2, 20, False, 16),
                             [("frame", textured), ("frame", inter)])
         (frame0, frame1), _ = decode_sequence(data)
