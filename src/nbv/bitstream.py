@@ -331,6 +331,8 @@ def _check_frame_unit(fu: FrameUnit, cols: int, rows: int) -> None:
         raise ValueError("inter block in an I frame")
     if np.any(fu.mvds[~inter]):
         raise ValueError("motion vector difference on a non-inter block")
+    if np.any(np.abs(fu.mvds.astype(np.int64)) >= 1 << 31):  # beyond se codes
+        raise ValueError("motion vector difference beyond +-(2^31 - 1)")
 
 
 def write_frame(w: BitWriter, fu: FrameUnit, cols: int, rows: int) -> FrameBits:

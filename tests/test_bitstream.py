@@ -314,6 +314,17 @@ class TestFrameUnit:
         with pytest.raises(ValueError, match="non-inter block"):
             write_frame(BitWriter(), unit, 1, 1)
 
+    @pytest.mark.parametrize("mvd", [(-2**31, 0), (0, 2**31)])
+    def test_vector_difference_beyond_se_codes_rejected_on_write(self, mvd):
+        unit = single_block_unit("P", BlockMode.INTER)
+        unit.mvds = np.array([[mvd]], dtype=np.int64)
+        w = BitWriter()
+        with pytest.raises(ValueError, match="vector difference beyond"):
+            write_frame(w, unit, 1, 1)
+        assert w.bit_position == 0
+        unit.mvds[0, 0] = np.sign(mvd) * (2**31 - 1)  # the largest se codes
+        write_frame(w, unit, 1, 1)
+
     def test_arrays_off_the_grid_rejected_on_write(self):
         unit = frame_unit("P", [(BlockMode.INTER, (1, 2), zero_tiles())] * 2, cols=2)
         write_frame(BitWriter(), unit, 2, 1)
