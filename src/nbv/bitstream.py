@@ -338,10 +338,9 @@ def _check_frame_unit(fu: FrameUnit, cols: int, rows: int) -> None:
 def write_frame(w: BitWriter, fu: FrameUnit, cols: int, rows: int) -> FrameBits:
     """Write one frame unit including its tag; returns the bit breakdown."""
     _check_frame_unit(fu, cols, rows)
-    levels = fu.blocks
     # The parser refuses these levels, so the writer refuses them too,
     # before it writes anything.
-    if np.any((levels > MAX_LEVEL) | (levels < -MAX_LEVEL)):
+    if np.any((fu.blocks > MAX_LEVEL) | (fu.blocks < -MAX_LEVEL)):
         raise ValueError(f"residual level beyond +-{MAX_LEVEL}")
     bits = FrameBits()
     start = w.bit_position
@@ -364,7 +363,7 @@ def write_frame(w: BitWriter, fu: FrameUnit, cols: int, rows: int) -> FrameBits:
     inter = coded[modes[coded] == BlockMode.INTER]
     symbols = _mode_symbol(fu.frame_type, modes[coded])
     mv_codes = se_to_ue(fu.mvds.reshape(-1, 2)[inter].T.reshape(-1).astype(np.int64))
-    tiles, counts = tile_codes(levels)
+    tiles, counts = tile_codes(fu.blocks)
     block_codes = TILES_PER_BLOCK + 2 * counts.sum(axis=1)
     block_start = np.cumsum(block_codes) - block_codes
     # codes inserted at one place keep their given order: the symbol, then
