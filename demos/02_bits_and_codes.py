@@ -8,6 +8,7 @@ the code is prefix-free so no separators are needed.
 
 import numpy as np
 
+from nbv.bitstream import BlockMode, FrameUnit, parse_frame, write_frame
 from nbv.entropy import (
     BitReader,
     BitWriter,
@@ -15,8 +16,9 @@ from nbv.entropy import (
     se_encode,
     ue_decode,
     ue_encode,
+    write_ue_codes,
 )
-from nbv.residual import code_coeffs, decode_coeffs
+from nbv.residual import tile_codes
 
 
 def codeword(write, value) -> str:
@@ -47,16 +49,24 @@ print(f"\nmixed stream: {data.hex()} "
       f"-> {r.read_bits(3):03b}, {ue_decode(r)}, {se_decode(r)}")
 
 # coefficient tiles use run-level coding in scan order: a count, then
-# (zero run, nonzero level) pairs; an all-zero tile costs a single bit
+# (zero run, nonzero level) pairs; an all-zero tile costs a single bit.
+# tile_codes gives any number of tiles' code numbers, all ue codes
 tile = np.zeros(64, dtype=np.int32)
 tile[0], tile[1], tile[8] = 21, -3, 5
+codes, counts = tile_codes(tile)
+print(f"\ntile with {counts} nonzero coefficients: codes {codes.tolist()}, "
+      f"{write_ue_codes(BitWriter(), codes)} bits")
+zero_codes = tile_codes(np.zeros(64, dtype=np.int32))[0]
+print(f"all-zero tile: {write_ue_codes(BitWriter(), zero_codes)} bit")
 
+# tiles travel in frame units: here one intra DC block whose first of 24
+# tiles is ours, read back by the stream's own frame parser
+blocks = np.zeros((1, 24, 64), dtype=np.int32)
+blocks[0, 0] = tile
+unit = FrameUnit("I", [], np.full((1, 1), BlockMode.INTRA_DC, np.int8),
+                 np.zeros((1, 1, 2), np.int32), blocks)
 w = BitWriter()
-bits = code_coeffs(w, tile)
-print(f"\ntile with 3 nonzero coefficients: {bits} bits")
-
-w2 = BitWriter()
-print(f"all-zero tile: {code_coeffs(w2, np.zeros(64, dtype=np.int32))} bit")
-
-back = decode_coeffs(BitReader(w.to_bytes()))
-print(f"round trip exact: {np.array_equal(back, tile)}")
+write_frame(w, unit, 1, 1)
+back = parse_frame(BitReader(w.to_bytes()), 1, 1).blocks[0, 0]
+print(f"one-block frame unit: {w.bit_position} bits, "
+      f"round trip exact: {np.array_equal(back, tile)}")

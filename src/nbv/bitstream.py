@@ -177,14 +177,29 @@ def _pack_levels(flat: np.ndarray) -> bytes:
     return np.packbits(bits.reshape(-1)).tobytes()
 
 
+# Every 5 bytes of packed levels hold four 10-bit fields; _unpack_levels
+# reads this many such groups per numpy pass, so its scratch memory is
+# bounded whatever the layer size.
+_UNPACK_GROUPS = 1 << 14
+_BYTE_SHIFTS = np.arange(32, -8, -8, dtype=np.int64)
+_FIELD_SHIFTS = np.arange(30, -10, -10, dtype=np.int64)
+
+
 def _unpack_levels(raw: bytes, n: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:10 * n]
-    weights = (1 << np.arange(9, -1, -1, dtype=np.int64))
-    codes = bits.reshape(n, 10).astype(np.int64) @ weights
-    vals = np.where(codes >= 512, codes - 1024, codes)
-    if np.any(vals < -QUANT_MAX):
+    """Unpack n consecutive 10-bit two's-complement fields to int16 levels."""
+    groups = -(-n // 4)
+    out = np.empty(4 * groups, dtype=np.int16)
+    for lo in range(0, groups, _UNPACK_GROUPS):
+        hi = min(groups, lo + _UNPACK_GROUPS)
+        part = raw[5 * lo:5 * hi].ljust(5 * (hi - lo), b"\0")
+        words = (np.frombuffer(part, np.uint8).reshape(-1, 5).astype(np.int64)
+                 << _BYTE_SHIFTS).sum(axis=1)
+        codes = (words[:, None] >> _FIELD_SHIFTS) & 0x3FF
+        out[4 * lo:4 * hi] = ((codes ^ 512) - 512).reshape(-1)  # sign extend
+    vals = out[:n]
+    if vals.min() < -QUANT_MAX:
         raise StreamError("parameter level out of 10-bit range")
-    return vals.astype(np.int16)
+    return vals
 
 
 def write_param_set(w: BitWriter, qparams: QuantizedGnnParams) -> int:
@@ -233,10 +248,8 @@ def _parse_param_set_body(r: BitReader) -> QuantizedGnnParams:
         n = fan_out * (fan_in + 1)
         vals = _unpack_levels(r.read_bytes((10 * n + 7) // 8), n)
         layers.append(QuantizedLayer(
-            vals[:fan_out * fan_in].reshape(fan_out, fan_in).copy(),
-            vals[fan_out * fan_in:].copy(),
-            scale,
-        ))
+            vals[:fan_out * fan_in].reshape(fan_out, fan_in),
+            vals[fan_out * fan_in:], scale))
     return QuantizedGnnParams(layers)
 
 
@@ -269,24 +282,25 @@ FORCED, SELECTABLE = 1, 2
 
 def region_map(regions: list[RegionSpec], cols: int, rows: int) -> np.ndarray:
     """(rows, cols) int8 map of each block's region kind: 0, FORCED or
-    SELECTABLE. The regions must not overlap."""
+    SELECTABLE.
+
+    A region off the grid or inverted is a ValueError, and so is one that
+    covers a block an earlier region holds, so the work is linear in the
+    grid whatever the region count.
+    """
     kinds = np.zeros((rows, cols), dtype=np.int8)
     for reg in regions:
-        kinds[reg.area] = SELECTABLE if reg.selectable else FORCED
-    return kinds
-
-
-def validate_regions(regions: list[RegionSpec], cols: int, rows: int) -> None:
-    for reg in regions:
+        # bounds first: a negative slice index would wrap, not fail
         if not (0 <= reg.x0 <= reg.x1 < cols and 0 <= reg.y0 <= reg.y1 < rows):
             raise ValueError(
                 f"region ({reg.x0},{reg.y0})-({reg.x1},{reg.y1}) "
                 f"outside {cols}x{rows} grid or inverted"
             )
-    for i, a in enumerate(regions):
-        for b in regions[i + 1:]:
-            if a.x0 <= b.x1 and b.x0 <= a.x1 and a.y0 <= b.y1 and b.y0 <= a.y1:
-                raise ValueError("regions overlap")
+        area = kinds[reg.area]  # a view into kinds
+        if area.any():
+            raise ValueError("regions overlap")
+        area[...] = SELECTABLE if reg.selectable else FORCED
+    return kinds
 
 
 @dataclass(eq=False)
@@ -314,13 +328,12 @@ class FrameBits:
 def _check_frame_unit(fu: FrameUnit, cols: int, rows: int) -> None:
     if fu.frame_type not in ("I", "P"):
         raise ValueError(f"bad frame type {fu.frame_type!r}")
-    validate_regions(fu.regions, cols, rows)
+    kinds = region_map(fu.regions, cols, rows)
     if (fu.modes.shape != (rows, cols) or fu.mvds.shape != (rows, cols, 2)
             or fu.blocks.shape != (rows * cols, TILES_PER_BLOCK, 64)):
         raise ValueError("unit arrays do not match the grid")
     if np.any((fu.modes < BlockMode.INTER) | (fu.modes > BlockMode.GEN)):
         raise ValueError("mode outside BlockMode")
-    kinds = region_map(fu.regions, cols, rows)
     gen = fu.modes == BlockMode.GEN
     if np.any(gen & (kinds == 0)):
         raise ValueError("generated block outside every region")
@@ -455,10 +468,9 @@ def _parse_frame_body(r: BitReader, cols: int, rows: int,
         corners = [ue_decode(r) for _ in range(4)]  # x0, y0, x1, y1
         regions.append(RegionSpec(*corners, r.read_bits(1) == 1))
     try:
-        validate_regions(regions, cols, rows)
+        gen = region_map(regions, cols, rows) == FORCED
     except ValueError as e:
         raise StreamError(str(e)) from e
-    gen = region_map(regions, cols, rows) == FORCED
     for reg in regions:
         if reg.selectable:
             area = gen[reg.area]  # a view into gen

@@ -96,9 +96,7 @@ def _build_config(args, qp: int, gnn_enabled: bool) -> SequenceConfig:
 def _train_config(args) -> TrainConfig:
     if args.gnn_steps < 0:
         raise UsageError("--gnn-steps must be nonnegative")
-    if args.gnn_lr <= 0:
-        raise UsageError("--gnn-lr must be positive")
-    return TrainConfig(lr=args.gnn_lr, steps=args.gnn_steps, seed=args.seed)
+    return TrainConfig(steps=args.gnn_steps, seed=args.seed)
 
 
 def cmd_encode(args) -> int:
@@ -125,7 +123,7 @@ def cmd_decode(args) -> int:
     if args.report:
         _write_text(args.report, report.to_csv())
     print(f"decoded {len(frames)} frames "
-          f"({report.gnn_calls} generator calls, "
+          f"({sum(r.n_gen for r in report.rows)} generator calls, "
           f"{report.n_param_sets} parameter sets)")
     return EXIT_OK
 
@@ -208,8 +206,6 @@ def _add_gnn_flags(p):
                    help="hidden layer sizes (default 25,40,60)")
     p.add_argument("--gnn-steps", type=int, default=5000,
                    help="training steps per parameter set (default 5000)")
-    p.add_argument("--gnn-lr", type=float, default=1e-3,
-                   help="training learning rate (default 1e-3)")
     p.add_argument("--seed", type=int, default=0,
                    help="training seed (default 0)")
     p.add_argument("--search-range", type=int, default=8,

@@ -69,9 +69,6 @@ class Block32:
     cb: np.ndarray
     cr: np.ndarray
 
-    def copy(self) -> "Block32":
-        return Block32(self.y.copy(), self.cb.copy(), self.cr.copy())
-
 
 @dataclass
 class SequenceConfig:
@@ -187,7 +184,7 @@ def read_yuv(path, width: int, height: int, n_frames: int) -> list[Frame]:
         raise ValueError("dimensions and frame count must be positive")
     fbytes = yuv_frame_bytes(width, height)
     with open(path, "rb") as f:
-        data = f.read()
+        data = f.read(n_frames * fbytes)  # the frames view this buffer
     if len(data) < n_frames * fbytes:
         raise ValueError(
             f"yuv file holds {len(data)} bytes, "

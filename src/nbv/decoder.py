@@ -89,25 +89,16 @@ class DecodeRow:
     type: str
     n_intra: int
     n_inter: int
-    n_gen: int
-
-    @property
-    def gnn_calls(self) -> int:
-        # one generator evaluation per generated block
-        return self.n_gen
+    n_gen: int  # also the generator evaluations: one per generated block
 
 
-CSV_COLUMNS = ("frame", "n_intra", "n_inter", "n_gen", "gnn_calls")
+CSV_COLUMNS = ("frame", "n_intra", "n_inter", "n_gen")
 
 
 @dataclass
 class DecodeReport:
     rows: list[DecodeRow] = field(default_factory=list)
     n_param_sets: int = 0
-
-    @property
-    def gnn_calls(self) -> int:
-        return sum(r.gnn_calls for r in self.rows)
 
     def to_csv(self) -> str:
         return csv_text(self.rows, CSV_COLUMNS)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +42,6 @@ from .bitstream import (
     block_syntax_bits,
     param_set_bits,
     region_map,
-    validate_regions,
     write_frame,
     write_header,
     write_param_set,
@@ -68,7 +66,7 @@ from .gnn import (
     quantize_params,
     train,
 )
-from .prediction import motion_field
+from .prediction import MotionVector, motion_field
 from .residual import (
     TILES_PER_BLOCK,
     apply_block_residual,
@@ -85,11 +83,6 @@ def rd_lambda(qp: int) -> float:
     return 0.85 * 2.0 ** ((qp - 12) / 3.0)
 
 
-class GlobalMotion(NamedTuple):
-    dx: int
-    dy: int
-
-
 def _median_toward_zero(values: list[int] | np.ndarray) -> int:
     # np.median averages the middle pair on even counts; a half-integer
     # result truncates toward zero.
@@ -97,14 +90,14 @@ def _median_toward_zero(values: list[int] | np.ndarray) -> int:
     return int(med)
 
 
-def estimate_global_motion(cur: Frame, ref: Frame, search_range: int) -> GlobalMotion:
+def estimate_global_motion(cur: Frame, ref: Frame, search_range: int) -> MotionVector:
     """Component-wise median motion over a regular 16-block subsample grid."""
     cols, rows = block_grid_dims(cur.width, cur.height)
     bxs = [min(cols - 1, ((2 * i + 1) * cols) // 8) for i in range(4)]
     bys = [min(rows - 1, ((2 * i + 1) * rows) // 8) for i in range(4)]
     field = motion_field(cur, ref, search_range)
     sample = np.ix_(bys, bxs)
-    return GlobalMotion(_median_toward_zero(field.dx[sample]),
+    return MotionVector(_median_toward_zero(field.dx[sample]),
                         _median_toward_zero(field.dy[sample]))
 
 
@@ -118,7 +111,7 @@ def _axis_margin(comp: int, frames_since_set: int, extent: int) -> tuple[int, in
 
 
 def select_generation_regions(
-    gm: GlobalMotion, cols: int, rows: int,
+    gm: MotionVector, cols: int, rows: int,
     frames_since_set: int, hint: str = "none",
 ) -> list[RegionSpec]:
     """Regions worth generating for one frame.
@@ -152,7 +145,6 @@ def select_generation_regions(
             regs.append(RegionSpec(x_lo, 0, x_hi, top - 1, True))
         if bottom:
             regs.append(RegionSpec(x_lo, rows - bottom, x_hi, rows - 1, True))
-    validate_regions(regs, cols, rows)
     return regs
 
 
@@ -394,7 +386,7 @@ class EncodeReport:
         return csv_text(self.rows, CSV_COLUMNS)
 
 
-def _period_global_motion(frames: list[Frame], search_range: int) -> GlobalMotion:
+def _period_global_motion(frames: list[Frame], search_range: int) -> MotionVector:
     """Median per-frame motion across the period, measured on source frames.
 
     Reconstructions of future frames do not exist at planning time, so the
@@ -407,8 +399,8 @@ def _period_global_motion(frames: list[Frame], search_range: int) -> GlobalMotio
         dxs.append(gm.dx)
         dys.append(gm.dy)
     if not dxs:
-        return GlobalMotion(0, 0)
-    return GlobalMotion(_median_toward_zero(dxs), _median_toward_zero(dys))
+        return MotionVector(0, 0)
+    return MotionVector(_median_toward_zero(dxs), _median_toward_zero(dys))
 
 
 def _network_pass(
@@ -425,7 +417,7 @@ def _network_pass(
     cols, rows = block_grid_dims(config.width, config.height)
     # A zoom hint places its margins without reading global motion.
     gm = (_period_global_motion(period, config.search_range)
-          if zoom_hint == "none" else GlobalMotion(0, 0))
+          if zoom_hint == "none" else MotionVector(0, 0))
     ctx = SetContext(cols, rows, start, span)
     regions_per_frame = [
         select_generation_regions(gm, cols, rows, offset, zoom_hint)

@@ -172,13 +172,18 @@ def ue_encode(w: BitWriter, v: int) -> None:
 
 
 def ue_decode(r: BitReader) -> int:
-    zeros = 0
-    while r.read_bits(1) == 0:
-        zeros += 1
-        if zeros > _MAX_ZEROS:
-            raise StreamError("malformed exp-Golomb prefix")
-    rest = r.read_bits(zeros) if zeros else 0
-    return ((1 << zeros) | rest) - 1
+    # nine bytes from the reader's byte hold at least 65 bits from its
+    # position, more than the longest code
+    pos = r.bit_position
+    window = r._data[pos >> 3:(pos >> 3) + 9]
+    avail = 8 * len(window) - (pos & 7)
+    bits = int.from_bytes(window, "big") & ((1 << avail) - 1)
+    zeros = avail - bits.bit_length()
+    if zeros > _MAX_ZEROS:
+        raise StreamError("malformed exp-Golomb prefix")
+    length = 2 * zeros + 1
+    r.skip(length)  # past the end of the stream is a StreamError
+    return (bits >> (avail - length)) - 1
 
 
 def se_to_ue(v):

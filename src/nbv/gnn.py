@@ -134,6 +134,7 @@ def backward(params: Params, inputs: np.ndarray, targets: np.ndarray) -> Params:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+LEARNING_RATE = 1e-3
 BATCH_SIZE = 1024
 
 
@@ -141,7 +142,6 @@ BATCH_SIZE = 1024
 class TrainConfig:
     """Training settings; the defaults overfit one period at full quality."""
 
-    lr: float = 1e-3
     steps: int = 5000
     seed: int = 0
 
@@ -151,7 +151,7 @@ def train(layer_sizes, inputs: np.ndarray, targets: np.ndarray,
     """Overfit the network on (input, target) rows; fully seeded and repeatable.
 
     Runs exactly cfg.steps Adam updates (ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
-    at learning rate cfg.lr. Datasets of at most BATCH_SIZE rows train full
+    at LEARNING_RATE. Datasets of at most BATCH_SIZE rows train full
     batch; larger ones are visited in seeded shuffled minibatches of
     BATCH_SIZE, reshuffled each epoch.
     """
@@ -160,8 +160,8 @@ def train(layer_sizes, inputs: np.ndarray, targets: np.ndarray,
     t = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or t.ndim != 2 or x.shape[0] != t.shape[0] or x.shape[0] == 0:
         raise ValueError("inputs and targets must be matching non-empty batches")
-    if cfg.steps < 0 or cfg.lr <= 0:
-        raise ValueError("steps must be >= 0 and lr > 0")
+    if cfg.steps < 0:
+        raise ValueError("steps must be >= 0")
 
     rng = np.random.default_rng(cfg.seed)
     params = init_params(layer_sizes, rng)
@@ -196,8 +196,8 @@ def train(layer_sizes, inputs: np.ndarray, targets: np.ndarray,
             vb = ADAM_BETA2 * vb + (1.0 - ADAM_BETA2) * (gb * gb)
             m[li] = (mw, mb)
             v[li] = (vw, vb)
-            w = w - cfg.lr * (mw / bc1) / (np.sqrt(vw / bc2) + ADAM_EPS)
-            b = b - cfg.lr * (mb / bc1) / (np.sqrt(vb / bc2) + ADAM_EPS)
+            w = w - LEARNING_RATE * (mw / bc1) / (np.sqrt(vw / bc2) + ADAM_EPS)
+            b = b - LEARNING_RATE * (mb / bc1) / (np.sqrt(vb / bc2) + ADAM_EPS)
             new_params.append((w, b))
         params = new_params
     return params

@@ -11,7 +11,8 @@ taps to the padded frame edge and halves the vector toward zero for chroma.
 The search runs a whole frame at a time: motion_field pads the reference
 once by edge replication and, per offset, takes one int16 absolute
 difference of the whole frame, summed per block. motion_search is the same
-search on one block and its clamped window.
+search on one block and its clamped window; the codec never calls it, and
+it remains only for the benchmark's per-call timing and the tests.
 """
 
 from __future__ import annotations

@@ -28,9 +28,10 @@ Levels are bounded by MAX_LEVEL = 2040, checked when a stream is parsed
 
 Tiles are coded in bulk, with the same bits as one pair at a time:
 tile_codes turns any number of tiles into their code numbers with numpy,
-sharing its run and level mapping with coeff_bits; a reader steps over
-the whole tiles in a chunk of codes with walk_tiles and decodes them with
-one scatter_tiles assignment.
+sharing its run and level mapping with coeff_bits, and write_ue_codes
+writes them. The frame parser steps over the whole tiles in a chunk of
+codes with walk_tiles and decodes them with one scatter_tiles assignment;
+frame units are the only place tiles are written or read.
 
 Like dct8_forward, the block-level functions work on batches: leading axes
 of the basis planes and of the levels pass through. The encoder stacks a
@@ -46,16 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import BLOCK, CHROMA_BLOCK, Block32, round_half_away
-from .entropy import (
-    BitReader,
-    BitWriter,
-    StreamError,
-    read_ue_codes,
-    se_to_ue,
-    ue_lengths,
-    ue_to_se,
-    write_ue_codes,
-)
+from .entropy import StreamError, se_to_ue, ue_lengths, ue_to_se
 
 _N = 8
 TILES_PER_BLOCK = 16 + 4 + 4
@@ -168,7 +160,7 @@ def _runs(nz: np.ndarray) -> np.ndarray:
 
 def coeff_bits(levels: np.ndarray) -> np.ndarray:
     """Exact coded size of each tile's levels, shape (..., 64) -> (...),
-    without writing them. Equals what code_coeffs emits per tile."""
+    without writing them. Equals the ue lengths of tile_codes' codes."""
     lv = np.asarray(levels)
     nz = lv != 0
     pair_bits = np.where(nz, _UE_LEN[_runs(nz)] + _UE_LEN[se_to_ue(lv)], 0)
@@ -252,34 +244,6 @@ def scatter_tiles(values: np.ndarray, starts: list, out: np.ndarray) -> None:
     out[tile, pos] = ue_to_se(codes)
 
 
-def read_tiles(r: BitReader, n: int) -> np.ndarray:
-    """Read n tiles of run-level codes as (n, 64) zigzag levels."""
-    levels = np.zeros((n, 64), dtype=np.int32)
-    done = 0
-
-    def walk(chunk):
-        nonlocal done
-        starts: list[int] = []
-        used = walk_tiles(chunk.values.tolist(), 0, n - done, starts)
-        scatter_tiles(chunk.values, starts, levels[done:done + len(starts)])
-        done += len(starts)
-        return used, done == n
-
-    read_ue_codes(r, walk)
-    return levels
-
-
-def code_coeffs(w: BitWriter, levels: np.ndarray) -> int:
-    """Write (..., 64) tiles of zigzag levels as run-level pairs, in order;
-    returns bits written."""
-    return write_ue_codes(w, tile_codes(levels)[0])
-
-
-def decode_coeffs(r: BitReader) -> np.ndarray:
-    """Read one tile's run-level pairs back to 64 zigzag levels."""
-    return read_tiles(r, 1)[0]
-
-
 def _plane_tiles(plane: np.ndarray) -> np.ndarray:
     """View (..., 8m, 8n) planes as (..., m*n, 8, 8) tiles in raster order."""
     *lead, h, w = plane.shape
@@ -338,5 +302,5 @@ def apply_block_residual(basis: Block32, levels: np.ndarray, qp: int) -> Block32
 
 def block_tiles_bits(tiles: np.ndarray) -> np.ndarray:
     """Exact coded size of each block's 24 tiles, (..., 24, 64) -> (...);
-    equals what code_coeffs emits for them."""
+    equals what write_frame spends on their tile_codes."""
     return coeff_bits(tiles).sum(axis=-1)

@@ -1,4 +1,5 @@
-"""Shared fixtures: small deterministic sequences and one cached encode.
+"""Shared fixtures: small deterministic sequences, one cached encode, and
+frame units built by hand, tiles included.
 
 Session scope keeps the expensive pieces (synthesis, training, encoding)
 to a single run; every test that needs them must treat them as read-only.
@@ -7,11 +8,19 @@ to a single run; every test that needs them must treat them as read-only.
 import numpy as np
 import pytest
 
-from nbv.bitstream import FrameUnit, RegionSpec, StreamHeader, write_header
+from nbv.bitstream import (
+    UNIT_FRAME,
+    FrameUnit,
+    RegionSpec,
+    StreamHeader,
+    parse_frame,
+    write_header,
+)
 from nbv.core import Frame, SequenceConfig, make_frame
 from nbv.encoder import _encode_period, encode_sequence, rd_lambda, train_param_set
-from nbv.entropy import BitWriter
+from nbv.entropy import BitReader, BitWriter, ue_encode, write_ue_codes
 from nbv.gnn import SetContext, TrainConfig
+from nbv.residual import TILES_PER_BLOCK, tile_codes
 from nbv.tools import synth_sequence
 
 
@@ -34,6 +43,47 @@ def frame_unit(frame_type: str, blocks, cols: int = 1, regions=()) -> FrameUnit:
     tiles = np.array([np.reshape(t, (24, 64)) for _, _, t in blocks], dtype=np.int32)
     return FrameUnit(frame_type, list(regions), modes.reshape(rows, cols),
                      mvds.reshape(rows, cols, 2), tiles)
+
+
+def start_tile_frame(w: BitWriter) -> None:
+    """Write an I-frame unit up to its first block's tiles: the tag, the
+    frame type, no regions and the intra DC mode symbol."""
+    w.write_bits(UNIT_FRAME, 8)
+    w.write_bits(0, 1)
+    ue_encode(w, 0)
+    ue_encode(w, 0)
+
+
+def tile_frame(tiles) -> tuple[bytes, int]:
+    """(n, 64) level tiles as an I-frame unit of one row of intra DC
+    blocks, 24 tiles a block, the last block filled up with zero tiles.
+
+    Each block's tiles are written as the codec writes them,
+    write_ue_codes(w, tile_codes(tiles)[0]). Returns the unit and the bits
+    of its tiles' codes.
+    """
+    tiles = np.reshape(tiles, (-1, 64))
+    blocks = np.zeros((-(-len(tiles) // TILES_PER_BLOCK), TILES_PER_BLOCK, 64),
+                      dtype=np.int32)
+    blocks.reshape(-1, 64)[:len(tiles)] = tiles
+    w = BitWriter()
+    start_tile_frame(w)
+    bits = 0
+    for i, block in enumerate(blocks):
+        if i:
+            ue_encode(w, 0)  # the next block's mode symbol
+        bits += write_ue_codes(w, tile_codes(block)[0])
+    w.byte_align()
+    return w.to_bytes(), bits
+
+
+def parse_tiles(data: bytes, n: int) -> np.ndarray:
+    """The first n tiles of a tile_frame unit, read by the frame parser,
+    which must consume the whole unit."""
+    r = BitReader(data)
+    unit = parse_frame(r, -(-n // TILES_PER_BLOCK), 1)
+    assert r.bits_remaining == 0
+    return unit.blocks.reshape(-1, 64)[:n]
 
 
 def fast_train(steps: int = 150) -> TrainConfig:

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import frame_unit
+from conftest import frame_unit, parse_tiles, tile_frame
 from nbv.bitstream import (
     BlockMode,
     RegionSpec,
@@ -56,10 +56,8 @@ from nbv.gnn import (
 )
 from nbv.residual import (
     apply_block_residual,
-    code_coeffs,
     dct8_forward,
     dct8_inverse,
-    decode_coeffs,
     encode_block_residual,
 )
 from nbv.tools import (
@@ -215,15 +213,10 @@ def test_criterion_7_round_trips():
         failures.append("signed codes")
 
     rng = np.random.default_rng(7)
-    w = BitWriter()
-    tiles = []
-    for _ in range(10_000):
-        levels = rng.integers(-40, 41, 64)
-        levels[rng.random(64) < 0.88] = 0
-        tiles.append(levels.astype(np.int32))
-        code_coeffs(w, tiles[-1])
-    r = BitReader(w.to_bytes())
-    if any(not np.array_equal(decode_coeffs(r), t) for t in tiles):
+    tiles = rng.integers(-40, 41, (10_000, 64))
+    tiles[rng.random((10_000, 64)) < 0.88] = 0
+    tiles = tiles.astype(np.int32)
+    if not np.array_equal(parse_tiles(tile_frame(tiles)[0], 10_000), tiles):
         failures.append("coefficient coding")
 
     for arch in [(3, 1536), (3, 7, 1536), (3, 30, 12, 1536), DEFAULT_ARCH]:

@@ -1,5 +1,7 @@
 """Container format: header, parameter sets, frame units, stream framing."""
 
+import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,11 +11,14 @@ from conftest import frame_unit
 from nbv.bitstream import (
     FORCED,
     SELECTABLE,
+    UNIT_FRAME,
+    UNIT_PARAM_SET,
     BlockMode,
     FrameBits,
     FrameUnit,
     RegionSpec,
     StreamHeader,
+    _pack_levels,
     block_syntax_bits,
     param_set_bits,
     parse_frame,
@@ -21,17 +26,24 @@ from nbv.bitstream import (
     parse_param_set,
     parse_stream,
     region_map,
-    validate_regions,
     write_frame,
     write_header,
     write_param_set,
     write_stream,
 )
-from nbv.core import MAX_LUMA_SAMPLES, SequenceConfig
+from nbv.core import MAX_LUMA_SAMPLES, SequenceConfig, block_grid_dims
 from nbv.decoder import decode_sequence
-from nbv.entropy import BitReader, BitWriter, StreamError, se_length, ue_encode, ue_length
+from nbv.entropy import (
+    BitReader,
+    BitWriter,
+    StreamError,
+    se_length,
+    ue_encode,
+    ue_length,
+    write_ue_codes,
+)
 from nbv.gnn import QuantizedGnnParams, QuantizedLayer, init_params, quantize_params
-from nbv.residual import block_tiles_bits, code_coeffs
+from nbv.residual import TILES_PER_BLOCK, block_tiles_bits, tile_codes
 
 DEFAULT_ARCH = (3, 25, 40, 60, 1536)
 
@@ -151,6 +163,32 @@ class TestParamSetUnit:
         with pytest.raises(StreamError):
             parse_param_set(BitReader(bytes(raw)))
 
+    def test_widest_layer_parses_in_a_small_multiple_of_its_size(self):
+        # 3-4096-1536 holds 6.3 M levels; every four are the same 5 bytes
+        arch = (3, 4096, 1536)
+        pattern = np.array([-511, 511, 0, -1], np.int16)
+        w = BitWriter()
+        for value, n in ((UNIT_PARAM_SET, 8), (len(arch), 8), (arch[1], 16)):
+            w.write_bits(value, n)
+        data = w.to_bytes()
+        counts = [o * (i + 1) for i, o in zip(arch[:-1], arch[1:])]
+        for n in counts:
+            data += struct.pack(">f", 0.5) + _pack_levels(pattern) * (n // 4)
+        assert len(data) * 8 == param_set_bits(arch)
+        tracemalloc.start()
+        try:
+            q = parse_param_set(BitReader(data))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(data)
+        for layer, n in zip(q.layers, counts):
+            levels = np.concatenate([layer.weights.reshape(-1), layer.biases])
+            assert np.array_equal(levels, np.tile(pattern, n // 4))
+        last = _pack_levels(np.array([-511, 511, 0, -512]))  # -512 at the end
+        with pytest.raises(StreamError, match="out of 10-bit range"):
+            parse_param_set(BitReader(data[:-5] + last))
+
     def test_architecture_caps_enforced_at_parse(self):
         w = BitWriter()
         w.write_bits(1, 8)  # unit tag
@@ -182,34 +220,91 @@ class TestParamSetUnit:
 
 
 class TestRegions:
+    """region_map is the only region geometry: it places the regions and
+    refuses those off the grid, inverted or overlapping."""
+
     def test_right_edge_margin_on_large_grid(self):
-        validate_regions([RegionSpec(112, 0, 119, 67, False)], 120, 68)
+        kinds = region_map([RegionSpec(112, 0, 119, 67, False)], 120, 68)
+        assert np.count_nonzero(kinds) == np.count_nonzero(kinds == FORCED) == 8 * 68
+        assert np.all(kinds[:, 112:] == FORCED)
 
     def test_out_of_grid_rejected(self):
-        with pytest.raises(ValueError):
-            validate_regions([RegionSpec(0, 0, 3, 0, True)], 3, 2)
+        with pytest.raises(ValueError, match="outside 3x2 grid"):
+            region_map([RegionSpec(0, 0, 3, 0, True)], 3, 2)
 
     def test_inverted_rejected(self):
-        with pytest.raises(ValueError):
-            validate_regions([RegionSpec(2, 0, 1, 0, True)], 3, 2)
+        with pytest.raises(ValueError, match="or inverted"):
+            region_map([RegionSpec(2, 0, 1, 0, True)], 3, 2)
+
+    @pytest.mark.parametrize("corners", [(-1, 0, 2, 0), (0, -1, 0, 1),
+                                         (-1, -1, -1, -1)])
+    def test_negative_corner_rejected(self, corners):
+        # sliced unchecked, -1 wraps to the last column or row
+        with pytest.raises(ValueError, match="outside 3x2 grid"):
+            region_map([RegionSpec(*corners, True)], 3, 2)
+        unit = single_block_unit(regions=[RegionSpec(*corners, True)])
+        with pytest.raises(ValueError, match="outside 1x1 grid"):
+            write_frame(BitWriter(), unit, 1, 1)
 
     def test_overlap_rejected(self):
         regs = [RegionSpec(0, 0, 1, 1, True), RegionSpec(1, 1, 2, 1, False)]
-        with pytest.raises(ValueError):
-            validate_regions(regs, 3, 2)
+        with pytest.raises(ValueError, match="regions overlap"):
+            region_map(regs, 3, 2)
 
     def test_disjoint_accepted(self):
         regs = [RegionSpec(0, 0, 0, 1, True), RegionSpec(2, 0, 2, 1, False)]
-        validate_regions(regs, 3, 2)
+        assert region_map(regs, 3, 2).tolist() == [[SELECTABLE, 0, FORCED],
+                                                   [SELECTABLE, 0, FORCED]]
+        regs.append(RegionSpec(1, 0, 1, 0, True))  # touches both
+        assert np.count_nonzero(region_map(regs, 3, 2)) == 5
 
     def test_block_count(self):
         regs = [RegionSpec(1, 0, 2, 0, True), RegionSpec(0, 1, 0, 1, False)]
         assert region_map(regs, 3, 2).tolist() == [[0, SELECTABLE, SELECTABLE],
                                                    [FORCED, 0, 0]]
         assert region_map([], 3, 2).tolist() == [[0, 0, 0], [0, 0, 0]]
-        kinds = region_map([RegionSpec(112, 0, 119, 67, False)], 120, 68)
-        assert np.count_nonzero(kinds) == np.count_nonzero(kinds == FORCED) == 8 * 68
-        assert np.all(kinds[:, 112:] == FORCED)
+
+
+class TestRegionScale:
+    """One-block regions over the largest legal grid cost time linear in
+    the grid, not in the square of the region count."""
+
+    COLS, ROWS = block_grid_dims(8192, 4352)  # MAX_LUMA_SAMPLES: 34,816 blocks
+
+    def regions(self):
+        return [RegionSpec(x, y, x, y, False)
+                for y in range(self.ROWS) for x in range(self.COLS)]
+
+    def test_region_map_is_linear(self):
+        regions = self.regions()
+        start = time.perf_counter()
+        kinds = region_map(regions, self.COLS, self.ROWS)
+        assert time.perf_counter() - start < 1.0
+        assert np.all(kinds == FORCED)
+        regions.append(RegionSpec(self.COLS - 1, self.ROWS - 1,
+                                  self.COLS - 1, self.ROWS - 1, True))
+        with pytest.raises(ValueError, match="regions overlap"):
+            region_map(regions, self.COLS, self.ROWS)
+
+    def test_parse_is_linear(self):
+        # every block a forced one-block region, then its 24 empty tiles
+        cols, rows = self.COLS, self.ROWS
+        w = BitWriter()
+        w.write_bits(UNIT_FRAME, 8)
+        w.write_bits(0, 1)
+        ue_encode(w, cols * rows)
+        for reg in self.regions():
+            for corner in (reg.x0, reg.y0, reg.x1, reg.y1):
+                ue_encode(w, corner)
+            w.write_bits(0, 1)
+        w.write_bit_array(np.ones(cols * rows * TILES_PER_BLOCK, np.uint8))
+        w.byte_align()
+        data = w.to_bytes()
+        start = time.perf_counter()
+        unit = parse_frame(BitReader(data), cols, rows)
+        assert time.perf_counter() - start < 1.0
+        assert len(unit.regions) == cols * rows
+        assert np.all(unit.modes == BlockMode.GEN)
 
 
 class TestFrameUnit:
@@ -366,7 +461,7 @@ class TestFrameUnit:
         w.write_bits(0, 1)
         ue_encode(w, 0)
         ue_encode(w, 0)
-        code_coeffs(w, tiles)
+        write_ue_codes(w, tile_codes(tiles)[0])
         w.byte_align()
         data = w.to_bytes()
         if abs(level) <= 2040:
@@ -387,24 +482,32 @@ class TestFrameUnit:
             write_frame(w, unit, 1, 1)
         assert w.bit_position == 0
 
-    def test_overlapping_regions_rejected_on_parse(self):
+    @staticmethod
+    def regions_rejected_on_parse(corners, error):
+        # a 2x1 grid, so that two regions do not exceed the block count
         w = BitWriter()
         w.write_bits(2, 8)
         w.write_bits(0, 1)
-        from nbv.entropy import ue_encode
-        ue_encode(w, 2)
-        for _ in range(2):  # the same one-block region twice
-            for v in (0, 0, 0, 0):
+        ue_encode(w, len(corners))
+        for region in corners:
+            for v in region:
                 ue_encode(w, v)
             w.write_bits(0, 1)
-        with pytest.raises(StreamError):
-            parse_frame(BitReader(w.to_bytes()), 1, 1)
+        with pytest.raises(StreamError, match=error):
+            parse_frame(BitReader(w.to_bytes()), 2, 1)
+
+    def test_overlapping_regions_rejected_on_parse(self):
+        # the same one-block region twice
+        self.regions_rejected_on_parse([(0, 0, 0, 0)] * 2, "regions overlap")
+
+    @pytest.mark.parametrize("corners", [(2, 0, 2, 0), (0, 0, 0, 1), (1, 0, 0, 0)])
+    def test_off_grid_or_inverted_regions_rejected_on_parse(self, corners):
+        self.regions_rejected_on_parse([corners], "outside 2x1 grid or inverted")
 
     def test_region_count_beyond_grid_rejected(self):
         w = BitWriter()
         w.write_bits(2, 8)
         w.write_bits(0, 1)
-        from nbv.entropy import ue_encode
         ue_encode(w, 5)  # more regions than blocks
         with pytest.raises(StreamError):
             parse_frame(BitReader(w.to_bytes()), 1, 1)

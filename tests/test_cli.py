@@ -53,7 +53,7 @@ class TestPipeline:
         dec = (workdir / "dec.csv").read_text().strip().split("\n")
         assert len(enc) == 9 and enc[0].startswith("frame,type,psnr_y")
         assert len(dec) == 9
-        assert dec[0] == "frame,n_intra,n_inter,n_gen,gnn_calls"
+        assert dec[0] == "frame,n_intra,n_inter,n_gen"
 
     def test_metrics_between_source_and_decode(self, workdir, capsys):
         assert main([

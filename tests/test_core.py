@@ -1,5 +1,7 @@
 """Frames, padding, block access, config validation, and raw 4:2:0 file I/O."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from nbv.core import (
     read_yuv,
     round_half_away,
     write_yuv,
+    yuv_frame_bytes,
 )
 
 
@@ -142,8 +145,21 @@ class TestYuvIO:
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "short.yuv"
         path.write_bytes(bytes(100))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="holds 100 bytes, need 2304"):
             read_yuv(path, 48, 32, 1)
+
+    def test_reading_one_frame_of_a_long_file_holds_one_frame(self, tmp_path):
+        fbytes = yuv_frame_bytes(96, 64)
+        path = tmp_path / "long.yuv"
+        path.write_bytes(np.arange(500 * fbytes, dtype=np.uint8).tobytes())
+        tracemalloc.start()
+        try:
+            frames = read_yuv(path, 96, 64, 1)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * fbytes and held < 2 * fbytes
+        assert frames[0].y.reshape(-1)[:3].tolist() == [0, 1, 2]
 
 
 class TestSequenceConfig:

@@ -70,13 +70,12 @@ class TestClosedLoop:
         _, report = decode_sequence(stream)
         lines = report.to_csv().strip().split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
-        assert CSV_COLUMNS == ("frame", "n_intra", "n_inter", "n_gen",
-                               "gnn_calls")
+        assert CSV_COLUMNS == ("frame", "n_intra", "n_inter", "n_gen")
         assert len(lines) == 1 + 8
         for row, line in zip(report.rows, lines[1:]):
             fields = line.split(",")
             assert int(fields[0]) == row.frame
-            assert int(fields[3]) == int(fields[4]) == row.n_gen
+            assert int(fields[3]) == row.n_gen
 
     def test_no_sets_means_no_generator_calls(self, pan_frames):
         cfg = SequenceConfig(width=96, height=64, frame_count=8, qp=20,
@@ -84,7 +83,8 @@ class TestClosedLoop:
         from nbv.encoder import encode_sequence
         stream, _ = encode_sequence(pan_frames, cfg)
         _, report = decode_sequence(stream)
-        assert report.n_param_sets == 0 and report.gnn_calls == 0
+        assert report.n_param_sets == 0
+        assert all(r.n_gen == 0 for r in report.rows)
 
 
 class TestStateRules:
@@ -109,7 +109,7 @@ class TestStateRules:
         in_span = write_stream(StreamHeader(32, 32, 1, 20, True, 1),
                                [("param_set", tiny_qparams()), ("frame", gen_unit)])
         _, report = decode_sequence(in_span)
-        assert report.gnn_calls == 1
+        assert [r.n_gen for r in report.rows] == [1]
         stale = write_stream(StreamHeader(32, 32, 2, 20, True, 1), [
             ("param_set", tiny_qparams()), ("frame", gen_unit), ("frame", gen_unit),
         ])
@@ -229,7 +229,6 @@ class TestMultiplePeriods:
         data, _ = self.build_two_period_stream()
         _, report = decode_sequence(data)
         assert [r.n_gen for r in report.rows] == [2] * 6
-        assert report.gnn_calls == 12
 
 
 @pytest.fixture(scope="module")

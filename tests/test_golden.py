@@ -79,23 +79,23 @@ GOLDEN = {
 REPORT_GOLDEN = {
     "pan_qp20_default_arch": (
         "b33236ce082ce67aef98036f88ade0a5c48fbb611bd6f80fcac307e1bf15855d",
-        "7287cd8d26ea715cbf34e9f20d688b1cf02927ed25442d6a806bc02a920498db",
+        "b5335d2edd7796d9df4286d9b1336a07a59a6bed1696abfa66899912531b94fc",
         "9c3240f3d8b55d0421e111c5dd725c9c9ac999cb591a66d4d212513239666972"),
     "pan_qp20_generator_off": (
         "b33236ce082ce67aef98036f88ade0a5c48fbb611bd6f80fcac307e1bf15855d",
-        "7287cd8d26ea715cbf34e9f20d688b1cf02927ed25442d6a806bc02a920498db",
+        "b5335d2edd7796d9df4286d9b1336a07a59a6bed1696abfa66899912531b94fc",
         "9c3240f3d8b55d0421e111c5dd725c9c9ac999cb591a66d4d212513239666972"),
     "pan_qp8_tiny_arch": (
         "fd57c593171ea1bcf314ebe37f670e61438e73f5a32b275531896252f123e65b",
-        "98c3d9fde9f6f2b45f29b4c2ce2035ec35c06f311bc10da4539e5f1ba78eeb97",
+        "78ae573f4dad0c60a0cd389dfa9c3fa1912b3197b502044403d51b1635c12024",
         "c78c3ef734a0dc24e873ce49890055fdcd18d7221e3361baa5139cb15cfc07c8"),
     "zoom_out_qp8_tiny_arch": (
         "cb5039dbbd1800a4e251089cca94bc0bc88f894f78d59c97e8b7a1e5e43a222f",
-        "2aaccb2ad0a1a90ede25c8b04bd4a9f96cc08e39f569c3aaf65dc9bd54c70365",
+        "43c86fd73ef8149ae9af6267b25531f47e38cd9a62fcf6b6df303376e0b6d92b",
         "54b664bec87779c050a7039087ae05156779db7b35bc697a50c578b5ed4c0f72"),
     "forced_regions": (
         None,
-        "7e474d0e6f46192daecbd0365f77fd1db23f99d5899eb6d6cb343628421c9e5a",
+        "0bab8d52960c1c199cdd2c0b2c43af7713f70f6aea0381da4e1745200cce1add",
         "e75ddbf67dfcd857d2c1c9fa78a3e55eb062c7c67c804ee10392d7f19eab3af7"),
 }
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_frame
+from conftest import parse_tiles, rand_frame, start_tile_frame, tile_frame
+from nbv.bitstream import parse_frame
 from nbv.core import Block32, BlockCoord, extract_block, round_half_away
 from nbv.entropy import (
     BitReader,
@@ -14,6 +15,7 @@ from nbv.entropy import (
     se_encode,
     ue_encode,
     ue_lengths,
+    write_ue_codes,
 )
 from nbv.residual import (
     DCT_INT,
@@ -23,18 +25,15 @@ from nbv.residual import (
     ZIGZAG,
     apply_block_residual,
     block_tiles_bits,
-    code_coeffs,
     coeff_bits,
     dct8_forward,
     dct8_inverse,
     dct8_inverse_int,
-    decode_coeffs,
     dequantize,
     dequantize_int,
     encode_block_residual,
     qstep,
     quantize,
-    read_tiles,
     tile_codes,
 )
 
@@ -228,9 +227,7 @@ class TestLevelBound:
         for src, basis, dc in ((full, empty, MAX_LEVEL), (empty, full, -MAX_LEVEL)):
             levels = encode_block_residual(src, basis, 0)
             assert np.all(levels[:, 0] == dc) and not np.any(levels[:, 1:])
-            w = BitWriter()
-            code_coeffs(w, levels)
-            back = read_tiles(BitReader(w.to_bytes()), 24)
+            back = parse_tiles(tile_frame(levels)[0], 24)
             assert np.array_equal(back, levels)
             rec = apply_block_residual(basis, back, 0)
             for a, b in ((rec.y, src.y), (rec.cb, src.cb), (rec.cr, src.cr)):
@@ -239,18 +236,20 @@ class TestLevelBound:
     @pytest.mark.parametrize("level", [MAX_LEVEL + 1, -MAX_LEVEL - 1, 2**31 - 1])
     def test_level_beyond_the_bound_rejected(self, level):
         w = BitWriter()
-        code_coeffs(w, np.zeros((3, 64), np.int32))
+        start_tile_frame(w)
+        write_ue_codes(w, tile_codes(np.zeros((3, 64), np.int32))[0])
         for v in (2, 0):  # two coefficients, the first at position 0
             ue_encode(w, v)
         se_encode(w, 1)
         ue_encode(w, 5)
         se_encode(w, level)
         with pytest.raises(StreamError, match="level beyond"):
-            read_tiles(BitReader(w.to_bytes()), 4)
+            parse_frame(BitReader(w.to_bytes()), 1, 1)
 
     def test_level_two_to_the_forty_rejected(self):
         # se(2^40) is ue(2^41 - 1): 41 zeros, a 1, then 41 zeros
         w = BitWriter()
+        start_tile_frame(w)
         for v in (1, 0):
             ue_encode(w, v)
         for n in (32, 9):
@@ -259,13 +258,29 @@ class TestLevelBound:
         for n in (32, 9):
             w.write_bits(0, n)
         with pytest.raises(StreamError):
-            read_tiles(BitReader(w.to_bytes()), 1)
+            parse_frame(BitReader(w.to_bytes()), 1, 1)
+
+
+# what the frame parser says about each fault in a tile
+FAULTS = {"count": "count 65 exceeds", "run": "run overflows",
+          "zero_level": "zero level"}
+
+
+def bad_tile_rejected(fault, *codes):
+    """A one-block frame whose first tile is the given ue codes must end
+    in the StreamError of that fault."""
+    w = BitWriter()
+    start_tile_frame(w)
+    for v in codes:
+        ue_encode(w, v)
+    with pytest.raises(StreamError, match=FAULTS[fault]):
+        parse_frame(BitReader(w.to_bytes()), 1, 1)
 
 
 class TestCoefficientCoding:
     def test_all_zero_tile_costs_one_bit(self):
         w = BitWriter()
-        bits = code_coeffs(w, np.zeros(64, dtype=np.int32))
+        bits = write_ue_codes(w, tile_codes(np.zeros(64, dtype=np.int32))[0])
         assert bits == 1
         assert coeff_bits(np.zeros(64, dtype=np.int32)) == 1
 
@@ -273,24 +288,17 @@ class TestCoefficientCoding:
         levels = np.zeros(64, dtype=np.int32)
         levels[0] = 3
         w = BitWriter()
-        bits = code_coeffs(w, levels)
+        bits = write_ue_codes(w, tile_codes(levels)[0])
         # count=1 "010", run=0 "1", level 3 -> "00110"
         assert bits == 9
         assert f"{int.from_bytes(w.to_bytes(), 'big'):016b}"[:9] == "010" + "1" + "00110"
 
     def test_round_trip_many_random_tiles(self):
         rng = np.random.default_rng(3)
-        w = BitWriter()
-        tiles = []
-        for _ in range(10_000):
-            levels = rng.integers(-31, 32, 64)
-            levels[rng.random(64) < 0.85] = 0
-            levels = levels.astype(np.int32)
-            tiles.append(levels)
-            code_coeffs(w, levels)
-        r = BitReader(w.to_bytes())
-        for levels in tiles:
-            assert np.array_equal(decode_coeffs(r), levels)
+        tiles = rng.integers(-31, 32, (10_000, 64))
+        tiles[rng.random((10_000, 64)) < 0.85] = 0
+        tiles = tiles.astype(np.int32)
+        assert np.array_equal(parse_tiles(tile_frame(tiles)[0], 10_000), tiles)
 
     def test_coeff_bits_matches_written_bits(self):
         rng = np.random.default_rng(4)
@@ -300,7 +308,7 @@ class TestCoefficientCoding:
             levels[rng.random(64) < rng.uniform(0.3, 1.0)] = 0
             levels = levels.astype(np.int32)
             w = BitWriter()
-            written.append(code_coeffs(w, levels))
+            written.append(write_ue_codes(w, tile_codes(levels)[0]))
             assert written[-1] == coeff_bits(levels)
             batch.append(levels)
         # one call over all tiles gives each tile's count
@@ -308,28 +316,15 @@ class TestCoefficientCoding:
                               np.reshape(written, (10, 20)))
 
     def test_count_above_tile_size_rejected(self):
-        w = BitWriter()
-        ue_encode(w, 65)
-        with pytest.raises(StreamError):
-            decode_coeffs(BitReader(w.to_bytes()))
+        bad_tile_rejected("count", 65)
 
     def test_run_overflow_rejected(self):
-        w = BitWriter()
-        ue_encode(w, 2)      # two coefficients
-        ue_encode(w, 62)     # first lands at position 62
-        se_encode(w, 1)
-        ue_encode(w, 1)      # second would land at 64
-        se_encode(w, 1)
-        with pytest.raises(StreamError):
-            decode_coeffs(BitReader(w.to_bytes()))
+        # two coefficients: the first lands at position 62, the second
+        # would land at 64; ue(1) is se(1)
+        bad_tile_rejected("run", 2, 62, 1, 1, 1)
 
     def test_zero_level_rejected(self):
-        w = BitWriter()
-        ue_encode(w, 1)
-        ue_encode(w, 0)
-        se_encode(w, 0)
-        with pytest.raises(StreamError):
-            decode_coeffs(BitReader(w.to_bytes()))
+        bad_tile_rejected("zero_level", 1, 0, 0)
 
 
 def scalar_tile_codes(w, levels):
@@ -363,7 +358,8 @@ class TestBulkTiles:
             w.write_bits(0, seed + 1)
         for t in tiles:
             scalar_tile_codes(scalar, t)
-        assert code_coeffs(bulk, tiles) == scalar.bit_position - seed - 1
+        assert (write_ue_codes(bulk, tile_codes(tiles)[0])
+                == scalar.bit_position - seed - 1)
         assert bulk.to_bytes() == scalar.to_bytes()
 
     def test_code_lengths_equal_coeff_bits(self):
@@ -376,19 +372,16 @@ class TestBulkTiles:
     @pytest.mark.parametrize("seed", range(3))
     def test_many_tiles_read_back_across_chunks(self, seed):
         tiles = random_tile_batch(np.random.default_rng(10 + seed), 500)
-        w = BitWriter()
-        w.write_bits(1, 3)
-        bits = code_coeffs(w, tiles)
+        data, bits = tile_frame(tiles)
         assert bits > 100_000  # several chunks at the cap
-        r = BitReader(w.to_bytes())
-        r.read_bits(3)
-        assert np.array_equal(read_tiles(r, len(tiles)), tiles)
-        assert r.bit_position == 3 + bits
+        assert np.array_equal(parse_tiles(data, len(tiles)), tiles)
 
     @pytest.mark.parametrize("fault", ["count", "run", "zero_level"])
     def test_fault_in_a_later_tile_is_stream_error(self, fault):
         w = BitWriter()
-        code_coeffs(w, random_tile_batch(np.random.default_rng(1), 40))
+        start_tile_frame(w)
+        tiles = random_tile_batch(np.random.default_rng(1), 23)
+        write_ue_codes(w, tile_codes(tiles)[0])
         if fault == "count":
             ue_encode(w, 65)
         elif fault == "run":
@@ -398,17 +391,15 @@ class TestBulkTiles:
             for v in (1, 0, 0):
                 ue_encode(w, v)
         w.write_bits(0xFFFF, 16)
-        with pytest.raises(StreamError):
-            read_tiles(BitReader(w.to_bytes()), 41)
+        with pytest.raises(StreamError, match=FAULTS[fault]):
+            parse_frame(BitReader(w.to_bytes()), 1, 1)
 
     def test_every_truncation_is_stream_error(self):
         tiles = random_tile_batch(np.random.default_rng(2), 24)
-        w = BitWriter()
-        code_coeffs(w, tiles)
-        data = w.to_bytes()
+        data, _ = tile_frame(tiles)
         for cut in range(len(data)):
             with pytest.raises(StreamError):
-                read_tiles(BitReader(data[:cut]), 24)
+                parse_frame(BitReader(data[:cut]), 1, 1)
 
 
 class TestBlockResidual:
@@ -456,10 +447,9 @@ class TestBlockResidual:
     def test_tiles_round_trip_through_bits(self):
         rng = np.random.default_rng(5)
         tiles = rand_tiles(rng)
-        w = BitWriter()
-        bits = code_coeffs(w, tiles)
+        data, bits = tile_frame(tiles)
         assert bits == block_tiles_bits(tiles)
-        back = read_tiles(BitReader(w.to_bytes()), 24)
+        back = parse_tiles(data, 24)
         assert len(back) == 24
         for a, b in zip(tiles, back):
             assert np.array_equal(a, b)
@@ -476,9 +466,9 @@ class TestBlockResidual:
             # the largest levels qp 0 produces: a DC of 8 * 255 = 2040
             tiles[:] = rng.choice([-1000, 1000], (24, 64))
             tiles[:, 0] = rng.choice([-2040, 2040], 24)
-        w = BitWriter()
-        assert block_tiles_bits(tiles) == code_coeffs(w, tiles)
-        assert np.array_equal(read_tiles(BitReader(w.to_bytes()), 24), tiles)
+        data, bits = tile_frame(tiles)
+        assert block_tiles_bits(tiles) == bits
+        assert np.array_equal(parse_tiles(data, 24), tiles)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_stacked_candidates_match_single_calls(self, n):
