@@ -169,28 +169,32 @@ def parse_header(r: BitReader) -> StreamHeader:
                         gnn_interval)
 
 
-def _pack_levels(flat: np.ndarray) -> bytes:
-    """Pack int16 levels as consecutive 10-bit two's-complement fields."""
-    codes = (flat.astype(np.int64) & 0x3FF).astype(np.uint16)
-    shifts = np.arange(9, -1, -1, dtype=np.uint16)
-    bits = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-    return np.packbits(bits.reshape(-1)).tobytes()
-
-
-# Every 5 bytes of packed levels hold four 10-bit fields; _unpack_levels
-# reads this many such groups per numpy pass, so its scratch memory is
-# bounded whatever the layer size.
-_UNPACK_GROUPS = 1 << 14
+# Every 5 bytes of packed levels hold four 10-bit fields. _pack_levels'
+# callers and _unpack_levels handle this many such groups per numpy pass,
+# so their scratch memory is bounded whatever the layer size.
+_LEVEL_GROUPS = 1 << 14
 _BYTE_SHIFTS = np.arange(32, -8, -8, dtype=np.int64)
 _FIELD_SHIFTS = np.arange(30, -10, -10, dtype=np.int64)
+
+
+def _pack_levels(flat: np.ndarray) -> bytes:
+    """Pack levels as consecutive 10-bit two's-complement fields, four in
+    each 5 bytes; a partial last group is zero-padded to a whole byte."""
+    n = len(flat)
+    codes = np.zeros(-(-n // 4) * 4, dtype=np.int64)
+    codes[:n] = flat
+    codes &= 0x3FF
+    words = (codes.reshape(-1, 4) << _FIELD_SHIFTS).sum(axis=1)
+    raw = ((words[:, None] >> _BYTE_SHIFTS) & 0xFF).astype(np.uint8)
+    return raw.tobytes()[:(10 * n + 7) // 8]
 
 
 def _unpack_levels(raw: bytes, n: int) -> np.ndarray:
     """Unpack n consecutive 10-bit two's-complement fields to int16 levels."""
     groups = -(-n // 4)
     out = np.empty(4 * groups, dtype=np.int16)
-    for lo in range(0, groups, _UNPACK_GROUPS):
-        hi = min(groups, lo + _UNPACK_GROUPS)
+    for lo in range(0, groups, _LEVEL_GROUPS):
+        hi = min(groups, lo + _LEVEL_GROUPS)
         part = raw[5 * lo:5 * hi].ljust(5 * (hi - lo), b"\0")
         words = (np.frombuffer(part, np.uint8).reshape(-1, 5).astype(np.int64)
                  << _BYTE_SHIFTS).sum(axis=1)
@@ -210,12 +214,19 @@ def write_param_set(w: BitWriter, qparams: QuantizedGnnParams) -> int:
     w.write_bits(len(sizes), 8)
     for s in sizes[1:-1]:
         w.write_bits(s, 16)
+    step = 4 * _LEVEL_GROUPS
     for layer in qparams.layers:
-        w.write_bytes(struct.pack(">f", float(layer.scale)))
-        flat = np.concatenate([layer.weights.reshape(-1), layer.biases])
-        if np.any(np.abs(flat.astype(np.int64)) > QUANT_MAX):
+        if any(a.size and (a.min() < -QUANT_MAX or a.max() > QUANT_MAX)
+               for a in (layer.weights, layer.biases)):
             raise ValueError("parameter level out of 10-bit range")
-        w.write_bytes(_pack_levels(flat))
+        w.write_bytes(struct.pack(">f", float(layer.scale)))
+        # the weights, then the biases, as one run of fields; slices of
+        # whole groups pack to whole bytes, so they are written one by one
+        weights = layer.weights.reshape(-1)
+        whole = len(weights) - len(weights) % 4
+        for lo in range(0, whole, step):
+            w.write_bytes(_pack_levels(weights[lo:min(whole, lo + step)]))
+        w.write_bytes(_pack_levels(np.concatenate([weights[whole:], layer.biases])))
     return w.bit_position - start
 
 

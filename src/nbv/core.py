@@ -63,11 +63,18 @@ class Frame:
 
 @dataclass
 class Block32:
-    """One coding unit: 32x32 luma and two 16x16 chroma blocks."""
+    """One coding unit: 32x32 luma and two 16x16 chroma blocks.
+
+    The planes may carry leading axes over several units; indexing a
+    Block32 indexes those axes of all three planes.
+    """
 
     y: np.ndarray
     cb: np.ndarray
     cr: np.ndarray
+
+    def __getitem__(self, index) -> "Block32":
+        return Block32(self.y[index], self.cb[index], self.cr[index])
 
 
 @dataclass
@@ -159,16 +166,22 @@ def extract_block(frame: Frame, c: BlockCoord) -> Block32:
     )
 
 
-def insert_block(frame: Frame, c: BlockCoord, block: Block32) -> Frame:
-    """Write the coding unit at c in place; exact inverse of extract_block."""
+def insert_block(frame: Frame, c, block: Block32) -> Frame:
+    """Write coding units in place; exact inverse of extract_block.
+
+    c is a BlockCoord, or block coordinates (..., 2) as (bx, by) whose
+    leading axes match the block planes', so one call writes many units.
+    """
     cols, rows = block_grid_dims(frame.width, frame.height)
-    if not (0 <= c.bx < cols and 0 <= c.by < rows):
+    at = np.asarray(c)
+    if ((at < 0) | (at >= (cols, rows))).any():
         raise ValueError(f"block coordinate {c} outside {cols}x{rows} grid")
-    y0, x0 = c.by * BLOCK, c.bx * BLOCK
-    cy0, cx0 = c.by * CHROMA_BLOCK, c.bx * CHROMA_BLOCK
-    frame.y[y0:y0 + BLOCK, x0:x0 + BLOCK] = block.y
-    frame.cb[cy0:cy0 + CHROMA_BLOCK, cx0:cx0 + CHROMA_BLOCK] = block.cb
-    frame.cr[cy0:cy0 + CHROMA_BLOCK, cx0:cx0 + CHROMA_BLOCK] = block.cr
+    bx, by = at[..., 0], at[..., 1]
+    for plane, part, size in ((frame.y, block.y, BLOCK),
+                              (frame.cb, block.cb, CHROMA_BLOCK),
+                              (frame.cr, block.cr, CHROMA_BLOCK)):
+        # splitting both axes is always a view, so the writes reach plane
+        plane.reshape(rows, size, cols, size)[by, :, bx, :] = part
     return frame
 
 

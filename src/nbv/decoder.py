@@ -1,10 +1,21 @@
 """Decoder: reconstructs frames from a coded stream, and owns the block walk.
 
-`FrameWalk` rebuilds a frame block by block in raster order. It keeps the
-motion-vector predictor and maps each block mode to its prediction: the
-generator, motion compensation, or intra prediction from the frame so far.
-The encoder rebuilds every block it codes through the same walk, so its
+`FrameWalk` holds a frame being rebuilt in raster order. It keeps the
+motion-vector predictor, the one place its left-neighbour rule is written,
+and gives an intra or generated block its prediction: the generator, or
+intra prediction from the frame so far. The encoder rebuilds every block it
+codes through the same walk and the same residual arithmetic, so its
 reconstruction is the decoder's by construction.
+
+The decoder rebuilds a frame in two batched phases, because only intra
+blocks depend on blocks of the same frame. First the residual planes of the
+whole unit are built at once, paying only for tiles with a nonzero level,
+the walk resolves every vector, and all inter blocks are rebuilt with one
+motion-compensation gather, one add and one clip. Then the walk visits only
+the intra and generated blocks, in raster order; each intra block reads its
+left and top neighbours, which are final by then. Integer arithmetic gives
+the same sums in any order, so the pixels are those of a block-by-block
+walk.
 
 A parameter-set unit installs the generator for the frames that follow it;
 the set's time axis starts at the next frame and spans at most one
@@ -24,7 +35,7 @@ from .core import BLOCK, Block32, BlockCoord, Frame, blank_frame, insert_block
 from .entropy import StreamError
 from .gnn import QuantizedGnnParams, SetContext, generate_block
 from .prediction import IntraMode, MotionVector, intra_predict, motion_compensate
-from .residual import apply_block_residual
+from .residual import add_residual, residual_planes
 from .tools import csv_text
 
 _ZERO_MV = MotionVector(0, 0)
@@ -33,20 +44,26 @@ _ZERO_MV = MotionVector(0, 0)
 class FrameWalk:
     """One frame's blocks in raster order, rebuilt in place.
 
-    Iterating yields each block's coordinate. Before a block is put,
-    `mv_pred` is the vector its motion-vector difference is coded against:
-    the left block's vector when that block is inter, and zero after any
-    other block and at the start of each row.
+    Iterating yields each block's coordinate. Before a block is put, or
+    passed by `vectors`, `mv_pred` is the vector its motion-vector difference is coded
+    against: the left block's vector when that block is inter, and zero
+    after any other block and at the start of each row.
+
+    The encoder puts each block as it decides it. The decoder rebuilds a
+    frame in two phases: `vectors` notes every block's mode and resolves
+    the vectors, then the inter blocks are rebuilt at once, and only the
+    intra and generated blocks are rebuilt one by one from `basis`, in
+    raster order. An intra block reads only its left and top neighbours,
+    which are final by then.
     """
 
-    def __init__(self, width: int, height: int, prev_recon: Frame | None,
-                 frame_idx: int, qparams: QuantizedGnnParams | None,
+    def __init__(self, width: int, height: int, frame_idx: int,
+                 qparams: QuantizedGnnParams | None,
                  ctx: SetContext | None) -> None:
         self.recon = blank_frame(width, height)
         self.modes = np.zeros((self.recon.height // BLOCK, self.recon.width // BLOCK),
                               dtype=np.int8)
         self.mv_pred = _ZERO_MV
-        self._prev_recon = prev_recon
         self._frame_idx = frame_idx
         self._qparams = qparams
         self._ctx = ctx
@@ -58,22 +75,37 @@ class FrameWalk:
             for bx in range(cols):
                 yield BlockCoord(bx, by)
 
-    def basis(self, mode: BlockMode, c: BlockCoord,
-              mv: MotionVector | None) -> Block32:
-        """The prediction a block of this mode starts from (mv: inter only)."""
+    def basis(self, mode: BlockMode, c: BlockCoord) -> Block32:
+        """The prediction an intra or generated block starts from."""
         if mode == BlockMode.GEN:
             return generate_block(self._qparams, c, self._frame_idx, self._ctx)
-        if mode == BlockMode.INTER:
-            return motion_compensate(self._prev_recon, c, mv)
         # the intra block modes rank as the intra predictors do
         return intra_predict(self.recon, c, IntraMode(mode - BlockMode.INTRA_DC))
 
-    def put(self, c: BlockCoord, mode: BlockMode, mv: MotionVector | None,
-            block: Block32) -> None:
-        """Insert a rebuilt block and record its mode (mv: inter only)."""
-        insert_block(self.recon, c, block)
+    def _note(self, c: BlockCoord, mode: BlockMode, mv: MotionVector | None) -> None:
+        """Record a block's mode and move the predictor past it (mv: inter only)."""
         self.modes[c.by, c.bx] = mode
         self.mv_pred = mv if mode == BlockMode.INTER else _ZERO_MV
+
+    def put(self, c: BlockCoord, mode: BlockMode, mv: MotionVector | None,
+            block: Block32) -> None:
+        """Insert a rebuilt block and note it (mv: inter only)."""
+        insert_block(self.recon, c, block)
+        self._note(c, mode, mv)
+
+    def vectors(self, modes: np.ndarray, mvds: np.ndarray) -> np.ndarray:
+        """Note every block of a frame unit's (rows, cols) modes and return
+        the (rows, cols, 2) vectors its differences code, zero where a
+        block is not inter."""
+        mvs = np.zeros(mvds.shape, dtype=np.int64)
+        for c, mode, mvd in zip(self, modes.reshape(-1).tolist(),
+                                mvds.reshape(-1, 2).tolist()):
+            mv = None
+            if mode == BlockMode.INTER:
+                mv = MotionVector(self.mv_pred.dx + mvd[0], self.mv_pred.dy + mvd[1])
+                mvs[c.by, c.bx] = mv
+            self._note(c, mode, mv)
+        return mvs
 
 
 def mode_counts(modes: np.ndarray) -> tuple[int, int, int]:
@@ -121,13 +153,25 @@ def _decode_frame(
                 f"frame {frame_idx} generates blocks outside its parameter "
                 f"set's frames {ctx.start_frame}..{ctx.start_frame + ctx.span - 1}"
             )
-    walk = FrameWalk(width, height, prev_recon, frame_idx, qparams, ctx)
-    for c, mode, mvd, tiles in zip(walk, fu.modes.reshape(-1).tolist(),
-                                   fu.mvds.reshape(-1, 2).tolist(), fu.blocks):
-        mv = None if mode != BlockMode.INTER else MotionVector(
-            walk.mv_pred.dx + mvd[0], walk.mv_pred.dy + mvd[1])
-        basis = walk.basis(mode, c, mv)
-        walk.put(c, mode, mv, apply_block_residual(basis, tiles, qp))
+    rows, cols = fu.modes.shape
+    # 1. the residual planes of every block, in one batch
+    res = residual_planes(fu.blocks, qp)
+    # 2. the vectors, with the modes noted
+    walk = FrameWalk(width, height, frame_idx, qparams, ctx)
+    mvs = walk.vectors(fu.modes, fu.mvds)
+    # 3. every inter block from one gather, add and clip
+    inter = fu.modes == BlockMode.INTER
+    if inter.any():
+        by, bx = np.nonzero(inter)
+        coords = np.stack([bx, by], axis=-1)
+        pred = motion_compensate(prev_recon, coords, mvs[inter])
+        insert_block(walk.recon, coords,
+                     add_residual(pred, res[by * cols + bx]))
+    # 4. the intra and generated blocks, in raster order
+    modes = fu.modes.reshape(-1).tolist()
+    for n in np.flatnonzero(~inter).tolist():
+        c = BlockCoord(n % cols, n // cols)
+        insert_block(walk.recon, c, add_residual(walk.basis(modes[n], c), res[n]))
     return walk.recon, DecodeRow(frame_idx, fu.frame_type, *mode_counts(walk.modes))
 
 

@@ -19,7 +19,8 @@ every block is rebuilt through the decoder's own block walk, which keeps
 the two bit-identical. A block's candidates are costed together:
 their prediction bases are stacked, and one batched call each quantizes,
 bit-counts and reconstructs all of them. A P frame's motion vectors come
-from one whole-frame search against the previous reconstruction, made
+from one whole-frame search against the previous reconstruction, and
+every block's inter basis from one motion-compensation gather, both made
 before the walk; global motion reads its sample blocks from the same
 kind of search between source frames.
 """
@@ -66,7 +67,7 @@ from .gnn import (
     quantize_params,
     train,
 )
-from .prediction import MotionVector, motion_field
+from .prediction import MotionVector, motion_compensate, motion_field
 from .residual import (
     TILES_PER_BLOCK,
     apply_block_residual,
@@ -214,21 +215,26 @@ def _encode_frame(
 ) -> tuple[FrameUnit, _FrameResult]:
     """Code one frame through the decoder's block walk.
 
-    A P frame's vectors are searched for all blocks at once, before the
-    walk. Each block's candidates (inter, the three intra modes and, in a
-    region, the generator; in a forced region the generator alone) are costed
+    A P frame's vectors are searched, and every block's inter basis
+    fetched, for all blocks at once before the walk. Each block's
+    candidates (inter, the three intra modes and, in a region, the
+    generator; in a forced region the generator alone) are costed
     together: their prediction bases are stacked on a leading axis, and one
     call each transforms and quantizes, counts the tile bits of, and
     reconstructs all of them.
     """
     walk = FrameWalk(source.display_width, source.display_height,
-                     prev_recon, frame_idx, qparams, ctx)
+                     frame_idx, qparams, ctx)
+    rows, cols = walk.modes.shape
     # Every block's search is against the previous frame alone, so a P
-    # frame's vectors do not depend on the walk and are found in one pass.
-    field = None
+    # frame's vectors, and so its inter bases, do not depend on the walk
+    # and are found for all blocks at once.
+    field = inter = None
     if frame_type == "P":
         field = motion_field(source, prev_recon, search_range)
-    rows, cols = walk.modes.shape
+        by, bx = np.indices((rows, cols))
+        inter = motion_compensate(prev_recon, np.stack([bx, by], axis=-1),
+                                  np.stack([field.dx, field.dy], axis=-1))
     kinds = region_map(regions, cols, rows).tolist()
     # the unit's arrays, filled with each block's winner as the walk goes
     mvds = np.zeros((rows, cols, 2), dtype=np.int32)
@@ -256,7 +262,8 @@ def _encode_frame(
             if kind == SELECTABLE and qparams is not None:
                 cands.append((BlockMode.GEN, None))
 
-        basis = _stack_blocks([walk.basis(mode, c, mv) for mode, _ in cands])
+        basis = _stack_blocks([inter[c.by, c.bx] if mode == BlockMode.INTER
+                               else walk.basis(mode, c) for mode, _ in cands])
         levels = encode_block_residual(src_block, basis, qp)
         rec = apply_block_residual(basis, levels, qp)
         ssd = _ssd(src_block, rec)
@@ -267,7 +274,7 @@ def _encode_frame(
         i = choose_block_mode(ssd + lam * bits, [mode for mode, _ in cands])
         mode, mvd = cands[i]
 
-        walk.put(c, mode, mv, Block32(rec.y[i], rec.cb[i], rec.cr[i]))
+        walk.put(c, mode, mv, rec[i])
         dist_total += int(ssd[i])
         if mvd is not None:
             mvds[c.by, c.bx] = mvd

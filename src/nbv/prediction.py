@@ -7,6 +7,10 @@ source pixels are unavailable falls back to DC (flat 128 when nothing is
 available). Motion estimation is an exhaustive integer search on luma SAD
 against the previous reconstructed frame; compensation clamps out-of-frame
 taps to the padded frame edge and halves the vector toward zero for chroma.
+motion_compensate takes arrays of block coordinates and vectors and fetches
+all of their blocks with one clamped gather per plane: the decoder calls it
+once per P frame for every inter block, and the encoder once per P frame
+for every block's inter candidate.
 
 The search runs a whole frame at a time: motion_field pads the reference
 once by edge replication and, per offset, takes one int16 absolute
@@ -86,31 +90,36 @@ def intra_predict(recon: Frame, c: BlockCoord, mode: IntraMode) -> Block32:
     )
 
 
-def _half_toward_zero(v: int) -> int:
-    return v // 2 if v >= 0 else -((-v) // 2)
-
-
-def _clamped_window(plane: np.ndarray, y0: int, x0: int, h: int, w: int) -> np.ndarray:
+def _clamped_window(plane: np.ndarray, y0, x0, h: int, w: int) -> np.ndarray:
+    """The h x w windows of plane with top-left corners (y0, x0), integer
+    arrays of one shape that pass through as leading axes; taps outside
+    the plane clamp to its edge. One gather serves every window."""
     ph, pw = plane.shape
-    if 0 <= y0 and y0 + h <= ph and 0 <= x0 and x0 + w <= pw:
-        return plane[y0:y0 + h, x0:x0 + w]
-    ys = np.clip(np.arange(y0, y0 + h), 0, ph - 1)
-    xs = np.clip(np.arange(x0, x0 + w), 0, pw - 1)
-    return plane[np.ix_(ys, xs)]
+    ys = np.clip(np.asarray(y0)[..., None] + np.arange(h), 0, ph - 1)
+    xs = np.clip(np.asarray(x0)[..., None] + np.arange(w), 0, pw - 1)
+    # one flat take runs about twice as fast as a two-axis fancy index
+    return plane.ravel().take(ys[..., :, None] * pw + xs[..., None, :])
 
 
-def motion_compensate(ref: Frame, c: BlockCoord, mv: MotionVector) -> Block32:
-    """Fetch the motion-shifted coding unit from ref, clamping at frame edges."""
-    cdx, cdy = _half_toward_zero(mv.dx), _half_toward_zero(mv.dy)
+def motion_compensate(ref: Frame, coords, mvs) -> Block32:
+    """Fetch motion-shifted coding units from ref, clamping at frame edges.
+
+    coords holds block coordinates (..., 2) as (bx, by) and mvs vectors
+    (..., 2) as (dx, dy); a BlockCoord and a MotionVector are one of each.
+    Their leading axes pass through to the planes, so one call fetches a
+    whole frame's inter blocks with one gather per plane. Chroma moves by
+    the vector halved toward zero.
+    """
+    c = np.asarray(coords, dtype=np.int64)
+    v = np.asarray(mvs, dtype=np.int64)
+    cv = np.sign(v) * (np.abs(v) // 2)
+    ly0, lx0 = c[..., 1] * BLOCK + v[..., 1], c[..., 0] * BLOCK + v[..., 0]
+    cy0 = c[..., 1] * CHROMA_BLOCK + cv[..., 1]
+    cx0 = c[..., 0] * CHROMA_BLOCK + cv[..., 0]
     return Block32(
-        _clamped_window(ref.y, c.by * BLOCK + mv.dy, c.bx * BLOCK + mv.dx,
-                        BLOCK, BLOCK).copy(),
-        _clamped_window(ref.cb, c.by * CHROMA_BLOCK + cdy,
-                        c.bx * CHROMA_BLOCK + cdx,
-                        CHROMA_BLOCK, CHROMA_BLOCK).copy(),
-        _clamped_window(ref.cr, c.by * CHROMA_BLOCK + cdy,
-                        c.bx * CHROMA_BLOCK + cdx,
-                        CHROMA_BLOCK, CHROMA_BLOCK).copy(),
+        _clamped_window(ref.y, ly0, lx0, BLOCK, BLOCK),
+        _clamped_window(ref.cb, cy0, cx0, CHROMA_BLOCK, CHROMA_BLOCK),
+        _clamped_window(ref.cr, cy0, cx0, CHROMA_BLOCK, CHROMA_BLOCK),
     )
 
 

@@ -15,31 +15,38 @@ same pixels. dequantize_int scales a level by LEVEL_SCALE[qp % 6] <<
 (qp // 6), 2^(qp/6) with 12 fractional bits; dct8_inverse_int runs
 DCT_INT^T . C . DCT_INT in int64 with DCT_INT = round(DCT_MATRIX * 2^14)
 and brings the result back to pixels with one shift of 40 that rounds half
-away from zero; apply_block_residual adds that to the integer basis and
-clips to 0..255. The encoder and decoder share that path, so there is no
-drift. The precision was measured against the float pair: with a 12-bit
-basis, 20,000 random legal tiles moved pixels by 2 from the float result,
-with 13 or 14 bits by at most 1 (14 bits halves how often). dequantize and
-dct8_inverse, in float64, stay only as the reference the integer path is
-tested against.
+away from zero. residual_planes runs the two on the tiles that hold a
+nonzero level only, as HEVC's coded-block flags let a decoder skip empty
+transform blocks: an empty tile's residual is exactly 0. add_residual adds
+the planes to the integer basis and clips to 0..255, and
+apply_block_residual is the two steps in one call. The encoder and decoder
+share that arithmetic, so there is no drift. The precision was measured
+against the float pair: with a 12-bit basis, 20,000 random legal tiles
+moved pixels by 2 from the float result, with 13 or 14 bits by at most 1
+(14 bits halves how often). dequantize and dct8_inverse, in float64, stay
+only as the reference the integer path is tested against.
 
 Levels are bounded by MAX_LEVEL = 2040, checked when a stream is parsed
 (scatter_tiles), so the int64 arithmetic cannot overflow.
 
 Tiles are coded in bulk, with the same bits as one pair at a time:
 tile_codes turns any number of tiles into their code numbers with numpy,
-sharing its run and level mapping with coeff_bits, and write_ue_codes
-writes them. The frame parser steps over the whole tiles in a chunk of
-codes with walk_tiles and decodes them with one scatter_tiles assignment;
-frame units are the only place tiles are written or read.
+and write_ue_codes writes them. It and coeff_bits take the run-level pairs
+from one helper that visits only the nonzero levels, so their cost follows
+the coded levels, not the tile count. The frame parser steps over the
+whole tiles in a chunk of codes with walk_tiles and decodes them with one
+scatter_tiles assignment; frame units are the only place tiles are written
+or read.
 
 Like dct8_forward, the block-level functions work on batches: leading axes
 of the basis planes and of the levels pass through. The encoder stacks a
 block's RDO candidates on one such axis and costs them all in one call to
 encode_block_residual, block_tiles_bits and apply_block_residual; the
-decoder calls the same functions on one block. Every candidate's tiles
-meet the same per-tile arithmetic either way, so a batch gives bitwise the
-levels, bits and pixels of one call per candidate.
+decoder builds the residual planes of a whole frame unit in one
+residual_planes call, then adds them with add_residual, all inter blocks
+at once and each intra or generated block as its prediction is known.
+Every tile meets the same integer arithmetic either way, so a batch gives
+bitwise the levels, bits and pixels of one call per block.
 """
 
 from __future__ import annotations
@@ -78,8 +85,6 @@ ZIGZAG = np.array([
 
 # Tile index -> scan position, the inverse of ZIGZAG.
 _UNZIGZAG = np.argsort(ZIGZAG)
-
-_SCAN = np.arange(64, dtype=np.int8)  # small: runs cost one byte per level
 
 # Coded length of ue(v) for every value a run or level mapping can produce.
 _UE_LEN = ue_lengths(np.arange(1 << 16))
@@ -127,6 +132,9 @@ DCT_INT = np.round(DCT_MATRIX * (1 << _BASIS_BITS)).astype(np.int64)
 LEVEL_SCALE = np.round(2.0 ** (np.arange(6) / 6 + _SCALE_BITS)).astype(np.int64)
 # The largest |level| a residual in [-255, 255] quantizes to; see scatter_tiles.
 MAX_LEVEL = 2040
+# Tiles per inverse-transform pass in residual_planes: 1024 tiles keep each
+# int64 temporary at 512 KiB.
+_RECON_CHUNK = 1024
 
 
 def dequantize_int(levels: np.ndarray, qp: int) -> np.ndarray:
@@ -147,24 +155,32 @@ def dct8_inverse_int(coeffs: np.ndarray) -> np.ndarray:
     return (x + ((1 << (_SHIFT - 1)) - (x < 0))) >> _SHIFT
 
 
-def _runs(nz: np.ndarray) -> np.ndarray:
-    """The zero run before each scan position of (..., 64) nonzero masks."""
-    # Each nonzero's run is the gap back to the previous nonzero: the
-    # running maximum of nonzero positions, shifted one place right.
-    last = np.maximum.accumulate(np.where(nz, _SCAN, -1), axis=-1)
-    prev = np.concatenate(
-        [np.full(nz.shape[:-1] + (1,), -1, dtype=_SCAN.dtype), last[..., :-1]],
-        axis=-1)
-    return _SCAN - prev - 1
+def _pairs(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The run-level pairs of (n, 64) tiles in stream order: each pair's
+    tile index, the zero run before it and its level's se code number.
+
+    Only the nonzero levels are visited: np.nonzero lists them tile by
+    tile in scan order, so a pair's run is the gap back to the previous
+    pair's scan position, or to -1 at the first pair of a tile.
+    """
+    tile, scan = np.nonzero(flat)
+    prev = np.empty_like(scan)
+    prev[:1] = -1
+    prev[1:] = np.where(tile[1:] == tile[:-1], scan[:-1], -1)
+    return tile, scan - prev - 1, se_to_ue(flat[tile, scan].astype(np.int64))
 
 
 def coeff_bits(levels: np.ndarray) -> np.ndarray:
     """Exact coded size of each tile's levels, shape (..., 64) -> (...),
     without writing them. Equals the ue lengths of tile_codes' codes."""
     lv = np.asarray(levels)
-    nz = lv != 0
-    pair_bits = np.where(nz, _UE_LEN[_runs(nz)] + _UE_LEN[se_to_ue(lv)], 0)
-    return _UE_LEN[nz.sum(axis=-1)] + pair_bits.sum(axis=-1)
+    flat = lv.reshape(-1, 64)
+    tile, run, code = _pairs(flat)
+    n = len(flat)
+    bits = _UE_LEN[np.bincount(tile, minlength=n)]
+    pair_bits = np.bincount(tile, weights=_UE_LEN[run] + _UE_LEN[code], minlength=n)
+    bits += pair_bits.astype(np.int64)
+    return bits.reshape(lv.shape[:-1])
 
 
 def tile_codes(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,16 +192,15 @@ def tile_codes(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     lv = np.asarray(levels)
     flat = lv.reshape(-1, 64)
-    nz = flat != 0
-    counts = nz.sum(axis=1)
-    tile, scan = np.nonzero(nz)
+    tile, run, code = _pairs(flat)
+    counts = np.bincount(tile, minlength=len(flat))
     # tile t opens after t counts and 2 * (pairs before it) pair codes, so
     # pair p, in tile t, starts at code t + 1 + 2p
     out = np.empty(len(counts) + 2 * len(tile), dtype=np.int64)
     out[np.arange(len(counts)) + 2 * (np.cumsum(counts) - counts)] = counts
     at = tile + 1 + 2 * np.arange(len(tile))
-    out[at] = _runs(nz)[tile, scan]
-    out[at + 1] = se_to_ue(flat[tile, scan].astype(np.int64))
+    out[at] = run
+    out[at + 1] = code
     return out, counts.reshape(lv.shape[:-1])
 
 
@@ -277,27 +292,58 @@ def encode_block_residual(source: Block32, basis: Block32, qp: int) -> np.ndarra
     return quantize(dct8_forward(tiles), qp)
 
 
-def apply_block_residual(basis: Block32, levels: np.ndarray, qp: int) -> Block32:
-    """Reconstruct coding units from their bases and coded residual levels.
+def residual_planes(levels: np.ndarray, qp: int) -> Block32:
+    """The int16 residual planes of coding units' levels, (..., 24, 64) ->
+    planes (..., 32, 32), (..., 16, 16) and (..., 16, 16).
 
-    levels is (..., 24, 64) and its leading axes match the basis planes',
-    as encode_block_residual returns them. This is the single
-    reconstruction path used by both the encoder's local loop and the
-    decoder, so the two stay bit-identical by construction.
+    Only tiles with a nonzero level are dequantized and inverse
+    transformed, _RECON_CHUNK at a time, so the work follows the coded
+    levels and the int64 temporaries stay the same size whatever the
+    batch; an empty tile's residual is exactly 0. Residuals are clipped to
+    +-255, which add_residual's clip to 0..255 makes exact for any uint8
+    basis.
     """
     levels = np.asarray(levels)
     if levels.shape[-2:] != (TILES_PER_BLOCK, 64):
         raise ValueError(f"expected {TILES_PER_BLOCK} tiles of 64 levels, "
                          f"got shape {levels.shape}")
-    res = dct8_inverse_int(dequantize_int(levels, qp))
+    qstep(qp)  # range check, also when no tile is coded
+    flat = levels.reshape(-1, 64)
+    tiles = np.zeros((len(flat), _N, _N), dtype=np.int16)
+    coded = np.flatnonzero(flat.any(axis=1))
+    for lo in range(0, len(coded), _RECON_CHUNK):
+        at = coded[lo:lo + _RECON_CHUNK]
+        tiles[at] = np.clip(dct8_inverse_int(dequantize_int(flat[at], qp)), -255, 255)
+    tiles = tiles.reshape(levels.shape[:-1] + (_N, _N))
     planes = []
     offset = 0
-    for bas, size in zip(_block_planes(basis), (BLOCK, CHROMA_BLOCK, CHROMA_BLOCK)):
+    for size in (BLOCK, CHROMA_BLOCK, CHROMA_BLOCK):
         n = (size // _N) ** 2
-        rplane = _tiles_to_plane(res[..., offset:offset + n, :, :], size, size)
-        planes.append(np.clip(bas + rplane, 0, 255).astype(np.uint8))
+        planes.append(_tiles_to_plane(tiles[..., offset:offset + n, :, :], size, size))
         offset += n
     return Block32(*planes)
+
+
+def add_residual(basis: Block32, planes: Block32) -> Block32:
+    """Coding units rebuilt from their uint8 bases and residual_planes'
+    planes: the sum, clipped to 0..255. Leading axes broadcast."""
+    out = []
+    for bas, res in zip(_block_planes(basis), _block_planes(planes)):
+        total = bas + res  # int16: -255..510
+        np.maximum(total, 0, out=total)
+        out.append(np.minimum(total, 255, out=total).astype(np.uint8))
+    return Block32(*out)
+
+
+def apply_block_residual(basis: Block32, levels: np.ndarray, qp: int) -> Block32:
+    """Reconstruct coding units from their bases and coded residual levels.
+
+    levels is (..., 24, 64) and its leading axes match the basis planes',
+    as encode_block_residual returns them. It is add_residual over
+    residual_planes, the decoder's two steps in one call, so the encoder's
+    candidates are rebuilt with the decoder's arithmetic.
+    """
+    return add_residual(basis, residual_planes(levels, qp))
 
 
 def block_tiles_bits(tiles: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Shared fixtures: small deterministic sequences, one cached encode, and
-frame units built by hand, tiles included.
+"""Shared fixtures: small deterministic sequences, one cached encode,
+frame units built by hand, tiles included, and the block-by-block frame
+rebuild the batched decoder is checked against.
 
 Session scope keeps the expensive pieces (synthesis, training, encoding)
 to a single run; every test that needs them must treat them as read-only.
@@ -10,17 +11,20 @@ import pytest
 
 from nbv.bitstream import (
     UNIT_FRAME,
+    BlockMode,
     FrameUnit,
     RegionSpec,
     StreamHeader,
     parse_frame,
     write_header,
 )
-from nbv.core import Frame, SequenceConfig, make_frame
+from nbv.core import Block32, Frame, SequenceConfig, make_frame
+from nbv.decoder import FrameWalk
 from nbv.encoder import _encode_period, encode_sequence, rd_lambda, train_param_set
 from nbv.entropy import BitReader, BitWriter, ue_encode, write_ue_codes
 from nbv.gnn import SetContext, TrainConfig
-from nbv.residual import TILES_PER_BLOCK, tile_codes
+from nbv.prediction import MotionVector
+from nbv.residual import TILES_PER_BLOCK, dct8_inverse_int, dequantize_int, tile_codes
 from nbv.tools import synth_sequence
 
 
@@ -84,6 +88,59 @@ def parse_tiles(data: bytes, n: int) -> np.ndarray:
     unit = parse_frame(r, -(-n // TILES_PER_BLOCK), 1)
     assert r.bits_remaining == 0
     return unit.blocks.reshape(-1, 64)[:n]
+
+
+def clamped_window_py(plane, y0, x0, h, w):
+    """Reference edge-clamped window fetch, one sample at a time."""
+    hh, ww = plane.shape
+    out = np.empty((h, w), plane.dtype)
+    for dy in range(h):
+        for dx in range(w):
+            out[dy, dx] = plane[min(max(y0 + dy, 0), hh - 1),
+                                min(max(x0 + dx, 0), ww - 1)]
+    return out
+
+
+def half_toward_zero(v: int) -> int:
+    return v // 2 if v >= 0 else -((-v) // 2)
+
+
+def rebuild_block_dense(basis: Block32, tiles: np.ndarray, qp: int) -> Block32:
+    """One block rebuilt by inverse transforming every one of its 24 tiles,
+    empty or not, and adding the unclipped residual to the basis."""
+    res = dct8_inverse_int(dequantize_int(tiles, qp))
+    planes = []
+    offset = 0
+    for bas, size in ((basis.y, 32), (basis.cb, 16), (basis.cr, 16)):
+        n = size // 8
+        plane = res[offset:offset + n * n].reshape(n, n, 8, 8).swapaxes(1, 2)
+        planes.append(np.clip(bas + plane.reshape(size, size), 0, 255).astype(np.uint8))
+        offset += n * n
+    return Block32(*planes)
+
+
+def decode_frame_oracle(fu: FrameUnit, prev_recon, frame_idx: int, qparams,
+                        ctx, width: int, height: int, qp: int) -> Frame:
+    """A frame unit rebuilt one block at a time in raster order, as the
+    decoder did before it batched: each block's prediction (inter from a
+    per-sample clamped fetch, intra or generated from the walk), then its
+    dense residual, then the next block."""
+    walk = FrameWalk(width, height, frame_idx, qparams, ctx)
+    for c, mode, mvd, tiles in zip(walk, fu.modes.reshape(-1).tolist(),
+                                   fu.mvds.reshape(-1, 2).tolist(), fu.blocks):
+        mv = None
+        if mode == BlockMode.INTER:
+            mv = MotionVector(walk.mv_pred.dx + mvd[0], walk.mv_pred.dy + mvd[1])
+            cdx, cdy = half_toward_zero(mv.dx), half_toward_zero(mv.dy)
+            basis = Block32(
+                clamped_window_py(prev_recon.y, 32 * c.by + mv.dy,
+                                  32 * c.bx + mv.dx, 32, 32),
+                *(clamped_window_py(p, 16 * c.by + cdy, 16 * c.bx + cdx, 16, 16)
+                  for p in (prev_recon.cb, prev_recon.cr)))
+        else:
+            basis = walk.basis(mode, c)
+        walk.put(c, mode, mv, rebuild_block_dense(basis, tiles, qp))
+    return walk.recon
 
 
 def fast_train(steps: int = 150) -> TrainConfig:

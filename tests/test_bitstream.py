@@ -189,6 +189,42 @@ class TestParamSetUnit:
         with pytest.raises(StreamError, match="out of 10-bit range"):
             parse_param_set(BitReader(data[:-5] + last))
 
+    def test_packing_matches_ten_bits_a_level(self):
+        rng = np.random.default_rng(8)
+        for n in list(range(13)) + [4 * 4099 + 3]:
+            levels = rng.integers(-512, 512, n)
+            bits = [(int(v) >> s) & 1 for v in levels for s in range(9, -1, -1)]
+            assert _pack_levels(levels) == np.packbits(
+                np.array(bits, np.uint8)).tobytes()
+
+    @pytest.mark.parametrize("where,value", [("weights", 512), ("biases", -512),
+                                             ("weights", -32768)])
+    def test_levels_beyond_511_rejected_on_write(self, where, value):
+        q = qparams_for((3, 5, 1536), seed=1)
+        getattr(q.layers[-1], where)[0] = value
+        with pytest.raises(ValueError, match="out of 10-bit range"):
+            write_param_set(BitWriter(), q)
+
+    def test_widest_layer_writes_in_a_small_multiple_of_its_size(self):
+        # fan-in 1023 leaves the weights off a 4-field group, so the last
+        # group holds weights and biases
+        for arch in ((3, 1024, 1536), (3, 1023, 1536)):
+            q = qparams_for(arch, seed=2)
+            w = BitWriter()
+            tracemalloc.start()
+            try:
+                write_param_set(w, q)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            data = w.to_bytes()
+            assert len(data) * 8 == param_set_bits(arch)
+            assert peak < 4 * len(data)
+            back = parse_param_set(BitReader(data))
+            for a, b in zip(q.layers, back.layers):
+                assert np.array_equal(a.weights, b.weights)
+                assert np.array_equal(a.biases, b.biases)
+
     def test_architecture_caps_enforced_at_parse(self):
         w = BitWriter()
         w.write_bits(1, 8)  # unit tag

@@ -112,6 +112,23 @@ class TestBlockAccess:
         assert np.all(fr.y[32:, 32:] == 9) and np.all(fr.y[:32, :] == 0)
         assert np.all(fr.cb[16:, 16:] == 8) and np.all(fr.cb[:16, :] == 0)
 
+    def test_batched_insert_equals_one_call_per_block(self):
+        src = rand_frame(96, 64, seed=6)
+        coords = [(2, 1), (0, 0), (1, 1)]
+        blocks = [extract_block(src, BlockCoord(*c)) for c in coords]
+        stacked = Block32(*(np.stack(p) for p in
+                            zip(*((b.y, b.cb, b.cr) for b in blocks))))
+        one, batch = blank_frame(96, 64), blank_frame(96, 64)
+        for c, b in zip(coords, blocks):
+            insert_block(one, BlockCoord(*c), b)
+        insert_block(batch, np.array(coords), stacked)
+        for a, b in ((one.y, batch.y), (one.cb, batch.cb), (one.cr, batch.cr)):
+            assert np.array_equal(a, b)
+        with pytest.raises(ValueError, match="outside 3x2 grid"):
+            insert_block(batch, np.array([(0, 0), (3, 1)]), stacked[:2])
+        with pytest.raises(ValueError, match="outside 3x2 grid"):
+            insert_block(batch, BlockCoord(0, -1), blocks[0])
+
     def test_out_of_grid_coordinate_rejected(self):
         fr = blank_frame(64, 64)
         with pytest.raises(ValueError):

@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fast_train, forced_stream, frame_unit
+from conftest import decode_frame_oracle, fast_train, forced_stream, frame_unit
 from test_golden import encode_case
 from nbv.bitstream import (
+    FORCED,
+    SELECTABLE,
     BlockMode,
+    FrameUnit,
     RegionSpec,
     StreamHeader,
+    parse_stream,
+    region_map,
     write_header,
     write_stream,
 )
@@ -19,6 +24,7 @@ from nbv.decoder import CSV_COLUMNS, decode_sequence
 from nbv.encoder import _encode_period, rd_lambda, train_param_set
 from nbv.entropy import BitWriter, StreamError
 from nbv.gnn import SetContext, init_params, quantize_params
+from nbv.residual import MAX_LEVEL
 from nbv.prediction import MotionVector, motion_compensate
 from nbv.tools import bit_accounting, synth_sequence
 
@@ -282,3 +288,70 @@ class TestMutatedStreams:
     @given(data=st.data())
     def test_p_frame_streams_only_stream_errors(self, p_frame_bytes, data):
         consume_damaged(mutate(p_frame_bytes, data.draw))
+
+
+def random_unit(rng, frame_type, cols, rows, regions):
+    """A legal frame unit: forced blocks generate, selectable ones may,
+    inter blocks (P only) come in runs with differences up to +-64, and
+    each block's levels run from empty to dense, up to +-MAX_LEVEL."""
+    kinds = region_map(regions, cols, rows).reshape(-1).tolist()
+    coded = [BlockMode.INTRA_DC, BlockMode.INTRA_H, BlockMode.INTRA_V]
+    if frame_type == "P":
+        coded = [BlockMode.INTER] * 3 + coded
+    modes = np.array([BlockMode.GEN if kind == FORCED else rng.choice(
+        coded + [BlockMode.GEN] * 2 * (kind == SELECTABLE)) for kind in kinds],
+        dtype=np.int8).reshape(rows, cols)
+    mvds = rng.integers(-64, 65, (rows, cols, 2)).astype(np.int32)
+    mvds[modes != BlockMode.INTER] = 0
+    n = rows * cols
+    density = rng.choice([0.0, 0.01, 0.2, 1.0], (n, 1, 1))
+    peak = rng.choice([1, 9, MAX_LEVEL], (n, 1, 1))
+    levels = rng.integers(-peak, peak + 1, (n, 24, 64))
+    levels[rng.random((n, 24, 64)) >= density] = 0
+    return FrameUnit(frame_type, list(regions), modes, mvds, levels.astype(np.int32))
+
+
+class TestBatchedDecodeOracle:
+    """The decoder rebuilds a frame in batches: all residual planes, all
+    vectors, all inter blocks at once, then the intra and generated blocks.
+    On any legal stream it must give the pixels of the block-by-block
+    decode_frame_oracle."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_frames_equal_the_block_by_block_oracle(self, data):
+        draw = data.draw
+        cols, rows = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        width = 32 * cols - draw(st.integers(0, 31))
+        height = 32 * rows - draw(st.integers(0, 31))
+        qp = draw(st.sampled_from([0, 8, 20, 32, 51]))
+        n_frames = draw(st.integers(2, 3))
+        gen = draw(st.booleans())
+        regions = []
+        if gen:  # one forced or selectable region
+            x0, y0 = draw(st.integers(0, cols - 1)), draw(st.integers(0, rows - 1))
+            regions.append(RegionSpec(x0, y0, draw(st.integers(x0, cols - 1)),
+                                      draw(st.integers(y0, rows - 1)),
+                                      draw(st.booleans())))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        units = [("param_set", tiny_qparams(seed=int(rng.integers(100))))] if gen else []
+        units += [("frame", random_unit(rng, "P" if i else "I", cols, rows, regions))
+                  for i in range(n_frames)]
+        stream = write_stream(
+            StreamHeader(width, height, n_frames, qp, gen, n_frames), units)
+
+        decoded, _ = decode_sequence(stream)
+        _, parsed = parse_stream(stream)
+        prev = qparams = ctx = None
+        for kind, payload in parsed:
+            if kind == "param_set":
+                qparams, ctx = payload, SetContext(cols, rows, 0, n_frames)
+                continue
+            i = 0 if prev is None else i + 1
+            want = decode_frame_oracle(payload, prev, i, qparams, ctx,
+                                       width, height, qp)
+            for g, w in ((decoded[i].y, want.y), (decoded[i].cb, want.cb),
+                         (decoded[i].cr, want.cr)):
+                assert np.array_equal(g, w), i
+            prev = want
+        assert i == n_frames - 1

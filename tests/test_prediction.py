@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_frame
+from conftest import clamped_window_py, rand_frame
 from nbv.core import (
     BLOCK,
     MAX_SEARCH_RANGE,
@@ -24,17 +24,6 @@ from nbv.prediction import (
     motion_field,
     motion_search,
 )
-
-
-def clamped_window_py(plane, y0, x0, h, w):
-    """Reference edge-clamped window fetch, one sample at a time."""
-    hh, ww = plane.shape
-    out = np.empty((h, w), plane.dtype)
-    for dy in range(h):
-        for dx in range(w):
-            out[dy, dx] = plane[min(max(y0 + dy, 0), hh - 1),
-                                min(max(x0 + dx, 0), ww - 1)]
-    return out
 
 
 def clamped_window_idx(plane, y0, x0, h, w):
@@ -308,6 +297,22 @@ class TestMotionCompensate:
                 want = clamped_window_py(ref.y, c.by * 32 + mv.dy,
                                          c.bx * 32 + mv.dx, 32, 32)
                 assert np.array_equal(got.y, want)
+
+    def test_batch_equals_one_call_per_block(self):
+        # vectors past every edge, odd negatives for the chroma halving
+        ref = rand_frame(96, 64, seed=23)
+        rng = np.random.default_rng(23)
+        coords = np.stack(np.meshgrid(np.arange(3), np.arange(2)), axis=-1)
+        mvs = rng.integers(-70, 71, (2, 3, 2))
+        mvs[0, 0] = (-3, -5)
+        got = motion_compensate(ref, coords, mvs)
+        assert got.y.shape == (2, 3, 32, 32) and got.cb.shape == (2, 3, 16, 16)
+        for by in range(2):
+            for bx in range(3):
+                one = motion_compensate(ref, BlockCoord(bx, by),
+                                        MotionVector(*mvs[by, bx].tolist()))
+                for g, w in ((got.y, one.y), (got.cb, one.cb), (got.cr, one.cr)):
+                    assert np.array_equal(g[by, bx], w)
 
     def test_chroma_offsets_are_halved_toward_zero(self):
         ref = rand_frame(128, 96, seed=18)

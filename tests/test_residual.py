@@ -1,5 +1,7 @@
 """Transform, quantization, and run-level residual coding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,11 +20,14 @@ from nbv.entropy import (
     write_ue_codes,
 )
 from nbv.residual import (
+    _RECON_CHUNK,
     DCT_INT,
     DCT_MATRIX,
     LEVEL_SCALE,
     MAX_LEVEL,
     ZIGZAG,
+    _plane_tiles,
+    add_residual,
     apply_block_residual,
     block_tiles_bits,
     coeff_bits,
@@ -34,6 +39,7 @@ from nbv.residual import (
     encode_block_residual,
     qstep,
     quantize,
+    residual_planes,
     tile_codes,
 )
 
@@ -509,3 +515,101 @@ class TestBlockResidual:
         rec = apply_block_residual(dark, tiles, qp=0)
         assert rec.y.dtype == np.uint8
         assert np.max(np.abs(rec.y.astype(int) - src.y.astype(int))) <= 2
+
+
+def planes_as_tiles(planes: Block32) -> np.ndarray:
+    """residual_planes' planes back to (..., 24, 8, 8) tiles in coding order."""
+    return np.concatenate([_plane_tiles(p) for p in (planes.y, planes.cb, planes.cr)],
+                          axis=-3)
+
+
+def level_batches():
+    """(name, (..., 24, 64) levels) batches from empty to dense."""
+    rng = np.random.default_rng(31)
+    last = np.zeros((3, 24, 64), np.int32)
+    last[1, 7, 63] = -5  # one nonzero, at the last scan position
+    extreme = rng.choice([-MAX_LEVEL, MAX_LEVEL], (2, 24, 64)).astype(np.int32)
+    sparse = rng.integers(-40, 41, (4, 5, 24, 64)).astype(np.int32)
+    sparse[rng.random(sparse.shape) < 0.97] = 0
+    # every tile coded, and a tile count that is not a multiple of the chunk
+    dense = rng.integers(-MAX_LEVEL, MAX_LEVEL + 1,
+                         (_RECON_CHUNK // 24 + 3, 24, 64)).astype(np.int32)
+    return [("empty", np.zeros((5, 24, 64), np.int32)), ("scan_63", last),
+            ("extreme", extreme), ("sparse", sparse), ("dense", dense)]
+
+
+class TestResidualPlanes:
+    """residual_planes inverse transforms only the coded tiles; each plane
+    must equal the dense integer inverse of every tile, clipped to +-255."""
+
+    @pytest.mark.parametrize("qp", [0, 8, 20, 32, 51])
+    @pytest.mark.parametrize("name,levels", level_batches())
+    def test_equals_the_dense_clipped_inverse(self, qp, name, levels):
+        want = np.clip(dct8_inverse_int(dequantize_int(levels, qp)), -255, 255)
+        planes = residual_planes(levels, qp)
+        assert planes.y.shape == levels.shape[:-2] + (32, 32)
+        assert planes.cb.shape == planes.cr.shape == levels.shape[:-2] + (16, 16)
+        assert all(p.dtype == np.int16 for p in (planes.y, planes.cb, planes.cr))
+        assert np.array_equal(planes_as_tiles(planes), want)
+
+    def test_clip_to_255_is_exact_for_every_uint8_basis(self):
+        # a residual beyond +-255 takes every basis to the same end of 0..255
+        _, levels = level_batches()[2]
+        raw = dct8_inverse_int(dequantize_int(levels, 51))
+        assert np.abs(raw).max() > 255
+        planes = residual_planes(levels, 51)
+        for value in (0, 1, 128, 254, 255):
+            basis = Block32(*(np.full(p.shape, value, np.uint8)
+                              for p in (planes.y, planes.cb, planes.cr)))
+            got = planes_as_tiles(add_residual(basis, planes))
+            assert np.array_equal(got, np.clip(value + raw, 0, 255))
+
+    def test_rejects_a_bad_qp_even_with_nothing_coded(self):
+        with pytest.raises(ValueError, match="qp out of range"):
+            residual_planes(np.zeros((24, 64), np.int32), 52)
+
+    def test_peak_memory_is_bounded_by_the_chunk_not_the_batch(self):
+        levels = np.random.default_rng(6).integers(1, 5, (2040, 24, 64)).astype(np.int32)
+        tracemalloc.start()
+        try:
+            planes = residual_planes(levels, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = sum(p.nbytes for p in (planes.y, planes.cb, planes.cr))
+        # the planes and one int16 tile buffer of the same size, plus a
+        # few int64 temporaries of one chunk; one dense int64 pass over
+        # this batch would alone take 4 * out = 25 MB
+        assert peak < 2 * out + 8 * _RECON_CHUNK * 64 * 8
+
+
+class TestSparsePairs:
+    """coeff_bits and tile_codes list run-level pairs from the nonzero
+    levels only; on the edge cases they must still agree bit for bit."""
+
+    @staticmethod
+    def edge_tiles():
+        rng = np.random.default_rng(12)
+        empty = np.zeros((3, 64), np.int32)
+        full = rng.choice([-MAX_LEVEL, -1, 1, 7, MAX_LEVEL], (3, 64)).astype(np.int32)
+        last = np.zeros((3, 64), np.int32)
+        last[:, 63] = (1, -2, MAX_LEVEL)
+        return np.concatenate([empty, full, last, empty[:1], last[:1], full[:1]])
+
+    def test_bits_equal_the_ue_lengths_of_the_codes(self):
+        tiles = self.edge_tiles()
+        bits = coeff_bits(tiles)
+        codes, counts = tile_codes(tiles)
+        assert list(counts) == [0] * 3 + [64] * 3 + [1] * 3 + [0, 1, 64]
+        assert ue_lengths(codes).sum() == bits.sum()
+        for t, want in zip(tiles, bits):
+            one, _ = tile_codes(t)
+            assert ue_lengths(one).sum() == want == coeff_bits(t)
+        assert np.array_equal(coeff_bits(tiles.reshape(4, 3, 64)), bits.reshape(4, 3))
+
+    def test_scan_63_alone_runs_63_zeros(self):
+        tile = np.zeros(64, np.int32)
+        tile[63] = -2
+        codes, count = tile_codes(tile)
+        # count 1, run 63, level -2 (se code 4)
+        assert count == 1 and list(codes) == [1, 63, 4]
