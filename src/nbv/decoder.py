@@ -49,12 +49,9 @@ class FrameWalk:
     against: the left block's vector when that block is inter, and zero
     after any other block and at the start of each row.
 
-    The encoder puts each block as it decides it. The decoder rebuilds a
-    frame in two phases: `vectors` notes every block's mode and resolves
-    the vectors, then the inter blocks are rebuilt at once, and only the
-    intra and generated blocks are rebuilt one by one from `basis`, in
-    raster order. An intra block reads only its left and top neighbours,
-    which are final by then.
+    The encoder puts each block as it decides it. The decoder first
+    resolves every vector with `vectors`, and later rebuilds only the
+    intra and generated blocks from `basis` (see the module docstring).
     """
 
     def __init__(self, width: int, height: int, frame_idx: int,
