@@ -7,9 +7,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nbv.encoder
-from conftest import fast_train, forced_stream, rand_frame
+from conftest import encode_frame_oracle, fast_train, forced_stream, rand_frame
 from nbv.bitstream import (
     BlockMode,
     RegionSpec,
@@ -29,6 +31,7 @@ from nbv.core import (
 from nbv.decoder import decode_sequence
 from nbv.encoder import (
     PeriodRecord,
+    _encode_frame,
     _encode_period,
     _network_pass,
     choose_block_mode,
@@ -98,6 +101,71 @@ class TestModeChoice:
             lam = rd_lambda(qp)
             want = [int(d) + lam * int(b) for d, b in zip(ssd, bits)]
             assert (ssd + lam * bits).tolist() == want
+
+
+def patchy_pair(rng, width: int, height: int, shift: tuple[int, int],
+                noise: int) -> tuple[Frame, Frame]:
+    """Two frames cut from one canvas of flat 8x8 patches plus noise of the
+    given amplitude, the second moved by `shift` pels. Flat patches give
+    intra predictions exact ties and every block kind a chance to win."""
+    m = 8
+    ch, cw = height + 2 * m, width + 2 * m
+    coarse = rng.integers(0, 256, (3, -(-ch // 8), -(-cw // 8)))
+    canvas = np.kron(coarse, np.ones((1, 8, 8), np.int64))[:, :ch, :cw]
+    canvas = np.clip(canvas + rng.integers(-noise, noise + 1, canvas.shape),
+                     0, 255).astype(np.uint8)
+
+    def window(x0, y0):
+        cy, cx = y0 // 2, x0 // 2
+        return make_frame(
+            canvas[0, y0:y0 + height, x0:x0 + width],
+            canvas[1, cy:cy + (height + 1) // 2, cx:cx + (width + 1) // 2],
+            canvas[2, cy:cy + (height + 1) // 2, cx:cx + (width + 1) // 2])
+
+    return window(m, m), window(m + shift[0], m + shift[1])
+
+
+class TestDiagonalEncodeOracle:
+    """The encoder codes a frame one anti-diagonal of blocks at a time,
+    every candidate of every block on it in one batch. On any frame it
+    must make the decisions, levels, pixels and distortion of the
+    block-by-block raster walk encode_frame_oracle."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_frames_equal_the_raster_oracle(self, data):
+        draw = data.draw
+        cols, rows = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+        width = 32 * cols - draw(st.integers(0, 31))
+        height = 32 * rows - draw(st.integers(0, 31))
+        qp = draw(st.sampled_from([0, 8, 20, 32, 51]))
+        kind = draw(st.sampled_from(["none", "forced", "selectable"]))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        shift = tuple(int(v) for v in rng.integers(-6, 7, 2))
+        frames = patchy_pair(rng, width, height, shift,
+                             draw(st.sampled_from([0, 3, 40])))
+        regions, qparams, ctx = [], None, None
+        if kind != "none":
+            x0, y0 = draw(st.integers(0, cols - 1)), draw(st.integers(0, rows - 1))
+            regions = [RegionSpec(x0, y0, draw(st.integers(x0, cols - 1)),
+                                  draw(st.integers(y0, rows - 1)),
+                                  kind == "selectable")]
+            qparams = quantize_params(init_params((3, 1536),
+                                                  seed=int(rng.integers(100))))
+            ctx = SetContext(cols, rows, 0, 2)
+        lam = rd_lambda(qp)
+        prev = None
+        for frame_idx, frame_type in enumerate("IP"):
+            args = (frames[frame_idx], prev, frame_idx, frame_type, regions,
+                    qparams, ctx, qp, lam, 4)
+            unit, res = _encode_frame(*args)
+            want, want_recon, want_dist = encode_frame_oracle(*args)
+            assert np.array_equal(unit.modes, want.modes), frame_type
+            assert np.array_equal(unit.mvds, want.mvds), frame_type
+            assert np.array_equal(unit.blocks, want.blocks), frame_type
+            assert frames_equal(res.recon, want_recon), frame_type
+            assert res.distortion == want_dist, frame_type
+            prev = want_recon
 
 
 def windowed_pair(shift: tuple[int, int], size=(128, 96), margin=16, seed=21):
