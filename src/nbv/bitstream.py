@@ -47,11 +47,9 @@ from .entropy import (
     BitWriter,
     StreamError,
     read_ue_codes,
-    se_length,
     se_to_ue,
     ue_decode,
     ue_encode,
-    ue_length,
     ue_lengths,
     ue_to_se,
     write_ue_codes,
@@ -92,15 +90,19 @@ def _mode_symbol(frame_type: str, mode):
     return mode - (frame_type == "I")
 
 
-def block_syntax_bits(frame_type: str, mode: BlockMode,
-                      mvd: tuple[int, int] | None = None) -> int:
-    """Bits write_frame spends on one block's mode symbol and motion-vector
-    difference; generated blocks carry neither."""
-    if mode == BlockMode.GEN:
-        return 0
-    bits = ue_length(int(_mode_symbol(frame_type, mode)))
-    if mode == BlockMode.INTER:
-        bits += se_length(mvd[0]) + se_length(mvd[1])
+def block_syntax_bits(frame_type: str, mode, mvd=None):
+    """Bits write_frame spends on blocks' mode symbols and motion-vector
+    differences; generated blocks carry neither.
+
+    mode is a BlockMode or an array of them, and mvd the (..., 2)
+    differences to match, read where a block is inter only.
+    """
+    mode = np.asarray(mode)
+    bits = np.where(mode == BlockMode.GEN, 0,
+                    ue_lengths(_mode_symbol(frame_type, mode)))
+    if mvd is not None:
+        mv_bits = ue_lengths(se_to_ue(np.asarray(mvd, dtype=np.int64))).sum(axis=-1)
+        bits = bits + np.where(mode == BlockMode.INTER, mv_bits, 0)
     return bits
 
 

@@ -66,7 +66,8 @@ class Block32:
     """One coding unit: 32x32 luma and two 16x16 chroma blocks.
 
     The planes may carry leading axes over several units; indexing a
-    Block32 indexes those axes of all three planes.
+    Block32, or assigning to an index of it, indexes those axes of all
+    three planes.
     """
 
     y: np.ndarray
@@ -75,6 +76,11 @@ class Block32:
 
     def __getitem__(self, index) -> "Block32":
         return Block32(self.y[index], self.cb[index], self.cr[index])
+
+    def __setitem__(self, index, value: "Block32") -> None:
+        self.y[index] = value.y
+        self.cb[index] = value.cb
+        self.cr[index] = value.cr
 
 
 @dataclass
@@ -152,18 +158,27 @@ def blank_frame(width: int, height: int, value: int = 0) -> Frame:
     return Frame(y, cb, cb.copy(), width, height)
 
 
-def extract_block(frame: Frame, c: BlockCoord) -> Block32:
-    """Copy out the coding unit at block coordinate c."""
+def _block_views(frame: Frame, c) -> tuple:
+    """The grid-split planes of frame, (rows, size, cols, size) views, and
+    the bx and by arrays of c, checked to lie on the grid."""
     cols, rows = block_grid_dims(frame.width, frame.height)
-    if not (0 <= c.bx < cols and 0 <= c.by < rows):
+    at = np.asarray(c)
+    if ((at < 0) | (at >= (cols, rows))).any():
         raise ValueError(f"block coordinate {c} outside {cols}x{rows} grid")
-    y0, x0 = c.by * BLOCK, c.bx * BLOCK
-    cy0, cx0 = c.by * CHROMA_BLOCK, c.bx * CHROMA_BLOCK
-    return Block32(
-        frame.y[y0:y0 + BLOCK, x0:x0 + BLOCK].copy(),
-        frame.cb[cy0:cy0 + CHROMA_BLOCK, cx0:cx0 + CHROMA_BLOCK].copy(),
-        frame.cr[cy0:cy0 + CHROMA_BLOCK, cx0:cx0 + CHROMA_BLOCK].copy(),
-    )
+    # splitting both axes is always a view, so writes reach the planes
+    views = tuple(plane.reshape(rows, size, cols, size) for plane, size in
+                  ((frame.y, BLOCK), (frame.cb, CHROMA_BLOCK), (frame.cr, CHROMA_BLOCK)))
+    return views, at[..., 0], at[..., 1]
+
+
+def extract_block(frame: Frame, c) -> Block32:
+    """Copy out coding units; exact inverse of insert_block.
+
+    c is a BlockCoord, or block coordinates (..., 2) as (bx, by) whose
+    leading axes pass through to the planes, so one call reads many units.
+    """
+    views, bx, by = _block_views(frame, c)
+    return Block32(*(view[by, :, bx, :] for view in views))
 
 
 def insert_block(frame: Frame, c, block: Block32) -> Frame:
@@ -172,16 +187,9 @@ def insert_block(frame: Frame, c, block: Block32) -> Frame:
     c is a BlockCoord, or block coordinates (..., 2) as (bx, by) whose
     leading axes match the block planes', so one call writes many units.
     """
-    cols, rows = block_grid_dims(frame.width, frame.height)
-    at = np.asarray(c)
-    if ((at < 0) | (at >= (cols, rows))).any():
-        raise ValueError(f"block coordinate {c} outside {cols}x{rows} grid")
-    bx, by = at[..., 0], at[..., 1]
-    for plane, part, size in ((frame.y, block.y, BLOCK),
-                              (frame.cb, block.cb, CHROMA_BLOCK),
-                              (frame.cr, block.cr, CHROMA_BLOCK)):
-        # splitting both axes is always a view, so the writes reach plane
-        plane.reshape(rows, size, cols, size)[by, :, bx, :] = part
+    views, bx, by = _block_views(frame, c)
+    for view, part in zip(views, (block.y, block.cb, block.cr)):
+        view[by, :, bx, :] = part
     return frame
 
 

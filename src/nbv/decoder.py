@@ -1,21 +1,27 @@
 """Decoder: reconstructs frames from a coded stream, and owns the block walk.
 
-`FrameWalk` holds a frame being rebuilt in raster order. It keeps the
-motion-vector predictor, the one place its left-neighbour rule is written,
-and gives an intra or generated block its prediction: the generator, or
-intra prediction from the frame so far. The encoder rebuilds every block it
-codes through the same walk and the same residual arithmetic, so its
+`FrameWalk` holds a frame being rebuilt one anti-diagonal of blocks at a
+time. Intra prediction reads only the row above a block and the column to
+its left, and the motion-vector predictor only the left block, so every
+block on the diagonal bx + by = d has final neighbours once the diagonals
+before it are rebuilt, and the whole diagonal is predicted at once. This is
+the dependency structure of HEVC's wavefront parallel processing (Chi et
+al., "Parallel Scalability and Efficiency of HEVC Parallelization
+Approaches", IEEE TCSVT 2012). The walk keeps the vector predictor, the one
+place its left-neighbour rule is written, and gives intra and generated
+blocks their predictions. The encoder codes and rebuilds every frame
+through the same walk and the same residual arithmetic, so its
 reconstruction is the decoder's by construction.
 
-The decoder rebuilds a frame in two batched phases, because only intra
-blocks depend on blocks of the same frame. First the residual planes of the
+The decoder rebuilds a frame in batches. First the residual planes of the
 whole unit are built at once, paying only for tiles with a nonzero level,
-the walk resolves every vector, and all inter blocks are rebuilt with one
-motion-compensation gather, one add and one clip. Then the walk visits only
-the intra and generated blocks, in raster order; each intra block reads its
-left and top neighbours, which are final by then. Integer arithmetic gives
-the same sums in any order, so the pixels are those of a block-by-block
-walk.
+and the walk resolves every vector. Inter and generated blocks do not read
+the frame being rebuilt, so all inter blocks come from one
+motion-compensation gather and all generated blocks from the generator,
+each kind added and written in one call. Then the walk visits the intra
+blocks one diagonal at a time, each diagonal with one intra prediction,
+one add and one write. Integer arithmetic gives the same sums in any
+order, so the pixels are those of a block-by-block raster walk.
 
 A parameter-set unit installs the generator for the frames that follow it;
 the set's time axis starts at the next frame and spans at most one
@@ -26,6 +32,7 @@ an earlier one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,75 +41,99 @@ from .bitstream import BlockMode, FrameUnit, parse_stream
 from .core import BLOCK, Block32, BlockCoord, Frame, blank_frame, insert_block
 from .entropy import StreamError
 from .gnn import QuantizedGnnParams, SetContext, generate_block
-from .prediction import IntraMode, MotionVector, intra_predict, motion_compensate
+from .prediction import intra_predict, motion_compensate
 from .residual import add_residual, residual_planes
 from .tools import csv_text
 
-_ZERO_MV = MotionVector(0, 0)
+
+def _stack_blocks(blocks: list[Block32]) -> Block32:
+    """One Block32 whose planes carry a leading axis over the given blocks."""
+    return Block32(*(np.stack(planes) for planes in
+                     zip(*((b.y, b.cb, b.cr) for b in blocks))))
+
+
+@functools.lru_cache(maxsize=8)
+def _diagonals(rows: int, cols: int) -> tuple[np.ndarray, ...]:
+    """The anti-diagonals bx + by = d of a rows x cols grid in order of d,
+    each as read-only (n, 2) block coordinates (bx, by)."""
+    out = []
+    for d in range(rows + cols - 1):
+        by = np.arange(max(0, d - cols + 1), min(d, rows - 1) + 1)
+        coords = np.stack([d - by, by], axis=-1)
+        coords.setflags(write=False)
+        out.append(coords)
+    return tuple(out)
 
 
 class FrameWalk:
-    """One frame's blocks in raster order, rebuilt in place.
+    """One frame's blocks, one anti-diagonal at a time, rebuilt in place.
 
-    Iterating yields each block's coordinate. Before a block is put, or
-    passed by `vectors`, `mv_pred` is the vector its motion-vector difference is coded
-    against: the left block's vector when that block is inter, and zero
-    after any other block and at the start of each row.
-
-    The encoder puts each block as it decides it. The decoder first
-    resolves every vector with `vectors`, and later rebuilds only the
-    intra and generated blocks from `basis` (see the module docstring).
+    Iterating yields each diagonal bx + by = d, d = 0, 1, ..., as (n, 2)
+    block coordinates (bx, by). A block's intra prediction and vector
+    predictor are final once every diagonal before its own is put. The
+    encoder decides and puts each diagonal as it goes; the decoder first
+    resolves every vector with `vectors`, then rebuilds the intra blocks
+    diagonal by diagonal (see the module docstring).
     """
 
     def __init__(self, width: int, height: int, frame_idx: int,
                  qparams: QuantizedGnnParams | None,
                  ctx: SetContext | None) -> None:
         self.recon = blank_frame(width, height)
-        self.modes = np.zeros((self.recon.height // BLOCK, self.recon.width // BLOCK),
-                              dtype=np.int8)
-        self.mv_pred = _ZERO_MV
+        grid = (self.recon.height // BLOCK, self.recon.width // BLOCK)
+        self.modes = np.zeros(grid, dtype=np.int8)
+        # each noted block's vector, zero where a block is not inter
+        self.mvs = np.zeros(grid + (2,), dtype=np.int64)
         self._frame_idx = frame_idx
         self._qparams = qparams
         self._ctx = ctx
 
     def __iter__(self):
-        rows, cols = self.modes.shape
-        for by in range(rows):
-            self.mv_pred = _ZERO_MV
-            for bx in range(cols):
-                yield BlockCoord(bx, by)
+        return iter(_diagonals(*self.modes.shape))
 
-    def basis(self, mode: BlockMode, c: BlockCoord) -> Block32:
-        """The prediction an intra or generated block starts from."""
-        if mode == BlockMode.GEN:
-            return generate_block(self._qparams, c, self._frame_idx, self._ctx)
+    def mv_pred(self, coords: np.ndarray) -> np.ndarray:
+        """The (n, 2) vectors that the motion-vector differences of the
+        blocks at coords are coded against: the left block's vector when
+        that block is inter, and zero after any other block and at the
+        start of each row."""
+        bx, by = coords[:, 0], coords[:, 1]
+        return np.where((bx > 0)[:, None], self.mvs[by, bx - 1], 0)
+
+    def intra(self, coords, modes) -> Block32:
+        """Intra predictions of blocks in the intra BlockModes from the
+        frame so far; coords (..., 2) and modes (...) broadcast."""
         # the intra block modes rank as the intra predictors do
-        return intra_predict(self.recon, c, IntraMode(mode - BlockMode.INTRA_DC))
+        return intra_predict(self.recon, coords, np.asarray(modes) - BlockMode.INTRA_DC)
 
-    def _note(self, c: BlockCoord, mode: BlockMode, mv: MotionVector | None) -> None:
-        """Record a block's mode and move the predictor past it (mv: inter only)."""
-        self.modes[c.by, c.bx] = mode
-        self.mv_pred = mv if mode == BlockMode.INTER else _ZERO_MV
+    def generated(self, coords: np.ndarray) -> Block32:
+        """The generator's predictions of the (n, 2) blocks at coords, one
+        evaluation a block."""
+        return _stack_blocks([
+            generate_block(self._qparams, BlockCoord(bx, by), self._frame_idx, self._ctx)
+            for bx, by in coords.tolist()])
 
-    def put(self, c: BlockCoord, mode: BlockMode, mv: MotionVector | None,
-            block: Block32) -> None:
-        """Insert a rebuilt block and note it (mv: inter only)."""
-        insert_block(self.recon, c, block)
-        self._note(c, mode, mv)
+    def put(self, coords: np.ndarray, modes: np.ndarray, mvs: np.ndarray,
+            blocks: Block32) -> None:
+        """Insert the rebuilt blocks at coords (n, 2) and record their
+        modes (n,) and vectors (n, 2); a vector is kept where its block is
+        inter only."""
+        insert_block(self.recon, coords, blocks)
+        bx, by = coords[:, 0], coords[:, 1]
+        self.modes[by, bx] = modes
+        self.mvs[by, bx] = np.where((modes == BlockMode.INTER)[:, None], mvs, 0)
 
     def vectors(self, modes: np.ndarray, mvds: np.ndarray) -> np.ndarray:
         """Note every block of a frame unit's (rows, cols) modes and return
         the (rows, cols, 2) vectors its differences code, zero where a
         block is not inter."""
-        mvs = np.zeros(mvds.shape, dtype=np.int64)
-        for c, mode, mvd in zip(self, modes.reshape(-1).tolist(),
-                                mvds.reshape(-1, 2).tolist()):
-            mv = None
-            if mode == BlockMode.INTER:
-                mv = MotionVector(self.mv_pred.dx + mvd[0], self.mv_pred.dy + mvd[1])
-                mvs[c.by, c.bx] = mv
-            self._note(c, mode, mv)
-        return mvs
+        self.modes[...] = modes
+        inter = modes == BlockMode.INTER
+        if inter.any():
+            for coords in self:
+                bx, by = coords[:, 0], coords[:, 1]
+                self.mvs[by, bx] = np.where(inter[by, bx][:, None],
+                                            self.mv_pred(coords) + mvds[by, bx], 0)
+        return self.mvs
 
 
 def mode_counts(modes: np.ndarray) -> tuple[int, int, int]:
@@ -150,25 +181,30 @@ def _decode_frame(
                 f"frame {frame_idx} generates blocks outside its parameter "
                 f"set's frames {ctx.start_frame}..{ctx.start_frame + ctx.span - 1}"
             )
-    rows, cols = fu.modes.shape
+    cols = fu.modes.shape[1]
     # 1. the residual planes of every block, in one batch
     res = residual_planes(fu.blocks, qp)
     # 2. the vectors, with the modes noted
     walk = FrameWalk(width, height, frame_idx, qparams, ctx)
     mvs = walk.vectors(fu.modes, fu.mvds)
-    # 3. every inter block from one gather, add and clip
-    inter = fu.modes == BlockMode.INTER
-    if inter.any():
-        by, bx = np.nonzero(inter)
-        coords = np.stack([bx, by], axis=-1)
-        pred = motion_compensate(prev_recon, coords, mvs[inter])
-        insert_block(walk.recon, coords,
-                     add_residual(pred, res[by * cols + bx]))
-    # 4. the intra and generated blocks, in raster order
-    modes = fu.modes.reshape(-1).tolist()
-    for n in np.flatnonzero(~inter).tolist():
-        c = BlockCoord(n % cols, n // cols)
-        insert_block(walk.recon, c, add_residual(walk.basis(modes[n], c), res[n]))
+    # 3. every inter block from one gather, and every generated block,
+    # each kind with one add and one write: neither reads this frame
+    for mode in (BlockMode.INTER, BlockMode.GEN):
+        by, bx = np.nonzero(fu.modes == mode)
+        if len(by):
+            coords = np.stack([bx, by], axis=-1)
+            pred = (motion_compensate(prev_recon, coords, mvs[by, bx])
+                    if mode == BlockMode.INTER else walk.generated(coords))
+            insert_block(walk.recon, coords, add_residual(pred, res[by * cols + bx]))
+    # 4. the intra blocks, one anti-diagonal at a time
+    intra = (fu.modes != BlockMode.INTER) & (fu.modes != BlockMode.GEN)
+    if intra.any():
+        for coords in walk:
+            coords = coords[intra[coords[:, 1], coords[:, 0]]]
+            if len(coords):
+                bx, by = coords[:, 0], coords[:, 1]
+                insert_block(walk.recon, coords, add_residual(
+                    walk.intra(coords, fu.modes[by, bx]), res[by * cols + bx]))
     return walk.recon, DecodeRow(frame_idx, fu.frame_type, *mode_counts(walk.modes))
 
 

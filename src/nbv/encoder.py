@@ -16,13 +16,19 @@ bits, a budget at or below that product rules the network out before any
 training; otherwise the network pass stops as soon as its cost so far
 reaches the budget. Every candidate is costed with exact coded bits, and
 every block is rebuilt through the decoder's own block walk, which keeps
-the two bit-identical. A block's candidates are costed together:
-their prediction bases are stacked, and one batched call each quantizes,
-bit-counts and reconstructs all of them. A P frame's motion vectors come
-from one whole-frame search against the previous reconstruction, and
-every block's inter basis from one motion-compensation gather, both made
-before the walk; global motion reads its sample blocks from the same
-kind of search between source frames.
+the two bit-identical. The walk visits a frame one anti-diagonal of
+blocks at a time: a block's intra prediction and its vector predictor
+read only its left and top neighbours, which lie on earlier diagonals, so
+the blocks of one diagonal are decided together. Each block's candidates
+sit in one slot per BlockMode, in rank order; every candidate on the
+diagonal is stacked on one axis, and one batched call each quantizes,
+bit-counts and reconstructs all of them. Each block keeps its first
+minimum-cost candidate, so ties go to the earlier rank, and the decisions
+are those of a block-by-block raster walk. A P frame's motion vectors
+come from one whole-frame search against the previous reconstruction, its
+inter bases from one motion-compensation gather, and the generated bases
+from the generator, all made before the walk; global motion reads its
+sample blocks from the same kind of search between source frames.
 """
 
 from __future__ import annotations
@@ -48,6 +54,8 @@ from .bitstream import (
     write_param_set,
 )
 from .core import (
+    BLOCK,
+    CHROMA_BLOCK,
     BlockCoord,
     Block32,
     Frame,
@@ -174,17 +182,14 @@ def train_param_set(
     return quantize_params(params), len(inputs)
 
 
-def choose_block_mode(j: np.ndarray, modes: list[BlockMode]) -> int:
-    """Index of the minimum-J candidate; ties go to the earlier BlockMode rank."""
-    if not modes:
+def choose_block_mode(j: np.ndarray, modes) -> np.ndarray:
+    """Index of the minimum-J candidate along j's last axis; ties go to the
+    earlier BlockMode rank. modes broadcasts against j; leading axes
+    pass through, one choice each."""
+    j, modes = np.broadcast_arrays(np.asarray(j, dtype=np.float64), np.asarray(modes))
+    if not j.shape[-1]:
         raise ValueError("no candidates")
-    return min(range(len(modes)), key=lambda i: (j[i], int(modes[i])))
-
-
-def _stack_blocks(blocks: list[Block32]) -> Block32:
-    """One Block32 whose planes carry a leading axis over the given blocks."""
-    return Block32(*(np.stack(planes) for planes in
-                     zip(*((b.y, b.cb, b.cr) for b in blocks))))
+    return np.lexsort((modes, j), axis=-1)[..., 0]
 
 
 def _ssd(source: Block32, recon: Block32) -> np.ndarray:
@@ -208,77 +213,88 @@ class _FrameResult:
     n_gen: int
 
 
+# Each block's candidates sit in one slot per BlockMode, in rank order.
+_SLOT_MODES = np.arange(len(BlockMode))
+_INTRA_SLOTS = slice(BlockMode.INTRA_DC, BlockMode.GEN)
+
+
 def _encode_frame(
     source: Frame, prev_recon: Frame | None, frame_idx: int, frame_type: str,
     regions: list[RegionSpec], qparams: QuantizedGnnParams | None,
     ctx: SetContext | None, qp: int, lam: float, search_range: int,
 ) -> tuple[FrameUnit, _FrameResult]:
-    """Code one frame through the decoder's block walk.
+    """Code one frame through the decoder's block walk, one anti-diagonal
+    of blocks at a time.
 
-    A P frame's vectors are searched, and every block's inter basis
-    fetched, for all blocks at once before the walk. Each block's
-    candidates (inter, the three intra modes and, in a region, the
-    generator; in a forced region the generator alone) are costed
-    together: their prediction bases are stacked on a leading axis, and one
-    call each transforms and quantizes, counts the tile bits of, and
-    reconstructs all of them.
+    A block's candidates are inter, the three intra modes and, in a
+    selectable region with a network, the generator; in a forced region
+    the generator alone. The inter and generated bases do not depend on
+    the walk and are made for the whole frame before it: a P frame's
+    vectors from one whole-frame search, its inter bases from one
+    motion-compensation gather. Per diagonal, the intra bases come from
+    one prediction, and every candidate of every block on the diagonal is
+    stacked on one axis and costed in one call each to quantize, count
+    tile bits and reconstruct.
     """
     walk = FrameWalk(source.display_width, source.display_height,
                      frame_idx, qparams, ctx)
     rows, cols = walk.modes.shape
-    # Every block's search is against the previous frame alone, so a P
-    # frame's vectors, and so its inter bases, do not depend on the walk
-    # and are found for all blocks at once.
-    field = inter = None
+    by, bx = np.indices((rows, cols))
+    grid = np.stack([bx, by], axis=-1)
+    src = extract_block(source, grid)
+    kinds = region_map(regions, cols, rows)
+    coded = kinds != FORCED
+    # which slots hold a candidate, and the bases of the walk-free ones
+    slots = np.zeros((rows, cols, len(BlockMode)), dtype=bool)
+    slots[..., BlockMode.INTER] = coded & (frame_type == "P")
+    slots[..., _INTRA_SLOTS] = coded[..., None]
+    slots[..., BlockMode.GEN] = ~coded | ((kinds == SELECTABLE) & (qparams is not None))
+    bases = Block32(*(np.zeros((rows, cols, len(BlockMode), size, size), np.uint8)
+                      for size in (BLOCK, CHROMA_BLOCK, CHROMA_BLOCK)))
+    mvs = np.zeros((rows, cols, 2), dtype=np.int64)
     if frame_type == "P":
         field = motion_field(source, prev_recon, search_range)
-        by, bx = np.indices((rows, cols))
-        inter = motion_compensate(prev_recon, np.stack([bx, by], axis=-1),
-                                  np.stack([field.dx, field.dy], axis=-1))
-    kinds = region_map(regions, cols, rows).tolist()
-    # the unit's arrays, filled with each block's winner as the walk goes
+        mvs = np.stack([field.dx, field.dy], axis=-1)
+        bases[:, :, BlockMode.INTER] = motion_compensate(prev_recon, grid, mvs)
+    gen = slots[..., BlockMode.GEN]
+    if gen.any():
+        bases[gen, BlockMode.GEN] = walk.generated(grid[gen])
+    # sel_bit is the same for every candidate of a block, so it never
+    # decides; it is charged so that each cost holds the block's bits.
+    sel_bits = (kinds == SELECTABLE).astype(np.int64)
+    # the unit's arrays, filled with each diagonal's winners as the walk goes
     mvds = np.zeros((rows, cols, 2), dtype=np.int32)
     blocks = np.zeros((rows * cols, TILES_PER_BLOCK, 64), dtype=np.int32)
     dist_total = 0
 
-    for n, c in enumerate(walk):
-        src_block = extract_block(source, c)
-        kind = kinds[c.by][c.bx]
-        sel_bit = int(kind == SELECTABLE)
+    for coords in walk:
+        bx, by = coords[:, 0], coords[:, 1]
+        have = slots[by, bx]
+        cand = bases[by, bx]
+        cand[:, _INTRA_SLOTS] = walk.intra(coords[:, None], _SLOT_MODES[_INTRA_SLOTS])
+        # every candidate on the diagonal, block by block in rank order,
+        # with its block's index on the diagonal and its mode
+        cand = cand[have]
+        block, mode = np.nonzero(have)
+        src_c = src[by[block], bx[block]]
+        levels = encode_block_residual(src_c, cand, qp)
+        rec = apply_block_residual(cand, levels, qp)
+        ssd = _ssd(src_c, rec)
+        mvd = mvs[by, bx] - walk.mv_pred(coords)
+        bits = (sel_bits[by, bx][block] + block_tiles_bits(levels)
+                + block_syntax_bits(frame_type, mode, mvd[block]))
+        # back in slots, an empty slot never wins
+        j = np.full(have.shape, np.inf)
+        j[have] = ssd + lam * bits
+        win = choose_block_mode(j, _SLOT_MODES)
+        stacked = np.zeros(have.shape, dtype=np.intp)
+        stacked[have] = np.arange(len(mode))
+        i = stacked[np.arange(len(coords)), win]  # the winners in the stack
 
-        mv = None  # the inter candidate's vector
-        # (mode, motion-vector difference) of every candidate
-        cands: list[tuple[BlockMode, tuple[int, int] | None]] = []
-        if kind == FORCED:
-            # Forced region: no choice, no mode symbol.
-            cands.append((BlockMode.GEN, None))
-        else:
-            if frame_type == "P":
-                mv, _ = field.at(c)
-                cands.append((BlockMode.INTER, (mv.dx - walk.mv_pred.dx,
-                                                mv.dy - walk.mv_pred.dy)))
-            cands += [(mode, None) for mode in
-                      (BlockMode.INTRA_DC, BlockMode.INTRA_H, BlockMode.INTRA_V)]
-            if kind == SELECTABLE and qparams is not None:
-                cands.append((BlockMode.GEN, None))
-
-        basis = _stack_blocks([inter[c.by, c.bx] if mode == BlockMode.INTER
-                               else walk.basis(mode, c) for mode, _ in cands])
-        levels = encode_block_residual(src_block, basis, qp)
-        rec = apply_block_residual(basis, levels, qp)
-        ssd = _ssd(src_block, rec)
-        # sel_bit is the same for every candidate of a block, so it never
-        # decides; it is charged so that each cost holds the block's bits.
-        bits = sel_bit + block_tiles_bits(levels) + np.array(
-            [block_syntax_bits(frame_type, mode, mvd) for mode, mvd in cands])
-        i = choose_block_mode(ssd + lam * bits, [mode for mode, _ in cands])
-        mode, mvd = cands[i]
-
-        walk.put(c, mode, mv, rec[i])
-        dist_total += int(ssd[i])
-        if mvd is not None:
-            mvds[c.by, c.bx] = mvd
-        blocks[n] = levels[i]
+        walk.put(coords, win, mvs[by, bx], rec[i])
+        dist_total += int(ssd[i].sum())
+        mvds[by, bx] = np.where((win == BlockMode.INTER)[:, None], mvd, 0)
+        blocks[by * cols + bx] = levels[i]
 
     unit = FrameUnit(frame_type, list(regions), walk.modes, mvds, blocks)
     return unit, _FrameResult(walk.recon, dist_total, *mode_counts(walk.modes))

@@ -4,7 +4,11 @@ Intra modes predict from already-reconstructed neighbor pixels of the frame
 being rebuilt: DC averages the available top row and left column, horizontal
 replicates the left column, vertical replicates the top row, and a mode whose
 source pixels are unavailable falls back to DC (flat 128 when nothing is
-available). Motion estimation is an exhaustive integer search on luma SAD
+available). intra_predict takes arrays of block coordinates and modes and
+predicts all of their blocks with one gather of top rows and one of left
+columns per plane: blocks on one anti-diagonal of the grid do not read
+each other, so the encoder and the decoder predict a whole diagonal per
+call. Motion estimation is an exhaustive integer search on luma SAD
 against the previous reconstructed frame; compensation clamps out-of-frame
 taps to the padded frame edge and halves the vector toward zero for chroma.
 motion_compensate takes arrays of block coordinates and vectors and fetches
@@ -48,46 +52,54 @@ class MotionVector(NamedTuple):
     dy: int
 
 
-def _mean_round(total: int, count: int) -> int:
-    # Round half up; samples are non-negative so this is half away from zero.
-    return (2 * total + count) // (2 * count)
+# The block size of each plane, and where its samples start in a block's
+# top row or left column with the three planes' concatenated.
+_PLANE_SIZES = (BLOCK, CHROMA_BLOCK, CHROMA_BLOCK)
+_EDGE_STARTS = (0, BLOCK, BLOCK + CHROMA_BLOCK)
 
 
-def _intra_plane(plane: np.ndarray, x0: int, y0: int, size: int,
-                 have_top: bool, have_left: bool, mode: IntraMode) -> np.ndarray:
-    top = plane[y0 - 1, x0:x0 + size].astype(np.int64) if have_top else None
-    left = plane[y0:y0 + size, x0 - 1].astype(np.int64) if have_left else None
+def intra_predict(recon: Frame, coords, modes) -> Block32:
+    """Predict coding units from reconstructed neighbours in recon.
 
-    if mode == IntraMode.HORIZONTAL and have_left:
-        return np.repeat(left[:, None], size, axis=1).astype(np.uint8)
-    if mode == IntraMode.VERTICAL and have_top:
-        return np.repeat(top[None, :], size, axis=0).astype(np.uint8)
+    coords holds block coordinates (..., 2) as (bx, by) and modes IntraMode
+    values (...); a BlockCoord and an IntraMode are one of each. Their
+    leading axes broadcast and pass through to the planes, so one call
+    predicts any number of blocks, each in its own mode, with one gather of
+    top rows and one of left columns per plane. The blocks must not depend
+    on each other: each reads recon as it is.
+    """
+    c = np.asarray(coords, dtype=np.int64)
+    bx, by = c[..., 0], c[..., 1]
+    above, before = np.maximum(by - 1, 0), np.maximum(bx - 1, 0)
+    # Every block's top row and left column, the three planes' concatenated,
+    # (..., 64) each; a missing edge reads another block's and is masked out.
+    tops, lefts = [], []
+    for plane, size in zip((recon.y, recon.cb, recon.cr), _PLANE_SIZES):
+        blocks = plane.reshape(plane.shape[0] // size, size, plane.shape[1] // size, size)
+        tops.append(blocks[above, size - 1, bx, :])
+        lefts.append(blocks[by, :, before, size - 1])
+    top, left = np.concatenate(tops, axis=-1), np.concatenate(lefts, axis=-1)
+    have_top, have_left = (by > 0)[..., None], (bx > 0)[..., None]
 
-    # DC, or a directional mode with its source unavailable.
-    total = 0
-    count = 0
-    if top is not None:
-        total += int(top.sum())
-        count += size
-    if left is not None:
-        total += int(left.sum())
-        count += size
-    dc = _mean_round(total, count) if count else 128
-    return np.full((size, size), dc, dtype=np.uint8)
+    # DC per plane, also for a directional mode with its source unavailable:
+    # the available edges' mean, rounded half up (samples are non-negative,
+    # so half away from zero), or flat 128 when nothing is available.
+    total = (np.add.reduceat(top, _EDGE_STARTS, axis=-1, dtype=np.int64) * have_top
+             + np.add.reduceat(left, _EDGE_STARTS, axis=-1, dtype=np.int64) * have_left)
+    count = np.multiply(_PLANE_SIZES, have_top.astype(np.int64) + have_left)
+    dc = np.where(count > 0, (2 * total + count) // np.maximum(2 * count, 1), 128)
 
-
-def intra_predict(recon: Frame, c: BlockCoord, mode: IntraMode) -> Block32:
-    """Predict the coding unit at c from reconstructed neighbors in recon."""
-    have_top = c.by > 0
-    have_left = c.bx > 0
-    return Block32(
-        _intra_plane(recon.y, c.bx * BLOCK, c.by * BLOCK, BLOCK,
-                     have_top, have_left, mode),
-        _intra_plane(recon.cb, c.bx * CHROMA_BLOCK, c.by * CHROMA_BLOCK,
-                     CHROMA_BLOCK, have_top, have_left, mode),
-        _intra_plane(recon.cr, c.bx * CHROMA_BLOCK, c.by * CHROMA_BLOCK,
-                     CHROMA_BLOCK, have_top, have_left, mode),
-    )
+    # A block is a value per row plus a value per column: the left column
+    # down the rows (horizontal), the top row across the columns
+    # (vertical), or DC down the rows.
+    mode = np.asarray(modes)[..., None]
+    horizontal = (mode == int(IntraMode.HORIZONTAL)) & have_left
+    vertical = (mode == int(IntraMode.VERTICAL)) & have_top
+    down = np.where(horizontal, left, np.where(
+        vertical, 0, np.repeat(dc, _PLANE_SIZES, axis=-1))).astype(np.uint8)
+    across = np.where(vertical, top, 0).astype(np.uint8)
+    return Block32(*(down[..., at:at + size, None] + across[..., None, at:at + size]
+                     for at, size in zip(_EDGE_STARTS, _PLANE_SIZES)))
 
 
 def _clamped_window(plane: np.ndarray, y0, x0, h: int, w: int) -> np.ndarray:

@@ -39,14 +39,15 @@ scatter_tiles assignment; frame units are the only place tiles are written
 or read.
 
 Like dct8_forward, the block-level functions work on batches: leading axes
-of the basis planes and of the levels pass through. The encoder stacks a
-block's RDO candidates on one such axis and costs them all in one call to
-encode_block_residual, block_tiles_bits and apply_block_residual; the
-decoder builds the residual planes of a whole frame unit in one
-residual_planes call, then adds them with add_residual, all inter blocks
-at once and each intra or generated block as its prediction is known.
-Every tile meets the same integer arithmetic either way, so a batch gives
-bitwise the levels, bits and pixels of one call per block.
+of the basis planes and of the levels pass through. The encoder stacks the
+RDO candidates of every block on one anti-diagonal of the frame on one
+such axis and costs them all in one call to encode_block_residual,
+block_tiles_bits and apply_block_residual; the decoder builds the residual
+planes of a whole frame unit in one residual_planes call, then adds them
+with add_residual, all inter blocks at once, all generated blocks at once
+and the intra blocks one diagonal at a time. Every tile meets the same
+arithmetic whatever the batch, so a batch gives bitwise the levels, bits
+and pixels of one call per block.
 """
 
 from __future__ import annotations

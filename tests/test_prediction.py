@@ -114,6 +114,71 @@ class TestIntraDirectional:
         assert np.all(pred.y == 128)
 
 
+def intra_plane_py(plane, x0, y0, size, have_top, have_left, mode):
+    """Reference intra prediction of one plane's block, one block at a time."""
+    top = [int(v) for v in plane[y0 - 1, x0:x0 + size]] if have_top else None
+    left = [int(v) for v in plane[y0:y0 + size, x0 - 1]] if have_left else None
+    if mode == IntraMode.HORIZONTAL and left is not None:
+        return np.array([[v] * size for v in left], dtype=np.uint8)
+    if mode == IntraMode.VERTICAL and top is not None:
+        return np.array([top] * size, dtype=np.uint8)
+    edges = (top or []) + (left or [])
+    dc = (2 * sum(edges) + len(edges)) // (2 * len(edges)) if edges else 128
+    return np.full((size, size), dc, dtype=np.uint8)
+
+
+def intra_predict_py(recon, c, mode):
+    return [intra_plane_py(plane, c.bx * size, c.by * size, size,
+                           c.by > 0, c.bx > 0, mode)
+            for plane, size in ((recon.y, 32), (recon.cb, 16), (recon.cr, 16))]
+
+
+class TestIntraBatch:
+    """intra_predict on coordinate and mode arrays equals one call per
+    block, and each call the block-at-a-time reference, for every block
+    and mode: the first row and column, where a directional mode falls
+    back to DC and the corner to 128, included, on cropped frames."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_batch_equals_one_call_per_block(self, data):
+        draw = data.draw
+        cols, rows = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+        width = 32 * cols - draw(st.integers(0, 31))
+        height = 32 * rows - draw(st.integers(0, 31))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        cw, ch = (width + 1) // 2, (height + 1) // 2
+        high = draw(st.sampled_from([2, 256]))  # few levels make DC ties
+        frame = make_frame(rng.integers(0, high, (height, width), dtype=np.uint8),
+                           rng.integers(0, high, (ch, cw), dtype=np.uint8),
+                           rng.integers(0, high, (ch, cw), dtype=np.uint8))
+        by, bx = np.indices((rows, cols))
+        grid = np.stack([bx, by], axis=-1)
+        modes = rng.integers(0, 3, (rows, cols))
+        every = intra_predict(frame, grid[:, :, None], list(IntraMode))
+        mixed = intra_predict(frame, grid, modes)
+        assert every.y.shape == (rows, cols, 3, 32, 32)
+        assert mixed.cb.shape == (rows, cols, 16, 16)
+        for n in range(rows * cols):
+            c = BlockCoord(n % cols, n // cols)
+            for mode in IntraMode:
+                one = intra_predict(frame, c, mode)
+                want = intra_predict_py(frame, c, mode)
+                for got, batch, w in zip((one.y, one.cb, one.cr),
+                                         (every.y, every.cb, every.cr), want):
+                    assert got.dtype == np.uint8 and np.array_equal(got, w), (c, mode)
+                    assert np.array_equal(batch[c.by, c.bx, mode], w), (c, mode)
+            want = intra_predict_py(frame, c, IntraMode(modes[c.by, c.bx]))
+            for got, w in zip((mixed.y, mixed.cb, mixed.cr), want):
+                assert np.array_equal(got[c.by, c.bx], w), c
+
+    def test_corner_block_is_flat_128_in_every_mode(self):
+        frame = blank_frame(64, 64, value=9)
+        pred = intra_predict(frame, [[0, 0]] * 3, list(IntraMode))
+        for plane in (pred.y, pred.cb, pred.cr):
+            assert plane.shape[0] == 3 and np.all(plane == 128)
+
+
 class TestMotionSearch:
     def test_identical_frames_pick_zero_vector(self):
         ref = rand_frame(96, 64, seed=11)
