@@ -18,10 +18,13 @@ whole unit are built at once, paying only for tiles with a nonzero level,
 and the walk resolves every vector. Inter and generated blocks do not read
 the frame being rebuilt, so all inter blocks come from one
 motion-compensation gather and all generated blocks from the generator,
-each kind added and written in one call. Then the walk visits the intra
-blocks one diagonal at a time, each diagonal with one intra prediction,
-one add and one write. Integer arithmetic gives the same sums in any
-order, so the pixels are those of a block-by-block raster walk.
+each kind added and written in one call. Then the intra blocks are
+rebuilt in waves, each with one intra prediction, one add and one write:
+a block joins the wave after the latest one holding its left or top
+neighbour. In an I frame the waves are the diagonals; in a P frame,
+where most neighbours are inter blocks, an intra block rarely waits.
+Integer arithmetic gives the same sums in any order, so the pixels are
+those of a block-by-block raster walk.
 
 A parameter-set unit installs the generator for the frames that follow it;
 the set's time axis starts at the next frame and spans at most one
@@ -73,7 +76,7 @@ class FrameWalk:
     predictor are final once every diagonal before its own is put. The
     encoder decides and puts each diagonal as it goes; the decoder first
     resolves every vector with `vectors`, then rebuilds the intra blocks
-    diagonal by diagonal (see the module docstring).
+    in the `waves` of their mask (see the module docstring).
     """
 
     def __init__(self, width: int, height: int, frame_idx: int,
@@ -121,6 +124,28 @@ class FrameWalk:
         bx, by = coords[:, 0], coords[:, 1]
         self.modes[by, bx] = modes
         self.mvs[by, bx] = np.where((modes == BlockMode.INTER)[:, None], mvs, 0)
+
+    def waves(self, mask: np.ndarray) -> list[np.ndarray]:
+        """The blocks of a (rows, cols) mask in waves of (n, 2) block
+        coordinates, in order. A block joins the wave after the latest one
+        that holds its left or top neighbour, so the blocks of a wave read
+        only blocks outside the mask or in earlier waves. With every block
+        masked, the waves are the diagonals."""
+        rows, cols = mask.shape
+        masked = mask.tolist()
+        wave = [[0] * cols for _ in range(rows)]
+        for by in range(rows):
+            for bx in range(cols):
+                if masked[by][bx]:
+                    wave[by][bx] = 1 + max(wave[by][bx - 1] if bx else 0,
+                                           wave[by - 1][bx] if by else 0)
+        by, bx = np.nonzero(mask)
+        if not len(by):
+            return []
+        level = np.asarray(wave)[by, bx]
+        order = np.argsort(level, kind="stable")
+        return np.split(np.stack([bx, by], axis=-1)[order],
+                        np.flatnonzero(np.diff(level[order])) + 1)
 
     def vectors(self, modes: np.ndarray, mvds: np.ndarray) -> np.ndarray:
         """Note every block of a frame unit's (rows, cols) modes and return
@@ -196,15 +221,12 @@ def _decode_frame(
             pred = (motion_compensate(prev_recon, coords, mvs[by, bx])
                     if mode == BlockMode.INTER else walk.generated(coords))
             insert_block(walk.recon, coords, add_residual(pred, res[by * cols + bx]))
-    # 4. the intra blocks, one anti-diagonal at a time
+    # 4. the intra blocks, one wave at a time
     intra = (fu.modes != BlockMode.INTER) & (fu.modes != BlockMode.GEN)
-    if intra.any():
-        for coords in walk:
-            coords = coords[intra[coords[:, 1], coords[:, 0]]]
-            if len(coords):
-                bx, by = coords[:, 0], coords[:, 1]
-                insert_block(walk.recon, coords, add_residual(
-                    walk.intra(coords, fu.modes[by, bx]), res[by * cols + bx]))
+    for coords in walk.waves(intra):
+        bx, by = coords[:, 0], coords[:, 1]
+        insert_block(walk.recon, coords, add_residual(
+            walk.intra(coords, fu.modes[by, bx]), res[by * cols + bx]))
     return walk.recon, DecodeRow(frame_idx, fu.frame_type, *mode_counts(walk.modes))
 
 

@@ -7,8 +7,8 @@ source pixels are unavailable falls back to DC (flat 128 when nothing is
 available). intra_predict takes arrays of block coordinates and modes and
 predicts all of their blocks with one gather of top rows and one of left
 columns per plane: blocks on one anti-diagonal of the grid do not read
-each other, so the encoder and the decoder predict a whole diagonal per
-call. Motion estimation is an exhaustive integer search on luma SAD
+each other, so the encoder predicts a whole diagonal per call and the
+decoder a whole wave of intra blocks. Motion estimation is an exhaustive integer search on luma SAD
 against the previous reconstructed frame; compensation clamps out-of-frame
 taps to the padded frame edge and halves the vector toward zero for chroma.
 motion_compensate takes arrays of block coordinates and vectors and fetches

@@ -45,7 +45,7 @@ such axis and costs them all in one call to encode_block_residual,
 block_tiles_bits and apply_block_residual; the decoder builds the residual
 planes of a whole frame unit in one residual_planes call, then adds them
 with add_residual, all inter blocks at once, all generated blocks at once
-and the intra blocks one diagonal at a time. Every tile meets the same
+and the intra blocks in dependency waves. Every tile meets the same
 arithmetic whatever the batch, so a batch gives bitwise the levels, bits
 and pixels of one call per block.
 """

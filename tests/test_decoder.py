@@ -20,7 +20,7 @@ from nbv.bitstream import (
     write_stream,
 )
 from nbv.core import BlockCoord, SequenceConfig, extract_block
-from nbv.decoder import CSV_COLUMNS, decode_sequence
+from nbv.decoder import CSV_COLUMNS, FrameWalk, decode_sequence
 from nbv.encoder import _encode_period, rd_lambda, train_param_set
 from nbv.entropy import BitWriter, StreamError
 from nbv.gnn import SetContext, init_params, quantize_params
@@ -197,6 +197,35 @@ class TestMotionVectorPredictor:
             got = extract_block(frame1, c)
             for g, w in ((got.y, want.y), (got.cb, want.cb), (got.cr, want.cr)):
                 assert np.array_equal(g, w), (c, mv)
+
+
+class TestIntraWaves:
+    """FrameWalk.waves orders a mask's blocks so that a block's left and
+    top neighbours are unmasked or in an earlier wave, and puts each block
+    in the earliest wave that allows; with every block masked the waves
+    are the anti-diagonals."""
+
+    def test_every_block_masked_gives_the_diagonals(self):
+        for rows, cols in ((1, 1), (1, 5), (4, 1), (3, 4), (5, 2)):
+            walk = FrameWalk(32 * cols, 32 * rows, 0, None, None)
+            waves = walk.waves(np.ones((rows, cols), bool))
+            assert [w.tolist() for w in waves] == [d.tolist() for d in walk]
+
+    def test_waves_follow_the_left_and_top_neighbours(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            rows, cols = rng.integers(1, 7, 2)
+            mask = rng.random((rows, cols)) < rng.random()
+            waves = FrameWalk(32 * cols, 32 * rows, 0, None, None).waves(mask)
+            wave = np.zeros((rows, cols), int)
+            for k, coords in enumerate(waves, 1):
+                assert len(coords)
+                wave[coords[:, 1], coords[:, 0]] = k
+            assert np.array_equal(wave > 0, mask)
+            for by, bx in zip(*np.nonzero(mask)):
+                left = wave[by, bx - 1] if bx else 0
+                top = wave[by - 1, bx] if by else 0
+                assert wave[by, bx] == 1 + max(left, top)
 
 
 class TestMultiplePeriods:
