@@ -7,7 +7,12 @@ import pytest
 
 from nbv.core import Block32, BlockCoord
 from nbv.gnn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    BATCH_SIZE,
     HIDDEN_BIAS_INIT,
+    LEARNING_RATE,
     INPUT_SIZE,
     MAX_LAYER_SIZE,
     MAX_LAYERS,
@@ -32,6 +37,82 @@ from nbv.gnn import (
 )
 
 DEFAULT_ARCH = (3, 25, 40, 60, 1536)
+
+
+def backward_oracle(params, inputs, targets):
+    """Reference gradients: the plain form, a fresh array for every step."""
+    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    t = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    acts = [x]
+    a = x
+    for w, b in params:
+        a = np.maximum(a @ w.T + b, 0.0)
+        acts.append(a)
+    n, k = t.shape
+    # d(mean squared error)/d(output), masked by the output ReLU.
+    delta = 2.0 * (acts[-1] - t) / (n * k)
+    delta = delta * (acts[-1] > 0.0)
+    grads = [None] * len(params)
+    for li in range(len(params) - 1, -1, -1):
+        grads[li] = (delta.T @ acts[li], delta.sum(axis=0))
+        if li:
+            delta = (delta @ params[li][0]) * (acts[li] > 0.0)
+    return grads
+
+
+def train_oracle(layer_sizes, inputs, targets, cfg=None):
+    """Reference trainer: the plain form of train, fresh arrays every step."""
+    cfg = cfg or TrainConfig()
+    x = np.asarray(inputs, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
+    if x.ndim != 2 or t.ndim != 2 or x.shape[0] != t.shape[0] or x.shape[0] == 0:
+        raise ValueError("inputs and targets must be matching non-empty batches")
+    if cfg.steps < 0:
+        raise ValueError("steps must be >= 0")
+
+    rng = np.random.default_rng(cfg.seed)
+    params = init_params(layer_sizes, rng)
+    n = x.shape[0]
+    full = n <= BATCH_SIZE
+    m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
+    v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
+
+    order = np.empty(0, dtype=np.int64)
+    cursor = 0
+    for step in range(cfg.steps):
+        if full:
+            bx, bt = x, t
+        else:
+            if cursor + BATCH_SIZE > len(order):
+                order = rng.permutation(n)
+                cursor = 0
+            idx = order[cursor:cursor + BATCH_SIZE]
+            cursor += BATCH_SIZE
+            bx, bt = x[idx], t[idx]
+        grads = backward_oracle(params, bx, bt)
+        tstep = step + 1
+        bc1 = 1.0 - ADAM_BETA1 ** tstep
+        bc2 = 1.0 - ADAM_BETA2 ** tstep
+        new_params = []
+        for li, ((w, b), (gw, gb)) in enumerate(zip(params, grads)):
+            mw, mb = m[li]
+            vw, vb = v[li]
+            mw = ADAM_BETA1 * mw + (1.0 - ADAM_BETA1) * gw
+            mb = ADAM_BETA1 * mb + (1.0 - ADAM_BETA1) * gb
+            vw = ADAM_BETA2 * vw + (1.0 - ADAM_BETA2) * (gw * gw)
+            vb = ADAM_BETA2 * vb + (1.0 - ADAM_BETA2) * (gb * gb)
+            m[li] = (mw, mb)
+            v[li] = (vw, vb)
+            w = w - LEARNING_RATE * (mw / bc1) / (np.sqrt(vw / bc2) + ADAM_EPS)
+            b = b - LEARNING_RATE * (mb / bc1) / (np.sqrt(vb / bc2) + ADAM_EPS)
+            new_params.append((w, b))
+        params = new_params
+    return params
+
+
+def params_bytes(params):
+    """Every weight and bias as raw bytes, so signed zeros count."""
+    return [(w.tobytes(), b.tobytes()) for w, b in params]
 
 
 def uniform_block(value: int) -> Block32:
@@ -240,6 +321,51 @@ class TestTraining:
         b = train((3, 4, 1536), x, t, cfg)
         for (wa, _), (wb, _) in zip(a, b):
             assert np.array_equal(wa, wb)
+
+
+# (layer sizes, rows, steps): the default net on one full batch; the
+# minibatch path over 2,100 rows, two batches an epoch with a 52-row tail
+# dropped and a reshuffle before steps 3 and 5; a one-unit hidden layer,
+# whose unit and many outputs sit at exactly 0 for some rows; no steps.
+ORACLE_CASES = [
+    (DEFAULT_ARCH, 64, 30),
+    ((3, 4, 1536), 2100, 5),
+    ((3, 1, 1536), 64, 30),
+    (DEFAULT_ARCH, 64, 0),
+]
+
+
+class TestTrainerMatchesOracle:
+    """train and backward equal their plain-form oracles to the byte."""
+
+    def dataset(self, n):
+        rng = np.random.default_rng(n)
+        return rng.uniform(0, 1, (n, 3)), rng.uniform(0, 1, (n, 1536))
+
+    @pytest.mark.parametrize("arch, n, steps", ORACLE_CASES)
+    def test_weights_equal_the_oracle(self, arch, n, steps):
+        x, t = self.dataset(n)
+        x0, t0 = x.copy(), t.copy()
+        cfg = TrainConfig(steps=steps, seed=8)
+        got = train(arch, x, t, cfg)
+        assert params_bytes(got) == params_bytes(train_oracle(arch, x, t, cfg))
+        assert np.array_equal(x, x0) and np.array_equal(t, t0)
+
+    @pytest.mark.parametrize("arch, n, steps", ORACLE_CASES)
+    def test_gradients_equal_the_oracle(self, arch, n, steps):
+        x, t = self.dataset(n)
+        trained = train_oracle(arch, x, t, TrainConfig(steps=steps, seed=8))
+        for params in (init_params(arch, seed=8), trained):
+            want = backward_oracle(params, x, t)
+            assert params_bytes(backward(params, x, t)) == params_bytes(want)
+
+    def test_one_unit_case_has_dead_units(self):
+        arch, n, steps = ORACLE_CASES[2]
+        x, t = self.dataset(n)
+        params = train_oracle(arch, x, t, TrainConfig(steps=steps, seed=8))
+        hidden = forward(params[:1], x)
+        assert np.any(hidden == 0.0) and np.any(hidden > 0.0)
+        assert np.any(forward(params, x) == 0.0)
 
 
 class TestQuantization:

@@ -100,6 +100,17 @@ REPORT_GOLDEN = {
 }
 
 
+# name -> each period's (outcome, train_samples, frames_coded_with). No
+# golden stream keeps a network, so the hashes above would not see a
+# trainer that computed other weights; the frame a network pass aborts at
+# depends on them.
+PERIOD_GOLDEN = {
+    "pan_qp20_default_arch": [("bound", 0, 0), ("bound", 0, 0)],
+    "pan_qp8_tiny_arch": [("aborted", 16, 4)],
+    "zoom_out_qp8_tiny_arch": [("aborted", 18, 1), ("aborted", 18, 1)],
+    "pan_qp20_generator_off": [("off", 0, 0), ("off", 0, 0)],
+}
+
 def accounting_text(acct) -> str:
     """Categories, then one line per unit: index, kind, bits, detail."""
     lines = [f"{cat},{bits}" for cat, bits in acct.categories.items()]
@@ -142,6 +153,12 @@ def test_reports_match_golden(name):
     assert sha256_text(dec_report.to_csv()) == REPORT_GOLDEN[name][1]
     assert sha256_text(accounting_text(bit_accounting(stream))) == REPORT_GOLDEN[name][2]
 
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_period_records_match_golden(name):
+    _, report = encode_case(name)
+    got = [(p.outcome, p.train_samples, p.frames_coded_with) for p in report.periods]
+    assert got == PERIOD_GOLDEN[name]
 
 def test_forced_region_reports_match_golden():
     stream, _ = forced_stream()
