@@ -12,6 +12,11 @@ which keeps outputs non-negative like the pixel values they model.
 Everything here is plain float64 numpy: exact forward, exact backprop with
 the ReLU subgradient taken as 0 at 0, and seeded deterministic training, so
 the same inputs always produce the same network and the same pixels.
+Training reuses its arrays: backward works over each matrix product it
+makes, and the Adam update in the moment arrays and the parameters. It
+runs the same float64 operations in the same order as the plain form that
+allocates every temporary, with the same BLAS products on the same
+operands, so the trained weights are that form's to the bit.
 """
 
 from __future__ import annotations
@@ -117,17 +122,26 @@ def backward(params: Params, inputs: np.ndarray, targets: np.ndarray) -> Params:
     acts = [x]
     a = x
     for w, b in params:
-        a = np.maximum(a @ w.T + b, 0.0)
+        a = a @ w.T
+        a += b
+        np.maximum(a, 0.0, out=a)
         acts.append(a)
     n, k = t.shape
-    # d(mean squared error)/d(output), masked by the output ReLU.
-    delta = 2.0 * (acts[-1] - t) / (n * k)
-    delta = delta * (acts[-1] > 0.0)
+    # d(mean squared error)/d(output), masked by the output ReLU, written
+    # over the output activations. 2 * d / (n * k) equals d / (n * k / 2)
+    # to the bit: n * k / 2 is exact, and so is 2 * d while it is finite.
+    # The mask stays a multiply, so a dead unit's zero keeps d's sign.
+    live = acts[-1] > 0.0
+    delta = acts.pop()
+    delta -= t
+    delta /= n * k / 2
+    delta *= live
     grads: Params = [None] * len(params)  # type: ignore[list-item]
     for li in range(len(params) - 1, -1, -1):
         grads[li] = (delta.T @ acts[li], delta.sum(axis=0))
         if li:
-            delta = (delta @ params[li][0]) * (acts[li] > 0.0)
+            delta = delta @ params[li][0]
+            delta *= acts[li] > 0.0
     return grads
 
 
@@ -167,8 +181,9 @@ def train(layer_sizes, inputs: np.ndarray, targets: np.ndarray,
     params = init_params(layer_sizes, rng)
     n = x.shape[0]
     full = n <= BATCH_SIZE
-    m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
-    v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
+    # per weight or bias array: (array, first moment, second moment, scratch)
+    slots = [(p, np.zeros_like(p), np.zeros_like(p), np.empty_like(p))
+             for layer in params for p in layer]
 
     order = np.empty(0, dtype=np.int64)
     cursor = 0
@@ -182,24 +197,27 @@ def train(layer_sizes, inputs: np.ndarray, targets: np.ndarray,
             idx = order[cursor:cursor + BATCH_SIZE]
             cursor += BATCH_SIZE
             bx, bt = x[idx], t[idx]
-        grads = backward(params, bx, bt)
+        grads = [g for layer in backward(params, bx, bt) for g in layer]
         tstep = step + 1
         bc1 = 1.0 - ADAM_BETA1 ** tstep
         bc2 = 1.0 - ADAM_BETA2 ** tstep
-        new_params = []
-        for li, ((w, b), (gw, gb)) in enumerate(zip(params, grads)):
-            mw, mb = m[li]
-            vw, vb = v[li]
-            mw = ADAM_BETA1 * mw + (1.0 - ADAM_BETA1) * gw
-            mb = ADAM_BETA1 * mb + (1.0 - ADAM_BETA1) * gb
-            vw = ADAM_BETA2 * vw + (1.0 - ADAM_BETA2) * (gw * gw)
-            vb = ADAM_BETA2 * vb + (1.0 - ADAM_BETA2) * (gb * gb)
-            m[li] = (mw, mb)
-            v[li] = (vw, vb)
-            w = w - LEARNING_RATE * (mw / bc1) / (np.sqrt(vw / bc2) + ADAM_EPS)
-            b = b - LEARNING_RATE * (mb / bc1) / (np.sqrt(vb / bc2) + ADAM_EPS)
-            new_params.append((w, b))
-        params = new_params
+        # p -= LR * (m / bc1) / (sqrt(v / bc2) + EPS) after m and v advance,
+        # op by op as written; g is spent as a second scratch array
+        for (p, m, v, s), g in zip(slots, grads):
+            m *= ADAM_BETA1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+            m += s
+            v *= ADAM_BETA2
+            g *= g
+            g *= 1.0 - ADAM_BETA2
+            v += g
+            np.divide(m, bc1, out=s)
+            s *= LEARNING_RATE
+            np.divide(v, bc2, out=g)
+            np.sqrt(g, out=g)
+            g += ADAM_EPS
+            s /= g
+            p -= s
     return params
 
 

@@ -101,9 +101,9 @@ REPORT_GOLDEN = {
 
 
 # name -> each period's (outcome, train_samples, frames_coded_with). No
-# golden stream keeps a network, so the hashes above would not see a
-# trainer that computed other weights; the frame a network pass aborts at
-# depends on them.
+# period in CASES keeps its network, so their hashes do not show the
+# trained weights (only the forced stream's do); what a network pass
+# trained on and the frame it aborts at are pinned here instead.
 PERIOD_GOLDEN = {
     "pan_qp20_default_arch": [("bound", 0, 0), ("bound", 0, 0)],
     "pan_qp8_tiny_arch": [("aborted", 16, 4)],
