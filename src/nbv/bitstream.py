@@ -28,9 +28,10 @@ Everything after a frame's selection bits is exp-Golomb codes, so
 write_frame and the frame parser code that payload in bulk, a frame at a
 time: the writer builds all of the frame's code numbers and packs them in
 one call, and the parser walks the codes of each chunk the bulk reader
-returns with one Python step per block and per tile, writing modes and
-vectors and scattering levels straight into the unit's arrays. The layout
-above is the same bit for bit as coding each field on its own.
+returns with one Python step per block, finding its tiles through jump
+tables, and writes modes and vectors and scatters levels straight into the
+unit's arrays, int16 levels as MAX_LEVEL allows. The layout above is the
+same bit for bit as coding each field on its own.
 """
 
 from __future__ import annotations
@@ -64,7 +65,14 @@ from .gnn import (
     QuantizedLayer,
     check_architecture,
 )
-from .residual import MAX_LEVEL, TILES_PER_BLOCK, scatter_tiles, tile_codes, walk_tiles
+from .residual import (
+    MAX_LEVEL,
+    TILES_PER_BLOCK,
+    block_tile_starts,
+    scatter_tiles,
+    tile_codes,
+    tile_jumps,
+)
 
 MAGIC = b"NBV2"
 UNIT_PARAM_SET = 1
@@ -322,7 +330,8 @@ class FrameUnit:
     regions: list[RegionSpec]
     modes: np.ndarray  # (rows, cols) int8 BlockMode values
     mvds: np.ndarray  # (rows, cols, 2) int32 (dx, dy), zero unless inter
-    blocks: np.ndarray  # (rows * cols, 24, 64) int32 levels, zigzag, raster order
+    blocks: np.ndarray  # (rows * cols, 24, 64) levels, zigzag, raster order;
+    # int16 as parsed and encoded, since levels are within +-MAX_LEVEL
 
 
 @dataclass
@@ -411,8 +420,14 @@ def _read_payloads(r: BitReader, fu: FrameUnit, bits: FrameBits) -> None:
     bulk, into the unit's arrays; its modes hold GEN where the regions and
     selection bits put it.
 
-    One Python step per block and per tile walks the codes; each chunk's
-    tiles are decoded by one scatter into the unit's levels.
+    Per chunk of codes, tile_jumps composes each tile's jump to the next
+    24 times, so a block whose tiles the chunk holds takes one Python step
+    for its mode symbol and vector difference and one table look-up for
+    its tiles. Only the block that a chunk end cuts, or one with a count
+    beyond 64, is walked a tile at a time. Each chunk's tiles are then
+    decoded by one scatter into the unit's levels. A fault raises the
+    message of the first faulty item in stream order: the tiles before a
+    bad mode symbol or count are checked first.
     """
     modes = fu.modes.reshape(-1)  # views into the unit's arrays
     mvds = fu.mvds.reshape(-1, 2)
@@ -424,43 +439,74 @@ def _read_payloads(r: BitReader, fu: FrameUnit, bits: FrameBits) -> None:
 
     def walk(chunk):
         nonlocal begun, tiles_left
-        values = chunk.values.tolist()
-        k = 0
+        values = chunk.values
+        value = values.item
+        n = len(values)
+        jumps = tile_jumps(values)
+        block_end = jumps[-1].item
         first_row = begun * TILES_PER_BLOCK - tiles_left
-        starts: list[int] = []
+        k = 0
+        heads: list[int] = []  # blocks with a mode symbol, and its index
         head_codes: list[int] = []
-        mv_codes: list[int] = []
-        while True:
-            if not tiles_left:
+        inter: list[int] = []  # the inter blocks among them, and theirs
+        inter_codes: list[int] = []
+        whole: list[int] = []  # first tile of each block read in one step
+        before: list[int] = []  # tiles read one at a time, before and
+        after: list[int] = []  # after the whole blocks
+        try:
+            while True:
+                if tiles_left:  # a block cut by a chunk end, tile by tile
+                    starts = after if whole else before
+                    while tiles_left and k < n:
+                        count = value(k)
+                        if count > 64:
+                            raise StreamError(
+                                f"coefficient count {count} exceeds tile size")
+                        if k + 1 + 2 * count > n:
+                            break
+                        starts.append(k)
+                        k += 1 + 2 * count
+                        tiles_left -= 1
+                    if tiles_left:
+                        break
                 if begun == len(generated):
                     break
                 if not generated[begun]:
-                    if k >= len(values):
+                    if k >= n:
                         break
-                    mode = first_mode + values[k]
+                    mode = first_mode + value(k)
                     if mode >= BlockMode.GEN:
                         raise StreamError(
-                            f"bad {fu.frame_type}-frame mode symbol {values[k]}")
+                            f"bad {fu.frame_type}-frame mode symbol {value(k)}")
                     if mode == BlockMode.INTER:
-                        if k + 3 > len(values):
+                        if k + 3 > n:
                             break
-                        mvds[begun] = ue_to_se(values[k + 1]), ue_to_se(values[k + 2])
-                        mv_codes += (k + 1, k + 2)
-                    modes[begun] = mode
+                        inter.append(begun)
+                        inter_codes.append(k)
+                    heads.append(begun)
                     head_codes.append(k)
                     k += 3 if mode == BlockMode.INTER else 1
                 begun += 1
                 tiles_left = TILES_PER_BLOCK
-            before = len(starts)
-            k = walk_tiles(values, k, tiles_left, starts)
-            tiles_left -= len(starts) - before
-            if tiles_left:
-                break
-        scatter_tiles(chunk.values, starts,
-                      tile_rows[first_row:first_row + len(starts)])
-        lengths = np.diff(chunk.ends, prepend=0)
-        mode_bits = int(lengths[head_codes].sum())
-        mv_bits = int(lengths[mv_codes].sum())
+                end = block_end(k)
+                if end <= n:
+                    whole.append(k)
+                    k = end
+                    tiles_left = 0
+        finally:
+            # the tiles walked so far come first in stream order: a fault
+            # in them wins over one the walk raised
+            starts = np.concatenate((
+                np.array(before, dtype=np.int64),
+                block_tile_starts(jumps, np.array(whole, dtype=np.int64)),
+                np.array(after, dtype=np.int64)))
+            scatter_tiles(values, starts, tile_rows[first_row:first_row + len(starts)])
+        symbols = values[head_codes]
+        modes[heads] = first_mode + symbols
+        mv_values = values[np.array(inter_codes, dtype=np.int64)[:, None] + (1, 2)]
+        mvds[inter] = ue_to_se(mv_values)
+        mode_bits = int(ue_lengths(symbols).sum())
+        mv_bits = int(ue_lengths(mv_values).sum())
         bits.modes += mode_bits
         bits.mvs += mv_bits
         bits.residuals += (int(chunk.ends[k - 1]) if k else 0) - mode_bits - mv_bits
@@ -491,7 +537,7 @@ def _parse_frame_body(r: BitReader, cols: int, rows: int,
     bits.modes += r.bit_position - start
     fu = FrameUnit(frame_type, regions, (gen * BlockMode.GEN).astype(np.int8),
                    np.zeros((rows, cols, 2), dtype=np.int32),
-                   np.zeros((rows * cols, TILES_PER_BLOCK, 64), dtype=np.int32))
+                   np.zeros((rows * cols, TILES_PER_BLOCK, 64), dtype=np.int16))
     _read_payloads(r, fu, bits)
     bits.modes += r.byte_align()
     return fu

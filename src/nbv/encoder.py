@@ -262,9 +262,10 @@ def _encode_frame(
     # sel_bit is the same for every candidate of a block, so it never
     # decides; it is charged so that each cost holds the block's bits.
     sel_bits = (kinds == SELECTABLE).astype(np.int64)
-    # the unit's arrays, filled with each diagonal's winners as the walk goes
+    # the unit's arrays, filled with each diagonal's winners as the walk goes;
+    # levels are within +-MAX_LEVEL (residual.scatter_tiles), so int16 holds them
     mvds = np.zeros((rows, cols, 2), dtype=np.int32)
-    blocks = np.zeros((rows * cols, TILES_PER_BLOCK, 64), dtype=np.int32)
+    blocks = np.zeros((rows * cols, TILES_PER_BLOCK, 64), dtype=np.int16)
     dist_total = 0
 
     for coords in walk:

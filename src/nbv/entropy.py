@@ -8,7 +8,8 @@ Header and region fields are coded one call at a time (ue_encode,
 ue_decode and the se pair). A frame's block payloads, which are nothing but
 exp-Golomb codes, are coded in bulk with numpy: write_ue_codes packs an
 array of code numbers in one call, and read_ue_codes feeds the codes at a
-reader's position to a structure walk in chunks of at most _CHUNK_MAX bits.
+reader's position to a structure walk, peeking windows of at most
+_CHUNK_MAX bits, each bit once.
 Both produce and consume exactly the bits of the one-at-a-time calls; the
 wire layout does not depend on which path wrote or reads it.
 """
@@ -210,13 +211,53 @@ def se_decode(r: BitReader) -> int:
     return ue_to_se(ue_decode(r))
 
 
-# Bulk codes. The writer packs about _CHUNK_MAX bits per numpy pass and the
-# reader looks at most _CHUNK_MAX bits ahead, so their scratch memory is
-# bounded whatever the size of a frame. The reader's first chunk is
-# _CHUNK_MIN bits, so reading one small tile stays cheap.
+# Bulk codes. The writer packs about _CHUNK_MAX bits per numpy pass. The
+# reader peeks windows of _CHUNK_MIN bits, each _RAMP times the last up to
+# _CHUNK_MAX, so its scratch memory is bounded whatever the size of a frame,
+# a small frame is read in one small window, and a large one in few: besides
+# its work per bit, each window costs a fixed run of numpy calls, so the
+# last window's overshoot past a frame's end is worth fewer windows. Every
+# syntax item of a frame payload fits in the cap: a legal tile is at most
+# 2,189 bits, and one with a legal count at most 129 codes of 63 bits,
+# 8,127 bits.
 
-_CHUNK_MIN = 1 << 8
-_CHUNK_MAX = 1 << 16
+_CHUNK_MIN = 1 << 10
+_CHUNK_MAX = 1 << 15
+_RAMP = 4
+_BAD = 2 * _MAX_ZEROS + 1  # the byte automaton's malformed-prefix state
+
+
+def _code_tables() -> tuple[list[bytes], np.ndarray]:
+    """The byte automaton peek_ue_codes runs over a window.
+
+    A state says where a byte's first bit falls in the chain of codes: 0 at
+    a code start, z in 1..31 after z prefix zeros, 31 + m with m suffix
+    bits still to come, _BAD after 32 zeros (a malformed prefix, which
+    holds), and _BAD + k with k bits to pass over before the first code
+    starts, for a window that starts inside a byte. Returns, per state, the
+    state after each byte value (as a bytes row) and the (state, byte) mask
+    of the byte's bits at which a code starts, most significant bit first.
+    """
+    state = np.repeat(np.arange(_BAD + 8), 256)
+    byte = np.tile(np.arange(256), _BAD + 8)
+    starts = np.zeros_like(state)
+    for i in range(7, -1, -1):
+        one = (byte >> i) & 1 == 1
+        starts |= (state == 0) << i
+        prefix = state <= _MAX_ZEROS
+        state = np.where(
+            prefix,
+            np.where(one, np.where(state == 0, 0, state + _MAX_ZEROS),
+                     np.where(state == _MAX_ZEROS, _BAD, state + 1)),
+            # the suffix and the skip count down to a code start
+            np.where(state == _BAD, _BAD,
+                     np.where((state == _MAX_ZEROS + 1) | (state == _BAD + 1),
+                              0, state - 1)))
+    rows = state.reshape(-1, 256).astype(np.uint8)
+    return [row.tobytes() for row in rows], starts.reshape(-1, 256).astype(np.uint8)
+
+
+_NEXT_STATE, _CODE_STARTS = _code_tables()
 
 
 def write_ue_codes(w: BitWriter, values) -> int:
@@ -251,51 +292,52 @@ class UeChunk(NamedTuple):
 def peek_ue_codes(r: BitReader, max_bits: int) -> UeChunk:
     """The chain of ue codes that starts at r's position and lies wholly in
     its next max_bits bits, without moving r. The chain stops at the first
-    code that runs past the window or has a prefix of 32 or more zeros."""
-    pos = r.bit_position
+    code that runs past the window or has a prefix of 32 or more zeros.
+
+    The window runs to the end of the byte that holds its last bit. One
+    table step a byte finds where each byte's first bit falls in the chain
+    (_code_tables), so the cost is linear in the window whatever its codes;
+    the code starts and values then come from numpy passes over the bits.
+    read_ue_codes peeks windows of _CHUNK_MIN to _CHUNK_MAX bits, and every
+    syntax item of a frame payload, at most 8,127 bits, fits in one.
+    """
+    return _peek(r._data, r.bit_position, max_bits)
+
+
+def _peek(data: bytes, pos: int, max_bits: int) -> UeChunk:
     first, skew = pos >> 3, pos & 7
-    stop = min(len(r._data), first + (skew + max_bits + 7) // 8)
+    stop = min(len(data), first + (skew + max_bits + 7) // 8)
     size = stop - first
     n = 8 * size
     # eight zero bytes past the window give every code a 64-bit view below
     raw = np.zeros(size + 8, dtype=np.uint8)
-    raw[:size] = np.frombuffer(r._data, dtype=np.uint8, count=size, offset=first)
-    at = np.arange(n)
-    # Position of the next 1 bit from every position, n where none follows;
-    # a code starting at p has nxt[p] - p zeros and ends at 2 nxt[p] - p + 1.
-    ones = np.where(np.unpackbits(raw[:size]).view(bool), at, n)
-    nxt = np.minimum.accumulate(ones[::-1])[::-1]
-    jump = np.empty(n + 1, dtype=np.int64)
-    np.subtract(2 * nxt, at - 1, out=jump[:n])
-    np.minimum(jump, n, out=jump)
-    jump[n] = n
-    # Pointer doubling: starts holds the first 2^k code starts and jump
-    # leaps 2^k codes, so each round doubles the chain; n ends it.
-    starts = np.array([skew])
-    while True:
-        starts = np.concatenate((starts, jump[starts]))
-        if starts[-1] >= n:
-            break
-        jump = jump[jump]
-    starts = starts[:np.searchsorted(starts, n)]
-    lead = nxt[starts]
-    zeros = lead - starts
-    ends = lead + zeros + 1
-    # jump leads on through a bad code as if it were good: cut the chain
-    # at the first code with too many zeros or an end past the window
+    raw[:size] = np.frombuffer(data, dtype=np.uint8, count=size, offset=first)
+    rows = _NEXT_STATE
+    s = entry = _BAD + skew if skew else 0
+    after = bytes([s := rows[s][b] for b in data[first:stop]])
+    entering = np.frombuffer(bytes([entry]) + after[:-1], dtype=np.uint8)
+    starts = np.flatnonzero(np.unpackbits(_CODE_STARTS[entering, raw[:size]]).view(bool))
+    # a code ends where the next one starts; the last one ends at the
+    # window's end only if the state there is a code start
+    ends = starts[1:]
+    if s == 0 and len(starts):
+        ends = np.append(ends, n)
+    starts = starts[:len(ends)]
     error = None
-    bad = np.flatnonzero((zeros > _MAX_ZEROS) | (ends > n))
-    if len(bad):
-        if zeros[bad[0]] > _MAX_ZEROS:
-            error = "malformed exp-Golomb prefix"
-        lead, zeros, ends = lead[:bad[0]], zeros[:bad[0]], ends[:bad[0]]
-    if error is None and stop == len(r._data):
+    if s == _BAD:
+        error = "malformed exp-Golomb prefix"
+    elif stop == len(data):
         error = "read past end of stream"
     # v + 1 is the zeros + 1 bits from the leading 1: shift them to the top
     # of the big-endian 64 bits from the byte that holds it, then down
+    zeros = (ends - starts - 1) >> 1
+    lead = starts + zeros
     windows = np.ndarray((size + 1,), dtype=">u8", buffer=raw, strides=(1,))
-    values = ((windows[lead >> 3] << (lead & 7).astype(np.uint64))
-              >> (63 - zeros).astype(np.uint64)).astype(np.int64) - 1
+    values = windows.astype(np.uint64)[lead >> 3]
+    values <<= (lead & 7).astype(np.uint64)
+    values >>= (63 - zeros).astype(np.uint64)
+    values = values.view(np.int64)
+    values -= 1
     return UeChunk(values, ends - skew, error)
 
 
@@ -305,21 +347,34 @@ def read_ue_codes(r: BitReader, walk) -> None:
     walk(chunk) takes a UeChunk and returns (used, done): how many codes it
     consumed, whole syntax items only, and whether its structure is
     complete. r moves past the used codes. While the walk is not done, the
-    next chunk starts there, twice as long up to _CHUNK_MAX bits, and the
-    walk resumes where it stopped. StreamError when the walk needs a code
-    that no further bits can complete. An item must fit in _CHUNK_MAX - 7
-    bits.
+    next chunk holds the codes it left unused, then the whole codes of the
+    next window past them, and the walk resumes where it stopped.
+
+    Window policy: the first window is _CHUNK_MIN bits and each next one
+    _RAMP times the last, up to _CHUNK_MAX. Each bit is peeked once, and
+    the last window runs at most _CHUNK_MAX bits past the walk's end, so
+    the cost is linear in the bits read. An item must fit in
+    _CHUNK_MAX - 7 bits; a frame payload's items take at most 8,127.
+    StreamError when the walk needs a code that no further bits can
+    complete, and when a chunk with a window of _CHUNK_MAX bits holds no
+    whole item.
     """
     size = _CHUNK_MIN
+    values = ends = np.empty(0, dtype=np.int64)  # codes peeked, not used
     while True:
-        chunk = peek_ue_codes(r, size)
+        held = int(ends[-1]) if len(ends) else 0
+        chunk = _peek(r._data, r.bit_position + held, size)
+        if held:
+            chunk = UeChunk(np.concatenate((values, chunk.values)),
+                            np.concatenate((ends, held + chunk.ends)), chunk.error)
         used, done = walk(chunk)
-        if used:
-            r.skip(int(chunk.ends[used - 1]))
+        spent = int(chunk.ends[used - 1]) if used else 0
+        r.skip(spent)
         if done:
             return
         if chunk.error is not None:
             raise StreamError(chunk.error)
         if not used and size == _CHUNK_MAX:
             raise StreamError("syntax item longer than the chunk cap")
-        size = min(2 * size, _CHUNK_MAX)
+        values, ends = chunk.values[used:], chunk.ends[used:] - spent
+        size = min(_RAMP * size, _CHUNK_MAX)

@@ -12,12 +12,13 @@ Reconstruction is pure integer arithmetic, in the style of HEVC's core
 transform (Budagavi et al., "Core Transform Design in the HEVC Standard",
 IEEE JSTSP 2013), so every machine and every memory layout rebuilds the
 same pixels. dequantize_int scales a level by LEVEL_SCALE[qp % 6] <<
-(qp // 6), 2^(qp/6) with 12 fractional bits; dct8_inverse_int runs
-DCT_INT^T . C . DCT_INT in int64 with DCT_INT = round(DCT_MATRIX * 2^14)
-and brings the result back to pixels with one shift of 40 that rounds half
-away from zero. residual_planes runs the two on the tiles that hold a
-nonzero level only, as HEVC's coded-block flags let a decoder skip empty
-transform blocks: an empty tile's residual is exactly 0. add_residual adds
+(qp // 6), 2^(qp/6) with 12 fractional bits; dct8_inverse_int computes
+DCT_INT^T . C . DCT_INT exactly, with DCT_INT = round(DCT_MATRIX * 2^14),
+in float64 passes on integers too small to round, and brings the result
+back to pixels with one int64 shift of 40 that rounds half away from zero.
+residual_planes runs the two on the tiles that hold a nonzero level only,
+as HEVC's coded-block flags let a decoder skip empty transform blocks: an
+empty tile's residual is exactly 0. add_residual adds
 the planes to the integer basis and clips to 0..255, and
 apply_block_residual is the two steps in one call. The encoder and decoder
 share that arithmetic, so there is no drift. The precision was measured
@@ -27,16 +28,17 @@ moved pixels by 2 from the float result, with 13 or 14 bits by at most 1
 only as the reference the integer path is tested against.
 
 Levels are bounded by MAX_LEVEL = 2040, checked when a stream is parsed
-(scatter_tiles), so the int64 arithmetic cannot overflow.
+(scatter_tiles), so a level fits in int16 and the reconstruction stays in
+dct8_inverse_int's exact range.
 
 Tiles are coded in bulk, with the same bits as one pair at a time:
 tile_codes turns any number of tiles into their code numbers with numpy,
 and write_ue_codes writes them. It and coeff_bits take the run-level pairs
 from one helper that visits only the nonzero levels, so their cost follows
-the coded levels, not the tile count. The frame parser steps over the
-whole tiles in a chunk of codes with walk_tiles and decodes them with one
-scatter_tiles assignment; frame units are the only place tiles are written
-or read.
+the coded levels, not the tile count. The frame parser finds the tiles
+in a chunk of codes through tile_jumps' composed jumps, a whole block at a
+time, and decodes them with one scatter_tiles assignment; frame units are
+the only place tiles are written or read.
 
 Like dct8_forward, the block-level functions work on batches: leading axes
 of the basis planes and of the levels pass through. The encoder stacks the
@@ -129,6 +131,8 @@ _SCALE_BITS = 12
 _BASIS_BITS = 14
 _SHIFT = _SCALE_BITS + 2 * _BASIS_BITS
 DCT_INT = np.round(DCT_MATRIX * (1 << _BASIS_BITS)).astype(np.int64)
+_DCT_FLOAT = DCT_INT.astype(np.float64)
+_DCT_FLOAT_T = np.ascontiguousarray(_DCT_FLOAT.T)
 # 2^(k/6) with _SCALE_BITS fractional bits, as HEVC's levelScale.
 LEVEL_SCALE = np.round(2.0 ** (np.arange(6) / 6 + _SCALE_BITS)).astype(np.int64)
 # The largest |level| a residual in [-255, 255] quantizes to; see scatter_tiles.
@@ -149,11 +153,30 @@ def dequantize_int(levels: np.ndarray, qp: int) -> np.ndarray:
 
 def dct8_inverse_int(coeffs: np.ndarray) -> np.ndarray:
     """Integer inverse DCT of dequantize_int's tiles, rounded half away from
-    zero to whole pixels (int64)."""
-    x = DCT_INT.T @ np.asarray(coeffs, np.int64) @ DCT_INT
+    zero to whole pixels (int64): DCT_INT^T . C . DCT_INT >> _SHIFT.
+
+    numpy runs int64 matrix products without BLAS, so both passes run in
+    float64 on integers small enough to be exact in any summation order.
+    Each DCT_INT column sums to at most 43,284 < 2^16 in absolute value.
+    For |C| < 2^32 (scatter_tiles bounds a legal one below 3.1e9), pass 1's
+    sums t stay below 2^48. Pass 2 takes them split in 24-bit halves,
+    t >> 24 = floor(t / 2^24) and t & 0xFFFFFF = t - 2^24 (t >> 24), each
+    below 2^24 in absolute value, so its two products stay below 2^40;
+    they are joined in int64, below 2^32 * 43,284^2 < 2^63. Every partial
+    sum is an integer below 2^53, so the result equals the int64 products
+    bit for bit on any machine.
+    """
+    t = _DCT_FLOAT_T @ np.asarray(coeffs, np.float64)
+    high = np.floor(t * 2.0 ** -24)
+    t -= high * 2.0 ** 24
+    x = (high @ _DCT_FLOAT).astype(np.int64)
+    x <<= 24
+    x += (t @ _DCT_FLOAT).astype(np.int64)
     # floor((x + 2^(s-1)) / 2^s) rounds halves up; one less for x < 0 rounds
     # them down, so halves go away from zero
-    return (x + ((1 << (_SHIFT - 1)) - (x < 0))) >> _SHIFT
+    x += (1 << (_SHIFT - 1)) - (x < 0)
+    x >>= _SHIFT
+    return x
 
 
 def _pairs(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -205,42 +228,60 @@ def tile_codes(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, counts.reshape(lv.shape[:-1])
 
 
-def walk_tiles(values: list, k: int, n: int, starts: list) -> int:
-    """Step over up to n whole tiles of the code values from index k.
+def tile_jumps(values: np.ndarray) -> np.ndarray:
+    """Jump tables over a chunk of n code values: where the tiles that start
+    at a count code end.
 
-    Appends each tile's first index (its count code) to starts and returns
-    the index after the last whole tile; stops early where a tile runs past
-    the end of values.
+    Row j of the (6, n + 2) result maps the index k of a count code to the
+    index after the 2^j tiles that start at k (j = 0..4), and the last row
+    to the index after TILES_PER_BLOCK tiles, a whole block. A tile that
+    starts at k ends at k + 1 + 2 values[k]. An entry is n + 1 where one
+    of those tiles has a count beyond 64 or runs past the n codes; indices
+    n and n + 1 map to n + 1, so the rows compose as index arrays.
     """
-    end = len(values)
-    for _ in range(n):
-        if k >= end:
-            break
-        count = values[k]
-        if count > 64:
-            raise StreamError(f"coefficient count {count} exceeds tile size")
-        stop = k + 1 + 2 * count
-        if stop > end:
-            break
-        starts.append(k)
-        k = stop
-    return k
+    n = len(values)
+    jumps = np.empty((6, n + 2), dtype=np.int64)
+    one = jumps[0]
+    np.multiply(values, 2, out=one[:n])
+    one[:n] += np.arange(1, n + 1)
+    one[:n][values > 64] = n + 1
+    np.minimum(one, n + 1, out=one)
+    one[n:] = n + 1
+    for j in range(1, 5):
+        jumps[j] = jumps[j - 1][jumps[j - 1]]
+    jumps[5] = jumps[4][jumps[3]]  # 8 tiles, then 16
+    return jumps
 
 
-def scatter_tiles(values: np.ndarray, starts: list, out: np.ndarray) -> None:
-    """Decode the tiles walk_tiles found into out, zeroed (len(starts), 64)
-    levels, with one assignment.
+def block_tile_starts(jumps: np.ndarray, firsts: np.ndarray) -> np.ndarray:
+    """The count-code index of each of the TILES_PER_BLOCK tiles of blocks
+    whose first tile starts at firsts, in stream order, from tile_jumps'
+    tables; every block must be whole."""
+    starts = np.empty((len(firsts), TILES_PER_BLOCK), dtype=np.int64)
+    starts[:, 0] = firsts
+    starts[:, 1] = jumps[0][firsts]
+    for j, width in ((1, 2), (2, 4), (3, 8)):
+        starts[:, width:2 * width] = jumps[j][starts[:, :width]]
+    starts[:, 16:] = jumps[4][starts[:, :8]]
+    return starts.reshape(-1)
 
-    A level beyond +-MAX_LEVEL is a StreamError. MAX_LEVEL = 2040 is the
-    largest level the encoder produces: a residual in [-255, 255] has a DC
-    of at most 8 * 255, every AC term is bounded by 255 * (sqrt 8)^2 as
-    well (Cauchy-Schwarz on each orthonormal basis row), and the step is
-    at least 1. With the bound, dct8_inverse_int stays well inside int64:
-    a dequantized coefficient is at most 2040 * (5793 << 8) < 3.1e9 (qp 51
-    has the largest scale), each DCT_INT column's absolute sum is 43,284,
-    so |DCT_INT^T . C . DCT_INT| <= 3.1e9 * 43,284^2 < 5.7e18 < 2^63.
+
+def scatter_tiles(values: np.ndarray, starts: np.ndarray, out: np.ndarray) -> None:
+    """Decode whole tiles into out, zeroed (len(starts), 64) levels, with one
+    assignment; starts holds each tile's count-code index in values, in
+    stream order, and every count is at most 64.
+
+    A run past the tile's end, a zero level and a level beyond +-MAX_LEVEL
+    are StreamErrors; the first faulty pair in stream order names the
+    error, its run before its level. MAX_LEVEL = 2040 is the largest level
+    the encoder produces: a residual in [-255, 255] has a DC of at most
+    8 * 255, every AC term is bounded by 255 * (sqrt 8)^2 as well
+    (Cauchy-Schwarz on each orthonormal basis row), and the step is at
+    least 1. With the bound, a dequantized coefficient is at most
+    2040 * (5793 << 8) < 2^32 (qp 51 has the largest scale), inside
+    dct8_inverse_int's exact range, and a level fits in int16.
     """
-    if not starts:
+    if not len(starts):
         return
     starts = np.asarray(starts)
     counts = values[starts]
@@ -251,11 +292,15 @@ def scatter_tiles(values: np.ndarray, starts: list, out: np.ndarray) -> None:
     # positions run on from each tile's start: a cumulative sum of run + 1
     steps = np.cumsum(values[at] + 1)
     pos = steps - np.concatenate(([0], steps))[first][tile] - 1
-    if np.any(pos > 63):
-        raise StreamError("coefficient run overflows tile")
-    if np.any(codes == 0):
-        raise StreamError("zero level in run-level pair")
-    if np.any(codes > 2 * MAX_LEVEL):  # se code 2 * MAX_LEVEL is -MAX_LEVEL
+    overflow = pos > 63
+    zero = codes == 0
+    beyond = codes > 2 * MAX_LEVEL  # se code 2 * MAX_LEVEL is -MAX_LEVEL
+    bad = np.flatnonzero(overflow | zero | beyond)
+    if len(bad):
+        if overflow[bad[0]]:
+            raise StreamError("coefficient run overflows tile")
+        if zero[bad[0]]:
+            raise StreamError("zero level in run-level pair")
         raise StreamError(f"coefficient level beyond +-{MAX_LEVEL}")
     out[tile, pos] = ue_to_se(codes)
 

@@ -1,7 +1,7 @@
 """Shared fixtures: small deterministic sequences, one cached encode,
-frame units built by hand, tiles included, and the block-by-block frame
-code and rebuild the diagonal encoder and batched decoder are checked
-against.
+frame units built by hand, tiles included, the block-by-block frame code
+and rebuild the diagonal encoder and batched decoder are checked against,
+and the tile-by-tile payload reader the frame parser is checked against.
 
 Session scope keeps the expensive pieces (synthesis, training, encoding)
 to a single run; every test that needs them must treat them as read-only.
@@ -9,6 +9,7 @@ to a single run; every test that needs them must treat them as read-only.
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from nbv.bitstream import (
     FORCED,
@@ -40,10 +41,19 @@ from nbv.encoder import (
     rd_lambda,
     train_param_set,
 )
-from nbv.entropy import BitReader, BitWriter, ue_encode, write_ue_codes
+from nbv.entropy import (
+    BitReader,
+    BitWriter,
+    StreamError,
+    UeChunk,
+    ue_encode,
+    ue_to_se,
+    write_ue_codes,
+)
 from nbv.gnn import SetContext, TrainConfig, generate_block
 from nbv.prediction import IntraMode, MotionVector, intra_predict, motion_field
 from nbv.residual import (
+    MAX_LEVEL,
     TILES_PER_BLOCK,
     apply_block_residual,
     block_tiles_bits,
@@ -74,6 +84,38 @@ def frame_unit(frame_type: str, blocks, cols: int = 1, regions=()) -> FrameUnit:
     tiles = np.array([np.reshape(t, (24, 64)) for _, _, t in blocks], dtype=np.int32)
     return FrameUnit(frame_type, list(regions), modes.reshape(rows, cols),
                      mvds.reshape(rows, cols, 2), tiles)
+
+
+def random_unit(rng, frame_type, cols, rows, regions):
+    """A legal frame unit: forced blocks generate, selectable ones may,
+    inter blocks (P only) come in runs with differences up to +-64, and
+    each block's levels run from empty to dense, up to +-MAX_LEVEL."""
+    kinds = region_map(regions, cols, rows).reshape(-1).tolist()
+    coded = [BlockMode.INTRA_DC, BlockMode.INTRA_H, BlockMode.INTRA_V]
+    if frame_type == "P":
+        coded = [BlockMode.INTER] * 3 + coded
+    modes = np.array([BlockMode.GEN if kind == FORCED else rng.choice(
+        coded + [BlockMode.GEN] * 2 * (kind == SELECTABLE)) for kind in kinds],
+        dtype=np.int8).reshape(rows, cols)
+    mvds = rng.integers(-64, 65, (rows, cols, 2)).astype(np.int32)
+    mvds[modes != BlockMode.INTER] = 0
+    n = rows * cols
+    density = rng.choice([0.0, 0.01, 0.2, 1.0], (n, 1, 1))
+    peak = rng.choice([1, 9, MAX_LEVEL], (n, 1, 1))
+    levels = rng.integers(-peak, peak + 1, (n, 24, 64))
+    levels[rng.random((n, 24, 64)) >= density] = 0
+    return FrameUnit(frame_type, list(regions), modes, mvds, levels.astype(np.int32))
+
+
+def mutate(data: bytes, draw) -> bytes:
+    """1-3 bit flips anywhere in the stream, or a truncation."""
+    if draw(st.booleans()):
+        return data[:draw(st.integers(0, len(data) - 1))]
+    out = bytearray(data)
+    for bit in draw(st.lists(st.integers(0, 8 * len(data) - 1),
+                             min_size=1, max_size=3, unique=True)):
+        out[bit // 8] ^= 0x80 >> (bit % 8)
+    return bytes(out)
 
 
 def start_tile_frame(w: BitWriter) -> None:
@@ -115,6 +157,160 @@ def parse_tiles(data: bytes, n: int) -> np.ndarray:
     unit = parse_frame(r, -(-n // TILES_PER_BLOCK), 1)
     assert r.bits_remaining == 0
     return unit.blocks.reshape(-1, 64)[:n]
+
+
+# The frame payload reader as it was before tiles were walked in numpy:
+# windows of codes found by pointer doubling over every bit, ramping from
+# 2^8 to 2^16 bits and peeked again from the first unused code, and one
+# Python step per block and per tile. Each tile's pairs are checked and
+# decoded one at a time, so the first fault in stream order names the
+# error.
+
+def peek_ue_codes_oracle(r: BitReader, max_bits: int) -> UeChunk:
+    """The ue codes wholly in r's next max_bits bits, by pointer doubling."""
+    pos = r.bit_position
+    first, skew = pos >> 3, pos & 7
+    stop = min(len(r._data), first + (skew + max_bits + 7) // 8)
+    size = stop - first
+    n = 8 * size
+    raw = np.zeros(size + 8, dtype=np.uint8)
+    raw[:size] = np.frombuffer(r._data, dtype=np.uint8, count=size, offset=first)
+    at = np.arange(n)
+    # the next 1 bit from every position; a code starting at p has
+    # nxt[p] - p zeros and ends at 2 nxt[p] - p + 1
+    ones = np.where(np.unpackbits(raw[:size]).view(bool), at, n)
+    nxt = np.minimum.accumulate(ones[::-1])[::-1]
+    jump = np.empty(n + 1, dtype=np.int64)
+    np.subtract(2 * nxt, at - 1, out=jump[:n])
+    np.minimum(jump, n, out=jump)
+    jump[n] = n
+    starts = np.array([skew])
+    while True:
+        starts = np.concatenate((starts, jump[starts]))
+        if starts[-1] >= n:
+            break
+        jump = jump[jump]
+    starts = starts[:np.searchsorted(starts, n)]
+    lead = nxt[starts]
+    zeros = lead - starts
+    ends = lead + zeros + 1
+    error = None
+    bad = np.flatnonzero((zeros > 31) | (ends > n))
+    if len(bad):
+        if zeros[bad[0]] > 31:
+            error = "malformed exp-Golomb prefix"
+        lead, zeros, ends = lead[:bad[0]], zeros[:bad[0]], ends[:bad[0]]
+    if error is None and stop == len(r._data):
+        error = "read past end of stream"
+    windows = np.ndarray((size + 1,), dtype=">u8", buffer=raw, strides=(1,))
+    values = ((windows[lead >> 3] << (lead & 7).astype(np.uint64))
+              >> (63 - zeros).astype(np.uint64)).astype(np.int64) - 1
+    return UeChunk(values, ends - skew, error)
+
+
+def read_ue_codes_oracle(r: BitReader, walk) -> None:
+    """read_ue_codes' contract with windows of 2^8 to 2^16 bits, each
+    peeked from the first code the walk did not use."""
+    size = 1 << 8
+    while True:
+        chunk = peek_ue_codes_oracle(r, size)
+        used, done = walk(chunk)
+        if used:
+            r.skip(int(chunk.ends[used - 1]))
+        if done:
+            return
+        if chunk.error is not None:
+            raise StreamError(chunk.error)
+        if not used and size == 1 << 16:
+            raise StreamError("syntax item longer than the chunk cap")
+        size = min(2 * size, 1 << 16)
+
+
+def walk_tiles_oracle(values: list, k: int, n: int, rows: list) -> int:
+    """Step over up to n whole tiles of the code values from index k,
+    checking and decoding each pair; appends each tile's levels to rows and
+    returns the index after the last whole tile."""
+    end = len(values)
+    for _ in range(n):
+        if k >= end:
+            break
+        count = values[k]
+        if count > 64:
+            raise StreamError(f"coefficient count {count} exceeds tile size")
+        stop = k + 1 + 2 * count
+        if stop > end:
+            break
+        levels = np.zeros(64, dtype=np.int64)
+        pos = -1
+        for run, code in zip(values[k + 1:stop:2], values[k + 2:stop:2]):
+            pos += run + 1
+            if pos > 63:
+                raise StreamError("coefficient run overflows tile")
+            if code == 0:
+                raise StreamError("zero level in run-level pair")
+            if code > 2 * MAX_LEVEL:
+                raise StreamError(f"coefficient level beyond +-{MAX_LEVEL}")
+            levels[pos] = ue_to_se(code)
+        rows.append(levels)
+        k = stop
+    return k
+
+
+def read_payloads_oracle(r: BitReader, fu: FrameUnit, bits) -> None:
+    """bitstream._read_payloads one Python step per block and per tile."""
+    modes = fu.modes.reshape(-1)
+    mvds = fu.mvds.reshape(-1, 2)
+    tile_rows = fu.blocks.reshape(-1, 64)
+    generated = (modes == BlockMode.GEN).tolist()
+    first_mode = int(fu.frame_type == "I")
+    begun = 0
+    tiles_left = 0
+
+    def walk(chunk):
+        nonlocal begun, tiles_left
+        values = chunk.values.tolist()
+        k = 0
+        first_row = begun * TILES_PER_BLOCK - tiles_left
+        rows: list = []
+        head_codes: list[int] = []
+        mv_codes: list[int] = []
+        while True:
+            if not tiles_left:
+                if begun == len(generated):
+                    break
+                if not generated[begun]:
+                    if k >= len(values):
+                        break
+                    mode = first_mode + values[k]
+                    if mode >= BlockMode.GEN:
+                        raise StreamError(
+                            f"bad {fu.frame_type}-frame mode symbol {values[k]}")
+                    if mode == BlockMode.INTER:
+                        if k + 3 > len(values):
+                            break
+                        mvds[begun] = ue_to_se(values[k + 1]), ue_to_se(values[k + 2])
+                        mv_codes += (k + 1, k + 2)
+                    modes[begun] = mode
+                    head_codes.append(k)
+                    k += 3 if mode == BlockMode.INTER else 1
+                begun += 1
+                tiles_left = TILES_PER_BLOCK
+            before = len(rows)
+            k = walk_tiles_oracle(values, k, tiles_left, rows)
+            tiles_left -= len(rows) - before
+            if tiles_left:
+                break
+        if rows:
+            tile_rows[first_row:first_row + len(rows)] = rows
+        lengths = np.diff(chunk.ends, prepend=0)
+        mode_bits = int(lengths[head_codes].sum())
+        mv_bits = int(lengths[mv_codes].sum())
+        bits.modes += mode_bits
+        bits.mvs += mv_bits
+        bits.residuals += (int(chunk.ends[k - 1]) if k else 0) - mode_bits - mv_bits
+        return k, begun == len(generated) and not tiles_left
+
+    read_ue_codes_oracle(r, walk)
 
 
 def clamped_window_py(plane, y0, x0, h, w):

@@ -3,11 +3,15 @@
 import struct
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import frame_unit
+import nbv.bitstream
+from conftest import frame_unit, mutate, random_unit, read_payloads_oracle
 from nbv.bitstream import (
     FORCED,
     SELECTABLE,
@@ -43,7 +47,7 @@ from nbv.entropy import (
     write_ue_codes,
 )
 from nbv.gnn import QuantizedGnnParams, QuantizedLayer, init_params, quantize_params
-from nbv.residual import TILES_PER_BLOCK, block_tiles_bits, tile_codes
+from nbv.residual import MAX_LEVEL, TILES_PER_BLOCK, block_tiles_bits, tile_codes
 
 DEFAULT_ARCH = (3, 25, 40, 60, 1536)
 
@@ -341,6 +345,28 @@ class TestRegionScale:
         assert time.perf_counter() - start < 1.0
         assert len(unit.regions) == cols * rows
         assert np.all(unit.modes == BlockMode.GEN)
+
+    def test_largest_frame_parses_into_int16_levels(self):
+        # every block intra DC with 24 empty tiles: 25 ue(0) codes a block
+        cols, rows = self.COLS, self.ROWS
+        w = BitWriter()
+        w.write_bits(UNIT_FRAME, 8)
+        w.write_bits(0, 1)
+        ue_encode(w, 0)
+        w.write_bit_array(np.ones(cols * rows * (1 + TILES_PER_BLOCK), np.uint8))
+        w.byte_align()
+        data = w.to_bytes()
+        tracemalloc.start()
+        try:
+            unit = parse_frame(BitReader(data), cols, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert unit.blocks.dtype == np.int16 and not unit.blocks.any()
+        assert np.all(unit.modes == BlockMode.INTRA_DC)
+        # the 107 MB level array and a few MB of chunk scratch; int32
+        # levels alone would take 214 MB
+        assert peak < unit.blocks.nbytes + (8 << 20)
 
 
 class TestFrameUnit:
@@ -726,6 +752,116 @@ class TestBulkFramePayload:
         assert np.array_equal(back.modes, unit.modes)
         assert np.array_equal(back.mvds, unit.mvds)
         assert np.array_equal(back.blocks, unit.blocks)
+
+
+def parsed_or_error(data: bytes, cols: int, rows: int):
+    """What parse_frame makes of a frame unit: its arrays, bits and end
+    position, or the message of the StreamError it ends in."""
+    r = BitReader(data)
+    bits = FrameBits()
+    try:
+        unit = parse_frame(r, cols, rows, bits)
+    except StreamError as e:
+        return str(e)
+    corners = [(g.x0, g.y0, g.x1, g.y1, g.selectable) for g in unit.regions]
+    return (unit.frame_type, corners, unit.modes.tolist(), unit.mvds.tolist(),
+            unit.blocks.tolist(), bits, r.bit_position)
+
+
+def parse_both(data: bytes, cols: int, rows: int):
+    """parsed_or_error through the frame parser and through the tile-by-tile
+    oracle reader in its place."""
+    got = parsed_or_error(data, cols, rows)
+    with mock.patch.object(nbv.bitstream, "_read_payloads", read_payloads_oracle):
+        want = parsed_or_error(data, cols, rows)
+    return got, want
+
+
+def draw_frame(draw):
+    """(unit bytes, cols, rows) of a random legal frame unit: I or P, every
+    mode, no region or one forced or selectable region, levels from empty
+    to dense up to +-MAX_LEVEL and vector differences up to +-2^20, so
+    the payload runs from a few bits to several hundred kbit, many
+    windows long."""
+    frame_type = draw(st.sampled_from("IP"))
+    cols, rows = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    regions = []
+    if draw(st.booleans()):
+        x0, y0 = draw(st.integers(0, cols - 1)), draw(st.integers(0, rows - 1))
+        regions.append(RegionSpec(x0, y0, draw(st.integers(x0, cols - 1)),
+                                  draw(st.integers(y0, rows - 1)), draw(st.booleans())))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    unit = random_unit(rng, frame_type, cols, rows, regions)
+    unit.mvds <<= draw(st.integers(0, 14))
+    w = BitWriter()
+    write_frame(w, unit, cols, rows)
+    return w.to_bytes(), cols, rows
+
+
+class TestParserOracle:
+    """The frame parser against the tile-by-tile reader it replaced
+    (conftest.read_payloads_oracle): equal units, bits and end positions,
+    or the same StreamError, the first fault in stream order."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_random_frames_equal_the_oracle(self, data):
+        unit_bytes, cols, rows = draw_frame(data.draw)
+        got, want = parse_both(unit_bytes, cols, rows)
+        assert not isinstance(want, str)
+        assert got == want
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_frames_equal_the_oracle(self, data):
+        # bit flips past the unit's tag, or a truncation
+        unit_bytes, cols, rows = draw_frame(data.draw)
+        tag, body = unit_bytes[:1], unit_bytes[1:]
+        got, want = parse_both(tag + mutate(body, data.draw), cols, rows)
+        assert got == want
+
+    @staticmethod
+    def intra_row(*blocks) -> bytes:
+        """An I-frame unit of one row of blocks, each given as its list of
+        code values (mode symbol, then the tiles' codes)."""
+        w = BitWriter()
+        w.write_bits(UNIT_FRAME, 8)
+        w.write_bits(0, 1)
+        ue_encode(w, 0)
+        write_ue_codes(w, [v for block in blocks for v in block])
+        w.byte_align()
+        return w.to_bytes()
+
+    # a tile's codes: the count, then run and level code per pair
+    EMPTY = [0] * 23
+    ZERO_LEVEL = [1, 0, 0]
+    OVERFLOW = [1, 64, 1]
+    BEYOND = [1, 0, 2 * MAX_LEVEL + 1]
+    COUNT = [65]
+
+    @pytest.mark.parametrize("first,second,error", [
+        (ZERO_LEVEL, OVERFLOW, "zero level"),
+        (OVERFLOW, ZERO_LEVEL, "run overflows"),
+        (BEYOND, ZERO_LEVEL, "level beyond"),
+        (ZERO_LEVEL, COUNT, "zero level"),
+        (COUNT, ZERO_LEVEL, "count 65 exceeds"),
+    ])
+    def test_first_fault_in_stream_order_names_the_error(self, first, second, error):
+        # two faulty tiles, in blocks 0 and 2 of one window
+        data = self.intra_row([0] + first + self.EMPTY, [0] + [0] * 24,
+                              [0] + second + self.EMPTY)
+        for got in parse_both(data, 3, 1):
+            assert error in got
+
+    @pytest.mark.parametrize("fault,error", [
+        (ZERO_LEVEL, "zero level"), (COUNT, "count 65 exceeds")])
+    def test_tiles_before_a_bad_mode_symbol_are_checked_first(self, fault, error):
+        data = self.intra_row([0] + fault + self.EMPTY, [3] + [0] * 24)
+        for got in parse_both(data, 2, 1):
+            assert error in got
+        data = self.intra_row([3] + [0] * 24, [0] + fault + self.EMPTY)
+        for got in parse_both(data, 2, 1):
+            assert "bad I-frame mode symbol 3" in got
 
 
 def peak_bytes(call) -> int:

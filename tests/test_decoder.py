@@ -5,17 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import decode_frame_oracle, fast_train, forced_stream, frame_unit
+from conftest import (
+    decode_frame_oracle,
+    fast_train,
+    forced_stream,
+    frame_unit,
+    mutate,
+    random_unit,
+)
 from test_golden import encode_case
 from nbv.bitstream import (
-    FORCED,
-    SELECTABLE,
     BlockMode,
-    FrameUnit,
     RegionSpec,
     StreamHeader,
     parse_stream,
-    region_map,
     write_header,
     write_stream,
 )
@@ -24,7 +27,6 @@ from nbv.decoder import CSV_COLUMNS, FrameWalk, decode_sequence
 from nbv.encoder import _encode_period, rd_lambda, train_param_set
 from nbv.entropy import BitWriter, StreamError
 from nbv.gnn import SetContext, init_params, quantize_params
-from nbv.residual import MAX_LEVEL
 from nbv.prediction import MotionVector, motion_compensate
 from nbv.tools import bit_accounting, synth_sequence
 
@@ -272,17 +274,6 @@ def forced_bytes():
     return stream
 
 
-def mutate(data: bytes, draw) -> bytes:
-    """1-3 bit flips anywhere in the stream, or a truncation."""
-    if draw(st.booleans()):
-        return data[:draw(st.integers(0, len(data) - 1))]
-    out = bytearray(data)
-    for bit in draw(st.lists(st.integers(0, 8 * len(data) - 1),
-                             min_size=1, max_size=3, unique=True)):
-        out[bit // 8] ^= 0x80 >> (bit % 8)
-    return bytes(out)
-
-
 # golden encodes with two periods each of I and P frames whose blocks carry
 # inter vectors; neither keeps a region, which the forced stream covers
 P_FRAME_CASES = ("pan_qp20_generator_off", "zoom_out_qp8_tiny_arch")
@@ -317,27 +308,6 @@ class TestMutatedStreams:
     @given(data=st.data())
     def test_p_frame_streams_only_stream_errors(self, p_frame_bytes, data):
         consume_damaged(mutate(p_frame_bytes, data.draw))
-
-
-def random_unit(rng, frame_type, cols, rows, regions):
-    """A legal frame unit: forced blocks generate, selectable ones may,
-    inter blocks (P only) come in runs with differences up to +-64, and
-    each block's levels run from empty to dense, up to +-MAX_LEVEL."""
-    kinds = region_map(regions, cols, rows).reshape(-1).tolist()
-    coded = [BlockMode.INTRA_DC, BlockMode.INTRA_H, BlockMode.INTRA_V]
-    if frame_type == "P":
-        coded = [BlockMode.INTER] * 3 + coded
-    modes = np.array([BlockMode.GEN if kind == FORCED else rng.choice(
-        coded + [BlockMode.GEN] * 2 * (kind == SELECTABLE)) for kind in kinds],
-        dtype=np.int8).reshape(rows, cols)
-    mvds = rng.integers(-64, 65, (rows, cols, 2)).astype(np.int32)
-    mvds[modes != BlockMode.INTER] = 0
-    n = rows * cols
-    density = rng.choice([0.0, 0.01, 0.2, 1.0], (n, 1, 1))
-    peak = rng.choice([1, 9, MAX_LEVEL], (n, 1, 1))
-    levels = rng.integers(-peak, peak + 1, (n, 24, 64))
-    levels[rng.random((n, 24, 64)) >= density] = 0
-    return FrameUnit(frame_type, list(regions), modes, mvds, levels.astype(np.int32))
 
 
 class TestBatchedDecodeOracle:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nbv import entropy
 from nbv.entropy import (
     _CHUNK_MAX,
     _CHUNK_MIN,
@@ -326,6 +327,39 @@ class TestBulkCodes:
             with pytest.raises(StreamError):
                 read_all(BitReader(data[:cut]), len(values))
         assert read_all(BitReader(data), len(values)) == values
+
+    def test_unused_codes_are_carried_not_peeked_again(self, monkeypatch):
+        # a walk of three-code items leaves up to two codes per chunk
+        values = mixed_values(30)[:3030]
+        w = BitWriter()
+        w.write_bits(0, 3)
+        write_ue_codes(w, values)
+        windows = []
+        real_peek = entropy._peek
+
+        def peek(data, pos, max_bits):
+            chunk = real_peek(data, pos, max_bits)
+            windows.append((pos, pos + (int(chunk.ends[-1]) if len(chunk.ends) else 0)))
+            return chunk
+
+        monkeypatch.setattr(entropy, "_peek", peek)
+        got, left = [], []
+
+        def walk(chunk):
+            held = chunk.values.tolist()
+            assert held[:len(left)] == left  # the unused codes come first
+            take = len(held) - len(held) % 3
+            got.extend(held[:take])
+            left[:] = held[take:]
+            return take, len(got) == len(values)
+
+        r = BitReader(w.to_bytes())
+        r.read_bits(3)
+        read_ue_codes(r, walk)
+        assert got == values and r.bit_position == w.bit_position
+        # each window starts after the last whole code of the one before
+        assert windows[0][0] == 3 and len(windows) > 3
+        assert all(a[1] == b[0] for a, b in zip(windows, windows[1:]))
 
     def test_chunks_start_small(self):
         sizes = []

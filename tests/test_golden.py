@@ -12,13 +12,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nbv
 from conftest import fast_train, forced_stream
+from nbv.bitstream import RegionSpec
 from nbv.core import SequenceConfig
 from nbv.decoder import decode_sequence
-from nbv.encoder import encode_sequence
+from nbv.encoder import encode_sequence, train_param_set
+from nbv.gnn import SetContext
 from nbv.tools import bit_accounting, synth_sequence
 
 TINY_ARCH = (3, 4, 1536)
@@ -110,6 +113,31 @@ PERIOD_GOLDEN = {
     "zoom_out_qp8_tiny_arch": [("aborted", 18, 1), ("aborted", 18, 1)],
     "pan_qp20_generator_off": [("off", 0, 0), ("off", 0, 0)],
 }
+
+# sha256 of the quantized levels and scales of the default 3-25-40-60-1536
+# network trained 30 steps on the pan clip's right block column. No period
+# in CASES keeps a network, so only this pin and the forced stream's show
+# whether training gives the same weights on every machine.
+TRAINED_GOLDEN = "51aad02b2227baf754064b98686e06aa5420bd73f5ebb45b32aa1b6b4cb39d80"
+
+
+def trained_params_sha256() -> str:
+    frames = pan_clip()
+    regions = [[RegionSpec(2, 0, 2, 1, True)] for _ in frames]
+    ctx = SetContext(cols=3, rows=2, start_frame=0, span=len(frames))
+    qparams, n = train_param_set(frames, 0, regions, ctx, (3, 25, 40, 60, 1536),
+                                 fast_train(30))
+    assert n == 2 * len(frames)
+    h = hashlib.sha256()
+    for layer in qparams.layers:
+        for part in (layer.weights, layer.biases, np.float32(layer.scale)):
+            h.update(np.ascontiguousarray(part).tobytes())
+    return h.hexdigest()
+
+
+def test_trained_parameter_set_matches_golden():
+    assert trained_params_sha256() == TRAINED_GOLDEN
+
 
 def accounting_text(acct) -> str:
     """Categories, then one line per unit: index, kind, bits, detail."""

@@ -222,6 +222,45 @@ class TestFixedPoint:
         assert np.array_equal(integer_residual(np.asfortranarray(levels), qp), want)
 
 
+def dct8_inverse_int64(coeffs):
+    """dct8_inverse_int as it ran before its float64 passes: both matrix
+    products in int64, then the same rounding shift."""
+    x = DCT_INT.T @ np.asarray(coeffs, np.int64) @ DCT_INT
+    shift = 40
+    return (x + ((1 << (shift - 1)) - (x < 0))) >> shift
+
+
+class TestInverseAgainstInt64:
+    """dct8_inverse_int's float64 passes are exact: they equal the int64
+    products bit for bit, at the extremes of the legal levels too."""
+
+    @staticmethod
+    def batches(qp):
+        rng = np.random.default_rng(qp)
+        extreme = rng.choice([-MAX_LEVEL, MAX_LEVEL], (64, 64))
+        extreme[:2] = [MAX_LEVEL], [-MAX_LEVEL]  # all +2040, all -2040
+        single = np.zeros((4 * 64, 64), np.int64)
+        single[np.arange(4 * 64), np.arange(4 * 64) % 64] = np.repeat(
+            [MAX_LEVEL, -MAX_LEVEL, 1, -1], 64)
+        sparse = rng.integers(-MAX_LEVEL, MAX_LEVEL + 1, (2000, 64))
+        sparse[rng.random((2000, 64)) < rng.uniform(0.5, 1.0, (2000, 1))] = 0
+        return [extreme, single, sparse]
+
+    @pytest.mark.parametrize("qp", [0, 8, 20, 32, 51])
+    def test_equals_the_int64_products(self, qp):
+        for levels in self.batches(qp):
+            coeffs = dequantize_int(levels, qp)
+            assert np.array_equal(dct8_inverse_int(coeffs), dct8_inverse_int64(coeffs))
+
+    def test_bound_of_the_exact_range(self):
+        # the largest dequantized coefficient, and pass 1's largest sum
+        top = MAX_LEVEL * int(LEVEL_SCALE[51 % 6] << (51 // 6))
+        column = int(np.abs(DCT_INT).sum(axis=0).max())
+        assert column == 43_284
+        assert top < 2**32 and 2**32 * column < 2**48
+        assert 2**32 * column**2 < 2**63
+
+
 class TestLevelBound:
     """Levels beyond +-MAX_LEVEL end in StreamError when a stream is parsed."""
 
