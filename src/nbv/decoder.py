@@ -15,16 +15,16 @@ reconstruction is the decoder's by construction.
 
 The decoder rebuilds a frame in batches. First the residual planes of the
 whole unit are built at once, paying only for tiles with a nonzero level,
-and the walk resolves every vector. Inter and generated blocks do not read
-the frame being rebuilt, so all inter blocks come from one
-motion-compensation gather and all generated blocks from the generator,
-each kind added and written in one call. Then the intra blocks are
-rebuilt in waves, each with one intra prediction, one add and one write:
-a block joins the wave after the latest one holding its left or top
-neighbour. In an I frame the waves are the diagonals; in a P frame,
-where most neighbours are inter blocks, an intra block rarely waits.
-Integer arithmetic gives the same sums in any order, so the pixels are
-those of a block-by-block raster walk.
+and the walk resolves every vector at once, as running sums along rows.
+Inter and generated blocks do not read the frame being rebuilt, so all
+inter blocks come from one motion-compensation gather and all generated
+blocks from the generator, each kind added and written in one call. Then
+the intra blocks are rebuilt in waves, each with one intra prediction,
+one add and one write: a block joins the wave after the latest one
+holding its left or top neighbour. In an I frame the waves are the
+diagonals; in a P frame, where most neighbours are inter blocks, an
+intra block rarely waits. Integer arithmetic gives the same sums in any
+order, so the pixels are those of a block-by-block raster walk.
 
 A parameter-set unit installs the generator for the frames that follow it;
 the set's time axis starts at the next frame and spans at most one
@@ -150,14 +150,21 @@ class FrameWalk:
     def vectors(self, modes: np.ndarray, mvds: np.ndarray) -> np.ndarray:
         """Note every block of a frame unit's (rows, cols) modes and return
         the (rows, cols, 2) vectors its differences code, zero where a
-        block is not inter."""
+        block is not inter. This is mv_pred's rule in closed form: along a
+        row, an inter block's vector sums its run of inter blocks'
+        differences up to it."""
         self.modes[...] = modes
         inter = modes == BlockMode.INTER
         if inter.any():
-            for coords in self:
-                bx, by = coords[:, 0], coords[:, 1]
-                self.mvs[by, bx] = np.where(inter[by, bx][:, None],
-                                            self.mv_pred(coords) + mvds[by, bx], 0)
+            total = np.cumsum(np.where(inter[..., None], mvds, 0), axis=1, dtype=np.int64)
+            # each block's run starts after the latest non-inter block at
+            # or before it (-1 if none), whose running sum is taken off; a
+            # non-inter block is its own, so its vector is zero
+            last = np.maximum.accumulate(
+                np.where(inter, -1, np.arange(inter.shape[1])), axis=1)
+            base = np.take_along_axis(total, np.maximum(last, 0)[..., None], axis=1)
+            base[last < 0] = 0
+            np.subtract(total, base, out=self.mvs)
         return self.mvs
 
 
@@ -209,7 +216,7 @@ def _decode_frame(
     cols = fu.modes.shape[1]
     # 1. the residual planes of every block, in one batch
     res = residual_planes(fu.blocks, qp)
-    # 2. the vectors, with the modes noted
+    # 2. the vectors, with the modes noted, by running sums along rows
     walk = FrameWalk(width, height, frame_idx, qparams, ctx)
     mvs = walk.vectors(fu.modes, fu.mvds)
     # 3. every inter block from one gather, and every generated block,

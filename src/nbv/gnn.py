@@ -21,6 +21,7 @@ operands, so the trained weights are that form's to the bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -238,6 +239,15 @@ class QuantizedGnnParams:
         sizes += [l.weights.shape[0] for l in self.layers]
         return tuple(sizes)
 
+    @functools.cached_property
+    def dequantized(self) -> Params:
+        """dequantize_params of the set, made once at first use; read-only,
+        since every caller shares it."""
+        params = dequantize_params(self)
+        for array in (a for layer in params for a in layer):
+            array.flags.writeable = False
+        return params
+
 
 def quantize_params(params: Params) -> QuantizedGnnParams:
     """10-bit symmetric quantization, one shared scale per layer.
@@ -311,9 +321,9 @@ def generate_block(qparams: QuantizedGnnParams, c: BlockCoord,
                    frame_idx: int, ctx: SetContext) -> Block32:
     """Decode one coding unit from the quantized network.
 
-    Dequantizes, evaluates at the block's normalized coordinate, and maps
-    outputs to pixels. Encoder and decoder both call exactly this, so
-    generated blocks can never drift between the two.
+    Evaluates the set's dequantized network, made once per set, at the
+    block's normalized coordinate, one row a block, and maps outputs to
+    pixels. Encoder and decoder both call exactly this, so generated
+    blocks can never drift between the two.
     """
-    params = dequantize_params(qparams)
-    return outputs_to_block(forward(params, gnn_input(ctx, c, frame_idx)))
+    return outputs_to_block(forward(qparams.dequantized, gnn_input(ctx, c, frame_idx)))

@@ -56,6 +56,7 @@ class MotionVector(NamedTuple):
 # top row or left column with the three planes' concatenated.
 _PLANE_SIZES = (BLOCK, CHROMA_BLOCK, CHROMA_BLOCK)
 _EDGE_STARTS = (0, BLOCK, BLOCK + CHROMA_BLOCK)
+_SIZES = np.array(_PLANE_SIZES)
 
 
 def intra_predict(recon: Frame, coords, modes) -> Block32:
@@ -70,24 +71,26 @@ def intra_predict(recon: Frame, coords, modes) -> Block32:
     """
     c = np.asarray(coords, dtype=np.int64)
     bx, by = c[..., 0], c[..., 1]
-    above, before = np.maximum(by - 1, 0), np.maximum(bx - 1, 0)
+    have_top, have_left = by > 0, bx > 0
+    above, before = by - have_top, bx - have_left
     # Every block's top row and left column, the three planes' concatenated,
-    # (..., 64) each; a missing edge reads another block's and is masked out.
+    # (..., 64) each; a missing edge reads another block's and is replaced.
     tops, lefts = [], []
     for plane, size in zip((recon.y, recon.cb, recon.cr), _PLANE_SIZES):
         blocks = plane.reshape(plane.shape[0] // size, size, plane.shape[1] // size, size)
         tops.append(blocks[above, size - 1, bx, :])
         lefts.append(blocks[by, :, before, size - 1])
     top, left = np.concatenate(tops, axis=-1), np.concatenate(lefts, axis=-1)
-    have_top, have_left = (by > 0)[..., None], (bx > 0)[..., None]
+    have_top, have_left = have_top[..., None], have_left[..., None]
 
     # DC per plane, also for a directional mode with its source unavailable:
     # the available edges' mean, rounded half up (samples are non-negative,
-    # so half away from zero), or flat 128 when nothing is available.
-    total = (np.add.reduceat(top, _EDGE_STARTS, axis=-1, dtype=np.int64) * have_top
-             + np.add.reduceat(left, _EDGE_STARTS, axis=-1, dtype=np.int64) * have_left)
-    count = np.multiply(_PLANE_SIZES, have_top.astype(np.int64) + have_left)
-    dc = np.where(count > 0, (2 * total + count) // np.maximum(2 * count, 1), 128)
+    # so half away from zero), or flat 128 when nothing is available. A
+    # missing edge reads as the other one, which leaves that mean as it is.
+    edges = np.add(np.where(have_top, top, left), np.where(have_left, left, top),
+                   dtype=np.int64)
+    total = np.add.reduceat(edges, _EDGE_STARTS, axis=-1)
+    dc = np.where(have_top | have_left, (total + _SIZES) // (2 * _SIZES), 128)
 
     # A block is a value per row plus a value per column: the left column
     # down the rows (horizontal), the top row across the columns
@@ -95,9 +98,9 @@ def intra_predict(recon: Frame, coords, modes) -> Block32:
     mode = np.asarray(modes)[..., None]
     horizontal = (mode == int(IntraMode.HORIZONTAL)) & have_left
     vertical = (mode == int(IntraMode.VERTICAL)) & have_top
-    down = np.where(horizontal, left, np.where(
-        vertical, 0, np.repeat(dc, _PLANE_SIZES, axis=-1))).astype(np.uint8)
-    across = np.where(vertical, top, 0).astype(np.uint8)
+    down = np.where(horizontal, left,
+                    np.repeat(dc.astype(np.uint8), _PLANE_SIZES, axis=-1)) * ~vertical
+    across = top * vertical
     return Block32(*(down[..., at:at + size, None] + across[..., None, at:at + size]
                      for at, size in zip(_EDGE_STARTS, _PLANE_SIZES)))
 

@@ -11,25 +11,24 @@ and the decoder never runs them.
 Reconstruction is pure integer arithmetic, in the style of HEVC's core
 transform (Budagavi et al., "Core Transform Design in the HEVC Standard",
 IEEE JSTSP 2013), so every machine and every memory layout rebuilds the
-same pixels. dequantize_int scales a level by LEVEL_SCALE[qp % 6] <<
-(qp // 6), 2^(qp/6) with 12 fractional bits; dct8_inverse_int computes
-DCT_INT^T . C . DCT_INT exactly, with DCT_INT = round(DCT_MATRIX * 2^14),
-in float64 passes on integers too small to round, and brings the result
-back to pixels with one int64 shift of 40 that rounds half away from zero.
-residual_planes runs the two on the tiles that hold a nonzero level only,
-as HEVC's coded-block flags let a decoder skip empty transform blocks: an
-empty tile's residual is exactly 0. add_residual adds
-the planes to the integer basis and clips to 0..255, and
-apply_block_residual is the two steps in one call. The encoder and decoder
-share that arithmetic, so there is no drift. The precision was measured
-against the float pair: with a 12-bit basis, 20,000 random legal tiles
-moved pixels by 2 from the float result, with 13 or 14 bits by at most 1
-(14 bits halves how often). dequantize and dct8_inverse, in float64, stay
-only as the reference the integer path is tested against.
+same pixels: a level times LEVEL_SCALE[qp % 6] << (qp // 6), 2^(qp/6)
+with 12 fractional bits, through DCT_INT^T . C . DCT_INT with DCT_INT =
+round(DCT_MATRIX * 2^14), then one shift of 40 that rounds half away
+from zero. residual_planes folds the zigzag scan and both passes into one
+integer basis, RECON_BASIS, and runs one exact float64 matrix product of
+the raw levels, then the scale and the shift in int64, on the tiles that
+hold a nonzero level only, as HEVC's coded-block flags let a decoder skip
+empty transform blocks. add_residual adds the planes to the integer
+basis and clips to 0..255, and apply_block_residual is the two steps in
+one call. The encoder and decoder share that arithmetic, so there is no
+drift. The precision was measured against the float pair, dequantize and
+dct8_inverse: with a 12-bit basis, 20,000 random legal tiles moved
+pixels by 2 from the float result, with 13 or 14 bits by at most 1 (14
+bits halves how often).
 
 Levels are bounded by MAX_LEVEL = 2040, checked when a stream is parsed
 (scatter_tiles), so a level fits in int16 and the reconstruction stays in
-dct8_inverse_int's exact range.
+RECON_BASIS's exact range.
 
 Tiles are coded in bulk, with the same bits as one pair at a time:
 tile_codes turns any number of tiles into their code numbers with numpy,
@@ -99,7 +98,7 @@ def dct8_forward(tile: np.ndarray) -> np.ndarray:
 
 
 def dct8_inverse(coeffs: np.ndarray) -> np.ndarray:
-    """Float reference for dct8_inverse_int: the exact inverse of dct8_forward."""
+    """The exact inverse of dct8_forward, in float64."""
     return DCT_MATRIX.T @ np.asarray(coeffs, dtype=np.float64) @ DCT_MATRIX
 
 
@@ -119,64 +118,28 @@ def quantize(coeffs: np.ndarray, qp: int) -> np.ndarray:
 
 
 def dequantize(levels: np.ndarray, qp: int) -> np.ndarray:
-    """Float reference for dequantize_int: zigzag levels (..., 64) back to
-    coefficient tiles (..., 8, 8)."""
+    """Zigzag levels (..., 64) back to float64 coefficient tiles (..., 8, 8)."""
     lv = np.asarray(levels, np.float64)[..., _UNZIGZAG]
     return lv.reshape(lv.shape[:-1] + (_N, _N)) * qstep(qp)
 
 
 # Fixed-point reconstruction: a coefficient carries _SCALE_BITS fractional
-# bits after dequantize_int, and each pass of the basis adds _BASIS_BITS.
+# bits once dequantized, and each pass of the basis adds _BASIS_BITS.
 _SCALE_BITS = 12
 _BASIS_BITS = 14
 _SHIFT = _SCALE_BITS + 2 * _BASIS_BITS
 DCT_INT = np.round(DCT_MATRIX * (1 << _BASIS_BITS)).astype(np.int64)
-_DCT_FLOAT = DCT_INT.astype(np.float64)
-_DCT_FLOAT_T = np.ascontiguousarray(_DCT_FLOAT.T)
+# Scan position z -> the residual of a unit level there, unscaled:
+# RECON_BASIS[z, 8i + j] = DCT_INT[k, i] * DCT_INT[l, j] with ZIGZAG[z] = 8k + l.
+RECON_BASIS = np.einsum("ki,lj->klij", DCT_INT, DCT_INT).reshape(64, 64)[ZIGZAG]
+_BASIS_FLOAT = RECON_BASIS.astype(np.float64)
 # 2^(k/6) with _SCALE_BITS fractional bits, as HEVC's levelScale.
 LEVEL_SCALE = np.round(2.0 ** (np.arange(6) / 6 + _SCALE_BITS)).astype(np.int64)
 # The largest |level| a residual in [-255, 255] quantizes to; see scatter_tiles.
 MAX_LEVEL = 2040
-# Tiles per inverse-transform pass in residual_planes: 1024 tiles keep each
-# int64 temporary at 512 KiB.
-_RECON_CHUNK = 1024
-
-
-def dequantize_int(levels: np.ndarray, qp: int) -> np.ndarray:
-    """Zigzag levels (..., 64) to int64 coefficient tiles (..., 8, 8),
-    level * 2^(qp/6) with _SCALE_BITS fractional bits."""
-    qstep(qp)  # range check
-    scale = int(LEVEL_SCALE[qp % 6]) << (qp // 6)
-    lv = np.asarray(levels, np.int64)[..., _UNZIGZAG] * scale
-    return lv.reshape(lv.shape[:-1] + (_N, _N))
-
-
-def dct8_inverse_int(coeffs: np.ndarray) -> np.ndarray:
-    """Integer inverse DCT of dequantize_int's tiles, rounded half away from
-    zero to whole pixels (int64): DCT_INT^T . C . DCT_INT >> _SHIFT.
-
-    numpy runs int64 matrix products without BLAS, so both passes run in
-    float64 on integers small enough to be exact in any summation order.
-    Each DCT_INT column sums to at most 43,284 < 2^16 in absolute value.
-    For |C| < 2^32 (scatter_tiles bounds a legal one below 3.1e9), pass 1's
-    sums t stay below 2^48. Pass 2 takes them split in 24-bit halves,
-    t >> 24 = floor(t / 2^24) and t & 0xFFFFFF = t - 2^24 (t >> 24), each
-    below 2^24 in absolute value, so its two products stay below 2^40;
-    they are joined in int64, below 2^32 * 43,284^2 < 2^63. Every partial
-    sum is an integer below 2^53, so the result equals the int64 products
-    bit for bit on any machine.
-    """
-    t = _DCT_FLOAT_T @ np.asarray(coeffs, np.float64)
-    high = np.floor(t * 2.0 ** -24)
-    t -= high * 2.0 ** 24
-    x = (high @ _DCT_FLOAT).astype(np.int64)
-    x <<= 24
-    x += (t @ _DCT_FLOAT).astype(np.int64)
-    # floor((x + 2^(s-1)) / 2^s) rounds halves up; one less for x < 0 rounds
-    # them down, so halves go away from zero
-    x += (1 << (_SHIFT - 1)) - (x < 0)
-    x >>= _SHIFT
-    return x
+# Tiles per matrix product in residual_planes: 256 tiles keep each
+# temporary at 128 KiB, in cache.
+_RECON_CHUNK = 256
 
 
 def _pairs(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -277,9 +240,8 @@ def scatter_tiles(values: np.ndarray, starts: np.ndarray, out: np.ndarray) -> No
     the encoder produces: a residual in [-255, 255] has a DC of at most
     8 * 255, every AC term is bounded by 255 * (sqrt 8)^2 as well
     (Cauchy-Schwarz on each orthonormal basis row), and the step is at
-    least 1. With the bound, a dequantized coefficient is at most
-    2040 * (5793 << 8) < 2^32 (qp 51 has the largest scale), inside
-    dct8_inverse_int's exact range, and a level fits in int16.
+    least 1. With the bound, a level fits in int16, and residual_planes'
+    sums stay exact (see there).
     """
     if not len(starts):
         return
@@ -342,24 +304,38 @@ def residual_planes(levels: np.ndarray, qp: int) -> Block32:
     """The int16 residual planes of coding units' levels, (..., 24, 64) ->
     planes (..., 32, 32), (..., 16, 16) and (..., 16, 16).
 
-    Only tiles with a nonzero level are dequantized and inverse
-    transformed, _RECON_CHUNK at a time, so the work follows the coded
-    levels and the int64 temporaries stay the same size whatever the
-    batch; an empty tile's residual is exactly 0. Residuals are clipped to
-    +-255, which add_residual's clip to 0..255 makes exact for any uint8
-    basis.
+    A tile's residual is its levels times RECON_BASIS, times the level
+    scale, shifted right by 40 with halves away from zero: the scan order
+    and both passes of DCT_INT^T . C . DCT_INT in one matrix product. The
+    product runs in float64 and is exact in any summation order: every
+    column of |RECON_BASIS| sums to at most 43,284^2 < 1.9e9, so with
+    |level| <= MAX_LEVEL every partial sum is an integer below 2^42. The
+    scale, at most 5793 << 8 < 2^21 (qp 51), keeps it below 2^63 in int64.
+
+    Only tiles with a nonzero level are transformed, _RECON_CHUNK at a
+    time, so the work follows the coded levels and the temporaries stay
+    the same size whatever the batch; an empty tile's residual is exactly
+    0. Residuals are clipped to +-255, which add_residual's clip to
+    0..255 makes exact for any uint8 basis.
     """
     levels = np.asarray(levels)
     if levels.shape[-2:] != (TILES_PER_BLOCK, 64):
         raise ValueError(f"expected {TILES_PER_BLOCK} tiles of 64 levels, "
                          f"got shape {levels.shape}")
     qstep(qp)  # range check, also when no tile is coded
+    scale = int(LEVEL_SCALE[qp % 6]) << (qp // 6)
     flat = levels.reshape(-1, 64)
-    tiles = np.zeros((len(flat), _N, _N), dtype=np.int16)
+    tiles = np.zeros(flat.shape, dtype=np.int16)
     coded = np.flatnonzero(flat.any(axis=1))
     for lo in range(0, len(coded), _RECON_CHUNK):
         at = coded[lo:lo + _RECON_CHUNK]
-        tiles[at] = np.clip(dct8_inverse_int(dequantize_int(flat[at], qp)), -255, 255)
+        x = (flat[at].astype(np.float64) @ _BASIS_FLOAT).astype(np.int64)
+        x *= scale
+        # floor((x + 2^(s-1)) / 2^s) rounds halves up; one less for x < 0
+        # rounds them down, so halves go away from zero
+        x += (1 << (_SHIFT - 1)) - (x < 0)
+        x >>= _SHIFT
+        tiles[at] = np.clip(x, -255, 255, out=x)
     tiles = tiles.reshape(levels.shape[:-1] + (_N, _N))
     planes = []
     offset = 0

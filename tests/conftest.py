@@ -53,13 +53,15 @@ from nbv.entropy import (
 from nbv.gnn import SetContext, TrainConfig, generate_block
 from nbv.prediction import IntraMode, MotionVector, intra_predict, motion_field
 from nbv.residual import (
+    _UNZIGZAG,
+    DCT_INT,
+    LEVEL_SCALE,
     MAX_LEVEL,
     TILES_PER_BLOCK,
     apply_block_residual,
     block_tiles_bits,
-    dct8_inverse_int,
-    dequantize_int,
     encode_block_residual,
+    qstep,
     tile_codes,
 )
 from nbv.tools import synth_sequence
@@ -338,10 +340,28 @@ def motion_compensate_py(ref: Frame, c: BlockCoord, mv: MotionVector) -> Block32
           for p in (ref.cb, ref.cr)))
 
 
+def dequantize_int(levels: np.ndarray, qp: int) -> np.ndarray:
+    """Zigzag levels (..., 64) to int64 coefficient tiles (..., 8, 8),
+    level * 2^(qp/6) with 12 fractional bits."""
+    qstep(qp)  # range check
+    scale = int(LEVEL_SCALE[qp % 6]) << (qp // 6)
+    lv = np.asarray(levels, np.int64)[..., _UNZIGZAG] * scale
+    return lv.reshape(lv.shape[:-1] + (8, 8))
+
+
+def dct8_inverse_int64(coeffs: np.ndarray) -> np.ndarray:
+    """The integer inverse DCT in its plain form: both matrix products of
+    DCT_INT^T . C . DCT_INT in int64, then a shift of 40 that rounds half
+    away from zero."""
+    x = DCT_INT.T @ np.asarray(coeffs, np.int64) @ DCT_INT
+    shift = 40
+    return (x + ((1 << (shift - 1)) - (x < 0))) >> shift
+
+
 def rebuild_block_dense(basis: Block32, tiles: np.ndarray, qp: int) -> Block32:
     """One block rebuilt by inverse transforming every one of its 24 tiles,
     empty or not, and adding the unclipped residual to the basis."""
-    res = dct8_inverse_int(dequantize_int(tiles, qp))
+    res = dct8_inverse_int64(dequantize_int(tiles, qp))
     planes = []
     offset = 0
     for bas, size in ((basis.y, 32), (basis.cb, 16), (basis.cr, 16)):

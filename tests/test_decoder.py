@@ -201,6 +201,58 @@ class TestMotionVectorPredictor:
                 assert np.array_equal(g, w), (c, mv)
 
 
+def vectors_by_diagonals(modes, mvds):
+    """FrameWalk.vectors as the encoder's walk states it: diagonal by
+    diagonal, each inter block's difference added to mv_pred's vector."""
+    rows, cols = modes.shape
+    walk = FrameWalk(32 * cols, 32 * rows, 0, None, None)
+    for coords in walk:
+        bx, by = coords[:, 0], coords[:, 1]
+        inter = (modes[by, bx] == BlockMode.INTER)[:, None]
+        walk.mvs[by, bx] = np.where(inter, walk.mv_pred(coords) + mvds[by, bx], 0)
+    return walk.mvs
+
+
+class TestVectorsClosedForm:
+    """FrameWalk.vectors' running sums equal mv_pred's rule applied one
+    diagonal at a time."""
+
+    @staticmethod
+    def closed_form(modes, mvds):
+        rows, cols = modes.shape
+        return FrameWalk(32 * cols, 32 * rows, 0, None, None).vectors(modes, mvds)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 9), st.integers(1, 12), st.floats(0.0, 1.0),
+           st.integers(0, 2**32 - 1))
+    def test_equals_the_diagonal_walk(self, rows, cols, p_inter, seed):
+        rng = np.random.default_rng(seed)
+        modes = rng.integers(0, len(BlockMode), (rows, cols)).astype(np.int8)
+        modes[rng.random((rows, cols)) < p_inter] = BlockMode.INTER
+        mvds = rng.integers(-2**20, 2**20 + 1, (rows, cols, 2)).astype(np.int32)
+        mvds[modes != BlockMode.INTER] = 0
+        got = self.closed_form(modes, mvds)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, vectors_by_diagonals(modes, mvds))
+
+    def test_a_long_run_of_extreme_differences(self):
+        # 256 inter blocks a row, differences of +-(2^31 - 1): the sums
+        # reach 256 * (2^31 - 1) without wrapping
+        rng = np.random.default_rng(9)
+        modes = np.full((3, 256), BlockMode.INTER, np.int8)
+        modes[1, 100] = BlockMode.INTRA_DC
+        mvds = rng.choice([-(2**31 - 1), 2**31 - 1], (3, 256, 2)).astype(np.int32)
+        mvds[0] = 2**31 - 1
+        mvds[1, 100] = 0
+        got = self.closed_form(modes, mvds)
+        assert np.array_equal(got, vectors_by_diagonals(modes, mvds))
+        assert got[0, -1].tolist() == [256 * (2**31 - 1)] * 2
+        assert np.array_equal(got[2], np.cumsum(mvds[2], axis=0, dtype=np.int64))
+        assert not got[1, 100].any()
+        assert np.array_equal(got[1, 101:], np.cumsum(mvds[1, 101:], axis=0,
+                                                      dtype=np.int64))
+
+
 class TestIntraWaves:
     """FrameWalk.waves orders a mask's blocks so that a block's left and
     top neighbours are unmasked or in an earlier wave, and puts each block

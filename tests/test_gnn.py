@@ -480,6 +480,21 @@ class TestGenerateBlock:
         assert np.array_equal(got.cb, want.cb)
         assert np.array_equal(got.cr, want.cr)
 
+    def test_set_is_dequantized_once(self):
+        ctx = SetContext(cols=4, rows=3, start_frame=0, span=4)
+        q = quantize_params(init_params((3, 25, 40, 1536), seed=17))
+        first = q.dequantized
+        for bx, by, t in ((0, 0, 0), (3, 2, 3), (1, 2, 1)):
+            c = BlockCoord(bx, by)
+            want = outputs_to_block(forward(dequantize_params(q), gnn_input(ctx, c, t)))
+            got = generate_block(q, c, t, ctx)
+            for g, w in ((got.y, want.y), (got.cb, want.cb), (got.cr, want.cr)):
+                assert np.array_equal(g, w)
+        assert q.dequantized is first
+        for (w, b), (w0, b0) in zip(first, dequantize_params(q)):
+            assert w.tobytes() == w0.tobytes() and b.tobytes() == b0.tobytes()
+            assert not w.flags.writeable and not b.flags.writeable
+
     def test_pure_function(self):
         ctx = SetContext(cols=2, rows=2, start_frame=0, span=2)
         q = quantize_params(init_params((3, 4, 1536), seed=16))

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import parse_tiles, rand_frame, start_tile_frame, tile_frame
+from conftest import (
+    dct8_inverse_int64,
+    dequantize_int,
+    parse_tiles,
+    rand_frame,
+    start_tile_frame,
+    tile_frame,
+)
 from nbv.bitstream import parse_frame
 from nbv.core import Block32, BlockCoord, extract_block, round_half_away
 from nbv.entropy import (
@@ -25,6 +32,7 @@ from nbv.residual import (
     DCT_MATRIX,
     LEVEL_SCALE,
     MAX_LEVEL,
+    RECON_BASIS,
     ZIGZAG,
     _plane_tiles,
     add_residual,
@@ -33,9 +41,7 @@ from nbv.residual import (
     coeff_bits,
     dct8_forward,
     dct8_inverse,
-    dct8_inverse_int,
     dequantize,
-    dequantize_int,
     encode_block_residual,
     qstep,
     quantize,
@@ -140,8 +146,47 @@ def legal_levels(rng, n, qp):
     return levels.astype(np.int32)
 
 
-def integer_residual(levels, qp):
-    return dct8_inverse_int(dequantize_int(levels, qp))
+def planes_as_tiles(planes: Block32) -> np.ndarray:
+    """residual_planes' planes back to (..., 24, 8, 8) tiles in coding order."""
+    return np.concatenate([_plane_tiles(p) for p in (planes.y, planes.cb, planes.cr)],
+                          axis=-3)
+
+
+def kernel_tiles(levels, qp):
+    """The codec's residual of any number of (n, 64) level tiles, (n, 8, 8),
+    through residual_planes (so clipped to +-255): the tiles are padded
+    with empty ones to whole blocks."""
+    levels = np.asarray(levels)
+    n = len(levels)
+    padded = np.zeros((-(-n // 24) * 24, 64), levels.dtype)
+    padded[:n] = levels
+    tiles = planes_as_tiles(residual_planes(padded.reshape(-1, 24, 64), qp))
+    return tiles.reshape(-1, 8, 8)[:n]
+
+
+def int64_residual(levels, qp):
+    """The plain int64 residual of level tiles, clipped as the codec clips."""
+    return np.clip(dct8_inverse_int64(dequantize_int(levels, qp)), -255, 255)
+
+
+def dct8_inverse_int(coeffs):
+    """The integer inverse DCT of dequantize_int's tiles with both passes
+    in float64, a second exact form of dct8_inverse_int64: each DCT_INT
+    column sums to at most 43,284 < 2^16 in absolute value.
+    For |C| < 2^32, pass 1's sums t stay below 2^48. Pass 2 takes them
+    split in 24-bit halves, t >> 24 and t & 0xFFFFFF, each below 2^24 in
+    absolute value, so its two products stay below 2^40; they are joined
+    in int64, below 2^32 * 43,284^2 < 2^63."""
+    basis = DCT_INT.astype(np.float64)
+    t = basis.T @ np.asarray(coeffs, np.float64)
+    high = np.floor(t * 2.0 ** -24)
+    t -= high * 2.0 ** 24
+    x = (high @ basis).astype(np.int64)
+    x <<= 24
+    x += (t @ basis).astype(np.int64)
+    x += (1 << 39) - (x < 0)
+    x >>= 40
+    return x
 
 
 class TestFixedPoint:
@@ -177,62 +222,119 @@ class TestFixedPoint:
     @pytest.mark.parametrize("qp", [0, 8, 20, 32, 51])
     def test_within_one_of_the_float_reference(self, qp):
         levels = legal_levels(np.random.default_rng(qp), 20_000, qp)
-        want = round_half_away(dct8_inverse(dequantize(levels, qp)))
-        assert np.max(np.abs(integer_residual(levels, qp) - want)) <= 1
+        want = np.clip(round_half_away(dct8_inverse(dequantize(levels, qp))), -255, 255)
+        assert np.max(np.abs(kernel_tiles(levels, qp) - want)) <= 1
 
     def test_dc_only_tiles_are_exact(self):
         levels = np.zeros((6, 64), dtype=np.int32)
         levels[:, 0] = [16, -16, 2040, -2040, 4, -4]  # 8 * pixel value at qp 0
-        res = integer_residual(levels, 0)
-        assert res.dtype == np.int64
+        res = kernel_tiles(levels, 0)
         for tile, want in zip(res, (2, -2, 255, -255, 1, -1)):  # +-0.5 -> +-1
             assert np.all(tile == want)
-        assert np.all(integer_residual(levels[4], 6) == 1)
+        assert np.all(kernel_tiles(levels[4:5], 6) == 1)
 
     def test_exact_halves_round_away_from_zero(self):
+        # at qp 48 the scale is 2^20, so a pixel is its sum over
+        # RECON_BASIS / 2^20; this tile puts pixel (3, 5) at -73.5 exactly
+        levels = np.zeros(64, np.int64)
+        for z, level in ((3, 2), (11, 1), (18, -2), (31, 1), (33, 1), (34, 1),
+                         (37, 2), (40, 1), (43, 1), (47, -2), (49, 1), (54, 1),
+                         (58, -2)):
+            levels[z] = level
+        basis = RECON_BASIS.tolist()
+        for sign in (1, -1):
+            got = kernel_tiles(sign * levels[None], 48)[0]
+            for m in range(64):
+                x = sum(sign * int(v) * basis[z][m] for z, v in enumerate(levels))
+                want = min((abs(x) + (1 << 19)) >> 20, 255)  # exact Python ints
+                assert got[m // 8, m % 8] == (want if x > 0 else -want)
+            assert got[3, 5] == sign * -74
+
+    def test_split_oracle_rounds_exact_halves_away_from_zero(self):
         # DCT_INT[2, 0] = 7568 = 2^4 * 473, so a coefficient of 2^31 there
         # puts pixel (0, 0) at 473^2 / 2 exactly
         basis = DCT_INT[2].tolist()
         for sign in (1, -1):
             coeffs = np.zeros((8, 8), np.int64)
             coeffs[2, 2] = sign << 31
-            got = dct8_inverse_int(coeffs)
-            for i in range(8):
-                for j in range(8):
-                    x = (sign << 31) * basis[i] * basis[j]  # exact Python ints
-                    want = (abs(x) + (1 << 39)) >> 40
-                    assert got[i, j] == (want if x > 0 else -want)
-            assert got[0, 0] == sign * (473**2 + 1) // 2
+            for inverse in (dct8_inverse_int, dct8_inverse_int64):
+                got = inverse(coeffs)
+                for i in range(8):
+                    for j in range(8):
+                        x = (sign << 31) * basis[i] * basis[j]  # exact Python ints
+                        want = (abs(x) + (1 << 39)) >> 40
+                        assert got[i, j] == (want if x > 0 else -want)
+                assert got[0, 0] == sign * (473**2 + 1) // 2
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(0, 51), st.integers(1, 6), st.integers(0, 2**32 - 1))
     def test_result_is_independent_of_layout_and_batching(self, qp, n, seed):
-        levels = legal_levels(np.random.default_rng(seed), n, qp)
-        coeffs = dequantize_int(levels, qp)
-        want = dct8_inverse_int(coeffs)
-        transposed = np.ascontiguousarray(coeffs.swapaxes(-1, -2)).swapaxes(-1, -2)
+        rng = np.random.default_rng(seed)
+        levels = legal_levels(rng, n * 24, qp).reshape(n, 24, 64)
+        want = planes_as_tiles(residual_planes(levels, qp))
+        assert np.array_equal(want, int64_residual(levels, qp))
+        transposed = np.ascontiguousarray(levels.swapaxes(-1, -2)).swapaxes(-1, -2)
         assert not transposed.flags.c_contiguous
-        strided = np.zeros(coeffs.shape[:-1] + (16,), np.int64)
-        strided[..., ::2] = coeffs
-        for layout in (np.asfortranarray(coeffs), transposed, strided[..., ::2]):
-            assert np.array_equal(dct8_inverse_int(layout), want)
-        assert np.array_equal(dct8_inverse_int(coeffs[::-1]), want[::-1])
-        one_at_a_time = np.stack([dct8_inverse_int(c) for c in coeffs])
+        strided = np.zeros(levels.shape[:-1] + (128,), np.int32)
+        strided[..., ::2] = levels
+        for layout in (np.asfortranarray(levels), transposed, strided[..., ::2],
+                       levels.astype(np.int16), levels.astype(np.int64)):
+            assert np.array_equal(planes_as_tiles(residual_planes(layout, qp)), want)
+        assert np.array_equal(planes_as_tiles(residual_planes(levels[::-1], qp)),
+                              want[::-1])
+        one_at_a_time = np.stack([planes_as_tiles(residual_planes(b, qp))
+                                  for b in levels])
         assert np.array_equal(one_at_a_time, want)
-        assert np.array_equal(integer_residual(np.asfortranarray(levels), qp), want)
 
 
-def dct8_inverse_int64(coeffs):
-    """dct8_inverse_int as it ran before its float64 passes: both matrix
-    products in int64, then the same rounding shift."""
-    x = DCT_INT.T @ np.asarray(coeffs, np.int64) @ DCT_INT
-    shift = 40
-    return (x + ((1 << (shift - 1)) - (x < 0))) >> shift
+class TestReconBasis:
+    """residual_planes' one matrix product against the plain int64 form:
+    equal bit for bit at every qp, the extremes of the legal levels too."""
+
+    def test_basis_is_both_passes_in_scan_order(self):
+        assert RECON_BASIS.dtype == np.int64 and RECON_BASIS.shape == (64, 64)
+        for z, flat in enumerate(ZIGZAG.tolist()):
+            k, l = divmod(flat, 8)
+            want = np.outer(DCT_INT[k], DCT_INT[l]).ravel()
+            assert np.array_equal(RECON_BASIS[z], want)
+
+    def test_bounds_of_the_exact_range(self):
+        # the largest partial sum of the float64 product, then its product
+        # with the largest level scale in int64
+        column = int(np.abs(RECON_BASIS).sum(axis=0).max())
+        assert column == 43_284**2
+        assert column * MAX_LEVEL < 2**53
+        top_scale = max(int(LEVEL_SCALE[qp % 6]) << (qp // 6) for qp in range(52))
+        assert top_scale == 5793 << 8  # qp 51
+        assert column * MAX_LEVEL * top_scale < 2**63
+
+    @staticmethod
+    def batches(qp):
+        rng = np.random.default_rng(1000 + qp)
+        extreme = np.full((2, 24, 64), MAX_LEVEL)
+        extreme[1] = -MAX_LEVEL
+        signs = rng.choice([-MAX_LEVEL, MAX_LEVEL], (4, 24, 64))
+        # each value alone at each of the 64 scan positions, 16 blocks
+        one_hot = np.zeros((6 * 64, 64), np.int64)
+        one_hot[np.arange(6 * 64), np.arange(6 * 64) % 64] = np.repeat(
+            [MAX_LEVEL, -MAX_LEVEL, 1, -1, 255, -1024], 64)
+        # 834 blocks, 20,016 tiles, from empty to dense
+        random = rng.integers(-MAX_LEVEL, MAX_LEVEL + 1, (834 * 24, 64))
+        random[rng.random(random.shape) < rng.uniform(0.0, 1.0, (len(random), 1))] = 0
+        return [extreme, signs, one_hot.reshape(-1, 24, 64), random.reshape(-1, 24, 64)]
+
+    @pytest.mark.parametrize("qp", range(52))
+    def test_equals_the_int64_form(self, qp):
+        for levels in self.batches(qp):
+            want = int64_residual(levels, qp)
+            for dtype in (np.int16, np.int32):
+                got = planes_as_tiles(residual_planes(levels.astype(dtype), qp))
+                assert np.array_equal(got, want)
 
 
 class TestInverseAgainstInt64:
-    """dct8_inverse_int's float64 passes are exact: they equal the int64
-    products bit for bit, at the extremes of the legal levels too."""
+    """The float64 split oracle equals the int64 products bit for bit, at
+    the extremes of the legal levels too."""
 
     @staticmethod
     def batches(qp):
@@ -556,12 +658,6 @@ class TestBlockResidual:
         assert np.max(np.abs(rec.y.astype(int) - src.y.astype(int))) <= 2
 
 
-def planes_as_tiles(planes: Block32) -> np.ndarray:
-    """residual_planes' planes back to (..., 24, 8, 8) tiles in coding order."""
-    return np.concatenate([_plane_tiles(p) for p in (planes.y, planes.cb, planes.cr)],
-                          axis=-3)
-
-
 def level_batches():
     """(name, (..., 24, 64) levels) batches from empty to dense."""
     rng = np.random.default_rng(31)
@@ -584,7 +680,7 @@ class TestResidualPlanes:
     @pytest.mark.parametrize("qp", [0, 8, 20, 32, 51])
     @pytest.mark.parametrize("name,levels", level_batches())
     def test_equals_the_dense_clipped_inverse(self, qp, name, levels):
-        want = np.clip(dct8_inverse_int(dequantize_int(levels, qp)), -255, 255)
+        want = int64_residual(levels, qp)
         planes = residual_planes(levels, qp)
         assert planes.y.shape == levels.shape[:-2] + (32, 32)
         assert planes.cb.shape == planes.cr.shape == levels.shape[:-2] + (16, 16)
@@ -594,7 +690,7 @@ class TestResidualPlanes:
     def test_clip_to_255_is_exact_for_every_uint8_basis(self):
         # a residual beyond +-255 takes every basis to the same end of 0..255
         _, levels = level_batches()[2]
-        raw = dct8_inverse_int(dequantize_int(levels, 51))
+        raw = dct8_inverse_int64(dequantize_int(levels, 51))
         assert np.abs(raw).max() > 255
         planes = residual_planes(levels, 51)
         for value in (0, 1, 128, 254, 255):
