@@ -28,10 +28,11 @@ Everything after a frame's selection bits is exp-Golomb codes, so
 write_frame and the frame parser code that payload in bulk, a frame at a
 time: the writer builds all of the frame's code numbers and packs them in
 one call, and the parser walks the codes of each chunk the bulk reader
-returns with one Python step per block, finding its tiles through jump
-tables, and writes modes and vectors and scatters levels straight into the
-unit's arrays, int16 levels as MAX_LEVEL allows. The layout above is the
-same bit for bit as coding each field on its own.
+returns a whole block at a time, with one Python step per block, finding
+its tiles through jump tables; a block that a chunk cuts is read again,
+whole, from the next chunk. It writes modes and vectors and scatters
+levels straight into the unit's arrays, int16 levels as MAX_LEVEL allows.
+The layout above is the same bit for bit as coding each field on its own.
 """
 
 from __future__ import annotations
@@ -420,12 +421,14 @@ def _read_payloads(r: BitReader, fu: FrameUnit, bits: FrameBits) -> None:
     bulk, into the unit's arrays; its modes hold GEN where the regions and
     selection bits put it.
 
-    Per chunk of codes, tile_jumps composes each tile's jump to the next
-    24 times, so a block whose tiles the chunk holds takes one Python step
+    A whole block is the only item the walk consumes, so every chunk of
+    codes starts at a block boundary. Per chunk, tile_jumps composes each
+    tile's jump to the next 24 times, and a block takes one Python step
     for its mode symbol and vector difference and one table look-up for
-    its tiles. Only the block that a chunk end cuts, or one with a count
-    beyond 64, is walked a tile at a time. Each chunk's tiles are then
-    decoded by one scatter into the unit's levels. A fault raises the
+    its tiles; the chunk's tiles are then decoded by one scatter into the
+    unit's levels. A block that the chunk cuts is not consumed: the walk
+    checks the tiles of it that the chunk holds and stops, and the next
+    chunk reads the block again from its start. A fault raises the
     message of the first faulty item in stream order: the tiles before a
     bad mode symbol or count are checked first.
     """
@@ -434,83 +437,68 @@ def _read_payloads(r: BitReader, fu: FrameUnit, bits: FrameBits) -> None:
     tile_rows = fu.blocks.reshape(-1, 64)
     generated = (modes == BlockMode.GEN).tolist()
     first_mode = int(fu.frame_type == "I")  # the mode of symbol 0
-    begun = 0  # blocks whose tiles have started
-    tiles_left = 0  # tiles still to read in the last block begun
+    begun = 0  # blocks read whole
 
     def walk(chunk):
-        nonlocal begun, tiles_left
+        nonlocal begun
         values = chunk.values
         value = values.item
         n = len(values)
         jumps = tile_jumps(values)
-        block_end = jumps[-1].item
-        first_row = begun * TILES_PER_BLOCK - tiles_left
+        tile_end, block_end = jumps[0].item, jumps[-1].item
+        first_row = begun * TILES_PER_BLOCK
         k = 0
         heads: list[int] = []  # blocks with a mode symbol, and its index
         head_codes: list[int] = []
-        inter: list[int] = []  # the inter blocks among them, and theirs
-        inter_codes: list[int] = []
-        whole: list[int] = []  # first tile of each block read in one step
-        before: list[int] = []  # tiles read one at a time, before and
-        after: list[int] = []  # after the whole blocks
+        whole: list[int] = []  # first tile of each whole block
+        cut: list[int] = []  # the tiles held of a block the chunk cuts
         try:
-            while True:
-                if tiles_left:  # a block cut by a chunk end, tile by tile
-                    starts = after if whole else before
-                    while tiles_left and k < n:
-                        count = value(k)
-                        if count > 64:
-                            raise StreamError(
-                                f"coefficient count {count} exceeds tile size")
-                        if k + 1 + 2 * count > n:
-                            break
-                        starts.append(k)
-                        k += 1 + 2 * count
-                        tiles_left -= 1
-                    if tiles_left:
-                        break
-                if begun == len(generated):
-                    break
+            while begun < len(generated):
+                at = k
                 if not generated[begun]:
-                    if k >= n:
+                    if at >= n:
                         break
-                    mode = first_mode + value(k)
+                    mode = first_mode + value(at)
                     if mode >= BlockMode.GEN:
                         raise StreamError(
-                            f"bad {fu.frame_type}-frame mode symbol {value(k)}")
-                    if mode == BlockMode.INTER:
-                        if k + 3 > n:
-                            break
-                        inter.append(begun)
-                        inter_codes.append(k)
+                            f"bad {fu.frame_type}-frame mode symbol {value(at)}")
+                    at += 3 if mode == BlockMode.INTER else 1
+                    if at > n:
+                        break
+                end = block_end(at)
+                if end > n:
+                    while (after := tile_end(at)) <= n:
+                        cut.append(at)
+                        at = after
+                    if at < n and value(at) > 64:
+                        raise StreamError(
+                            f"coefficient count {value(at)} exceeds tile size")
+                    break
+                if at > k:  # a mode symbol at k
                     heads.append(begun)
                     head_codes.append(k)
-                    k += 3 if mode == BlockMode.INTER else 1
+                whole.append(at)
+                k = end
                 begun += 1
-                tiles_left = TILES_PER_BLOCK
-                end = block_end(k)
-                if end <= n:
-                    whole.append(k)
-                    k = end
-                    tiles_left = 0
         finally:
             # the tiles walked so far come first in stream order: a fault
             # in them wins over one the walk raised
             starts = np.concatenate((
-                np.array(before, dtype=np.int64),
                 block_tile_starts(jumps, np.array(whole, dtype=np.int64)),
-                np.array(after, dtype=np.int64)))
+                np.array(cut, dtype=np.int64)))
             scatter_tiles(values, starts, tile_rows[first_row:first_row + len(starts)])
-        symbols = values[head_codes]
+        head_at = np.array(head_codes, dtype=np.int64)
+        symbols = values[head_at]
         modes[heads] = first_mode + symbols
-        mv_values = values[np.array(inter_codes, dtype=np.int64)[:, None] + (1, 2)]
-        mvds[inter] = ue_to_se(mv_values)
+        inter = symbols == BlockMode.INTER - first_mode  # -1, none, in an I frame
+        mv_values = values[head_at[inter, None] + (1, 2)]
+        mvds[np.array(heads, dtype=np.int64)[inter]] = ue_to_se(mv_values)
         mode_bits = int(ue_lengths(symbols).sum())
         mv_bits = int(ue_lengths(mv_values).sum())
         bits.modes += mode_bits
         bits.mvs += mv_bits
         bits.residuals += (int(chunk.ends[k - 1]) if k else 0) - mode_bits - mv_bits
-        return k, begun == len(generated) and not tiles_left
+        return k, begun == len(generated)
 
     read_ue_codes(r, walk)
 

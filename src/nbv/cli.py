@@ -79,6 +79,12 @@ def _write_text(path, text: str) -> None:
             f.write(text)
 
 
+def _summary_file(report_path):
+    """Where a command's summary line goes: stderr when its CSV report
+    takes stdout, so that stdout is the report alone."""
+    return sys.stderr if report_path == "-" else sys.stdout
+
+
 def _build_config(args, qp: int, gnn_enabled: bool) -> SequenceConfig:
     cfg = SequenceConfig(
         width=args.width, height=args.height, frame_count=args.frames,
@@ -111,7 +117,8 @@ def cmd_encode(args) -> int:
     mean_y = sum(r.psnr_y for r in report.rows) / len(report.rows)
     print(f"encoded {config.frame_count} frames to {len(data)} bytes "
           f"({report.total_bits} bits), mean luma psnr {mean_y:.2f} dB, "
-          f"{report.mode_histogram['gen']} generated blocks")
+          f"{report.mode_histogram['gen']} generated blocks",
+          file=_summary_file(args.report))
     return EXIT_OK
 
 
@@ -124,7 +131,7 @@ def cmd_decode(args) -> int:
         _write_text(args.report, report.to_csv())
     print(f"decoded {len(frames)} frames "
           f"({sum(r.n_gen for r in report.rows)} generator calls, "
-          f"{report.n_param_sets} parameter sets)")
+          f"{report.n_param_sets} parameter sets)", file=_summary_file(args.report))
     return EXIT_OK
 
 
@@ -231,13 +238,15 @@ def build_parser() -> _Parser:
     p.add_argument("--gnn", choices=("on", "off"), default="on",
                    help="enable the block generator (default on)")
     _add_gnn_flags(p)
-    p.add_argument("--report", help="per-frame CSV report path ('-' = stdout)")
+    p.add_argument("--report", help="per-frame CSV report path ('-' = stdout, "
+                   "and the summary line to stderr)")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="decode a stream back to raw I420")
     p.add_argument("--input", required=True, help="stream file")
     p.add_argument("--output", required=True, help="raw I420 file to write")
-    p.add_argument("--report", help="per-frame CSV report path ('-' = stdout)")
+    p.add_argument("--report", help="per-frame CSV report path ('-' = stdout, "
+                   "and the summary line to stderr)")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("synth", help="render a procedural test sequence")

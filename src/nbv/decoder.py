@@ -35,7 +35,6 @@ an earlier one.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,28 +54,16 @@ def _stack_blocks(blocks: list[Block32]) -> Block32:
                      zip(*((b.y, b.cb, b.cr) for b in blocks))))
 
 
-@functools.lru_cache(maxsize=8)
-def _diagonals(rows: int, cols: int) -> tuple[np.ndarray, ...]:
-    """The anti-diagonals bx + by = d of a rows x cols grid in order of d,
-    each as read-only (n, 2) block coordinates (bx, by)."""
-    out = []
-    for d in range(rows + cols - 1):
-        by = np.arange(max(0, d - cols + 1), min(d, rows - 1) + 1)
-        coords = np.stack([d - by, by], axis=-1)
-        coords.setflags(write=False)
-        out.append(coords)
-    return tuple(out)
-
-
 class FrameWalk:
     """One frame's blocks, one anti-diagonal at a time, rebuilt in place.
 
-    Iterating yields each diagonal bx + by = d, d = 0, 1, ..., as (n, 2)
-    block coordinates (bx, by). A block's intra prediction and vector
-    predictor are final once every diagonal before its own is put. The
-    encoder decides and puts each diagonal as it goes; the decoder first
-    resolves every vector with `vectors`, then rebuilds the intra blocks
-    in the `waves` of their mask (see the module docstring).
+    The `waves` of an all-true mask are the diagonals bx + by = d, d = 0,
+    1, ..., as (n, 2) block coordinates (bx, by). A block's intra
+    prediction and vector predictor are final once every diagonal before
+    its own is put. The encoder decides and puts each diagonal as it goes;
+    the decoder first resolves every vector with `vectors`, then rebuilds
+    the intra blocks in the `waves` of their mask (see the module
+    docstring).
     """
 
     def __init__(self, width: int, height: int, frame_idx: int,
@@ -90,9 +77,6 @@ class FrameWalk:
         self._frame_idx = frame_idx
         self._qparams = qparams
         self._ctx = ctx
-
-    def __iter__(self):
-        return iter(_diagonals(*self.modes.shape))
 
     def mv_pred(self, coords: np.ndarray) -> np.ndarray:
         """The (n, 2) vectors that the motion-vector differences of the

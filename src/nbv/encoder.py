@@ -268,7 +268,7 @@ def _encode_frame(
     blocks = np.zeros((rows * cols, TILES_PER_BLOCK, 64), dtype=np.int16)
     dist_total = 0
 
-    for coords in walk:
+    for coords in walk.waves(np.ones((rows, cols), dtype=bool)):
         bx, by = coords[:, 0], coords[:, 1]
         have = slots[by, bx]
         cand = bases[by, bx]

@@ -9,7 +9,7 @@ ue_decode and the se pair). A frame's block payloads, which are nothing but
 exp-Golomb codes, are coded in bulk with numpy: write_ue_codes packs an
 array of code numbers in one call, and read_ue_codes feeds the codes at a
 reader's position to a structure walk, peeking windows of at most
-_CHUNK_MAX bits, each bit once.
+_ITEM_MAX bits, each bit once.
 Both produce and consume exactly the bits of the one-at-a-time calls; the
 wire layout does not depend on which path wrote or reads it.
 """
@@ -216,13 +216,16 @@ def se_decode(r: BitReader) -> int:
 # _CHUNK_MAX, so its scratch memory is bounded whatever the size of a frame,
 # a small frame is read in one small window, and a large one in few: besides
 # its work per bit, each window costs a fixed run of numpy calls, so the
-# last window's overshoot past a frame's end is worth fewer windows. Every
-# syntax item of a frame payload fits in the cap: a legal tile is at most
-# 2,189 bits, and one with a legal count at most 129 codes of 63 bits,
-# 8,127 bits.
+# last window's overshoot past a frame's end is worth fewer windows. A frame
+# payload's syntax item is a whole coded block, at most 127 + 24 x 2,189 =
+# 52,663 bits (a mode symbol and two 63-bit vector codes, and 24 legal
+# tiles), which can outgrow _CHUNK_MAX: a chunk whose _CHUNK_MAX window
+# holds no whole item gets one window of _ITEM_MAX bits. Raising _CHUNK_MAX
+# instead would widen every window of a large frame, and its scratch.
 
 _CHUNK_MIN = 1 << 10
 _CHUNK_MAX = 1 << 15
+_ITEM_MAX = 1 << 16
 _RAMP = 4
 _BAD = 2 * _MAX_ZEROS + 1  # the byte automaton's malformed-prefix state
 
@@ -298,8 +301,9 @@ def peek_ue_codes(r: BitReader, max_bits: int) -> UeChunk:
     table step a byte finds where each byte's first bit falls in the chain
     (_code_tables), so the cost is linear in the window whatever its codes;
     the code starts and values then come from numpy passes over the bits.
-    read_ue_codes peeks windows of _CHUNK_MIN to _CHUNK_MAX bits, and every
-    syntax item of a frame payload, at most 8,127 bits, fits in one.
+    read_ue_codes peeks windows of _CHUNK_MIN to _ITEM_MAX bits, and every
+    syntax item of a frame payload, a whole block of at most 52,663 bits,
+    fits in one.
     """
     return _peek(r._data, r.bit_position, max_bits)
 
@@ -351,13 +355,15 @@ def read_ue_codes(r: BitReader, walk) -> None:
     next window past them, and the walk resumes where it stopped.
 
     Window policy: the first window is _CHUNK_MIN bits and each next one
-    _RAMP times the last, up to _CHUNK_MAX. Each bit is peeked once, and
-    the last window runs at most _CHUNK_MAX bits past the walk's end, so
-    the cost is linear in the bits read. An item must fit in
-    _CHUNK_MAX - 7 bits; a frame payload's items take at most 8,127.
-    StreamError when the walk needs a code that no further bits can
-    complete, and when a chunk with a window of _CHUNK_MAX bits holds no
-    whole item.
+    _RAMP times the last, up to _CHUNK_MAX; a chunk whose _CHUNK_MAX
+    window holds no whole item gets one window of _ITEM_MAX bits, and the
+    windows after a used one are _CHUNK_MAX again. Each bit is peeked once,
+    and the last window runs at most _ITEM_MAX bits past the walk's end, so
+    the cost is linear in the bits read. An item of at most _ITEM_MAX bits
+    always fits; a frame payload's items, whole blocks, take at most
+    52,663. StreamError when the walk needs a code that no further bits
+    can complete, and when a chunk with a window of _ITEM_MAX bits holds
+    no whole item.
     """
     size = _CHUNK_MIN
     values = ends = np.empty(0, dtype=np.int64)  # codes peeked, not used
@@ -374,7 +380,8 @@ def read_ue_codes(r: BitReader, walk) -> None:
             return
         if chunk.error is not None:
             raise StreamError(chunk.error)
-        if not used and size == _CHUNK_MAX:
+        if not used and size == _ITEM_MAX:
             raise StreamError("syntax item longer than the chunk cap")
         values, ends = chunk.values[used:], chunk.ends[used:] - spent
-        size = min(_RAMP * size, _CHUNK_MAX)
+        size = (_ITEM_MAX if not used and size == _CHUNK_MAX
+                else min(_RAMP * size, _CHUNK_MAX))

@@ -21,10 +21,11 @@ hold a nonzero level only, as HEVC's coded-block flags let a decoder skip
 empty transform blocks. add_residual adds the planes to the integer
 basis and clips to 0..255, and apply_block_residual is the two steps in
 one call. The encoder and decoder share that arithmetic, so there is no
-drift. The precision was measured against the float pair, dequantize and
-dct8_inverse: with a 12-bit basis, 20,000 random legal tiles moved
-pixels by 2 from the float result, with 13 or 14 bits by at most 1 (14
-bits halves how often).
+drift. The precision was measured against the float reconstruction, each
+level times 2^(qp/6) and then dct8_inverse (the tests keep that float
+dequantizer as their oracle): with a 12-bit basis, 20,000 random legal
+tiles moved pixels by 2 from the float result, with 13 or 14 bits by at
+most 1 (14 bits halves how often).
 
 Levels are bounded by MAX_LEVEL = 2040, checked when a stream is parsed
 (scatter_tiles), so a level fits in int16 and the reconstruction stays in
@@ -85,9 +86,6 @@ ZIGZAG = np.array([
     53, 60, 61, 54, 47, 55, 62, 63,
 ], dtype=np.int64)
 
-# Tile index -> scan position, the inverse of ZIGZAG.
-_UNZIGZAG = np.argsort(ZIGZAG)
-
 # Coded length of ue(v) for every value a run or level mapping can produce.
 _UE_LEN = ue_lengths(np.arange(1 << 16))
 
@@ -115,12 +113,6 @@ def quantize(coeffs: np.ndarray, qp: int) -> np.ndarray:
     c = np.asarray(coeffs, np.float64)
     flat = round_half_away(c.reshape(c.shape[:-2] + (64,)) / step)
     return flat.astype(np.int32)[..., ZIGZAG]
-
-
-def dequantize(levels: np.ndarray, qp: int) -> np.ndarray:
-    """Zigzag levels (..., 64) back to float64 coefficient tiles (..., 8, 8)."""
-    lv = np.asarray(levels, np.float64)[..., _UNZIGZAG]
-    return lv.reshape(lv.shape[:-1] + (_N, _N)) * qstep(qp)
 
 
 # Fixed-point reconstruction: a coefficient carries _SCALE_BITS fractional

@@ -9,10 +9,7 @@ of each other wherever they overlap, which motion search should recover.
 
 bit_accounting folds the per-unit bit counts parse_stream reports into
 five categories that sum exactly to the stream size, and csv_text renders
-the encoder's and decoder's per-frame reports. The bandwidth helpers
-express the scenario arithmetic for shipping network parameters in a coded
-stream: parameter bits against a target bitrate, generated blocks against
-the block budget, and generator evaluations per second.
+the encoder's and decoder's per-frame reports.
 """
 
 from __future__ import annotations
@@ -227,25 +224,3 @@ def csv_text(rows, columns) -> str:
         values = (getattr(r, c) for c in columns)
         writer.writerow([f"{v:.4f}" if isinstance(v, float) else v for v in values])
     return buf.getvalue()
-
-
-def param_bandwidth_share(
-    n_params: int, bits_per_param: int, bitrate_bps: float,
-    sets_per_second: float = 1.0,
-) -> float:
-    """Fraction of a bitrate spent shipping one parameter set per interval."""
-    if bitrate_bps <= 0:
-        raise ValueError("bitrate must be positive")
-    return n_params * bits_per_param * sets_per_second / bitrate_bps
-
-
-def generated_block_share(gen_blocks: float, total_blocks: float) -> float:
-    """Fraction of coded blocks that are generated."""
-    if total_blocks <= 0:
-        raise ValueError("total block count must be positive")
-    return gen_blocks / total_blocks
-
-
-def generator_calls_per_second(gen_blocks_per_frame: float, fps: float) -> float:
-    """Generator evaluations per second: one call per generated block."""
-    return gen_blocks_per_frame * fps

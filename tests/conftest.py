@@ -1,7 +1,8 @@
 """Shared fixtures: small deterministic sequences, one cached encode,
 frame units built by hand, tiles included, the block-by-block frame code
 and rebuild the diagonal encoder and batched decoder are checked against,
-and the tile-by-tile payload reader the frame parser is checked against.
+the tile-by-tile payload reader the frame parser is checked against, and
+the float and plain integer dequantizers the reconstruction is held to.
 
 Session scope keeps the expensive pieces (synthesis, training, encoding)
 to a single run; every test that needs them must treat them as read-only.
@@ -53,11 +54,11 @@ from nbv.entropy import (
 from nbv.gnn import SetContext, TrainConfig, generate_block
 from nbv.prediction import IntraMode, MotionVector, intra_predict, motion_field
 from nbv.residual import (
-    _UNZIGZAG,
     DCT_INT,
     LEVEL_SCALE,
     MAX_LEVEL,
     TILES_PER_BLOCK,
+    ZIGZAG,
     apply_block_residual,
     block_tiles_bits,
     encode_block_residual,
@@ -340,12 +341,24 @@ def motion_compensate_py(ref: Frame, c: BlockCoord, mv: MotionVector) -> Block32
           for p in (ref.cb, ref.cr)))
 
 
+# Tile index -> scan position, the inverse of ZIGZAG.
+UNZIGZAG = np.argsort(ZIGZAG)
+
+
+def dequantize(levels: np.ndarray, qp: int) -> np.ndarray:
+    """Zigzag levels (..., 64) back to float64 coefficient tiles (..., 8, 8):
+    with dct8_inverse, the float reconstruction the integer one is held
+    to."""
+    lv = np.asarray(levels, np.float64)[..., UNZIGZAG]
+    return lv.reshape(lv.shape[:-1] + (8, 8)) * qstep(qp)
+
+
 def dequantize_int(levels: np.ndarray, qp: int) -> np.ndarray:
     """Zigzag levels (..., 64) to int64 coefficient tiles (..., 8, 8),
     level * 2^(qp/6) with 12 fractional bits."""
     qstep(qp)  # range check
     scale = int(LEVEL_SCALE[qp % 6]) << (qp // 6)
-    lv = np.asarray(levels, np.int64)[..., _UNZIGZAG] * scale
+    lv = np.asarray(levels, np.int64)[..., UNZIGZAG] * scale
     return lv.reshape(lv.shape[:-1] + (8, 8))
 
 

@@ -60,12 +60,7 @@ from nbv.residual import (
     dct8_inverse,
     encode_block_residual,
 )
-from nbv.tools import (
-    generated_block_share,
-    generator_calls_per_second,
-    param_bandwidth_share,
-    synth_sequence,
-)
+from nbv.tools import synth_sequence
 
 DEFAULT_ARCH = (3, 25, 40, 60, 1536)
 FIXTURE_QPS = (8, 20, 32)
@@ -104,9 +99,11 @@ def test_criterion_1_architecture_arithmetic():
 
 
 def test_criterion_2_overhead_arithmetic():
-    share = param_bandwidth_share(100_000, 10, 40e6)
-    gen_share = generated_block_share(94, 120 * 68)
-    calls = generator_calls_per_second(94, 30)
+    # 100k parameters of 10 bits a second over 40 Mbps; 94 generated
+    # blocks of a 4K grid's 120 x 68, one generator call each, at 30 fps
+    share = 100_000 * 10 / 40e6
+    gen_share = 94 / (120 * 68)
+    calls = 94 * 30
     ok = (share == pytest.approx(0.025)
           and abs(gen_share * 100 - 1.2) <= 0.1
           and calls == pytest.approx(2820.0))

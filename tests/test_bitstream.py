@@ -38,6 +38,7 @@ from nbv.bitstream import (
 from nbv.core import MAX_LUMA_SAMPLES, SequenceConfig, block_grid_dims
 from nbv.decoder import decode_sequence
 from nbv.entropy import (
+    _CHUNK_MAX,
     BitReader,
     BitWriter,
     StreamError,
@@ -704,6 +705,23 @@ def random_frame(rng, cols, rows):
     return frame_unit(frame_type, blocks, cols, regions)
 
 
+def dense_frame():
+    """A random 4x2 frame unit whose levels are all nonzero, 23 kbit a block."""
+    rng = np.random.default_rng(40)
+    unit = random_frame(rng, 4, 2)
+    unit.blocks[:] = rng.choice([-900, -5, 3, 700], unit.blocks.shape)
+    return unit
+
+
+def largest_block_row():
+    """A P-frame row of six of the largest legal blocks: inter, with the
+    vector difference (2^31 - 1, -(2^31 - 1)) and 24 tiles of 64 levels of
+    +-MAX_LEVEL, 37,303 bits a block."""
+    tiles = np.tile(np.where(np.arange(64) % 2, MAX_LEVEL, -MAX_LEVEL), 24)
+    big = 2**31 - 1
+    return frame_unit("P", [(BlockMode.INTER, (big, -big), tiles)] * 6, cols=6)
+
+
 class TestBulkFramePayload:
     """Random frames through write_frame and parse_stream: the payloads come
     back and every bit is charged where the cost functions say."""
@@ -740,18 +758,24 @@ class TestBulkFramePayload:
         assert 8 * len(data) == sizes[0] + sum(b.total for b in sizes[1:])
 
     def test_frame_larger_than_the_chunk_cap(self):
-        rng = np.random.default_rng(40)
-        unit = random_frame(rng, 4, 2)
-        unit.blocks[:] = rng.choice([-900, -5, 3, 700], unit.blocks.shape)
-        w = BitWriter()
-        bits = write_frame(w, unit, 4, 2)
-        assert bits.residuals > 8 * 24 * 64 * 10
-        got = FrameBits()
-        back = parse_frame(BitReader(w.to_bytes()), 4, 2, got)
-        assert got == bits
-        assert np.array_equal(back.modes, unit.modes)
-        assert np.array_equal(back.mvds, unit.mvds)
-        assert np.array_equal(back.blocks, unit.blocks)
+        for unit in (dense_frame(), largest_block_row()):
+            rows, cols = unit.modes.shape
+            w = BitWriter()
+            bits = write_frame(w, unit, cols, rows)
+            assert bits.residuals > 8 * 24 * 64 * 10
+            got = FrameBits()
+            back = parse_frame(BitReader(w.to_bytes()), cols, rows, got)
+            assert got == bits
+            assert np.array_equal(back.modes, unit.modes)
+            assert np.array_equal(back.mvds, unit.mvds)
+            assert np.array_equal(back.blocks, unit.blocks)
+
+    def test_largest_legal_block_outgrows_the_ramp_cap(self):
+        unit = largest_block_row()
+        bits = (block_tiles_bits(unit.blocks)
+                + block_syntax_bits("P", unit.modes.reshape(-1), unit.mvds.reshape(-1, 2)))
+        assert bits.tolist() == [37_303] * 6
+        assert 37_303 > _CHUNK_MAX
 
 
 def parsed_or_error(data: bytes, cols: int, rows: int):

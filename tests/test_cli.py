@@ -1,11 +1,14 @@
 """Command-line driver: full pipeline plus exit-code discipline."""
 
+import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
 
+from nbv import decoder, encoder
 from nbv.cli import EXIT_IO, EXIT_OK, EXIT_STREAM, EXIT_USAGE, main
 from nbv.tools import bit_accounting
 
@@ -54,6 +57,28 @@ class TestPipeline:
         assert len(enc) == 9 and enc[0].startswith("frame,type,psnr_y")
         assert len(dec) == 9
         assert dec[0] == "frame,n_intra,n_inter,n_gen"
+
+    @pytest.mark.parametrize("command", ["encode", "decode"])
+    def test_report_to_stdout_is_the_csv_alone(self, workdir, tmp_path, capsys,
+                                               command):
+        if command == "encode":
+            args = ["encode", "--input", str(workdir / "in.yuv"),
+                    "--output", str(tmp_path / "two.nbv"), "--width", "96",
+                    "--height", "64", "--frames", "2", "--qp", "20",
+                    "--gnn-interval", "2", "--gnn-arch", "4", "--gnn-steps", "10"]
+            columns, n_frames = encoder.CSV_COLUMNS, 2
+        else:
+            args = ["decode", "--input", str(workdir / "out.nbv"),
+                    "--output", str(tmp_path / "dec.yuv")]
+            columns, n_frames = decoder.CSV_COLUMNS, 8
+        capsys.readouterr()
+        assert main(args + ["--report", "-"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == list(columns)
+        assert len(rows) == 1 + n_frames
+        assert all(len(row) == len(columns) for row in rows)
+        assert err.startswith(f"{command}d {n_frames} frames")
 
     def test_metrics_between_source_and_decode(self, workdir, capsys):
         assert main([

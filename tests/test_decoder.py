@@ -201,12 +201,19 @@ class TestMotionVectorPredictor:
                 assert np.array_equal(g, w), (c, mv)
 
 
+def diagonals(rows, cols):
+    """The anti-diagonals bx + by = d of a rows x cols grid in order of d,
+    each as (n, 2) block coordinates (bx, by) in raster order."""
+    by, bx = np.indices((rows, cols)).reshape(2, -1)
+    return [np.stack([bx, by], axis=-1)[bx + by == d] for d in range(rows + cols - 1)]
+
+
 def vectors_by_diagonals(modes, mvds):
     """FrameWalk.vectors as the encoder's walk states it: diagonal by
     diagonal, each inter block's difference added to mv_pred's vector."""
     rows, cols = modes.shape
     walk = FrameWalk(32 * cols, 32 * rows, 0, None, None)
-    for coords in walk:
+    for coords in diagonals(rows, cols):
         bx, by = coords[:, 0], coords[:, 1]
         inter = (modes[by, bx] == BlockMode.INTER)[:, None]
         walk.mvs[by, bx] = np.where(inter, walk.mv_pred(coords) + mvds[by, bx], 0)
@@ -263,7 +270,7 @@ class TestIntraWaves:
         for rows, cols in ((1, 1), (1, 5), (4, 1), (3, 4), (5, 2)):
             walk = FrameWalk(32 * cols, 32 * rows, 0, None, None)
             waves = walk.waves(np.ones((rows, cols), bool))
-            assert [w.tolist() for w in waves] == [d.tolist() for d in walk]
+            assert [w.tolist() for w in waves] == [d.tolist() for d in diagonals(rows, cols)]
 
     def test_waves_follow_the_left_and_top_neighbours(self):
         rng = np.random.default_rng(4)

@@ -7,6 +7,7 @@ from nbv import entropy
 from nbv.entropy import (
     _CHUNK_MAX,
     _CHUNK_MIN,
+    _ITEM_MAX,
     BitReader,
     BitWriter,
     StreamError,
@@ -372,6 +373,59 @@ class TestBulkCodes:
         write_ue_codes(w, [0] * 10_000)
         read_ue_codes(BitReader(w.to_bytes()), walk)
         assert sizes == [_CHUNK_MIN]  # one bit per ue(0)
+
+    @staticmethod
+    def windows_seen(monkeypatch, walk, n_codes=200_000):
+        """The window sizes read_ue_codes peeks for walk over n_codes
+        ue(0) codes, and the error it ends in, or None."""
+        sizes = []
+        real_peek = entropy._peek
+
+        def peek(data, pos, max_bits):
+            sizes.append(max_bits)
+            return real_peek(data, pos, max_bits)
+
+        monkeypatch.setattr(entropy, "_peek", peek)
+        w = BitWriter()
+        write_ue_codes(w, np.zeros(n_codes, dtype=np.int64))
+        try:
+            read_ue_codes(BitReader(w.to_bytes()), walk)
+        except StreamError as e:
+            return sizes, str(e)
+        return sizes, None
+
+    def test_a_walk_that_uses_nothing_meets_the_item_cap(self, monkeypatch):
+        sizes, error = self.windows_seen(monkeypatch, lambda chunk: (0, False))
+        assert sizes == [1 << 10, 1 << 12, 1 << 14, 1 << 15, 1 << 16]
+        assert _ITEM_MAX == 1 << 16
+        assert error == "syntax item longer than the chunk cap"
+
+    def test_a_walk_that_uses_codes_stays_within_the_ramp_cap(self, monkeypatch):
+        read = []
+
+        def walk(chunk):
+            read.append(len(chunk.values))
+            return len(chunk.values), sum(read) == 200_000
+
+        sizes, error = self.windows_seen(monkeypatch, walk)
+        assert error is None and len(sizes) > 6
+        assert sizes[:4] == [1 << 10, 1 << 12, 1 << 14, _CHUNK_MAX]
+        assert max(sizes) == _CHUNK_MAX
+
+    def test_one_item_window_then_the_ramp_cap_again(self, monkeypatch):
+        # items of 60,000 one-bit codes: the chunk with the first
+        # _CHUNK_MAX window holds 54,272 codes, no whole item
+        used = []
+
+        def walk(chunk):
+            take = len(chunk.values) // 60_000 * 60_000
+            used.append(take)
+            return take, sum(used) == 180_000
+
+        sizes, error = self.windows_seen(monkeypatch, walk, 180_000)
+        assert error is None
+        assert used == [0, 0, 0, 0, 60_000, 60_000, 60_000]
+        assert sizes == [1 << 10, 1 << 12, 1 << 14, 1 << 15, 1 << 16, 1 << 15, 1 << 15]
 
     def test_signed_mapping_on_ints_and_arrays(self):
         values = list(range(-300, 301)) + [-(1 << 31) + 1, (1 << 31) - 1]

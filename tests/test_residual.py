@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     dct8_inverse_int64,
+    dequantize,
     dequantize_int,
     parse_tiles,
     rand_frame,
@@ -41,7 +42,6 @@ from nbv.residual import (
     coeff_bits,
     dct8_forward,
     dct8_inverse,
-    dequantize,
     encode_block_residual,
     qstep,
     quantize,

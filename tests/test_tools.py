@@ -5,17 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from nbv.bitstream import BIT_CATEGORIES
-from nbv.core import Frame
+from nbv.bitstream import BIT_CATEGORIES, param_set_bits
+from nbv.core import Frame, block_grid_dims
 from nbv.entropy import StreamError
+from nbv.gnn import param_count
 from nbv.tools import (
     PSNR_CAP,
     SYNTH_KINDS,
     bit_accounting,
     frame_psnr,
-    generated_block_share,
-    generator_calls_per_second,
-    param_bandwidth_share,
     plane_psnr,
     synth_sequence,
 )
@@ -161,25 +159,28 @@ class TestBitAccounting:
 
 
 class TestBandwidthArithmetic:
+    """The scenario arithmetic of shipping a generator in a stream."""
+
+    ARCH = (3, 25, 40, 60, 1536)  # the default architecture
+
     def test_parameter_share_of_a_stream(self):
         # 100k parameters at 10 bits, refreshed once per second, over 40 Mbps
-        assert param_bandwidth_share(100_000, 10, 40e6) == pytest.approx(0.025)
+        assert 100_000 * 10 / 40e6 == pytest.approx(0.025)
+        # the default set, framing included, stays below that share
+        share = param_set_bits(self.ARCH) / 40e6
+        assert 10 * param_count(self.ARCH) / 40e6 < share < 0.025
 
     def test_share_scales_with_refresh_rate(self):
-        once = param_bandwidth_share(100_000, 10, 40e6, sets_per_second=1.0)
-        twice = param_bandwidth_share(100_000, 10, 40e6, sets_per_second=2.0)
+        once, twice = (param_set_bits(self.ARCH) * sets / 40e6 for sets in (1, 2))
         assert twice == pytest.approx(2 * once)
 
     def test_generated_share_of_a_4k_grid(self):
-        share = generated_block_share(94, 120 * 68)
+        cols, rows = block_grid_dims(3840, 2160)
+        assert (cols, rows) == (120, 68)
+        share = 94 / (cols * rows)
         assert share == pytest.approx(94 / 8160)
         assert abs(share - 0.012) <= 0.001
 
     def test_generator_call_rate(self):
-        assert generator_calls_per_second(94, 30) == pytest.approx(2820.0)
-
-    def test_degenerate_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            param_bandwidth_share(1, 10, 0.0)
-        with pytest.raises(ValueError):
-            generated_block_share(1, 0)
+        # one generator evaluation per generated block, 94 a frame at 30 fps
+        assert 94 * 30 == 2820
