@@ -14,7 +14,14 @@ The pass without the network runs first and its J becomes the budget.
 Because J with the network is at least lambda times the parameter-set
 bits, a budget at or below that product rules the network out before any
 training; otherwise the network pass stops as soon as its cost so far
-reaches the budget. Every candidate is costed with exact coded bits, and
+reaches the budget. That pass replays the first one until the generator
+wins a block: the first pass keeps every candidate's SSD and bits, so a
+frame costs only its generated candidates, and while no winner moves,
+its decisions, pixels and distortion are the first pass's and its unit is
+read back from there and written again with the regions. The first frame
+where the generator wins, or a region is forced, and every later frame
+are coded in full. The first pass's per-block winning costs go into the
+period's record. Every candidate is costed with exact coded bits, and
 every block is rebuilt through the decoder's own block walk, which keeps
 the two bit-identical. The walk visits a frame one anti-diagonal of
 blocks at a time: a block's intra prediction and its vector predictor
@@ -27,8 +34,8 @@ minimum-cost candidate, so ties go to the earlier rank, and the decisions
 are those of a block-by-block raster walk. A P frame's motion vectors
 come from one whole-frame search against the previous reconstruction, its
 inter bases from one motion-compensation gather, and the generated bases
-from the generator, all made before the walk; global motion reads its
-sample blocks from the same kind of search between source frames.
+from the generator, all made before the walk; global motion searches only
+its sixteen sample blocks' windows between source frames.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ from .bitstream import (
     StreamHeader,
     block_syntax_bits,
     param_set_bits,
+    parse_frame,
     region_map,
     write_frame,
     write_header,
@@ -64,7 +72,7 @@ from .core import (
     extract_block,
 )
 from .decoder import FrameWalk, mode_counts
-from .entropy import BitWriter
+from .entropy import BitReader, BitWriter
 from .gnn import (
     QuantizedGnnParams,
     SetContext,
@@ -75,7 +83,7 @@ from .gnn import (
     quantize_params,
     train,
 )
-from .prediction import MotionVector, motion_compensate, motion_field
+from .prediction import MotionVector, block_motion, motion_compensate, motion_field
 from .residual import (
     TILES_PER_BLOCK,
     apply_block_residual,
@@ -100,14 +108,19 @@ def _median_toward_zero(values: list[int] | np.ndarray) -> int:
 
 
 def estimate_global_motion(cur: Frame, ref: Frame, search_range: int) -> MotionVector:
-    """Component-wise median motion over a regular 16-block subsample grid."""
+    """Component-wise median motion over a regular 16-block subsample grid.
+
+    Only the sample blocks are searched. On a grid under 8 blocks wide or
+    high the lattice visits some block twice, and the median counts each
+    visit.
+    """
     cols, rows = block_grid_dims(cur.width, cur.height)
     bxs = [min(cols - 1, ((2 * i + 1) * cols) // 8) for i in range(4)]
     bys = [min(rows - 1, ((2 * i + 1) * rows) // 8) for i in range(4)]
-    field = motion_field(cur, ref, search_range)
-    sample = np.ix_(bys, bxs)
-    return MotionVector(_median_toward_zero(field.dx[sample]),
-                        _median_toward_zero(field.dy[sample]))
+    by, bx = np.meshgrid(bys, bxs, indexing="ij")
+    coords = np.stack([bx, by], axis=-1)
+    field = block_motion(extract_block(cur, coords).y, ref, coords, search_range)
+    return MotionVector(_median_toward_zero(field.dx), _median_toward_zero(field.dy))
 
 
 def _axis_margin(comp: int, frames_since_set: int, extent: int) -> tuple[int, int]:
@@ -205,17 +218,52 @@ def _ssd(source: Block32, recon: Block32) -> np.ndarray:
 class _FrameResult:
     # The frame unit is written and dropped, not kept here: its residual
     # levels are most of a pass's memory, and a finished pass stays alive
-    # while the next one trains and codes.
+    # while the next one trains and codes. The costs stay: each block's
+    # candidates' SSD and bits, the selection bit left out, as int32
+    # (rows, cols, len(BlockMode)) arrays, zero in an empty slot.
     recon: Frame
-    distortion: int
-    n_intra: int
-    n_inter: int
-    n_gen: int
+    modes: np.ndarray
+    ssd: np.ndarray
+    bits: np.ndarray
+
+    @property
+    def distortion(self) -> int:
+        return int(self.winners()[0].sum(dtype=np.int64))
+
+    def winners(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each block's winning (SSD, bits less the selection bit)."""
+        at = self.modes[..., None].astype(np.intp)
+        return (np.take_along_axis(self.ssd, at, -1)[..., 0],
+                np.take_along_axis(self.bits, at, -1)[..., 0])
 
 
 # Each block's candidates sit in one slot per BlockMode, in rank order.
 _SLOT_MODES = np.arange(len(BlockMode))
 _INTRA_SLOTS = slice(BlockMode.INTRA_DC, BlockMode.GEN)
+
+
+def _candidate_slots(kinds: np.ndarray, frame_type: str, has_net: bool) -> np.ndarray:
+    """Which of each block's slots hold a candidate, (rows, cols,
+    len(BlockMode)) from a region_map: inter in a P frame, the three intra
+    modes, and the generator in a selectable region with a network; in a
+    forced region the generator alone."""
+    coded = kinds != FORCED
+    slots = np.zeros(kinds.shape + (len(BlockMode),), dtype=bool)
+    slots[..., BlockMode.INTER] = coded & (frame_type == "P")
+    slots[..., _INTRA_SLOTS] = coded[..., None]
+    slots[..., BlockMode.GEN] = ~coded | ((kinds == SELECTABLE) & has_net)
+    return slots
+
+
+def _slot_costs(ssd: np.ndarray, bits: np.ndarray, slots: np.ndarray,
+                sel: np.ndarray, lam: float) -> np.ndarray:
+    """Each slot's J = SSD + lambda * bits, with the block's selection bit
+    sel (0 or 1) among the bits; an empty slot costs inf and never wins.
+
+    sel is the same for every candidate of a block, so it never decides;
+    it is charged so that each cost holds the block's bits.
+    """
+    return np.where(slots, ssd + lam * (sel[..., None] + bits), np.inf)
 
 
 def _encode_frame(
@@ -226,15 +274,13 @@ def _encode_frame(
     """Code one frame through the decoder's block walk, one anti-diagonal
     of blocks at a time.
 
-    A block's candidates are inter, the three intra modes and, in a
-    selectable region with a network, the generator; in a forced region
-    the generator alone. The inter and generated bases do not depend on
-    the walk and are made for the whole frame before it: a P frame's
-    vectors from one whole-frame search, its inter bases from one
-    motion-compensation gather. Per diagonal, the intra bases come from
-    one prediction, and every candidate of every block on the diagonal is
-    stacked on one axis and costed in one call each to quantize, count
-    tile bits and reconstruct.
+    A block's candidates are those of _candidate_slots. The inter and
+    generated bases do not depend on the walk and are made for the whole
+    frame before it: a P frame's vectors from one whole-frame search, its
+    inter bases from one motion-compensation gather. Per diagonal, the
+    intra bases come from one prediction, and every candidate of every
+    block on the diagonal is stacked on one axis and costed in one call
+    each to quantize, count tile bits and reconstruct.
     """
     walk = FrameWalk(source.display_width, source.display_height,
                      frame_idx, qparams, ctx)
@@ -243,12 +289,8 @@ def _encode_frame(
     grid = np.stack([bx, by], axis=-1)
     src = extract_block(source, grid)
     kinds = region_map(regions, cols, rows)
-    coded = kinds != FORCED
-    # which slots hold a candidate, and the bases of the walk-free ones
-    slots = np.zeros((rows, cols, len(BlockMode)), dtype=bool)
-    slots[..., BlockMode.INTER] = coded & (frame_type == "P")
-    slots[..., _INTRA_SLOTS] = coded[..., None]
-    slots[..., BlockMode.GEN] = ~coded | ((kinds == SELECTABLE) & (qparams is not None))
+    slots = _candidate_slots(kinds, frame_type, qparams is not None)
+    # the bases of the walk-free slots
     bases = Block32(*(np.zeros((rows, cols, len(BlockMode), size, size), np.uint8)
                       for size in (BLOCK, CHROMA_BLOCK, CHROMA_BLOCK)))
     mvs = np.zeros((rows, cols, 2), dtype=np.int64)
@@ -259,14 +301,14 @@ def _encode_frame(
     gen = slots[..., BlockMode.GEN]
     if gen.any():
         bases[gen, BlockMode.GEN] = walk.generated(grid[gen])
-    # sel_bit is the same for every candidate of a block, so it never
-    # decides; it is charged so that each cost holds the block's bits.
-    sel_bits = (kinds == SELECTABLE).astype(np.int64)
-    # the unit's arrays, filled with each diagonal's winners as the walk goes;
-    # levels are within +-MAX_LEVEL (residual.scatter_tiles), so int16 holds them
+    sel = kinds == SELECTABLE
+    # each candidate's costs, and the unit's arrays, filled with each
+    # diagonal's winners as the walk goes; levels are within +-MAX_LEVEL
+    # (residual.scatter_tiles), so int16 holds them
+    slot_ssd = np.zeros(slots.shape, dtype=np.int32)
+    slot_bits = np.zeros(slots.shape, dtype=np.int32)
     mvds = np.zeros((rows, cols, 2), dtype=np.int32)
     blocks = np.zeros((rows * cols, TILES_PER_BLOCK, 64), dtype=np.int16)
-    dist_total = 0
 
     for coords in walk.waves(np.ones((rows, cols), dtype=bool)):
         bx, by = coords[:, 0], coords[:, 1]
@@ -280,25 +322,59 @@ def _encode_frame(
         src_c = src[by[block], bx[block]]
         levels = encode_block_residual(src_c, cand, qp)
         rec = apply_block_residual(cand, levels, qp)
-        ssd = _ssd(src_c, rec)
         mvd = mvs[by, bx] - walk.mv_pred(coords)
-        bits = (sel_bits[by, bx][block] + block_tiles_bits(levels)
-                + block_syntax_bits(frame_type, mode, mvd[block]))
-        # back in slots, an empty slot never wins
-        j = np.full(have.shape, np.inf)
-        j[have] = ssd + lam * bits
+        slot_ssd[by[block], bx[block], mode] = _ssd(src_c, rec)
+        slot_bits[by[block], bx[block], mode] = (
+            block_tiles_bits(levels) + block_syntax_bits(frame_type, mode, mvd[block]))
+        j = _slot_costs(slot_ssd[by, bx], slot_bits[by, bx], have, sel[by, bx], lam)
         win = choose_block_mode(j, _SLOT_MODES)
         stacked = np.zeros(have.shape, dtype=np.intp)
         stacked[have] = np.arange(len(mode))
         i = stacked[np.arange(len(coords)), win]  # the winners in the stack
 
         walk.put(coords, win, mvs[by, bx], rec[i])
-        dist_total += int(ssd[i].sum())
         mvds[by, bx] = np.where((win == BlockMode.INTER)[:, None], mvd, 0)
         blocks[by * cols + bx] = levels[i]
 
     unit = FrameUnit(frame_type, list(regions), walk.modes, mvds, blocks)
-    return unit, _FrameResult(walk.recon, dist_total, *mode_counts(walk.modes))
+    return unit, _FrameResult(walk.recon, walk.modes, slot_ssd, slot_bits)
+
+
+def _replays(
+    fallback: _FrameResult, source: Frame, frame_idx: int, frame_type: str,
+    regions: list[RegionSpec], qparams: QuantizedGnnParams | None,
+    ctx: SetContext | None, qp: int, lam: float,
+) -> bool:
+    """Whether _encode_frame, given the fallback pass's reference, would
+    code this frame with regions and a network exactly as the fallback
+    pass coded it without them.
+
+    Until a block's winner differs, the walk meets the fallback frame's
+    neighbours and vector predictors, so every candidate but the
+    generator's costs what it cost there; the generator's do not depend on
+    the walk. So the generated candidates of the region blocks are costed
+    in one batch, each slot's J is rebuilt with _slot_costs, and if no
+    winner moves, none would in the walk either. A forced region's blocks
+    have the generator alone, so they always move.
+    """
+    rows, cols = fallback.modes.shape
+    kinds = region_map(regions, cols, rows)
+    slots = _candidate_slots(kinds, frame_type, qparams is not None)
+    slot_ssd, slot_bits = fallback.ssd.copy(), fallback.bits.copy()
+    by, bx = np.nonzero(slots[..., BlockMode.GEN])
+    if len(by):
+        coords = np.stack([bx, by], axis=-1)
+        walk = FrameWalk(source.display_width, source.display_height,
+                         frame_idx, qparams, ctx)
+        base = walk.generated(coords)
+        src = extract_block(source, coords)
+        levels = encode_block_residual(src, base, qp)
+        slot_ssd[by, bx, BlockMode.GEN] = _ssd(src, apply_block_residual(base, levels, qp))
+        slot_bits[by, bx, BlockMode.GEN] = (
+            block_tiles_bits(levels) + block_syntax_bits(frame_type, BlockMode.GEN))
+    win = choose_block_mode(
+        _slot_costs(slot_ssd, slot_bits, slots, kinds == SELECTABLE, lam), _SLOT_MODES)
+    return np.array_equal(win, fallback.modes)
 
 
 @dataclass
@@ -319,18 +395,30 @@ class _PeriodPass:
     def j(self, lam: float) -> float:
         return self.distortion + lam * self.total_bits
 
+    def unit(self, offset: int, cols: int, rows: int) -> FrameUnit:
+        """The frame unit at offset, read back from the pass's bytes; each
+        unit ends on a byte boundary."""
+        start = self.param_bits + sum(fb.total for fb in self.frame_bits[:offset])
+        return parse_frame(BitReader(self.data[start // 8:]), cols, rows)
+
 
 def _encode_period(
     period_frames: list[Frame], start: int, regions_per_frame: list[list[RegionSpec]],
     qparams: QuantizedGnnParams | None, ctx: SetContext | None,
     config: SequenceConfig, lam: float, cols: int, rows: int,
-    budget: float = math.inf,
+    budget: float = math.inf, fallback: _PeriodPass | None = None,
 ) -> _PeriodPass:
     """Code one period, stopping before a frame once its cost so far
     reaches budget; a stopped pass holds the frames coded before the stop.
 
     The cost so far, SSD plus lambda times the bits written, only grows
     frame by frame, so a stopped pass could not have finished below budget.
+
+    Given the period's fallback pass, coded with no regions and no
+    network, a frame that _replays it takes its decisions, pixels and
+    distortion from there, and its unit is read back and written again
+    with this pass's regions. From the first frame that does not, every
+    frame is coded: its reference is no longer the fallback's.
     """
     w = BitWriter()
     param_bits = write_param_set(w, qparams) if qparams is not None else 0
@@ -343,10 +431,19 @@ def _encode_period(
             break
         frame_idx = start + offset
         frame_type = "I" if offset == 0 else "P"
-        unit, res = _encode_frame(
-            source, prev_recon, frame_idx, frame_type, regions_per_frame[offset],
-            qparams, ctx, config.qp, lam, config.search_range,
-        )
+        regions = regions_per_frame[offset]
+        if fallback is not None and _replays(
+                fallback.results[offset], source, frame_idx, frame_type, regions,
+                qparams, ctx, config.qp, lam):
+            res = fallback.results[offset]
+            unit = fallback.unit(offset, cols, rows)
+            unit.regions = list(regions)
+        else:
+            fallback = None
+            unit, res = _encode_frame(
+                source, prev_recon, frame_idx, frame_type, regions,
+                qparams, ctx, config.qp, lam, config.search_range,
+            )
         frame_bits.append(write_frame(w, unit, cols, rows))
         results.append(res)
         distortion += res.distortion
@@ -377,7 +474,7 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class PeriodRecord:
     """Why one keyframe period kept or dropped its network.
 
@@ -385,7 +482,9 @@ class PeriodRecord:
     already reaches j_without, so nothing was trained), "no_regions" (no
     frame had a generation region), "aborted" (the network pass reached
     j_without before its last frame), "lost" (it finished at or above
-    j_without) or "kept".
+    j_without) or "kept". block_d and block_r are the pass without the
+    network's per-block costs, (frames, rows, cols) int32: each block's
+    winning SSD and its bits, the frame header and byte padding left out.
     """
 
     start: int
@@ -394,6 +493,8 @@ class PeriodRecord:
     train_samples: int = 0
     frames_coded_with: int = 0
     outcome: str = "off"
+    block_d: np.ndarray | None = None
+    block_r: np.ndarray | None = None
 
 
 @dataclass
@@ -428,11 +529,12 @@ def _period_global_motion(frames: list[Frame], search_range: int) -> MotionVecto
 
 
 def _network_pass(
-    period: list[Frame], record: PeriodRecord, config: SequenceConfig,
-    train_cfg: TrainConfig, zoom_hint: str, lam: float,
+    period: list[Frame], fallback: _PeriodPass, record: PeriodRecord,
+    config: SequenceConfig, train_cfg: TrainConfig, zoom_hint: str, lam: float,
 ) -> _PeriodPass | None:
     """The period coded with a freshly trained network, if that beats
-    record.j_without; fills in the rest of the record."""
+    record.j_without, replaying the fallback pass until the generator
+    first wins a block; fills in the rest of the record."""
     if lam * record.param_bits >= record.j_without:
         # J_with = SSD + lambda * bits >= lambda * param_bits
         record.outcome = "bound"
@@ -455,7 +557,7 @@ def _network_pass(
         return None
     with_gnn = _encode_period(
         period, start, regions_per_frame, qparams, ctx,
-        config, lam, cols, rows, record.j_without,
+        config, lam, cols, rows, record.j_without, fallback,
     )
     record.frames_coded_with = len(with_gnn.results)
     if record.frames_coded_with < span:
@@ -509,21 +611,25 @@ def encode_sequence(
 
     for start in range(0, config.frame_count, config.gnn_interval):
         period = frames[start:start + config.gnn_interval]
-        chosen = _encode_period(
+        fallback = _encode_period(
             period, start, [[] for _ in period], None, None,
             config, lam, cols, rows,
         )
-        record = PeriodRecord(start, chosen.j(lam), param_bits)
+        d, r = zip(*(res.winners() for res in fallback.results))
+        record = PeriodRecord(start, fallback.j(lam), param_bits,
+                              block_d=np.stack(d), block_r=np.stack(r))
+        chosen = fallback
         if config.gnn_enabled:
             chosen = _network_pass(
-                period, record, config, train_cfg, zoom_hint, lam,
-            ) or chosen
+                period, fallback, record, config, train_cfg, zoom_hint, lam,
+            ) or fallback
         periods.append(record)
 
         w.write_bytes(chosen.data)
         for offset, (res, fb) in enumerate(zip(chosen.results, chosen.frame_bits)):
             frame_idx = start + offset
             psnr_y, psnr_cb, psnr_cr = frame_psnr(frames[frame_idx], res.recon)
+            n_intra, n_inter, n_gen = mode_counts(res.modes)
             rows_out.append(EncodeRow(
                 frame=frame_idx,
                 type="I" if offset == 0 else "P",
@@ -535,12 +641,12 @@ def encode_sequence(
                 bits_modes=fb.modes,
                 bits_mv=fb.mvs,
                 bits_residual=fb.residuals,
-                n_gen_blocks=res.n_gen,
+                n_gen_blocks=n_gen,
             ))
             recons.append(res.recon)
-            hist["intra"] += res.n_intra
-            hist["inter"] += res.n_inter
-            hist["gen"] += res.n_gen
+            hist["intra"] += n_intra
+            hist["inter"] += n_inter
+            hist["gen"] += n_gen
             total_dist += res.distortion
 
     data = w.to_bytes()

@@ -18,9 +18,12 @@ for every block's inter candidate.
 
 The search runs a whole frame at a time: motion_field pads the reference
 once by edge replication and, per offset, takes one int16 absolute
-difference of the whole frame, summed per block. motion_search is the same
-search on one block and its clamped window; the codec never calls it, and
-it remains only for the benchmark's per-call timing and the tests.
+difference of the whole frame, summed per block. block_motion is the same
+search on any set of blocks, each against its own clamped window, all
+stacked on one axis, so a few sample blocks cost only their windows;
+global-motion estimation reads its sixteen samples that way.
+motion_search is its one-block case, which only the benchmark's per-call
+timing and the tests call.
 """
 
 from __future__ import annotations
@@ -170,29 +173,33 @@ def _search_offsets(r: int) -> np.ndarray:
 def _search(cur: np.ndarray, padded_ref: np.ndarray, r: int) -> MotionField:
     """Exhaustive luma-SAD search of every 32x32 block of cur.
 
-    padded_ref is the reference with r extra samples on every side, so the
-    candidate at offset (dy, dx) of the block at (y, x) starts at
-    padded_ref[r + y + dy, r + x + dx]. Offsets are visited in tie order and
-    a later one wins only with a strictly smaller SAD, which is the argmin
-    over the offset axis without holding every offset's SADs.
+    cur's first two axes are a picture and padded_ref's the reference with
+    r extra samples on every side, so the candidate at offset (dy, dx) of
+    the block at (y, x) starts at padded_ref[r + y + dy, r + x + dx].
+    Trailing axes pass through, one picture and reference each, and the
+    field's arrays are (rows, cols, ...); a row of every picture is then
+    one contiguous run. Offsets are visited in tie order and a later one
+    wins only with a strictly smaller SAD, which is the argmin over the
+    offset axis without holding every offset's SADs.
     """
-    h, w = cur.shape
+    h, w, *trail = cur.shape
     rows, cols = h // BLOCK, w // BLOCK
     offsets = _search_offsets(r)
     cur16 = cur.astype(np.int16)
     ref16 = padded_ref.astype(np.int16)
-    diff = np.empty((h, w), np.int16)
+    diff = np.empty(cur.shape, np.int16)
     # 32 rows of |difference| sum to at most 32 * 255, within int16.
-    row_sums = np.empty((rows, w), np.int16)
-    sad = np.empty((rows, cols), np.int32)
-    best = np.full((rows, cols), np.iinfo(np.int32).max, np.int32)
-    best_k = np.zeros((rows, cols), np.intp)
-    better = np.empty((rows, cols), bool)
+    row_sums = np.empty((rows, w, *trail), np.int16)
+    grid = (rows, cols, *trail)
+    sad = np.empty(grid, np.int32)
+    best = np.full(grid, np.iinfo(np.int32).max, np.int32)
+    best_k = np.zeros(grid, np.intp)
+    better = np.empty(grid, bool)
     for k, (dy, dx) in enumerate(offsets):
         np.subtract(cur16, ref16[r + dy:r + dy + h, r + dx:r + dx + w], out=diff)
         np.abs(diff, out=diff)
-        diff.reshape(rows, BLOCK, w).sum(axis=1, dtype=np.int16, out=row_sums)
-        row_sums.reshape(rows, cols, BLOCK).sum(axis=2, dtype=np.int32, out=sad)
+        diff.reshape(rows, BLOCK, w, *trail).sum(axis=1, dtype=np.int16, out=row_sums)
+        row_sums.reshape(rows, cols, BLOCK, *trail).sum(axis=2, dtype=np.int32, out=sad)
         np.less(sad, best, out=better)
         np.copyto(best, sad, where=better)
         np.copyto(best_k, k, where=better)
@@ -214,15 +221,38 @@ def motion_field(cur: Frame, ref: Frame, search_range: int) -> MotionField:
     return _search(cur.y, np.pad(ref.y, r, mode="edge"), r)
 
 
+def block_motion(cur_y: np.ndarray, ref: Frame, coords, search_range: int) -> MotionField:
+    """motion_field's search for the blocks with luma cur_y (..., 32, 32) at
+    block coordinates coords (..., 2) of ref's grid, as (bx, by).
+
+    Each block is searched in its own clamped window of ref, which holds
+    the samples motion_field's padded reference has there, so each vector
+    and SAD is motion_field's for that block; the field's arrays are (...).
+    """
+    _check_range(search_range)
+    c = np.asarray(coords, dtype=np.int64)
+    cols, rows = block_grid_dims(ref.width, ref.height)
+    if c.shape[-1:] != (2,) or np.any((c < 0) | (c >= (cols, rows))):
+        raise ValueError(f"block coordinates outside the {cols}x{rows} grid")
+    if cur_y.shape != c.shape[:-1] + (BLOCK, BLOCK):
+        raise ValueError(f"{cur_y.shape} luma blocks for {c.shape[:-1]} coordinates")
+    r = search_range
+    windows = _clamped_window(ref.y, c[..., 1] * BLOCK - r, c[..., 0] * BLOCK - r,
+                              BLOCK + 2 * r, BLOCK + 2 * r)
+
+    # the blocks on a trailing axis, so that each window row of all of
+    # them is one contiguous run; this halves the search of 16 blocks
+    def trailing(blocks):
+        side = blocks.shape[-1]
+        return np.ascontiguousarray(np.moveaxis(blocks.reshape(-1, side, side), 0, -1))
+
+    field = _search(trailing(cur_y), trailing(windows), r)
+    return MotionField(*(a[0, 0].reshape(c.shape[:-1]) for a in field))
+
+
 def motion_search(
     cur: Block32, ref: Frame, c: BlockCoord, search_range: int
 ) -> tuple[MotionVector, int]:
-    """motion_field's search for the one block cur at c of ref's grid."""
-    _check_range(search_range)
-    cols, rows = block_grid_dims(ref.width, ref.height)
-    if not (0 <= c.bx < cols and 0 <= c.by < rows):
-        raise ValueError(f"block coordinate {c} outside {cols}x{rows} grid")
-    r = search_range
-    window = _clamped_window(ref.y, c.by * BLOCK - r, c.bx * BLOCK - r,
-                             BLOCK + 2 * r, BLOCK + 2 * r)
-    return _search(cur.y, window, r).at(BlockCoord(0, 0))
+    """block_motion for the one block cur at c of ref's grid."""
+    field = block_motion(cur.y, ref, (c.bx, c.by), search_range)
+    return MotionVector(int(field.dx), int(field.dy)), int(field.sad)

@@ -28,7 +28,7 @@ from nbv.core import (
     extract_block,
     make_frame,
 )
-from nbv.decoder import decode_sequence
+from nbv.decoder import decode_sequence, mode_counts
 from nbv.encoder import (
     PeriodRecord,
     _encode_frame,
@@ -42,8 +42,14 @@ from nbv.encoder import (
     train_param_set,
 )
 from nbv.entropy import BitWriter
-from nbv.gnn import SetContext, init_params, quantize_params
-from nbv.prediction import MotionVector, motion_search
+from nbv.gnn import (
+    QuantizedGnnParams,
+    QuantizedLayer,
+    SetContext,
+    init_params,
+    quantize_params,
+)
+from nbv.prediction import MotionVector, motion_field, motion_search
 from nbv.tools import synth_sequence
 from test_golden import CASES, GOLDEN, encode_case
 
@@ -234,6 +240,51 @@ class TestGlobalMotion:
                 dys.append(mv.dy)
         want = MotionVector(int(float(np.median(dxs))), int(float(np.median(dys))))
         assert estimate_global_motion(cur, ref, 5) == want
+
+
+def whole_frame_global_motion(cur, ref, r):
+    """The median of the whole-frame field at the 16-block sample lattice,
+    duplicates counted, as global motion was read before it searched only
+    the sample blocks."""
+    field = motion_field(cur, ref, r)
+    cols, rows = block_grid_dims(cur.width, cur.height)
+    bxs = [min(cols - 1, ((2 * i + 1) * cols) // 8) for i in range(4)]
+    bys = [min(rows - 1, ((2 * i + 1) * rows) // 8) for i in range(4)]
+    sample = np.ix_(bys, bxs)
+    return MotionVector(int(float(np.median(field.dx[sample]))),
+                        int(float(np.median(field.dy[sample]))))
+
+
+class TestGlobalMotionSampleSearch:
+    """Global motion searches only its sample blocks' windows; it must read
+    what the whole-frame field reads there."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(cols=st.integers(1, 11), rows=st.integers(1, 9),
+           cut=st.tuples(st.integers(0, 15), st.integers(0, 15)),
+           r=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_frames(self, cols, rows, cut, r, seed):
+        width, height = 32 * cols - 2 * cut[0], 32 * rows - 2 * cut[1]
+        cur = rand_frame(width, height, seed=seed)
+        ref = rand_frame(width, height, seed=seed + 1)
+        assert estimate_global_motion(cur, ref, r) == (
+            whole_frame_global_motion(cur, ref, r))
+
+    @pytest.mark.parametrize("size, shift, r", [
+        # the shift at the search range: the sampled edge blocks' windows
+        # clamp at every side of the frame
+        ((320, 192), (8, 8), 8), ((320, 192), (-8, -8), 8),
+        ((128, 96), (12, -12), 12),
+        # grids under 8 blocks: the lattice samples blocks more than once
+        ((32, 32), (3, 1), 4), ((32, 224), (0, -5), 6), ((224, 64), (5, 2), 3),
+        ((96, 64), (-4, 6), 8),
+    ])
+    def test_edge_and_narrow_grids(self, size, shift, r):
+        cur, ref = windowed_pair(shift, size=size, seed=sum(size))
+        rng = np.random.default_rng(sum(size))
+        cur.y[:] = np.clip(cur.y + rng.integers(-30, 31, cur.y.shape), 0, 255)
+        assert estimate_global_motion(cur, ref, r) == (
+            whole_frame_global_motion(cur, ref, r))
 
 
 class TestRegionSelection:
@@ -428,30 +479,43 @@ class TestEncodeSequence:
 
 class TestMotionFieldPerFrame:
     def count_searches(self, frames, config, monkeypatch, hint="none"):
-        """(motion_field calls, whether each written frame is a P frame,
-        estimate_global_motion calls) of one encode."""
-        calls, p_frames, gm_calls = [], [], []
+        """What one encode searched: motion_field calls, whether each frame
+        _encode_frame codes is a P frame, whether each written frame is,
+        estimate_global_motion calls and block_motion calls."""
+        calls, coded, written, gm_calls, block_calls = [], [], [], [], []
         real_field = nbv.encoder.motion_field
+        real_encode = nbv.encoder._encode_frame
         real_write = nbv.encoder.write_frame
         real_gm = nbv.encoder.estimate_global_motion
+        real_block = nbv.encoder.block_motion
 
         def counting_field(*args):
             calls.append(args)
             return real_field(*args)
 
+        def counting_encode(*args):
+            coded.append(args[3] == "P")
+            return real_encode(*args)
+
         def counting_write(w, unit, *args):
-            p_frames.append(unit.frame_type == "P")
+            written.append(unit.frame_type == "P")
             return real_write(w, unit, *args)
 
         def counting_gm(*args):
             gm_calls.append(args)
             return real_gm(*args)
 
+        def counting_block(*args):
+            block_calls.append(args)
+            return real_block(*args)
+
         monkeypatch.setattr(nbv.encoder, "motion_field", counting_field)
+        monkeypatch.setattr(nbv.encoder, "_encode_frame", counting_encode)
         monkeypatch.setattr(nbv.encoder, "write_frame", counting_write)
         monkeypatch.setattr(nbv.encoder, "estimate_global_motion", counting_gm)
+        monkeypatch.setattr(nbv.encoder, "block_motion", counting_block)
         encode_sequence(frames, config, train_cfg=fast_train(20), zoom_hint=hint)
-        return calls, p_frames, gm_calls
+        return calls, coded, written, gm_calls, block_calls
 
     @pytest.mark.parametrize("gnn", [False, True])
     def test_one_search_per_p_frame_coded(self, pan_frames, pan_config,
@@ -459,22 +523,26 @@ class TestMotionFieldPerFrame:
         # qp 8 and a one-unit network, so the bound admits the network pass
         config = dataclasses.replace(pan_config, qp=8, gnn_enabled=gnn,
                                      gnn_arch=(3, 1, 1536))
-        calls, p_frames, gm_calls = self.count_searches(pan_frames, config,
-                                                        monkeypatch)
-        assert len(p_frames) >= 8 and sum(p_frames) >= 6
-        # each global-motion estimate runs one search of its own
-        assert len(calls) == sum(p_frames) + len(gm_calls)
+        calls, coded, written, gm_calls, block_calls = self.count_searches(
+            pan_frames, config, monkeypatch)
+        assert len(coded) >= 8 and sum(coded) >= 6
+        # a replayed P frame is written without a search of its own; here
+        # the generator never wins, so the network pass replays every frame
+        assert len(calls) == sum(coded)
+        assert (sum(coded) < sum(written)) == gnn
         assert bool(gm_calls) == gnn
+        # each global-motion estimate searches its sample blocks once
+        assert len(block_calls) == len(gm_calls)
 
     def test_hinted_encode_makes_no_global_motion_search(self, pan_frames,
                                                          pan_config, monkeypatch):
         config = dataclasses.replace(pan_config, qp=8, gnn_arch=(3, 1, 1536))
-        calls, p_frames, gm_calls = self.count_searches(pan_frames, config,
-                                                        monkeypatch, hint="out")
-        # the network pass ran: more frames were coded than the clip holds
-        assert len(p_frames) > len(pan_frames)
-        assert gm_calls == []
-        assert len(calls) == sum(p_frames)
+        calls, coded, written, gm_calls, block_calls = self.count_searches(
+            pan_frames, config, monkeypatch, hint="out")
+        # the network pass ran: more frames were written than the clip holds
+        assert len(written) > len(pan_frames)
+        assert gm_calls == block_calls == []
+        assert len(calls) == sum(coded)
 
 
 class TestForcedGenerationWirePath:
@@ -487,7 +555,7 @@ class TestForcedGenerationWirePath:
         assert [r.n_gen for r in report.rows] == [2, 2, 2]
         for got, res in zip(decoded, period.results):
             assert frames_equal(got, res.recon)
-            assert res.n_gen == 2
+            assert mode_counts(res.modes)[2] == 2
 
     def test_generated_blocks_still_carry_residuals(self):
         _, period = forced_stream()
@@ -545,12 +613,17 @@ class TestRdBound:
         make_frames, config, steps, hint = CASES["pan_qp8_tiny_arch"]
         period = make_frames()
         lam = rd_lambda(config.qp)
+        cols, rows = block_grid_dims(config.width, config.height)
+        fallback = _encode_period(period, 0, [[]] * len(period), None, None,
+                                  config, lam, cols, rows)
         free = PeriodRecord(0, math.inf, param_set_bits(config.gnn_arch))
-        with_gnn = _network_pass(period, free, config, fast_train(steps), hint, lam)
+        with_gnn = _network_pass(period, fallback, free, config, fast_train(steps),
+                                 hint, lam)
         assert free.outcome == "kept" and free.frames_coded_with == len(period)
         # a tie at the full J runs every frame, then goes to the fallback
         tie = PeriodRecord(0, with_gnn.j(lam), free.param_bits)
-        assert _network_pass(period, tie, config, fast_train(steps), hint, lam) is None
+        assert _network_pass(period, fallback, tie, config, fast_train(steps),
+                             hint, lam) is None
         assert tie.outcome == "lost" and tie.frames_coded_with == len(period)
 
     def test_no_regions_trains_nothing(self, static_frames):
@@ -581,6 +654,147 @@ class TestRdBound:
         assert tight.frame_bits == full.frame_bits
         first = full.results[0].distortion + lam * full.frame_bits[0].total
         assert len(_encode_period(*args, budget=first).results) == 1
+
+
+def flat_generator(value: int) -> QuantizedGnnParams:
+    """A one-layer network that generates every block flat at value: zero
+    weights, and biases that dequantize to value / 255."""
+    return QuantizedGnnParams([QuantizedLayer(
+        np.zeros((1536, 3), np.int16), np.full(1536, value, np.int16),
+        np.float32(1 / 255))])
+
+
+def flat_clip(n_frames: int, blocks: dict) -> list[Frame]:
+    """96x64 frames flat at 128 but for blocks, which maps (frame, bx, by)
+    to the value that block is flat at in every plane."""
+    frames = []
+    for t in range(n_frames):
+        planes = [np.full((64, 96), 128, np.uint8),
+                  np.full((32, 48), 128, np.uint8), np.full((32, 48), 128, np.uint8)]
+        for (f, bx, by), value in blocks.items():
+            if f == t:
+                for plane, size in zip(planes, (32, 16, 16)):
+                    plane[by * size:(by + 1) * size, bx * size:(bx + 1) * size] = value
+        frames.append(make_frame(*planes))
+    return frames
+
+
+class TestReplayedNetworkPass:
+    """The network pass replays the fallback pass until the generator first
+    wins a block, then codes every frame. Replayed or coded frame by frame,
+    a pass must give the same bytes, bits, pixels and distortion, and stop
+    at the same frame under every budget.
+
+    The flat clips run at qp 51, where lambda is 6963.2 and a flat residual
+    of up to 22 quantizes to nothing, so a candidate costs its prediction's
+    SSD, 1536 samples times the offset squared, plus lambda times its
+    syntax bits, 24 tile bits and the selection bit. On flat content a P
+    frame's inter and DC candidates tie at 1 + 2 + 24 + 1 bits and inter
+    takes the tie; the flat generator pays 24 + 1. The margins below are
+    under lambda, so a replay that charged the selection bit to only one
+    side would decide them the other way.
+    """
+
+    K, N = 2, 5  # the frame where a flat clip changes, and its length
+
+    def passes(self, frames, regions, qparams, qp, monkeypatch):
+        """The pass coded frame by frame, with budget inf, and the frames
+        _encode_frame coded in the replayed one. Both are compared at
+        every budget: none, and each that stops the pass before a frame."""
+        n = len(frames)
+        config = SequenceConfig(width=96, height=64, frame_count=n, qp=qp,
+                                gnn_interval=n)
+        lam = rd_lambda(qp)
+        args = (frames, 0, regions, qparams, SetContext(3, 2, 0, n),
+                config, lam, 3, 2)
+        fallback = _encode_period(frames, 0, [[]] * n, None, None, config, lam, 3, 2)
+        full = _encode_period(*args)
+        # the cost after frame m is a budget that stops before frame m + 1
+        spent = (np.cumsum([r.distortion for r in full.results])
+                 + lam * (full.param_bits + np.cumsum([fb.total for fb in full.frame_bits])))
+        budgets = [math.inf, *spent[:-1].tolist()]
+        wants = [_encode_period(*args, budget=b) for b in budgets]
+        real_encode = nbv.encoder._encode_frame
+        coded = []
+
+        def counting_encode(*args):
+            coded.append(args[2])
+            return real_encode(*args)
+
+        monkeypatch.setattr(nbv.encoder, "_encode_frame", counting_encode)
+        for stop, (budget, want) in enumerate(zip(budgets, wants)):
+            got = _encode_period(*args, budget=budget, fallback=fallback)
+            if stop == 0:
+                coded_in_full = list(coded)
+            assert len(got.results) == len(want.results) == (stop or n)
+            assert got.data == want.data
+            assert got.frame_bits == want.frame_bits
+            assert [r.distortion for r in got.results] == [
+                r.distortion for r in want.results]
+            for a, b in zip(got.results, want.results):
+                assert frames_equal(a.recon, b.recon)
+        return full, coded_in_full
+
+    @pytest.mark.parametrize("clip", ["flat", "pan"])
+    def test_generator_never_wins(self, clip, monkeypatch):
+        if clip == "flat":
+            # at frame K the generator loses block (2, 0) by 3686.4, under
+            # lambda: 1536 * 5^2 + 25 lambda against 1536 * 3^2 + 28 lambda
+            n, qp, qparams = self.N, 51, flat_generator(136)
+            frames = flat_clip(n, {(self.K, 2, 0): 131})
+        else:
+            n, qp = 8, 8
+            frames = synth_sequence("pan", 96, 64, n, velocity=(4, 0), seed=7)
+            ctx = SetContext(3, 2, 0, n)
+            qparams, _ = train_param_set(frames, 0, [[RegionSpec(2, 0, 2, 1, True)]] * n,
+                                         ctx, (3, 4, 1536), fast_train(20))
+        regions = [[RegionSpec(2, 0, 2, 1, True)]] * n
+        full, coded = self.passes(frames, regions, qparams, qp, monkeypatch)
+        assert [mode_counts(r.modes)[2] for r in full.results] == [0] * n
+        assert coded == []
+
+    def test_hands_over_at_the_first_generated_block(self, monkeypatch):
+        # at frame K the generator wins block (2, 0) by 3993.6, under
+        # lambda: 1536 * 6^2 + 25 lambda against 1536 * 5^2 + 28 lambda.
+        # Frame K + 1 is flat again, but its reference is not the fallback
+        # pass's: there DC beats inter, which the fallback frame chose.
+        frames = flat_clip(self.N, {(self.K, 2, 0): 123})
+        regions = [[RegionSpec(2, 0, 2, 1, True)]] * self.N
+        full, coded = self.passes(frames, regions, flat_generator(117), 51, monkeypatch)
+        assert [mode_counts(r.modes)[2] for r in full.results] == [0, 0, 1, 0, 0]
+        assert full.results[self.K + 1].modes[0, 2] == BlockMode.INTRA_DC
+        assert coded == list(range(self.K, self.N))
+
+    def test_forced_region_hands_over(self, monkeypatch):
+        # a forced block at frame K only; frame K + 1 reads it as above
+        regions = ([[]] * self.K + [[RegionSpec(2, 1, 2, 1, False)]]
+                   + [[]] * (self.N - self.K - 1))
+        full, coded = self.passes(flat_clip(self.N, {}), regions, flat_generator(117),
+                                  51, monkeypatch)
+        assert [mode_counts(r.modes)[2] for r in full.results] == [0, 0, 1, 0, 0]
+        assert full.results[self.K + 1].modes[1, 2] == BlockMode.INTRA_DC
+        assert coded == list(range(self.K, self.N))
+
+
+class TestPeriodBlockRecord:
+    """Each period records the fallback pass's per-block winning costs."""
+
+    @pytest.mark.parametrize("name", ["pan_qp20_generator_off", "pan_qp8_tiny_arch",
+                                      "zoom_out_qp8_tiny_arch"])
+    def test_block_costs_add_up_to_the_pass(self, name):
+        _, report = encode_case(name)
+        # no case keeps its network, so the stream is the fallback pass's
+        assert all(p.outcome != "kept" for p in report.periods)
+        d = np.concatenate([p.block_d for p in report.periods])
+        r = np.concatenate([p.block_r for p in report.periods])
+        assert d.dtype == r.dtype == np.int32
+        assert d.shape == r.shape == (len(report.rows), 2, 3)
+        assert int(d.sum(dtype=np.int64)) == report.total_distortion
+        # the frame header (tag 8, frame type 1, no regions 1) and up to
+        # 7 bits of padding to the byte are all a frame adds
+        for row, frame_r in zip(report.rows, r):
+            total = row.bits_modes + row.bits_mv + row.bits_residual
+            assert 0 <= total - (10 + int(frame_r.sum())) <= 7
 
 
 def parsed_unit_bits(stream):

@@ -19,6 +19,7 @@ from nbv.prediction import (
     IntraMode,
     MotionVector,
     _clamped_window,
+    block_motion,
     intra_predict,
     motion_compensate,
     motion_field,
@@ -222,6 +223,15 @@ class TestMotionSearch:
         co = extract_block(ref, BlockCoord(2, 1))
         assert sad == int(np.abs(co.y.astype(int) - blk.y.astype(int)).sum())
 
+    def test_block_motion_rejects_off_grid_and_mismatched_blocks(self):
+        ref = rand_frame(96, 64, seed=16)
+        blk = extract_block(ref, BlockCoord(0, 0)).y
+        for c in [(3, 0), (0, 2), (-1, 0)]:
+            with pytest.raises(ValueError, match="outside"):
+                block_motion(blk, ref, c, 2)
+        with pytest.raises(ValueError, match="luma blocks"):
+            block_motion(blk[None], ref, (0, 0), 2)
+
     def test_negative_range_rejected(self):
         ref = rand_frame(64, 64, seed=16)
         with pytest.raises(ValueError):
@@ -255,6 +265,12 @@ def assert_field_matches_block_searches(cur, ref, r):
             want = search_oracle(blk.y, ref, c, r)
             assert field.at(c) == want, (c, r)
             assert motion_search(blk, ref, c, r) == want, (c, r)
+    # every block at once, each in its own window, gives the same field
+    by, bx = np.indices((rows, cols))
+    grid = np.stack([bx, by], axis=-1)
+    stacked = block_motion(extract_block(cur, grid).y, ref, grid, r)
+    for got, want in zip(stacked, field):
+        assert np.array_equal(got, want)
     return field
 
 
