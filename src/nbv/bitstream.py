@@ -19,6 +19,10 @@ boundary at its end):
               against the left neighbor's vector for inter, then the 24
               residual tiles. Generated blocks carry no mode symbol; their
               membership is implied by the regions and selection bits.
+  order       frame 0 and the frame after a parameter set are I frames; a
+              set needs gnn_enabled and a frame after it; a frame may
+              generate blocks only within the latest set's set_frames.
+              parse_stream enforces this, and the decoder relies on it.
 
 A FrameUnit holds a frame's blocks as three arrays: each block's BlockMode
 (GEN where it is generated), its motion-vector difference (zero unless
@@ -126,6 +130,11 @@ class StreamHeader:
 
     def grid(self) -> tuple[int, int]:
         return block_grid_dims(self.width, self.height)
+
+    def set_frames(self, start: int) -> range:
+        """The frames a parameter set sent before frame start covers: one
+        generator interval, cut at the end of the stream."""
+        return range(start, min(start + self.gnn_interval, self.frame_count))
 
 
 def write_header(w: BitWriter, h: StreamHeader) -> int:
@@ -521,7 +530,7 @@ def _parse_frame_body(r: BitReader, cols: int, rows: int,
     for reg in regions:
         if reg.selectable:
             area = gen[reg.area]  # a view into gen
-            area.flat = [r.read_bits(1) for _ in range(area.size)]
+            area.flat = r.read_bit_array(area.size)
     bits.modes += r.bit_position - start
     fu = FrameUnit(frame_type, regions, (gen * BlockMode.GEN).astype(np.int8),
                    np.zeros((rows, cols, 2), dtype=np.int32),
@@ -565,7 +574,8 @@ def parse_stream(data: bytes, bits: list | None = None):
 
     The generator yields ('param_set', QuantizedGnnParams) and
     ('frame', FrameUnit) in stream order, stops after the header's frame
-    count, and rejects unknown tags and trailing bytes. When `bits` is a
+    count, and rejects unknown tags, trailing bytes and units out of the
+    layout's order, so whatever it yields can be decoded. When `bits` is a
     list, the header's size in bits is appended to it, then each unit's
     bits before the unit is yielded: an int for a parameter set, a
     FrameBits for a frame. Both include the unit's tag.
@@ -582,20 +592,41 @@ def parse_stream(data: bytes, bits: list | None = None):
 
     def units():
         done = 0
+        set_frames = None  # the latest parameter set's frames
+        after_set = False  # whether the unit before was a parameter set
         while done < header.frame_count:
             start = r.bit_position
             tag = r.read_bits(8)
             if tag == UNIT_PARAM_SET:
                 unit = "param_set", _parse_param_set_body(r)
                 unit_bits = r.bit_position - start
+                if not header.gnn_enabled:
+                    raise StreamError("parameter set in a generator-disabled stream")
+                if after_set:
+                    raise StreamError("consecutive parameter sets without a frame")
+                set_frames = header.set_frames(done)
             elif tag == UNIT_FRAME:
                 unit_bits = FrameBits()
-                unit = "frame", _parse_frame_body(r, cols, rows, unit_bits)
+                fu = _parse_frame_body(r, cols, rows, unit_bits)
+                if after_set and fu.frame_type != "I":
+                    raise StreamError("parameter set must be followed by a keyframe")
+                if fu.frame_type == "P" and not done:
+                    raise StreamError("frame 0 is predicted but has no reference")
+                if np.any(fu.modes == BlockMode.GEN):
+                    if set_frames is None:
+                        raise StreamError(f"frame {done} uses generated blocks "
+                                          "before any parameter set")
+                    if done not in set_frames:
+                        raise StreamError(
+                            f"frame {done} generates blocks outside its parameter set's "
+                            f"frames {set_frames.start}..{set_frames.stop - 1}")
+                unit = "frame", fu
                 done += 1
             else:
                 raise StreamError(f"unknown unit tag {tag}")
             if bits is not None:
                 bits.append(unit_bits)
+            after_set = tag == UNIT_PARAM_SET
             yield unit
         if r.bits_remaining:
             raise StreamError(f"{r.bits_remaining} trailing bits after last frame")

@@ -270,7 +270,8 @@ def build_parser() -> _Parser:
     p.add_argument("--output", help="CSV path (default stdout)")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("inspect", help="dump stream structure and bit accounting")
+    p = sub.add_parser("inspect", help="dump stream structure and bit accounting; "
+                       "rejects (exit 3) every stream decode rejects")
     p.add_argument("--input", required=True, help="stream file")
     p.add_argument("--json", action="store_true",
                    help="print the bit accounting as one JSON object")

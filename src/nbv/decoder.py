@@ -8,10 +8,11 @@ before it are rebuilt, and the whole diagonal is predicted at once. This is
 the dependency structure of HEVC's wavefront parallel processing (Chi et
 al., "Parallel Scalability and Efficiency of HEVC Parallelization
 Approaches", IEEE TCSVT 2012). The walk keeps the vector predictor, the one
-place its left-neighbour rule is written, and gives intra and generated
-blocks their predictions. The encoder codes and rebuilds every frame
-through the same walk and the same residual arithmetic, so its
-reconstruction is the decoder's by construction.
+place its left-neighbour rule is written, and gives intra blocks their
+predictions; generated_blocks gives generated blocks theirs. The encoder
+codes and rebuilds every frame through the same walk, the same generator
+call and the same residual arithmetic, so its reconstruction is the
+decoder's by construction.
 
 The decoder rebuilds a frame in batches. First the residual planes of the
 whole unit are built at once, paying only for tiles with a nonzero level,
@@ -26,11 +27,12 @@ diagonals; in a P frame, where most neighbours are inter blocks, an
 intra block rarely waits. Integer arithmetic gives the same sums in any
 order, so the pixels are those of a block-by-block raster walk.
 
-A parameter-set unit installs the generator for the frames that follow it;
-the set's time axis starts at the next frame and spans at most one
-keyframe interval, both derivable from the header alone. A frame outside
-that span may not generate blocks: a period that ships no set cannot reuse
-an earlier one.
+A parameter-set unit installs the generator for the frames that follow it,
+StreamHeader.set_frames of the next frame, which is also the set's time
+axis. Which streams are valid is bitstream.parse_stream's to decide: it
+rejects a unit out of order or a frame generating outside its set's
+frames, so the decoder, the bit accounting and `nbv inspect` accept the
+same streams, and the decoder only rebuilds pixels.
 """
 
 from __future__ import annotations
@@ -41,15 +43,18 @@ import numpy as np
 
 from .bitstream import BlockMode, FrameUnit, parse_stream
 from .core import BLOCK, Block32, BlockCoord, Frame, blank_frame, insert_block
-from .entropy import StreamError
 from .gnn import QuantizedGnnParams, SetContext, generate_block
 from .prediction import intra_predict, motion_compensate
 from .residual import add_residual, residual_planes
 from .tools import csv_text
 
 
-def _stack_blocks(blocks: list[Block32]) -> Block32:
-    """One Block32 whose planes carry a leading axis over the given blocks."""
+def generated_blocks(qparams: QuantizedGnnParams, ctx: SetContext, frame_idx: int,
+                     coords: np.ndarray) -> Block32:
+    """The generator's predictions of the (n, 2) blocks at coords in frame
+    frame_idx, one evaluation a block, stacked on a leading axis."""
+    blocks = [generate_block(qparams, BlockCoord(bx, by), frame_idx, ctx)
+              for bx, by in coords.tolist()]
     return Block32(*(np.stack(planes) for planes in
                      zip(*((b.y, b.cb, b.cr) for b in blocks))))
 
@@ -66,17 +71,12 @@ class FrameWalk:
     docstring).
     """
 
-    def __init__(self, width: int, height: int, frame_idx: int,
-                 qparams: QuantizedGnnParams | None,
-                 ctx: SetContext | None) -> None:
+    def __init__(self, width: int, height: int) -> None:
         self.recon = blank_frame(width, height)
         grid = (self.recon.height // BLOCK, self.recon.width // BLOCK)
         self.modes = np.zeros(grid, dtype=np.int8)
         # each noted block's vector, zero where a block is not inter
         self.mvs = np.zeros(grid + (2,), dtype=np.int64)
-        self._frame_idx = frame_idx
-        self._qparams = qparams
-        self._ctx = ctx
 
     def mv_pred(self, coords: np.ndarray) -> np.ndarray:
         """The (n, 2) vectors that the motion-vector differences of the
@@ -91,13 +91,6 @@ class FrameWalk:
         frame so far; coords (..., 2) and modes (...) broadcast."""
         # the intra block modes rank as the intra predictors do
         return intra_predict(self.recon, coords, np.asarray(modes) - BlockMode.INTRA_DC)
-
-    def generated(self, coords: np.ndarray) -> Block32:
-        """The generator's predictions of the (n, 2) blocks at coords, one
-        evaluation a block."""
-        return _stack_blocks([
-            generate_block(self._qparams, BlockCoord(bx, by), self._frame_idx, self._ctx)
-            for bx, by in coords.tolist()])
 
     def put(self, coords: np.ndarray, modes: np.ndarray, mvs: np.ndarray,
             blocks: Block32) -> None:
@@ -184,24 +177,12 @@ def _decode_frame(
     fu: FrameUnit, prev_recon: Frame | None, frame_idx: int,
     qparams: QuantizedGnnParams | None, ctx: SetContext | None,
     width: int, height: int, qp: int,
-) -> tuple[Frame, DecodeRow]:
-    if fu.frame_type == "P" and prev_recon is None:
-        raise StreamError(f"frame {frame_idx} is predicted but has no reference")
-    if np.any(fu.modes == BlockMode.GEN):
-        if qparams is None:
-            raise StreamError(
-                f"frame {frame_idx} uses generated blocks before any parameter set"
-            )
-        if not ctx.start_frame <= frame_idx < ctx.start_frame + ctx.span:
-            raise StreamError(
-                f"frame {frame_idx} generates blocks outside its parameter "
-                f"set's frames {ctx.start_frame}..{ctx.start_frame + ctx.span - 1}"
-            )
+) -> Frame:
     cols = fu.modes.shape[1]
     # 1. the residual planes of every block, in one batch
     res = residual_planes(fu.blocks, qp)
     # 2. the vectors, with the modes noted, by running sums along rows
-    walk = FrameWalk(width, height, frame_idx, qparams, ctx)
+    walk = FrameWalk(width, height)
     mvs = walk.vectors(fu.modes, fu.mvds)
     # 3. every inter block from one gather, and every generated block,
     # each kind with one add and one write: neither reads this frame
@@ -210,7 +191,8 @@ def _decode_frame(
         if len(by):
             coords = np.stack([bx, by], axis=-1)
             pred = (motion_compensate(prev_recon, coords, mvs[by, bx])
-                    if mode == BlockMode.INTER else walk.generated(coords))
+                    if mode == BlockMode.INTER
+                    else generated_blocks(qparams, ctx, frame_idx, coords))
             insert_block(walk.recon, coords, add_residual(pred, res[by * cols + bx]))
     # 4. the intra blocks, one wave at a time
     intra = (fu.modes != BlockMode.INTER) & (fu.modes != BlockMode.GEN)
@@ -218,44 +200,26 @@ def _decode_frame(
         bx, by = coords[:, 0], coords[:, 1]
         insert_block(walk.recon, coords, add_residual(
             walk.intra(coords, fu.modes[by, bx]), res[by * cols + bx]))
-    return walk.recon, DecodeRow(frame_idx, fu.frame_type, *mode_counts(walk.modes))
+    return walk.recon
 
 
 def decode_sequence(data: bytes) -> tuple[list[Frame], DecodeReport]:
-    """Decode a stream into reconstruction frames plus per-frame statistics."""
+    """Decode a stream into reconstruction frames plus per-frame statistics;
+    a malformed stream is parse_stream's StreamError."""
     header, units = parse_stream(data)
     cols, rows = header.grid()
     frames: list[Frame] = []
     report = DecodeReport()
-    qparams: QuantizedGnnParams | None = None
-    ctx: SetContext | None = None
-    pending_param_set = False
-    prev_recon: Frame | None = None
-
+    qparams = ctx = None  # the latest parameter set, and its frames
     for kind, payload in units:
         if kind == "param_set":
-            if not header.gnn_enabled:
-                raise StreamError("parameter set in a generator-disabled stream")
-            if pending_param_set:
-                raise StreamError("consecutive parameter sets without a frame")
-            start = len(frames)
-            span = min(header.gnn_interval, header.frame_count - start)
-            qparams = payload
-            ctx = SetContext(cols, rows, start, span)
-            pending_param_set = True
+            span = header.set_frames(len(frames))
+            qparams, ctx = payload, SetContext(cols, rows, span.start, len(span))
             report.n_param_sets += 1
         else:
-            fu: FrameUnit = payload
-            if pending_param_set and fu.frame_type != "I":
-                raise StreamError("parameter set must be followed by a keyframe")
-            pending_param_set = False
-            recon, row = _decode_frame(
-                fu, prev_recon, len(frames), qparams, ctx,
-                header.width, header.height, header.qp,
-            )
-            frames.append(recon)
-            report.rows.append(row)
-            prev_recon = recon
-    if pending_param_set:
-        raise StreamError("stream ends on a parameter set")
+            report.rows.append(DecodeRow(len(frames), payload.frame_type,
+                                         *mode_counts(payload.modes)))
+            frames.append(_decode_frame(
+                payload, frames[-1] if frames else None, len(frames), qparams, ctx,
+                header.width, header.height, header.qp))
     return frames, report

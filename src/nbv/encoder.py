@@ -71,7 +71,7 @@ from .core import (
     block_grid_dims,
     extract_block,
 )
-from .decoder import FrameWalk, mode_counts
+from .decoder import FrameWalk, generated_blocks, mode_counts
 from .entropy import BitReader, BitWriter
 from .gnn import (
     QuantizedGnnParams,
@@ -195,23 +195,30 @@ def train_param_set(
     return quantize_params(params), len(inputs)
 
 
-def choose_block_mode(j: np.ndarray, modes) -> np.ndarray:
-    """Index of the minimum-J candidate along j's last axis; ties go to the
-    earlier BlockMode rank. modes broadcasts against j; leading axes
-    pass through, one choice each."""
-    j, modes = np.broadcast_arrays(np.asarray(j, dtype=np.float64), np.asarray(modes))
+def choose_block_mode(j: np.ndarray) -> np.ndarray:
+    """Index of the minimum-J candidate along j's last axis, whose slots
+    are in BlockMode rank: the first minimum, so ties go to the earlier
+    rank. Leading axes pass through, one choice each."""
+    j = np.asarray(j, dtype=np.float64)
     if not j.shape[-1]:
         raise ValueError("no candidates")
-    return np.lexsort((modes, j), axis=-1)[..., 0]
+    return np.argmin(j, axis=-1)
 
 
-def _ssd(source: Block32, recon: Block32) -> np.ndarray:
-    """SSD against the source of each block along recon's leading axes."""
-    total = 0
-    for ps, pr in ((source.y, recon.y), (source.cb, recon.cb), (source.cr, recon.cr)):
+def _candidate_costs(src: Block32, bases: Block32, frame_type: str, modes,
+                     mvds, qp: int):
+    """(levels, rebuilt blocks, SSD, bits) of candidates with the given
+    bases for the source blocks src, all along one leading axis; the bits
+    are the tiles' and block_syntax_bits' for the candidates' modes and
+    vector differences, the selection bit left out."""
+    levels = encode_block_residual(src, bases, qp)
+    rec = apply_block_residual(bases, levels, qp)
+    ssd = 0
+    for ps, pr in ((src.y, rec.y), (src.cb, rec.cb), (src.cr, rec.cr)):
         d = pr.astype(np.int64) - ps.astype(np.int64)
-        total = total + (d * d).sum(axis=(-2, -1))
-    return total
+        ssd = ssd + (d * d).sum(axis=(-2, -1))
+    bits = block_tiles_bits(levels) + block_syntax_bits(frame_type, modes, mvds)
+    return levels, rec, ssd, bits
 
 
 @dataclass
@@ -282,8 +289,7 @@ def _encode_frame(
     block on the diagonal is stacked on one axis and costed in one call
     each to quantize, count tile bits and reconstruct.
     """
-    walk = FrameWalk(source.display_width, source.display_height,
-                     frame_idx, qparams, ctx)
+    walk = FrameWalk(source.display_width, source.display_height)
     rows, cols = walk.modes.shape
     by, bx = np.indices((rows, cols))
     grid = np.stack([bx, by], axis=-1)
@@ -300,7 +306,7 @@ def _encode_frame(
         bases[:, :, BlockMode.INTER] = motion_compensate(prev_recon, grid, mvs)
     gen = slots[..., BlockMode.GEN]
     if gen.any():
-        bases[gen, BlockMode.GEN] = walk.generated(grid[gen])
+        bases[gen, BlockMode.GEN] = generated_blocks(qparams, ctx, frame_idx, grid[gen])
     sel = kinds == SELECTABLE
     # each candidate's costs, and the unit's arrays, filled with each
     # diagonal's winners as the walk goes; levels are within +-MAX_LEVEL
@@ -319,15 +325,13 @@ def _encode_frame(
         # with its block's index on the diagonal and its mode
         cand = cand[have]
         block, mode = np.nonzero(have)
-        src_c = src[by[block], bx[block]]
-        levels = encode_block_residual(src_c, cand, qp)
-        rec = apply_block_residual(cand, levels, qp)
         mvd = mvs[by, bx] - walk.mv_pred(coords)
-        slot_ssd[by[block], bx[block], mode] = _ssd(src_c, rec)
-        slot_bits[by[block], bx[block], mode] = (
-            block_tiles_bits(levels) + block_syntax_bits(frame_type, mode, mvd[block]))
+        levels, rec, ssd, bits = _candidate_costs(
+            src[by[block], bx[block]], cand, frame_type, mode, mvd[block], qp)
+        slot_ssd[by[block], bx[block], mode] = ssd
+        slot_bits[by[block], bx[block], mode] = bits
         j = _slot_costs(slot_ssd[by, bx], slot_bits[by, bx], have, sel[by, bx], lam)
-        win = choose_block_mode(j, _SLOT_MODES)
+        win = choose_block_mode(j)
         stacked = np.zeros(have.shape, dtype=np.intp)
         stacked[have] = np.arange(len(mode))
         i = stacked[np.arange(len(coords)), win]  # the winners in the stack
@@ -364,16 +368,12 @@ def _replays(
     by, bx = np.nonzero(slots[..., BlockMode.GEN])
     if len(by):
         coords = np.stack([bx, by], axis=-1)
-        walk = FrameWalk(source.display_width, source.display_height,
-                         frame_idx, qparams, ctx)
-        base = walk.generated(coords)
-        src = extract_block(source, coords)
-        levels = encode_block_residual(src, base, qp)
-        slot_ssd[by, bx, BlockMode.GEN] = _ssd(src, apply_block_residual(base, levels, qp))
-        slot_bits[by, bx, BlockMode.GEN] = (
-            block_tiles_bits(levels) + block_syntax_bits(frame_type, BlockMode.GEN))
+        _, _, ssd, bits = _candidate_costs(
+            extract_block(source, coords), generated_blocks(qparams, ctx, frame_idx, coords),
+            frame_type, BlockMode.GEN, None, qp)
+        slot_ssd[by, bx, BlockMode.GEN], slot_bits[by, bx, BlockMode.GEN] = ssd, bits
     win = choose_block_mode(
-        _slot_costs(slot_ssd, slot_bits, slots, kinds == SELECTABLE, lam), _SLOT_MODES)
+        _slot_costs(slot_ssd, slot_bits, slots, kinds == SELECTABLE, lam))
     return np.array_equal(win, fallback.modes)
 
 

@@ -98,24 +98,24 @@ class BitReader:
     def bits_remaining(self) -> int:
         return self._nbits - self._pos
 
-    def read_bits(self, n: int) -> int:
-        if not 0 <= n <= 32:
-            raise ValueError(f"bit count out of range: {n}")
+    def _take(self, n: int) -> int:
+        """Move past the next n bits; returns them as one integer, MSB-first."""
         pos = self._pos
         if pos + n > self._nbits:
             raise StreamError("read past end of stream")
-        value = 0
-        took = 0
-        data = self._data
-        while took < n:
-            byte = data[pos >> 3]
-            avail = 8 - (pos & 7)
-            take = min(avail, n - took)
-            value = (value << take) | ((byte >> (avail - take)) & ((1 << take) - 1))
-            pos += take
-            took += take
-        self._pos = pos
-        return value
+        self._pos = pos + n
+        window = int.from_bytes(self._data[pos >> 3:(pos + n + 7) >> 3], "big")
+        return (window >> (-(pos + n) % 8)) & ((1 << n) - 1)
+
+    def read_bits(self, n: int) -> int:
+        if not 0 <= n <= 32:
+            raise ValueError(f"bit count out of range: {n}")
+        return self._take(n)
+
+    def read_bit_array(self, n: int) -> np.ndarray:
+        """Read n bits as an array of 0/1 values, as write_bit_array wrote them."""
+        packed = (self._take(n) << (-n % 8)).to_bytes((n + 7) >> 3, "big")
+        return np.unpackbits(np.frombuffer(packed, np.uint8))[:n]
 
     def skip(self, n: int) -> None:
         """Move forward n bits."""

@@ -37,7 +37,6 @@ from nbv.core import (
 )
 from nbv.encoder import (
     _encode_period,
-    choose_block_mode,
     encode_sequence,
     rd_lambda,
     train_param_set,
@@ -474,7 +473,9 @@ def encode_frame_oracle(source: Frame, prev_recon, frame_idx: int,
             ssd = ssd + (d * d).sum(axis=(-2, -1))
         bits = int(kind == SELECTABLE) + block_tiles_bits(levels) + np.array(
             [block_syntax_bits(frame_type, mode, mvd) for mode, mvd, _ in cands])
-        i = int(choose_block_mode(ssd + lam * bits, [m for m, _, _ in cands]))
+        j = (ssd + lam * bits).tolist()
+        # the first minimum-cost candidate in BlockMode rank
+        i = min(range(len(cands)), key=lambda k: (j[k], cands[k][0]))
         mode, mvd, _ = cands[i]
         insert_block(recon, c, rec[i])
         modes[c.by, c.bx] = mode

@@ -681,10 +681,11 @@ class TestStreamFraming:
         assert back_header.frame_count == 0
 
 
-def random_frame(rng, cols, rows):
-    """A frame unit of random modes, vectors and tiles; the right block
-    column is a selectable region with random selections."""
-    frame_type = "IP"[int(rng.integers(2))]
+def random_frame(rng, cols, rows, frame_type=None):
+    """A frame unit of random modes, vectors and tiles, of a random type
+    unless one is given; the right block column is a selectable region
+    with random selections."""
+    frame_type = frame_type or "IP"[int(rng.integers(2))]
     regions = [RegionSpec(cols - 1, 0, cols - 1, rows - 1, True)]
     gen_map = np.zeros((rows, cols), dtype=bool)
     gen_map[:, -1] = rng.random(rows) < 0.5
@@ -724,20 +725,27 @@ def largest_block_row():
 
 class TestBulkFramePayload:
     """Random frames through write_frame and parse_stream: the payloads come
-    back and every bit is charged where the cost functions say."""
+    back and every bit is charged where the cost functions say. The
+    streams are legal: the first frame is an I frame, and a stream whose
+    frames generate blocks has the generator on and a parameter set first."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_frames_round_trip(self, seed):
         rng = np.random.default_rng(seed)
         cols, rows = int(rng.integers(1, 5)), int(rng.integers(1, 4))
-        units = [random_frame(rng, cols, rows) for _ in range(3)]
-        header = StreamHeader(32 * cols, 32 * rows, len(units), 20, False, 16)
-        data = write_stream(header, [("frame", u) for u in units])
+        units = [random_frame(rng, cols, rows, "I" if i == 0 else None) for i in range(3)]
+        gen = any((u.modes == BlockMode.GEN).any() for u in units)
+        header = StreamHeader(32 * cols, 32 * rows, len(units), 20, gen, 16)
+        sets = [("param_set", qparams_for((3, 1536)))] if gen else []
+        data = write_stream(header, sets + [("frame", u) for u in units])
         sizes = []
         _, parsed = parse_stream(data, sizes)
         parsed = list(parsed)
-        assert len(parsed) == len(sizes) - 1 == len(units)
-        for unit, (kind, back), bits in zip(units, parsed, sizes[1:]):
+        assert [k for k, _ in parsed] == ["param_set"] * len(sets) + ["frame"] * len(units)
+        assert sizes[1:1 + len(sets)] == [param_set_bits((3, 1536))] * len(sets)
+        parsed, frame_bits = parsed[len(sets):], sizes[1 + len(sets):]
+        assert len(parsed) == len(frame_bits) == len(units)
+        for unit, (kind, back), bits in zip(units, parsed, frame_bits):
             assert kind == "frame" and back.frame_type == unit.frame_type
             assert np.array_equal(back.modes, unit.modes)
             assert np.array_equal(back.mvds, unit.mvds)
@@ -755,7 +763,7 @@ class TestBulkFramePayload:
             pad = -(fixed + syntax + tiles) % 8
             assert (bits.modes + bits.mvs, bits.mvs, bits.residuals) == (
                 fixed + syntax + pad, mvs, tiles)
-        assert 8 * len(data) == sizes[0] + sum(b.total for b in sizes[1:])
+        assert 8 * len(data) == sum(sizes[:1 + len(sets)]) + sum(b.total for b in frame_bits)
 
     def test_frame_larger_than_the_chunk_cap(self):
         for unit in (dense_frame(), largest_block_row()):

@@ -8,7 +8,9 @@ import json
 import numpy as np
 import pytest
 
+from conftest import frame_unit
 from nbv import decoder, encoder
+from nbv.bitstream import BlockMode, StreamHeader, write_stream
 from nbv.cli import EXIT_IO, EXIT_OK, EXIT_STREAM, EXIT_USAGE, main
 from nbv.tools import bit_accounting
 
@@ -242,6 +244,18 @@ class TestExitCodes:
             args += ["--output", str(tmp_path / "never.yuv")]
         assert main(args) == EXIT_STREAM
         assert "unsupported stream version NBV1" in capsys.readouterr().err
+        assert not (tmp_path / "never.yuv").exists()
+
+    def test_p_first_frame_is_stream_error_to_decode_and_inspect(self, tmp_path, capsys):
+        # every block syntax is legal; only the unit order is not
+        unit = frame_unit("P", [(BlockMode.INTER, (0, 0), np.zeros((24, 64)))])
+        bad = tmp_path / "p_first.nbv"
+        bad.write_bytes(write_stream(StreamHeader(32, 32, 1, 20, False, 16),
+                                     [("frame", unit)]))
+        for args in (["decode", "--output", str(tmp_path / "never.yuv")], ["inspect"]):
+            assert main(args + ["--input", str(bad)]) == EXIT_STREAM
+            assert ("frame 0 is predicted but has no reference"
+                    in capsys.readouterr().err)
         assert not (tmp_path / "never.yuv").exists()
 
     def test_truncated_stream_is_stream_error(self, workdir, tmp_path):

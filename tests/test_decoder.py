@@ -95,19 +95,29 @@ class TestClosedLoop:
         assert all(r.n_gen == 0 for r in report.rows)
 
 
+def rejected_everywhere(data: bytes, message: str) -> None:
+    """The stream ends in StreamError with message when decoded, when its
+    units are parsed and when its bits are accounted, so `nbv decode` and
+    `nbv inspect` reject it alike."""
+    for consume in (decode_sequence, lambda d: list(parse_stream(d)[1]), bit_accounting):
+        with pytest.raises(StreamError, match=message):
+            consume(data)
+
+
 class TestStateRules:
+    """The order rules of parse_stream, each with its message."""
+
     def test_predicted_frame_needs_a_reference(self):
         unit = one_block_unit("P", BlockMode.INTER, mvd=(0, 0))
         data = write_stream(tiny_header(1), [("frame", unit)])
-        with pytest.raises(StreamError):
-            decode_sequence(data)
+        rejected_everywhere(data, "^frame 0 is predicted but has no reference$")
 
     def test_generated_block_needs_a_parameter_set(self):
         reg = RegionSpec(0, 0, 0, 0, True)
         unit = one_block_unit("I", BlockMode.GEN, regions=[reg])
         data = write_stream(tiny_header(1), [("frame", unit)])
-        with pytest.raises(StreamError):
-            decode_sequence(data)
+        rejected_everywhere(
+            data, "^frame 0 uses generated blocks before any parameter set$")
 
     def test_generated_block_outside_the_sets_span_rejected(self):
         # at interval 1 the set before frame 0 covers frame 0 only; frame 1
@@ -121,8 +131,8 @@ class TestStateRules:
         stale = write_stream(StreamHeader(32, 32, 2, 20, True, 1), [
             ("param_set", tiny_qparams()), ("frame", gen_unit), ("frame", gen_unit),
         ])
-        with pytest.raises(StreamError, match="outside its parameter set"):
-            decode_sequence(stale)
+        rejected_everywhere(
+            stale, "^frame 1 generates blocks outside its parameter set's frames 0..0$")
 
     def test_parameter_set_must_precede_an_i_frame(self):
         units = [
@@ -131,8 +141,7 @@ class TestStateRules:
             ("frame", one_block_unit("P", BlockMode.INTER, mvd=(0, 0))),
         ]
         data = write_stream(tiny_header(2), units)
-        with pytest.raises(StreamError):
-            decode_sequence(data)
+        rejected_everywhere(data, "^parameter set must be followed by a keyframe$")
 
     def test_consecutive_parameter_sets_rejected(self):
         units = [
@@ -141,23 +150,22 @@ class TestStateRules:
             ("frame", one_block_unit("I")),
         ]
         data = write_stream(tiny_header(1), units)
-        with pytest.raises(StreamError):
-            decode_sequence(data)
+        rejected_everywhere(data, "^consecutive parameter sets without a frame$")
 
     def test_parameter_set_in_disabled_stream_rejected(self):
         units = [("param_set", tiny_qparams()), ("frame", one_block_unit("I"))]
         data = write_stream(tiny_header(1, gnn_enabled=False), units)
-        with pytest.raises(StreamError):
-            decode_sequence(data)
+        rejected_everywhere(data, "^parameter set in a generator-disabled stream$")
 
     def test_stream_must_not_end_on_a_parameter_set(self):
+        # the units stop after the header's frame count, so a set after the
+        # last frame is trailing bits
         units = [
             ("frame", one_block_unit("I")),
             ("param_set", tiny_qparams()),
         ]
         data = write_stream(tiny_header(1), units)
-        with pytest.raises(StreamError):
-            decode_sequence(data)
+        rejected_everywhere(data, "^[0-9]+ trailing bits after last frame$")
 
     def test_truncated_stream_rejected(self, pan_encode):
         stream, _ = pan_encode
@@ -212,7 +220,7 @@ def vectors_by_diagonals(modes, mvds):
     """FrameWalk.vectors as the encoder's walk states it: diagonal by
     diagonal, each inter block's difference added to mv_pred's vector."""
     rows, cols = modes.shape
-    walk = FrameWalk(32 * cols, 32 * rows, 0, None, None)
+    walk = FrameWalk(32 * cols, 32 * rows)
     for coords in diagonals(rows, cols):
         bx, by = coords[:, 0], coords[:, 1]
         inter = (modes[by, bx] == BlockMode.INTER)[:, None]
@@ -227,7 +235,7 @@ class TestVectorsClosedForm:
     @staticmethod
     def closed_form(modes, mvds):
         rows, cols = modes.shape
-        return FrameWalk(32 * cols, 32 * rows, 0, None, None).vectors(modes, mvds)
+        return FrameWalk(32 * cols, 32 * rows).vectors(modes, mvds)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.integers(1, 9), st.integers(1, 12), st.floats(0.0, 1.0),
@@ -268,7 +276,7 @@ class TestIntraWaves:
 
     def test_every_block_masked_gives_the_diagonals(self):
         for rows, cols in ((1, 1), (1, 5), (4, 1), (3, 4), (5, 2)):
-            walk = FrameWalk(32 * cols, 32 * rows, 0, None, None)
+            walk = FrameWalk(32 * cols, 32 * rows)
             waves = walk.waves(np.ones((rows, cols), bool))
             assert [w.tolist() for w in waves] == [d.tolist() for d in diagonals(rows, cols)]
 
@@ -277,7 +285,7 @@ class TestIntraWaves:
         for _ in range(200):
             rows, cols = rng.integers(1, 7, 2)
             mask = rng.random((rows, cols)) < rng.random()
-            waves = FrameWalk(32 * cols, 32 * rows, 0, None, None).waves(mask)
+            waves = FrameWalk(32 * cols, 32 * rows).waves(mask)
             wave = np.zeros((rows, cols), int)
             for k, coords in enumerate(waves, 1):
                 assert len(coords)
@@ -345,18 +353,24 @@ def p_frame_bytes(request):
 
 
 def consume_damaged(damaged: bytes) -> None:
+    """Decoding and bit accounting both succeed on the stream, or both end
+    in StreamError with one message."""
+    outcomes = []
     for consume in (decode_sequence, bit_accounting):
         try:
             consume(damaged)
-        except StreamError:
-            pass
+            outcomes.append(None)
+        except StreamError as e:
+            outcomes.append(str(e))
+    assert outcomes[0] == outcomes[1]
 
 
 class TestMutatedStreams:
     """A damaged stream either still parses or ends in StreamError, never in
-    another exception. The forced-region stream holds a parameter set and
-    generated blocks, so mutations reach every unit kind; the golden P-frame
-    streams add inter vectors over several frames and periods."""
+    another exception, and the decoder and the bit accounting agree on
+    which. The forced-region stream holds a parameter set and generated
+    blocks, so mutations reach every unit kind; the golden P-frame streams
+    add inter vectors over several frames and periods."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -367,6 +381,14 @@ class TestMutatedStreams:
     @given(data=st.data())
     def test_p_frame_streams_only_stream_errors(self, p_frame_bytes, data):
         consume_damaged(mutate(p_frame_bytes, data.draw))
+
+    def test_every_header_bit_flip(self, forced_bytes):
+        # among them: the generator switched off under a parameter set, and
+        # an interval that leaves a generating frame outside its set
+        for bit in range(120):
+            damaged = bytearray(forced_bytes)
+            damaged[bit // 8] ^= 0x80 >> (bit % 8)
+            consume_damaged(bytes(damaged))
 
 
 class TestBatchedDecodeOracle:

@@ -71,31 +71,46 @@ class TestLambda:
 
 
 class TestModeChoice:
+    """choose_block_mode reads each candidate's slot as its BlockMode, so
+    the candidates are in rank order and a tie goes to the earlier slot."""
+
     def test_strict_minimum_wins_regardless_of_order(self):
-        j = [110.0, 120.0, 105.0]
-        modes = [BlockMode.INTER, BlockMode.INTRA_DC, BlockMode.GEN]
-        for perm in itertools.permutations(range(3)):
-            got = choose_block_mode(np.array([j[k] for k in perm]),
-                                    [modes[k] for k in perm])
-            assert perm[got] == 2
+        for perm in itertools.permutations([110.0, 120.0, 105.0, 130.0, 140.0]):
+            got = choose_block_mode(np.array(perm))
+            assert perm[got] == 105.0
 
     def test_exact_tie_prefers_earlier_mode_rank(self):
-        for perm in itertools.permutations(BlockMode):
-            modes = list(perm)
-            got = choose_block_mode(np.full(len(modes), 100.0), modes)
-            assert modes[got] == BlockMode.INTER
-            # without the inter candidate, the next rank takes the tie
-            rest = [m for m in modes if m != BlockMode.INTER]
-            assert rest[choose_block_mode(np.full(4, 100.0), rest)] == (
-                BlockMode.INTRA_DC)
+        for first in BlockMode:
+            j = np.full(len(BlockMode), 200.0)
+            j[first:] = 100.0
+            assert choose_block_mode(j) == first
+        # an empty slot costs inf and loses even to a huge cost
+        j = np.array([np.inf, 1e30, 1e30, np.inf, 1e30])
+        assert choose_block_mode(j) == BlockMode.INTRA_DC
 
     def test_tie_between_intra_and_generated(self):
-        modes = [BlockMode.GEN, BlockMode.INTRA_DC]
-        assert choose_block_mode(np.array([10.0, 10.0]), modes) == 1
+        j = np.full(len(BlockMode), np.inf)
+        j[[BlockMode.INTRA_DC, BlockMode.GEN]] = 10.0
+        assert choose_block_mode(j) == BlockMode.INTRA_DC
 
     def test_empty_candidate_list_rejected(self):
         with pytest.raises(ValueError):
-            choose_block_mode(np.zeros(0), [])
+            choose_block_mode(np.zeros(0))
+        with pytest.raises(ValueError):
+            choose_block_mode(np.zeros((3, 0)))
+
+    def test_leading_axes_pass_through_with_the_rank_tie_rule(self):
+        # random costs on few values, so ties are common, and empty slots;
+        # each row's choice is the smallest J, then the smallest rank
+        rng = np.random.default_rng(8)
+        j = rng.integers(0, 4, (6, 7, len(BlockMode))).astype(np.float64)
+        j[rng.random(j.shape) < 0.3] = np.inf
+        j[..., BlockMode.INTRA_DC] = np.minimum(j[..., BlockMode.INTRA_DC], 9.0)
+        got = choose_block_mode(j)
+        assert got.shape == (6, 7)
+        for index in np.ndindex(6, 7):
+            row = j[index].tolist()
+            assert got[index] == min(range(len(row)), key=lambda k: (row[k], k))
 
     def test_array_cost_equals_the_scalar_cost(self):
         # J = SSD + lambda * bits over the candidate axis in int64 and float64
