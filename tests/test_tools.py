@@ -1,5 +1,6 @@
 """Synthetic sequences, quality metrics, and stream bit accounting."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -78,6 +79,89 @@ class TestSynthSequence:
         with pytest.raises(ValueError):
             synth_sequence("static", 64, 32, 0)
 
+
+# (kind, width, height, frames, velocity, seed) -> sha256 of every plane of
+# every frame: each kind at several sizes, the smallest legal one among them,
+# and the quarter-size single-frame renders perfbench/content.py scores for
+# its workloads (80x48 for pan and zoom, whose first frames are the same
+# crop, 160x96 for wide, 24x16 for the smoke run).
+SYNTH_GOLDEN = {
+    ("static", 2, 2, 2, (1, 0), 0):
+        "7ef3c798643bc7121f83cc4441f11e735ae0129ac4b24b6cdd372b7a17bded09",
+    ("static", 34, 18, 2, (2, 0), 9):
+        "2219931c321841d3420fe8e11a7f963e6a4ddee92d3febb2b41d5c9c1a62cd2a",
+    ("static", 64, 32, 3, (2, 0), 5):
+        "6863ed4e065054b9a806b5bab3b4c9f9ad2923b0f322d5c26b7e918b705230a8",
+    ("static", 96, 64, 4, (4, 0), 7):
+        "c64ef6f2d0335bf6ef9d6c50cb89adc0c5ab4bf0954cfd766b88bd948b0ed318",
+    ("static", 160, 96, 3, (3, 1), 21):
+        "b7e5c0452f5fac51b365d84c7b7009a18cc46f7426b80430fbe044893e63a689",
+    ("pan", 2, 2, 2, (1, 0), 0):
+        "c0e1eeca85125e073ae230e14831c8eeff13f37dba1c752b8c9d506c0e1cbcac",
+    ("pan", 34, 18, 2, (2, 0), 9):
+        "3fb96447851d4a5d9e3a6605eaa1c87e784b8cbc325fcc68281f6e5b3867b061",
+    ("pan", 64, 32, 3, (2, 0), 5):
+        "3b01b5d6cf0a5586b2a9696daccc6212a691bc820cab0769dd772b8917d3ce6d",
+    ("pan", 96, 64, 4, (4, 0), 7):
+        "3dc197f37f1b0223ab797ddbcb91427ecb787b5e90698c851ed64fbb6c95471f",
+    ("pan", 160, 96, 3, (3, 1), 21):
+        "fb51af1d5344762b794a2e0efb317c30075dce17d11a6b1a25cb5bff39b77829",
+    ("zoom_out", 2, 2, 2, (1, 0), 0):
+        "647bcc993a442d1946308ecb9032782dd7c491d7c6a68e5663489cb3970e5c96",
+    ("zoom_out", 34, 18, 2, (2, 0), 9):
+        "6a811737c61b87ce2300df254ab550582abd26e8a4fbddb182c03872b946ddba",
+    ("zoom_out", 64, 32, 3, (2, 0), 5):
+        "6c96da4426fa7288768890f5400e919a4f69b14fecc483205a6d89828357528e",
+    ("zoom_out", 96, 64, 4, (4, 0), 7):
+        "2b11d321f3fe73faaaa7ea469bcc944d034d2e55ef1a5aa11a009bc8f3ddade6",
+    ("zoom_out", 160, 96, 3, (3, 1), 21):
+        "20a1dce1a7396e867256e41c65c4613316ba53a97207f94f05792b7ab0c1bcea",
+    ("zoom_in", 2, 2, 2, (1, 0), 0):
+        "e66f8f349fd9564cb93ead48c29079a9c22827053d15e75a4b8af3ee57c17170",
+    ("zoom_in", 34, 18, 2, (2, 0), 9):
+        "ee4bc33e5ecc98fefdd266bf744ffc835445ec2fe13832b1d59a0ec86ab1095f",
+    ("zoom_in", 64, 32, 3, (2, 0), 5):
+        "fcd24b13bb0c3a72bbab9936b06748143b44770d5becabb1b0d0916251e4bf94",
+    ("zoom_in", 96, 64, 4, (4, 0), 7):
+        "30e7987032113582b52f875a7919992a33df20c09481afac8ee2835adcd3e7b3",
+    ("zoom_in", 160, 96, 3, (3, 1), 21):
+        "64088221007448a8f9c4ef7e07ef19c3ac6457bc68a482fa2cc828bf05954f83",
+    ("pan", 320, 192, 8, (4, 0), 3):
+        "ad01883ad29e261b708e964ca920f5d78fbbfe0ba1ba546133c6ba208892b136",
+    ("zoom_out", 80, 48, 1, (0, 0), 0):
+        "99ebc899e1f5814e8e26b68e83b487edb2b250e6e7a996018b0f64d8e216b222",
+    ("zoom_out", 80, 48, 1, (0, 0), 336):
+        "3dccdff948e32a772f2f26f95e6fa776bc8c76f5212214dc4e3179cb6a92d945",
+    ("zoom_out", 80, 48, 1, (0, 0), 1000000):
+        "4e947c86be6f7959ef600fd8ddb25204bfd4b2eadae5af20442552120f0b9a35",
+    ("pan", 160, 96, 1, (0, 0), 0):
+        "c7a5a01bb2b387486dfb3a6b8892fe3babf3a7e4867fe55ce07d44ed0dc6a3c2",
+    ("pan", 160, 96, 1, (0, 0), 336):
+        "6d0fe1d83cd83150e890df0e957232889a7673d74f08bb274c1ecc68a57fa100",
+    ("pan", 160, 96, 1, (0, 0), 1000000):
+        "8bdfbfd61e7b8dcb21c4909627d8b0b0f88e04a6c87c03da7b45cbc8382e90ae",
+    ("pan", 24, 16, 1, (0, 0), 0):
+        "ac6b4a59b52bf52b024f3d7a222c5298f0ab502642f2f61f0dc8e044dff68f02",
+    ("pan", 24, 16, 1, (0, 0), 336):
+        "126d6dddaa7f60943ce20740aa03c93dcc3165cc990bdb6f321cdde6e4d3eeef",
+    ("pan", 24, 16, 1, (0, 0), 1000000):
+        "0513c6052f1df48fa79df1c04d46741293038f18c93753ab411f7ff69f0ef107",
+}
+
+
+def synth_id(case):
+    kind, width, height, frames, _, seed = case
+    return f"{kind}-{width}x{height}-{frames}f-seed{seed}"
+
+
+@pytest.mark.parametrize("case", sorted(SYNTH_GOLDEN), ids=synth_id)
+def test_synth_sequence_matches_golden(case):
+    kind, width, height, frames, velocity, seed = case
+    h = hashlib.sha256()
+    for f in synth_sequence(kind, width, height, frames, velocity=velocity, seed=seed):
+        for plane in (f.y, f.cb, f.cr):
+            h.update(plane.tobytes())
+    assert h.hexdigest() == SYNTH_GOLDEN[case]
 
 class TestPsnr:
     def test_identical_planes_hit_the_cap(self):
