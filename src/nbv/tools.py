@@ -57,9 +57,15 @@ def frame_psnr(a: Frame, b: Frame) -> tuple[float, float, float]:
 
 def _render_field(w: int, h: int, rng: np.random.Generator,
                   n_sine: int, n_disks: int) -> np.ndarray:
-    """Seeded mixture of a gradient, sinusoids, and anti-aliased disks in [0, 1]."""
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
-    xn, yn = xx / w, yy / h
+    """Seeded mixture of a gradient, sinusoids, and anti-aliased disks in [0, 1].
+
+    A disk adds amp * 0.0 wherever dist >= rad + 0.5, which leaves every
+    sample as it was, so each disk is drawn only over the rows and columns
+    within rad + 0.5 of its centre, rounded outwards.
+    """
+    xs = np.arange(w, dtype=np.float64)
+    ys = np.arange(h, dtype=np.float64)[:, None]
+    xn, yn = xs / w, ys / h
     gx, gy = rng.uniform(-1.0, 1.0, size=2)
     v = gx * xn + gy * yn
     for _ in range(n_sine):
@@ -72,8 +78,11 @@ def _render_field(w: int, h: int, rng: np.random.Generator,
         cy = rng.uniform(0.0, h)
         rad = rng.uniform(0.02, 0.12) * min(w, h)
         amp = rng.uniform(-1.0, 1.0)
-        dist = np.sqrt((xx - cx) ** 2 + (yy - cy) ** 2)
-        v += amp * np.clip(rad + 0.5 - dist, 0.0, 1.0)
+        reach = rad + 0.5
+        x0, x1 = max(0, math.floor(cx - reach)), min(w, math.ceil(cx + reach) + 1)
+        y0, y1 = max(0, math.floor(cy - reach)), min(h, math.ceil(cy + reach) + 1)
+        dist = np.sqrt((xs[x0:x1] - cx) ** 2 + (ys[y0:y1] - cy) ** 2)
+        v[y0:y1, x0:x1] += amp * np.clip(reach - dist, 0.0, 1.0)
     lo, hi = float(v.min()), float(v.max())
     if hi <= lo:
         return np.full((h, w), 0.5)
