@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,31 +119,58 @@ def backward(params: Params, inputs: np.ndarray, targets: np.ndarray) -> Params:
     The ReLU subgradient at exactly 0 is taken as 0, matching forward(),
     where a unit at 0 contributes nothing downstream.
     """
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return _backward(pool, params, inputs, targets, np.empty_like(params[-1][0]))
+
+
+def _output_delta(a: np.ndarray, b: np.ndarray, t: np.ndarray, scale: float) -> None:
+    """Rows of the output layer's product to d(mean squared error)/d(output).
+
+    Adds the bias and applies the ReLU, then writes the error, masked by
+    the ReLU, over them. 2 * d / (n * k) equals d / scale with
+    scale = n * k / 2 to the bit: scale is exact, and so is 2 * d while it
+    is finite. The mask stays a multiply, so a dead unit's zero keeps d's
+    sign.
+    """
+    a += b
+    np.maximum(a, 0.0, out=a)
+    live = a > 0.0
+    a -= t
+    a /= scale
+    a *= live
+
+
+def _backward(pool: ThreadPoolExecutor, params: Params, inputs: np.ndarray,
+              targets: np.ndarray, out_grad: np.ndarray) -> Params:
+    """backward() on the calling thread and pool's one worker.
+
+    The worker takes the first half of the output rows' elementwise tail,
+    then the output layer's weight gradient, which it writes into
+    out_grad, while this thread does the rest. Neither thread writes an
+    array the other reads before the worker's task is joined.
+    """
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     t = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     acts = [x]
-    a = x
-    for w, b in params:
-        a = a @ w.T
+    for w, b in params[:-1]:
+        a = acts[-1] @ w.T
         a += b
         np.maximum(a, 0.0, out=a)
         acts.append(a)
+    delta = acts[-1] @ params[-1][0].T
     n, k = t.shape
-    # d(mean squared error)/d(output), masked by the output ReLU, written
-    # over the output activations. 2 * d / (n * k) equals d / (n * k / 2)
-    # to the bit: n * k / 2 is exact, and so is 2 * d while it is finite.
-    # The mask stays a multiply, so a dead unit's zero keeps d's sign.
-    live = acts[-1] > 0.0
-    delta = acts.pop()
-    delta -= t
-    delta /= n * k / 2
-    delta *= live
+    half = n // 2
+    job = pool.submit(_output_delta, delta[:half], params[-1][1], t[:half], n * k / 2)
+    _output_delta(delta[half:], params[-1][1], t[half:], n * k / 2)
+    job.result()
+    job = pool.submit(np.matmul, delta.T, acts[-1], out=out_grad)
     grads: Params = [None] * len(params)  # type: ignore[list-item]
-    for li in range(len(params) - 1, -1, -1):
-        grads[li] = (delta.T @ acts[li], delta.sum(axis=0))
-        if li:
-            delta = delta @ params[li][0]
-            delta *= acts[li] > 0.0
+    grads[-1] = (out_grad, delta.sum(axis=0))
+    for li in range(len(params) - 1, 0, -1):
+        delta = delta @ params[li][0]
+        delta *= acts[li] > 0.0
+        grads[li - 1] = (delta.T @ acts[li - 1], delta.sum(axis=0))
+    job.result()
     return grads
 
 
@@ -186,39 +214,43 @@ def train(layer_sizes, inputs: np.ndarray, targets: np.ndarray,
     slots = [(p, np.zeros_like(p), np.zeros_like(p), np.empty_like(p))
              for layer in params for p in layer]
 
+    out_grad = np.empty_like(params[-1][0])  # the worker's product lands here
+
     order = np.empty(0, dtype=np.int64)
     cursor = 0
-    for step in range(cfg.steps):
-        if full:
-            bx, bt = x, t
-        else:
-            if cursor + BATCH_SIZE > len(order):
-                order = rng.permutation(n)
-                cursor = 0
-            idx = order[cursor:cursor + BATCH_SIZE]
-            cursor += BATCH_SIZE
-            bx, bt = x[idx], t[idx]
-        grads = [g for layer in backward(params, bx, bt) for g in layer]
-        tstep = step + 1
-        bc1 = 1.0 - ADAM_BETA1 ** tstep
-        bc2 = 1.0 - ADAM_BETA2 ** tstep
-        # p -= LR * (m / bc1) / (sqrt(v / bc2) + EPS) after m and v advance,
-        # op by op as written; g is spent as a second scratch array
-        for (p, m, v, s), g in zip(slots, grads):
-            m *= ADAM_BETA1
-            np.multiply(g, 1.0 - ADAM_BETA1, out=s)
-            m += s
-            v *= ADAM_BETA2
-            g *= g
-            g *= 1.0 - ADAM_BETA2
-            v += g
-            np.divide(m, bc1, out=s)
-            s *= LEARNING_RATE
-            np.divide(v, bc2, out=g)
-            np.sqrt(g, out=g)
-            g += ADAM_EPS
-            s /= g
-            p -= s
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for step in range(cfg.steps):
+            if full:
+                bx, bt = x, t
+            else:
+                if cursor + BATCH_SIZE > len(order):
+                    order = rng.permutation(n)
+                    cursor = 0
+                idx = order[cursor:cursor + BATCH_SIZE]
+                cursor += BATCH_SIZE
+                bx, bt = x[idx], t[idx]
+            grads = [g for layer in _backward(pool, params, bx, bt, out_grad)
+                     for g in layer]
+            tstep = step + 1
+            bc1 = 1.0 - ADAM_BETA1 ** tstep
+            bc2 = 1.0 - ADAM_BETA2 ** tstep
+            # p -= LR * (m / bc1) / (sqrt(v / bc2) + EPS) after m and v
+            # advance, op by op as written; g is spent as a second scratch
+            for (p, m, v, s), g in zip(slots, grads):
+                m *= ADAM_BETA1
+                np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+                m += s
+                v *= ADAM_BETA2
+                g *= g
+                g *= 1.0 - ADAM_BETA2
+                v += g
+                np.divide(m, bc1, out=s)
+                s *= LEARNING_RATE
+                np.divide(v, bc2, out=g)
+                np.sqrt(g, out=g)
+                g += ADAM_EPS
+                s /= g
+                p -= s
     return params
 
 

@@ -1,9 +1,17 @@
 """Coordinate-network generator: sizing, math, training, quantization."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import nbv
+import nbv.gnn
 
 from nbv.core import Block32, BlockCoord
 from nbv.gnn import (
@@ -35,6 +43,7 @@ from nbv.gnn import (
     quantize_params,
     train,
 )
+from test_golden import TRAINED_GOLDEN
 
 DEFAULT_ARCH = (3, 25, 40, 60, 1536)
 
@@ -366,6 +375,122 @@ class TestTrainerMatchesOracle:
         hidden = forward(params[:1], x)
         assert np.any(hidden == 0.0) and np.any(hidden > 0.0)
         assert np.any(forward(params, x) == 0.0)
+
+
+# (layer sizes, rows, steps, input spread) for the two-thread step: the
+# worker takes the first n // 2 output rows, so one row leaves it none and
+# three and 577 split unevenly; 2,100 rows take the minibatch path, whose
+# 1,024-row batches split evenly; the 3-1536 net's output layer is also its
+# first, so the worker's product reads the inputs themselves. Inputs spread
+# over [0, 40) kill the output units whose weights are all negative on every
+# row and others on some rows, so the output error holds signed zeros.
+THREAD_CASES = [
+    (DEFAULT_ARCH, 1, 20, 1.0),
+    (DEFAULT_ARCH, 3, 20, 1.0),
+    (DEFAULT_ARCH, 577, 8, 1.0),
+    (DEFAULT_ARCH, 2100, 4, 1.0),
+    ((3, 1536), 64, 30, 1.0),
+    ((3, 1536), 64, 30, 40.0),
+    (DEFAULT_ARCH, 64, 30, 40.0),
+]
+
+# Prints the sha256 of the pinned trained parameter set.
+TRAIN_SCRIPT = """
+from test_golden import trained_params_sha256
+print(trained_params_sha256())
+"""
+
+
+class TestTwoThreadTrainer:
+    """The two-thread step equals the plain-form oracles to the byte, and
+    train leaves no thread behind."""
+
+    def dataset(self, n, spread):
+        rng = np.random.default_rng(n)
+        return rng.uniform(0, spread, (n, 3)), rng.uniform(0, 1, (n, 1536))
+
+    @pytest.mark.parametrize("arch, n, steps, spread", THREAD_CASES)
+    def test_weights_equal_the_oracle(self, arch, n, steps, spread):
+        x, t = self.dataset(n, spread)
+        cfg = TrainConfig(steps=steps, seed=3)
+        got = train(arch, x, t, cfg)
+        assert params_bytes(got) == params_bytes(train_oracle(arch, x, t, cfg))
+
+    @pytest.mark.parametrize("arch, n, steps, spread", THREAD_CASES)
+    def test_gradients_equal_the_oracle(self, arch, n, steps, spread):
+        x, t = self.dataset(n, spread)
+        trained = train_oracle(arch, x, t, TrainConfig(steps=steps, seed=3))
+        for params in (init_params(arch, seed=3), trained):
+            want = backward_oracle(params, x, t)
+            assert params_bytes(backward(params, x, t)) == params_bytes(want)
+
+    @pytest.mark.parametrize("arch", [(3, 1536), DEFAULT_ARCH])
+    def test_wide_inputs_kill_output_units(self, arch):
+        x, t = self.dataset(64, 40.0)
+        out = forward(init_params(arch, seed=3), x)
+        assert np.any(np.all(out == 0.0, axis=0))
+        partly = np.any(out == 0.0, axis=0) & np.any(out > 0.0, axis=0)
+        assert np.any(partly)
+
+    def test_no_thread_outlives_train(self):
+        x, t = self.dataset(64, 1.0)
+        before = threading.active_count()
+        train((3, 8, 1536), x, t, TrainConfig(steps=3))
+        backward(init_params((3, 8, 1536), seed=0), x, t)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("on_worker", [True, False])
+    def test_no_thread_outlives_a_failed_step(self, monkeypatch, on_worker):
+        real = nbv.gnn._output_delta
+
+        def failing(a, b, t, scale):
+            if (threading.current_thread() is threading.main_thread()) != on_worker:
+                raise RuntimeError("step failed")
+            real(a, b, t, scale)
+
+        monkeypatch.setattr(nbv.gnn, "_output_delta", failing)
+        x, t = self.dataset(64, 1.0)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="step failed"):
+            train((3, 8, 1536), x, t, TrainConfig(steps=3))
+        assert threading.active_count() == before
+
+    def test_concurrent_trainers_equal_the_oracle(self):
+        # three trainers at once, six threads on the machine's cores, with
+        # the interpreter switching threads as often as it can
+        x, t = self.dataset(65, 1.0)
+        cfg = TrainConfig(steps=10, seed=5)
+        want = params_bytes(train_oracle((3, 8, 1536), x, t, cfg))
+        results = [None] * 3
+
+        def run(i):
+            results[i] = params_bytes(train((3, 8, 1536), x, t, cfg))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert results == [want] * 3
+
+    def test_trained_set_does_not_depend_on_blas_threads(self):
+        here = Path(__file__).resolve().parent
+        src = str(Path(nbv.__file__).resolve().parents[1])
+        runs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, str(here))),
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-c", TRAIN_SCRIPT], env=env,
+                                 capture_output=True, text=True, check=True)
+            runs[threads] = out.stdout.split()
+        assert runs["1"] == runs["2"] == [TRAINED_GOLDEN]
 
 
 class TestQuantization:
