@@ -17,6 +17,18 @@ makes, and the Adam update in the moment arrays and the parameters. It
 runs the same float64 operations in the same order as the plain form that
 allocates every temporary, with the same BLAS products on the same
 operands, so the trained weights are that form's to the bit.
+
+Each step runs on two threads, the caller's and one worker that train
+starts and joins before it returns or raises. Two phases run at once:
+the output layer's elementwise tail (bias, ReLU, error, scale, mask), one
+half of its rows on each thread; then the output layer's weight-gradient
+product on the worker while the caller sums the bias gradient, makes the
+propagation product and runs the smaller layers' backward. Elementwise
+operations give the same value for each element whichever thread runs
+them, but a matrix product split by rows or columns can round differently
+from the whole product (OpenBLAS picks its kernels and blocking by shape),
+so every product stays whole and moves between threads unchanged. No
+thread writes an array the other reads before the worker is joined.
 """
 
 from __future__ import annotations
@@ -160,8 +172,9 @@ def _backward(pool: ThreadPoolExecutor, params: Params, inputs: np.ndarray,
     delta = acts[-1] @ params[-1][0].T
     n, k = t.shape
     half = n // 2
-    job = pool.submit(_output_delta, delta[:half], params[-1][1], t[:half], n * k / 2)
-    _output_delta(delta[half:], params[-1][1], t[half:], n * k / 2)
+    b = params[-1][1]
+    job = pool.submit(_output_delta, delta[:half], b, t[:half], n * k / 2)
+    _output_delta(delta[half:], b, t[half:], n * k / 2)
     job.result()
     job = pool.submit(np.matmul, delta.T, acts[-1], out=out_grad)
     grads: Params = [None] * len(params)  # type: ignore[list-item]
@@ -196,7 +209,9 @@ def train(layer_sizes, inputs: np.ndarray, targets: np.ndarray,
     Runs exactly cfg.steps Adam updates (ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
     at LEARNING_RATE. Datasets of at most BATCH_SIZE rows train full
     batch; larger ones are visited in seeded shuffled minibatches of
-    BATCH_SIZE, reshuffled each epoch.
+    BATCH_SIZE, reshuffled each epoch. Each step runs on the calling
+    thread and one worker thread, which is joined before train returns or
+    raises.
     """
     cfg = cfg or TrainConfig()
     x = np.asarray(inputs, dtype=np.float64)

@@ -443,10 +443,10 @@ class TestTwoThreadTrainer:
     def test_no_thread_outlives_a_failed_step(self, monkeypatch, on_worker):
         real = nbv.gnn._output_delta
 
-        def failing(a, b, t, scale):
+        def failing(*args):
             if (threading.current_thread() is threading.main_thread()) != on_worker:
                 raise RuntimeError("step failed")
-            real(a, b, t, scale)
+            real(*args)
 
         monkeypatch.setattr(nbv.gnn, "_output_delta", failing)
         x, t = self.dataset(64, 1.0)
