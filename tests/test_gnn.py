@@ -12,7 +12,6 @@ import pytest
 
 import nbv
 import nbv.gnn
-
 from nbv.core import Block32, BlockCoord
 from nbv.gnn import (
     ADAM_BETA1,
@@ -488,7 +487,7 @@ class TestTwoThreadTrainer:
                        OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                        MKL_NUM_THREADS=threads)
             out = subprocess.run([sys.executable, "-c", TRAIN_SCRIPT], env=env,
-                                 capture_output=True, text=True, check=True)
+                                 capture_output=True, text=True, check=True, timeout=600)
             runs[threads] = out.stdout.split()
         assert runs["1"] == runs["2"] == [TRAINED_GOLDEN]
 
