@@ -37,6 +37,10 @@ its tiles through jump tables; a block that a chunk cuts is read again,
 whole, from the next chunk. It writes modes and vectors and scatters
 levels straight into the unit's arrays, int16 levels as MAX_LEVEL allows.
 The layout above is the same bit for bit as coding each field on its own.
+
+The writers refuse exactly what the parsers refuse: both run
+StreamHeader.check and QuantizedGnnParams.check, which hold every limit on
+a header's and a parameter set's fields (a parser raises StreamError).
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .core import MAX_LUMA_SAMPLES, block_grid_dims
+from .core import StreamHeader
 from .entropy import (
     BitReader,
     BitWriter,
@@ -62,10 +66,7 @@ from .entropy import (
 )
 from .gnn import (
     INPUT_SIZE,
-    MAX_LAYERS,
-    MAX_LAYER_SIZE,
     OUTPUT_SIZE,
-    QUANT_MAX,
     QuantizedGnnParams,
     QuantizedLayer,
     check_architecture,
@@ -119,34 +120,17 @@ def block_syntax_bits(frame_type: str, mode, mvd=None):
     return bits
 
 
-@dataclass
-class StreamHeader:
-    width: int
-    height: int
-    frame_count: int
-    qp: int
-    gnn_enabled: bool
-    gnn_interval: int
-
-    def grid(self) -> tuple[int, int]:
-        return block_grid_dims(self.width, self.height)
-
-    def set_frames(self, start: int) -> range:
-        """The frames a parameter set sent before frame start covers: one
-        generator interval, cut at the end of the stream."""
-        return range(start, min(start + self.gnn_interval, self.frame_count))
+def _checked(check, *args):
+    """check(*args), its ValueError raised as StreamError."""
+    try:
+        return check(*args)
+    except ValueError as e:
+        raise StreamError(str(e)) from e
 
 
 def write_header(w: BitWriter, h: StreamHeader) -> int:
+    h.check()
     start = w.bit_position
-    if not (1 <= h.width <= 0xFFFF and 1 <= h.height <= 0xFFFF):
-        raise ValueError("header dimensions out of range")
-    if not 0 <= h.frame_count <= 0xFFFFFFFF:
-        raise ValueError("frame count out of range")
-    if not 0 <= h.qp <= 51:
-        raise ValueError("qp out of range")
-    if not 0 <= h.gnn_interval <= 0xFF:
-        raise ValueError("generator interval out of range")
     for byte in MAGIC:
         w.write_bits(byte, 8)
     w.write_bits(h.width, 16)
@@ -174,19 +158,12 @@ def parse_header(r: BitReader) -> StreamHeader:
     gnn_enabled = r.read_bits(8)
     gnn_interval = r.read_bits(8)
     r.byte_align()
-    if width < 1 or height < 1:
-        raise StreamError("zero frame dimension")
-    if width * height > MAX_LUMA_SAMPLES:
-        raise StreamError(f"{width}x{height} frame exceeds {MAX_LUMA_SAMPLES} "
-                          "luma samples")
-    if qp > 51:
-        raise StreamError(f"qp {qp} out of range")
     if gnn_enabled > 1:
         raise StreamError("gnn_enabled flag must be 0 or 1")
-    if gnn_enabled and not 1 <= gnn_interval <= 120:
-        raise StreamError(f"generator interval {gnn_interval} out of range")
-    return StreamHeader(width, height, frame_count, qp, bool(gnn_enabled),
-                        gnn_interval)
+    header = StreamHeader(width, height, frame_count, qp, bool(gnn_enabled),
+                          gnn_interval)
+    _checked(header.check)
+    return header
 
 
 # Every 5 bytes of packed levels hold four 10-bit fields. _pack_levels'
@@ -220,25 +197,19 @@ def _unpack_levels(raw: bytes, n: int) -> np.ndarray:
                  << _BYTE_SHIFTS).sum(axis=1)
         codes = (words[:, None] >> _FIELD_SHIFTS) & 0x3FF
         out[4 * lo:4 * hi] = ((codes ^ 512) - 512).reshape(-1)  # sign extend
-    vals = out[:n]
-    if vals.min() < -QUANT_MAX:
-        raise StreamError("parameter level out of 10-bit range")
-    return vals
+    return out[:n]
 
 
 def write_param_set(w: BitWriter, qparams: QuantizedGnnParams) -> int:
     """Write one parameter-set unit including its tag; returns bits written."""
     start = w.bit_position
-    sizes = check_architecture(qparams.layer_sizes)
+    sizes = qparams.check()
     w.write_bits(UNIT_PARAM_SET, 8)
     w.write_bits(len(sizes), 8)
     for s in sizes[1:-1]:
         w.write_bits(s, 16)
     step = 4 * _LEVEL_GROUPS
     for layer in qparams.layers:
-        if any(a.size and (a.min() < -QUANT_MAX or a.max() > QUANT_MAX)
-               for a in (layer.weights, layer.biases)):
-            raise ValueError("parameter level out of 10-bit range")
         w.write_bytes(struct.pack(">f", float(layer.scale)))
         # the weights, then the biases, as one run of fields; slices of
         # whole groups pack to whole bytes, so they are written one by one
@@ -262,26 +233,20 @@ def param_set_bits(layer_sizes) -> int:
 
 def _parse_param_set_body(r: BitReader) -> QuantizedGnnParams:
     n_layers = r.read_bits(8)
-    if not 2 <= n_layers <= MAX_LAYERS:
-        raise StreamError(f"layer count {n_layers} outside [2, {MAX_LAYERS}]")
-    sizes = [INPUT_SIZE]
-    for _ in range(n_layers - 2):
-        s = r.read_bits(16)
-        if not 1 <= s <= MAX_LAYER_SIZE:
-            raise StreamError(f"layer size {s} outside [1, {MAX_LAYER_SIZE}]")
-        sizes.append(s)
-    sizes.append(OUTPUT_SIZE)
+    hidden = [r.read_bits(16) for _ in range(n_layers - 2)]
+    # cut to the count read, so that a count below 2 is refused too
+    sizes = _checked(check_architecture, [INPUT_SIZE, *hidden, OUTPUT_SIZE][:n_layers])
     layers = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         scale = np.float32(struct.unpack(">f", r.read_bytes(4))[0])
-        if not np.isfinite(scale) or scale <= 0:
-            raise StreamError(f"bad layer scale {scale}")
         n = fan_out * (fan_in + 1)
         vals = _unpack_levels(r.read_bytes((10 * n + 7) // 8), n)
         layers.append(QuantizedLayer(
             vals[:fan_out * fan_in].reshape(fan_out, fan_in),
             vals[fan_out * fan_in:], scale))
-    return QuantizedGnnParams(layers)
+    qparams = QuantizedGnnParams(layers)
+    _checked(qparams.check)
+    return qparams
 
 
 def parse_param_set(r: BitReader) -> QuantizedGnnParams:
@@ -523,10 +488,7 @@ def _parse_frame_body(r: BitReader, cols: int, rows: int,
     for _ in range(n_regions):
         corners = [ue_decode(r) for _ in range(4)]  # x0, y0, x1, y1
         regions.append(RegionSpec(*corners, r.read_bits(1) == 1))
-    try:
-        gen = region_map(regions, cols, rows) == FORCED
-    except ValueError as e:
-        raise StreamError(str(e)) from e
+    gen = _checked(region_map, regions, cols, rows) == FORCED
     for reg in regions:
         if reg.selectable:
             area = gen[reg.area]  # a view into gen

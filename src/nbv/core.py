@@ -4,7 +4,8 @@ A frame holds 8-bit Y, Cb, Cr planes. The coded area is padded up to
 multiples of the 32-pixel luma block size by edge replication; the original
 display size travels with the frame so file output can crop back to it.
 A Block32 is one coding unit: 32x32 luma plus two co-located 16x16 chroma
-blocks, 1536 samples in total.
+blocks, 1536 samples in total. StreamHeader holds the header fields and the
+one check of their limits; bitstream codes it.
 """
 
 from __future__ import annotations
@@ -84,6 +85,44 @@ class Block32:
 
 
 @dataclass
+class StreamHeader:
+    """A stream's header fields; check() holds every limit on their values."""
+
+    width: int
+    height: int
+    frame_count: int
+    qp: int
+    gnn_enabled: bool
+    gnn_interval: int
+
+    def check(self) -> None:
+        """Raise ValueError unless each frame side is 1..65535 and the frame
+        at most MAX_LUMA_SAMPLES, the frame count 32-bit, qp 0..51 and the
+        interval 8-bit, and 1..120 when the generator is on."""
+        size = f"{self.width}x{self.height} frame"
+        if not (1 <= self.width <= 0xFFFF and 1 <= self.height <= 0xFFFF):
+            raise ValueError(f"{size} has a side outside [1, 65535]")
+        if self.width * self.height > MAX_LUMA_SAMPLES:
+            raise ValueError(f"{size} exceeds {MAX_LUMA_SAMPLES} luma samples")
+        if not 0 <= self.frame_count <= 0xFFFFFFFF:
+            raise ValueError(f"frame count {self.frame_count} outside 32 bits")
+        if not 0 <= self.qp <= 51:
+            raise ValueError(f"qp {self.qp} out of range [0, 51]")
+        low, high = (1, 120) if self.gnn_enabled else (0, 0xFF)
+        if not low <= self.gnn_interval <= high:
+            raise ValueError(
+                f"generator interval {self.gnn_interval} outside [{low}, {high}]")
+
+    def grid(self) -> tuple[int, int]:
+        return block_grid_dims(self.width, self.height)
+
+    def set_frames(self, start: int) -> range:
+        """The frames a parameter set sent before frame start covers: one
+        generator interval, cut at the end of the stream."""
+        return range(start, min(start + self.gnn_interval, self.frame_count))
+
+
+@dataclass
 class SequenceConfig:
     """Validated encoder-side settings for one sequence."""
 
@@ -96,25 +135,17 @@ class SequenceConfig:
     gnn_arch: tuple[int, ...] = (3, 25, 40, 60, 1536)
     search_range: int = 8
 
+    def header(self) -> StreamHeader:
+        return StreamHeader(self.width, self.height, self.frame_count, self.qp,
+                            self.gnn_enabled, self.gnn_interval)
+
     def validate(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError("frame dimensions must be positive")
-        if self.width > 0xFFFF or self.height > 0xFFFF:
-            raise ValueError("frame dimensions exceed the 16-bit header fields")
-        if self.width * self.height > MAX_LUMA_SAMPLES:
-            raise ValueError(f"frame exceeds {MAX_LUMA_SAMPLES} luma samples")
-        if self.frame_count < 1:
-            raise ValueError("frame count must be positive")
-        if not 0 <= self.qp <= 51:
-            raise ValueError(f"qp out of range [0, 51]: {self.qp}")
+        self.header().check()  # the header's limits, then the encoder's own
+        if self.frame_count < 1 or self.gnn_interval < 1:
+            raise ValueError("frame count and generator interval must be positive")
         if not 0 <= self.search_range <= MAX_SEARCH_RANGE:
             raise ValueError(
                 f"search range out of range [0, {MAX_SEARCH_RANGE}]: {self.search_range}")
-        if self.gnn_enabled:
-            if not 1 <= self.gnn_interval <= 120:
-                raise ValueError("generator interval must be in [1, 120]")
-        elif not 1 <= self.gnn_interval <= 255:
-            raise ValueError("keyframe interval must be in [1, 255]")
 
 
 def block_grid_dims(width: int, height: int) -> tuple[int, int]:

@@ -41,7 +41,7 @@ its sixteen sample blocks' windows between source frames.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from .bitstream import (
     FrameBits,
     FrameUnit,
     RegionSpec,
-    StreamHeader,
     block_syntax_bits,
     param_set_bits,
     parse_frame,
@@ -78,7 +77,6 @@ from .gnn import (
     SetContext,
     TrainConfig,
     block_to_targets,
-    check_architecture,
     gnn_input,
     quantize_params,
     train,
@@ -468,10 +466,7 @@ class EncodeRow:
     n_gen_blocks: int
 
 
-CSV_COLUMNS = (
-    "frame", "type", "psnr_y", "psnr_cb", "psnr_cr", "bits_header",
-    "bits_params", "bits_modes", "bits_mv", "bits_residual", "n_gen_blocks",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(EncodeRow))
 
 
 @dataclass(eq=False)
@@ -583,8 +578,8 @@ def encode_sequence(
     config.validate()
     if zoom_hint not in ZOOM_HINTS:
         raise ValueError(f"zoom hint must be one of {ZOOM_HINTS}")
-    if config.gnn_enabled:
-        check_architecture(config.gnn_arch)
+    # param_set_bits refuses an architecture the stream cannot carry
+    param_bits = param_set_bits(config.gnn_arch) if config.gnn_enabled else 0
     if len(frames) != config.frame_count:
         raise ValueError(
             f"config promises {config.frame_count} frames, got {len(frames)}"
@@ -595,19 +590,14 @@ def encode_sequence(
     train_cfg = train_cfg or TrainConfig()
     lam = rd_lambda(config.qp)
     cols, rows = block_grid_dims(config.width, config.height)
-    header = StreamHeader(
-        config.width, config.height, config.frame_count, config.qp,
-        config.gnn_enabled, config.gnn_interval,
-    )
     w = BitWriter()
-    header_bits = write_header(w, header)
+    header_bits = write_header(w, config.header())
 
     rows_out: list[EncodeRow] = []
     recons: list[Frame] = []
     periods: list[PeriodRecord] = []
     hist = {"intra": 0, "inter": 0, "gen": 0}
     total_dist = 0
-    param_bits = param_set_bits(config.gnn_arch) if config.gnn_enabled else 0
 
     for start in range(0, config.frame_count, config.gnn_interval):
         period = frames[start:start + config.gnn_interval]

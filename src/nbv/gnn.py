@@ -286,6 +286,21 @@ class QuantizedGnnParams:
         sizes += [l.weights.shape[0] for l in self.layers]
         return tuple(sizes)
 
+    def check(self) -> tuple[int, ...]:
+        """Raise ValueError unless the set has a legal architecture, each
+        layer weights (fan_out, fan_in) and biases (fan_out,), levels within
+        +-QUANT_MAX and a finite, positive float32 scale; returns the sizes."""
+        sizes = check_architecture(self.layer_sizes)
+        for l, fan_in, fan_out in zip(self.layers, sizes[:-1], sizes[1:]):
+            if l.weights.shape != (fan_out, fan_in) or l.biases.shape != (fan_out,):
+                raise ValueError(f"layer arrays do not chain as {sizes}")
+            if any(a.min() < -QUANT_MAX or a.max() > QUANT_MAX
+                   for a in (l.weights, l.biases)):
+                raise ValueError("parameter level out of 10-bit range")
+            if not 0 < np.float32(l.scale) < np.inf:  # refuses NaN too
+                raise ValueError(f"bad layer scale {l.scale}")
+        return sizes
+
     @functools.cached_property
     def dequantized(self) -> Params:
         """dequantize_params of the set, made once at first use; read-only,

@@ -164,13 +164,18 @@ class TestPipeline:
 
 class TestExitCodes:
     def test_out_of_range_qp_is_usage_error_with_no_output(self, workdir, tmp_path):
+        # qp and the other header limits: the generator's interval cap and
+        # the luma-sample cap, one sample row above 8192x4352
         out = tmp_path / "never.nbv"
-        code = main([
-            "encode", "--input", str(workdir / "in.yuv"), "--output", str(out),
-            "--width", "96", "--height", "64", "--frames", "8", "--qp", "60",
-        ])
-        assert code == EXIT_USAGE
-        assert not out.exists()
+        for flags in (["--qp", "60"], ["--gnn-interval", "0"],
+                      ["--gnn-interval", "121"], ["--width", "8192", "--height", "4353"]):
+            code = main([
+                "encode", "--input", str(workdir / "in.yuv"), "--output", str(out),
+                "--width", "96", "--height", "64", "--frames", "8", "--qp", "20",
+                "--gnn", "on", *flags,
+            ])
+            assert code == EXIT_USAGE, flags
+            assert not out.exists()
 
     def test_bad_architecture_is_usage_error_with_no_output(self, workdir, tmp_path):
         out = tmp_path / "never.nbv"
