@@ -163,6 +163,10 @@ class TestWriterParserSymmetry:
         (1, "biases", -512, False),
         (0, "short biases", None, False),
         (1, "fan-in mismatch", None, False),
+        (1, "float weights", 0.0, True),
+        (0, "float weights", 0.5, False),
+        (1, "float biases", -0.5, False),
+        (0, "float biases", float("nan"), False),
     ])
     def test_param_set(self, layer, field, value, legal):
         q = qparams_for((3, 5, 1536), seed=9)
@@ -173,6 +177,11 @@ class TestWriterParserSymmetry:
             target.biases = target.biases[:-1]
         elif field == "fan-in mismatch":  # layer 0 has 5 outputs
             target.weights = target.weights[:, :4]
+        elif field.startswith("float"):  # whole levels in a float array are legal
+            name = field.split()[1]
+            levels = getattr(target, name).astype(np.float64)
+            levels[0] += value
+            setattr(target, name, levels)
         else:
             getattr(target, field)[0] = value
         w = BitWriter()
@@ -182,6 +191,8 @@ class TestWriterParserSymmetry:
             assert w.bit_position == 0
         if field in ("short biases", "fan-in mismatch"):
             return  # no wire form: the parser takes the shapes from the sizes
+        if field.startswith("float") and not legal:
+            return  # no wire form: a 10-bit field holds only whole levels
         # the unit as the layout lays it out, with no check on its values
         raw = struct.pack(">BBH", UNIT_PARAM_SET, 3, 5) + b"".join(
             struct.pack(">f", l.scale)

@@ -12,7 +12,7 @@ import pytest
 
 import nbv
 import nbv.gnn
-from nbv.core import Block32, BlockCoord
+from nbv.core import Block32, BlockCoord, extract_block
 from nbv.gnn import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -42,15 +42,18 @@ from nbv.gnn import (
     quantize_params,
     train,
 )
+from nbv.tools import synth_sequence
 from test_golden import TRAINED_GOLDEN
 
 DEFAULT_ARCH = (3, 25, 40, 60, 1536)
 
 
 def backward_oracle(params, inputs, targets):
-    """Reference gradients: the plain form, a fresh array for every step."""
-    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    t = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    """Reference gradients: the plain form, a fresh array for every step,
+    computed in the params' dtype."""
+    dtype = params[-1][0].dtype
+    x = np.atleast_2d(np.asarray(inputs, dtype=dtype))
+    t = np.atleast_2d(np.asarray(targets, dtype=dtype))
     acts = [x]
     a = x
     for w, b in params:
@@ -68,18 +71,20 @@ def backward_oracle(params, inputs, targets):
     return grads
 
 
-def train_oracle(layer_sizes, inputs, targets, cfg=None):
-    """Reference trainer: the plain form of train, fresh arrays every step."""
+def train_oracle(layer_sizes, inputs, targets, cfg=None, dtype=np.float32):
+    """Reference trainer: the plain form of train, fresh arrays every step,
+    run in dtype from the seeded initialization cast once; returns the
+    params in dtype."""
     cfg = cfg or TrainConfig()
-    x = np.asarray(inputs, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
+    x = np.asarray(inputs, dtype=dtype)
+    t = np.asarray(targets, dtype=dtype)
     if x.ndim != 2 or t.ndim != 2 or x.shape[0] != t.shape[0] or x.shape[0] == 0:
         raise ValueError("inputs and targets must be matching non-empty batches")
     if cfg.steps < 0:
         raise ValueError("steps must be >= 0")
 
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(layer_sizes, rng)
+    params = cast(init_params(layer_sizes, rng), dtype)
     n = x.shape[0]
     full = n <= BATCH_SIZE
     m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
@@ -121,6 +126,29 @@ def train_oracle(layer_sizes, inputs, targets, cfg=None):
 def params_bytes(params):
     """Every weight and bias as raw bytes, so signed zeros count."""
     return [(w.tobytes(), b.tobytes()) for w, b in params]
+
+
+def cast(params, dtype):
+    return [(w.astype(dtype), b.astype(dtype)) for w, b in params]
+
+
+def trained_float32(params):
+    """train's result as the float32 state it trained, after checking that
+    each array is float64 and survives a round trip through float32."""
+    for a in (a for layer in params for a in layer):
+        assert a.dtype == np.float64
+        assert a.astype(np.float32).astype(np.float64).tobytes() == a.tobytes()
+    return cast(params, np.float32)
+
+
+def assert_gradients_equal_the_oracle(params, x, t):
+    """backward equals backward_oracle to the byte, in float32 as train
+    runs it and in float64, each in the params' dtype."""
+    for dtype in (np.float32, np.float64):
+        typed = cast(params, dtype)
+        got = backward(typed, x, t)
+        assert all(g.dtype == dtype for layer in got for g in layer)
+        assert params_bytes(got) == params_bytes(backward_oracle(typed, x, t))
 
 
 def uniform_block(value: int) -> Block32:
@@ -294,7 +322,7 @@ class TestTraining:
         _, x, t = self.one_sample_dataset()
         cfg = TrainConfig(steps=0, seed=9)
         params = train((3, 8, 1536), x, t, cfg)
-        init = init_params((3, 8, 1536), seed=9)
+        init = cast(cast(init_params((3, 8, 1536), seed=9), np.float32), np.float64)
         for (wa, ba), (wb, bb) in zip(params, init):
             assert np.array_equal(wa, wb) and np.array_equal(ba, bb)
 
@@ -311,6 +339,19 @@ class TestTraining:
         flat = np.concatenate([gen.y.ravel(), gen.cb.ravel(), gen.cr.ravel()])
         off = np.abs(flat.astype(int) - 128)
         assert np.mean(off > 1) <= 0.01
+
+    def test_float32_training_loses_no_quality(self):
+        # every block of a small zoom-out clip: the float32 trainer's loss
+        # stays within 1% of the same run's in float64
+        frames = synth_sequence("zoom_out", 96, 64, 6, velocity=(2, 0), seed=5)
+        ctx = SetContext(cols=3, rows=2, start_frame=0, span=len(frames))
+        coords = [BlockCoord(bx, by) for by in range(2) for bx in range(3)]
+        x = np.array([gnn_input(ctx, c, f) for f in range(len(frames)) for c in coords])
+        t = np.array([block_to_targets(extract_block(frame, c))
+                      for frame in frames for c in coords])
+        cfg = TrainConfig(steps=100, seed=4)
+        want = loss(train_oracle(DEFAULT_ARCH, x, t, cfg, np.float64), x, t)
+        assert loss(train(DEFAULT_ARCH, x, t, cfg), x, t) <= 1.01 * want
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -355,7 +396,7 @@ class TestTrainerMatchesOracle:
         x, t = self.dataset(n)
         x0, t0 = x.copy(), t.copy()
         cfg = TrainConfig(steps=steps, seed=8)
-        got = train(arch, x, t, cfg)
+        got = trained_float32(train(arch, x, t, cfg))
         assert params_bytes(got) == params_bytes(train_oracle(arch, x, t, cfg))
         assert np.array_equal(x, x0) and np.array_equal(t, t0)
 
@@ -364,8 +405,7 @@ class TestTrainerMatchesOracle:
         x, t = self.dataset(n)
         trained = train_oracle(arch, x, t, TrainConfig(steps=steps, seed=8))
         for params in (init_params(arch, seed=8), trained):
-            want = backward_oracle(params, x, t)
-            assert params_bytes(backward(params, x, t)) == params_bytes(want)
+            assert_gradients_equal_the_oracle(params, x, t)
 
     def test_one_unit_case_has_dead_units(self):
         arch, n, steps = ORACLE_CASES[2]
@@ -412,7 +452,7 @@ class TestTwoThreadTrainer:
     def test_weights_equal_the_oracle(self, arch, n, steps, spread):
         x, t = self.dataset(n, spread)
         cfg = TrainConfig(steps=steps, seed=3)
-        got = train(arch, x, t, cfg)
+        got = trained_float32(train(arch, x, t, cfg))
         assert params_bytes(got) == params_bytes(train_oracle(arch, x, t, cfg))
 
     @pytest.mark.parametrize("arch, n, steps, spread", THREAD_CASES)
@@ -420,8 +460,7 @@ class TestTwoThreadTrainer:
         x, t = self.dataset(n, spread)
         trained = train_oracle(arch, x, t, TrainConfig(steps=steps, seed=3))
         for params in (init_params(arch, seed=3), trained):
-            want = backward_oracle(params, x, t)
-            assert params_bytes(backward(params, x, t)) == params_bytes(want)
+            assert_gradients_equal_the_oracle(params, x, t)
 
     @pytest.mark.parametrize("arch", [(3, 1536), DEFAULT_ARCH])
     def test_wide_inputs_kill_output_units(self, arch):
@@ -463,7 +502,7 @@ class TestTwoThreadTrainer:
         results = [None] * 3
 
         def run(i):
-            results[i] = params_bytes(train((3, 8, 1536), x, t, cfg))
+            results[i] = params_bytes(trained_float32(train((3, 8, 1536), x, t, cfg)))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
