@@ -84,7 +84,10 @@ class TestSynthSequence:
 # every frame: each kind at several sizes, the smallest legal one among them,
 # and the quarter-size single-frame renders perfbench/content.py scores for
 # its workloads (80x48 for pan and zoom, whose first frames are the same
-# crop, 160x96 for wide, 24x16 for the smoke run).
+# crop, 160x96 for wide, 24x16 for the smoke run). The last four cross the
+# edges of the row bands synthesis renders in: the wide workload's
+# 640x384 clip, a zoom each way whose 270-row canvas and 135-row chroma
+# canvases end in a partial band, and two frames of a 1280x720 zoom.
 SYNTH_GOLDEN = {
     ("static", 2, 2, 2, (1, 0), 0):
         "7ef3c798643bc7121f83cc4441f11e735ae0129ac4b24b6cdd372b7a17bded09",
@@ -146,6 +149,14 @@ SYNTH_GOLDEN = {
         "126d6dddaa7f60943ce20740aa03c93dcc3165cc990bdb6f321cdde6e4d3eeef",
     ("pan", 24, 16, 1, (0, 0), 1000000):
         "0513c6052f1df48fa79df1c04d46741293038f18c93753ab411f7ff69f0ef107",
+    ("pan", 640, 384, 4, (3, 1), 21):
+        "7315ce7ed8e70ff3d7ae660d64ac347882942739ce14d9e525a05e1b8ef37f9e",
+    ("zoom_out", 98, 90, 4, (3, 0), 13):
+        "efcab11feec663842460d7a6165852f9a94a6e98b1cfe400aaa7ba31d5760951",
+    ("zoom_in", 98, 90, 4, (3, 0), 14):
+        "c8ff18118d0fa964bb5a311a0918d9ce6fea539cd3b8a0c2b60aa93e460d8b6f",
+    ("zoom_out", 1280, 720, 2, (8, 0), 21):
+        "8c3cfc4d635de363addef15858a50d273e78451338efc76ce6b4a8fb790a90f5",
 }
 
 
