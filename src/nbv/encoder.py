@@ -73,6 +73,8 @@ from .core import (
 from .decoder import FrameWalk, generated_blocks, mode_counts
 from .entropy import BitReader, BitWriter
 from .gnn import (
+    INPUT_SIZE,
+    OUTPUT_SIZE,
     QuantizedGnnParams,
     SetContext,
     TrainConfig,
@@ -176,21 +178,25 @@ def train_param_set(
     """Overfit and quantize one period's network on its region source blocks.
 
     The dataset is every (block, frame) pair inside any of that frame's
-    regions, targeting source pixels. Returns (None, 0) when no frame has
-    regions.
+    regions, targeting source pixels. It is built once, in the float32
+    arrays train uses without a copy: each row is made in float64 and
+    rounded as it is written. Returns (None, 0) when no frame has regions.
     """
-    inputs = []
-    targets = []
-    for offset, regs in enumerate(regions_per_frame):
-        frame_idx = start_frame + offset
-        for by, bx in zip(*np.nonzero(region_map(regs, ctx.cols, ctx.rows))):
-            c = BlockCoord(int(bx), int(by))
-            inputs.append(gnn_input(ctx, c, frame_idx))
-            targets.append(block_to_targets(extract_block(src_frames[offset], c)))
-    if not inputs:
+    blocks = [np.nonzero(region_map(regs, ctx.cols, ctx.rows))
+              for regs in regions_per_frame]
+    n = sum(len(bys) for bys, _ in blocks)
+    if not n:
         return None, 0
-    params = train(layer_sizes, np.asarray(inputs), np.asarray(targets), cfg)
-    return quantize_params(params), len(inputs)
+    inputs = np.empty((n, INPUT_SIZE), np.float32)
+    targets = np.empty((n, OUTPUT_SIZE), np.float32)
+    row = 0
+    for offset, (bys, bxs) in enumerate(blocks):
+        for by, bx in zip(bys, bxs):
+            c = BlockCoord(int(bx), int(by))
+            inputs[row] = gnn_input(ctx, c, start_frame + offset)
+            targets[row] = block_to_targets(extract_block(src_frames[offset], c))
+            row += 1
+    return quantize_params(train(layer_sizes, inputs, targets, cfg)), n
 
 
 def choose_block_mode(j: np.ndarray) -> np.ndarray:

@@ -229,9 +229,11 @@ def train(layer_sizes, inputs: np.ndarray, targets: np.ndarray,
     at LEARNING_RATE. Datasets of at most BATCH_SIZE rows train full
     batch; larger ones are visited in seeded shuffled minibatches of
     BATCH_SIZE, reshuffled each epoch. The whole state is float32; the
-    result is float64 arrays holding the float32 weights exactly. Each
-    step runs on the calling thread and one worker thread, which is joined
-    before train returns or raises.
+    result is float64 arrays holding the float32 weights exactly. Inputs
+    and targets of another dtype are cast to float32 once; float32 ones,
+    as train_param_set builds them, are used as they are and not copied.
+    Each step runs on the calling thread and one worker thread, which is
+    joined before train returns or raises.
     """
     cfg = cfg or TrainConfig()
     x = np.asarray(inputs, dtype=np.float32)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,8 @@ from nbv.gnn import (
     QuantizedGnnParams,
     QuantizedLayer,
     SetContext,
+    block_to_targets,
+    gnn_input,
     init_params,
     quantize_params,
 )
@@ -396,6 +399,39 @@ class TestTrainParamSet:
         q, n = train_param_set(self.frames, 0, [[], []], self.ctx,
                                self.arch, fast_train(20))
         assert q is None and n == 0
+
+    def test_dataset_is_the_float64_rows_rounded_to_float32(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(nbv.encoder, "train",
+                            lambda sizes, x, t, cfg: seen.append((x, t)) or init_params(sizes, 0))
+        regs = [[RegionSpec(2, 0, 2, 1, False)], [RegionSpec(0, 1, 2, 1, True)]]
+        train_param_set(self.frames, 5, regs, SetContext(3, 2, 5, 2), self.arch,
+                        fast_train(1))
+        coords = [(0, 2, 0), (0, 2, 1), (1, 0, 1), (1, 1, 1), (1, 2, 1)]
+        want_x = [gnn_input(SetContext(3, 2, 5, 2), BlockCoord(bx, by), 5 + f)
+                  for f, bx, by in coords]
+        want_t = [block_to_targets(extract_block(self.frames[f], BlockCoord(bx, by)))
+                  for f, bx, by in coords]
+        (x, t), = seen
+        assert x.dtype == t.dtype == np.float32
+        assert x.tobytes() == np.asarray(want_x).astype(np.float32).tobytes()
+        assert t.tobytes() == np.asarray(want_t).astype(np.float32).tobytes()
+
+    def test_peak_memory_is_a_few_float32_target_arrays(self):
+        # the 576 margin blocks of the zoom_qp8_gen benchmark's clip; float64
+        # rows kept beside a float64 copy of them peaked at 7.0 target arrays
+        frames = synth_sequence("zoom_out", 320, 192, 16, velocity=(2, 0), seed=21)
+        regs = select_generation_regions(MotionVector(0, 0), 10, 6, 0, "out")
+        targets_nbytes = 576 * 1536 * 4
+        tracemalloc.start()
+        try:
+            _, n = train_param_set(frames, 0, [regs] * 16, SetContext(10, 6, 0, 16),
+                                   (3, 25, 40, 60, 1536), fast_train(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 576
+        assert peak < 4 * targets_nbytes
 
 
 class TestEncodeSequence:

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,24 @@ def test_synth_sequence_matches_golden(case):
         for plane in (f.y, f.cb, f.cr):
             h.update(plane.tobytes())
     assert h.hexdigest() == SYNTH_GOLDEN[case]
+
+
+@pytest.mark.parametrize("kind, width, height, frames, velocity", [
+    ("pan", 640, 384, 4, (3, 1)),  # the wide_qp32_nogen benchmark's clip
+    ("zoom_out", 320, 192, 16, (2, 0)),  # zoom_qp8_gen's
+])
+def test_synthesis_peaks_below_two_float64_luma_canvases(kind, width, height,
+                                                         frames, velocity):
+    # the canvas is 3x the frame each way; rendering whole-canvas float64
+    # temporaries peaked at 5.0 such canvases
+    tracemalloc.start()
+    try:
+        synth_sequence(kind, width, height, frames, velocity=velocity, seed=21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (9 * width * height * 8)
+
 
 class TestPsnr:
     def test_identical_planes_hit_the_cap(self):
