@@ -10,9 +10,9 @@ Each canvas plane is rendered in bands of BAND_ROWS rows, so the float64
 working set is one canvas field plus one band's temporaries (about 1.3
 float64 luma canvases in all, where whole-canvas temporaries took 5), and
 a zoom frame converts only the samples its window reads. A 16-frame
-1280x720 zoom clip took 2.8 s at a process peak RSS of 115 MB, imports
-included, on a shared 2-core x86-64 machine (3.2 s and 354 MB with
-whole-canvas temporaries).
+1280x720 zoom clip took 2.5-3.0 s at a process peak RSS of 115 MB,
+imports included, on a shared 2-core x86-64 machine (3.2-3.3 s and
+354 MB with whole-canvas temporaries).
 
 bit_accounting folds the per-unit bit counts parse_stream reports into
 five categories that sum exactly to the stream size, and csv_text renders

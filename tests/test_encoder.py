@@ -402,8 +402,12 @@ class TestTrainParamSet:
 
     def test_dataset_is_the_float64_rows_rounded_to_float32(self, monkeypatch):
         seen = []
-        monkeypatch.setattr(nbv.encoder, "train",
-                            lambda sizes, x, t, cfg: seen.append((x, t)) or init_params(sizes, 0))
+
+        def fake_train(sizes, x, t, cfg):
+            seen.append((x, t))
+            return init_params(sizes, 0)
+
+        monkeypatch.setattr(nbv.encoder, "train", fake_train)
         regs = [[RegionSpec(2, 0, 2, 1, False)], [RegionSpec(0, 1, 2, 1, True)]]
         train_param_set(self.frames, 5, regs, SetContext(3, 2, 5, 2), self.arch,
                         fast_train(1))
