@@ -345,6 +345,52 @@ def _check_frame_unit(fu: FrameUnit, cols: int, rows: int) -> None:
         raise ValueError("motion vector difference beyond +-(2^31 - 1)")
 
 
+def _write_frame_head(w: BitWriter, frame_type: str, regions: list[RegionSpec],
+                      modes: np.ndarray) -> int:
+    """Write a frame unit's tag, frame type and regions, then a selection
+    bit per selectable-region block, set where modes is GEN; returns the
+    bits written."""
+    start = w.bit_position
+    w.write_bits(UNIT_FRAME, 8)
+    w.write_bits(0 if frame_type == "I" else 1, 1)
+    ue_encode(w, len(regions))
+    for reg in regions:
+        for corner in (reg.x0, reg.y0, reg.x1, reg.y1):
+            ue_encode(w, corner)
+        w.write_bits(1 if reg.selectable else 0, 1)
+    gen = modes == BlockMode.GEN
+    for reg in regions:
+        if reg.selectable:
+            w.write_bit_array(gen[reg.area].reshape(-1))
+    return w.bit_position - start
+
+
+def rewrite_frame(w: BitWriter, data: bytes, start: int, bits: FrameBits,
+                  payload_bits: int, frame_type: str, modes: np.ndarray,
+                  regions: list[RegionSpec]) -> FrameBits:
+    """Write a frame unit of data again with regions; returns its bits.
+
+    The unit begins at bit start of data, has no regions and generates no
+    block; bits is its FrameBits and payload_bits its payload's length,
+    which follows its head. The new unit has the regions, none of whose
+    blocks is selected, and the same payload bit for bit: what write_frame
+    would write with the regions added to the unit. A forced region would
+    generate its blocks, so it is refused, and so is a payload that does
+    not end where the unit's padding begins.
+    """
+    if np.any(region_map(regions, modes.shape[1], modes.shape[0]) == FORCED):
+        raise ValueError("forced-region block not marked generated")
+    head = _write_frame_head(BitWriter(), frame_type, [], modes)
+    if not 0 <= bits.total - head - payload_bits < 8:
+        raise ValueError("payload does not end the frame unit")
+    out = FrameBits(_write_frame_head(w, frame_type, regions, modes), bits.mvs,
+                    bits.residuals)
+    w.copy_bits(data, start + head, payload_bits)
+    # the payload's mode symbols are the rest of it
+    out.modes += payload_bits - bits.mvs - bits.residuals + w.byte_align()
+    return out
+
+
 def write_frame(w: BitWriter, fu: FrameUnit, cols: int, rows: int) -> FrameBits:
     """Write one frame unit including its tag; returns the bit breakdown."""
     _check_frame_unit(fu, cols, rows)
@@ -352,20 +398,7 @@ def write_frame(w: BitWriter, fu: FrameUnit, cols: int, rows: int) -> FrameBits:
     # before it writes anything.
     if np.any((fu.blocks > MAX_LEVEL) | (fu.blocks < -MAX_LEVEL)):
         raise ValueError(f"residual level beyond +-{MAX_LEVEL}")
-    bits = FrameBits()
-    start = w.bit_position
-    w.write_bits(UNIT_FRAME, 8)
-    w.write_bits(0 if fu.frame_type == "I" else 1, 1)
-    ue_encode(w, len(fu.regions))
-    for reg in fu.regions:
-        for corner in (reg.x0, reg.y0, reg.x1, reg.y1):
-            ue_encode(w, corner)
-        w.write_bits(1 if reg.selectable else 0, 1)
-    gen = fu.modes == BlockMode.GEN
-    for reg in fu.regions:
-        if reg.selectable:
-            w.write_bit_array(gen[reg.area].reshape(-1))
-    bits.modes += w.bit_position - start
+    bits = FrameBits(_write_frame_head(w, fu.frame_type, fu.regions, fu.modes))
     # The payload is all exp-Golomb codes: each coded block's mode symbol
     # and an inter block's vector difference, before its 24 tiles' codes.
     modes = fu.modes.reshape(-1)

@@ -17,10 +17,10 @@ training; otherwise the network pass stops as soon as its cost so far
 reaches the budget. That pass replays the first one until the generator
 wins a block: the first pass keeps every candidate's SSD and bits, so a
 frame costs only its generated candidates, and while no winner moves,
-its decisions, pixels and distortion are the first pass's and its unit is
-read back from there and written again with the regions. The first frame
-where the generator wins, or a region is forced, and every later frame
-are coded in full. The first pass's per-block winning costs go into the
+its decisions, pixels and distortion are the first pass's, and its unit
+is that pass's with the regions and their selection bits in its head and
+the payload bits copied as they are. The first frame where the generator
+wins, or a region is forced, and every later frame are coded in full. The first pass's per-block winning costs go into the
 period's record. Every candidate is costed with exact coded bits, and
 every block is rebuilt through the decoder's own block walk, which keeps
 the two bit-identical. The walk visits a frame one anti-diagonal of
@@ -54,8 +54,8 @@ from .bitstream import (
     RegionSpec,
     block_syntax_bits,
     param_set_bits,
-    parse_frame,
     region_map,
+    rewrite_frame,
     write_frame,
     write_header,
     write_param_set,
@@ -71,7 +71,7 @@ from .core import (
     extract_block,
 )
 from .decoder import FrameWalk, generated_blocks, mode_counts
-from .entropy import BitReader, BitWriter
+from .entropy import BitWriter
 from .gnn import (
     INPUT_SIZE,
     OUTPUT_SIZE,
@@ -399,11 +399,9 @@ class _PeriodPass:
     def j(self, lam: float) -> float:
         return self.distortion + lam * self.total_bits
 
-    def unit(self, offset: int, cols: int, rows: int) -> FrameUnit:
-        """The frame unit at offset, read back from the pass's bytes; each
-        unit ends on a byte boundary."""
-        start = self.param_bits + sum(fb.total for fb in self.frame_bits[:offset])
-        return parse_frame(BitReader(self.data[start // 8:]), cols, rows)
+    def unit_start(self, offset: int) -> int:
+        """The bit of data where the frame unit at offset begins."""
+        return self.param_bits + sum(fb.total for fb in self.frame_bits[:offset])
 
 
 def _encode_period(
@@ -420,9 +418,11 @@ def _encode_period(
 
     Given the period's fallback pass, coded with no regions and no
     network, a frame that _replays it takes its decisions, pixels and
-    distortion from there, and its unit is read back and written again
-    with this pass's regions. From the first frame that does not, every
-    frame is coded: its reference is no longer the fallback's.
+    distortion from there, and its unit is written again with this pass's
+    regions and no block selected, its payload copied bit for bit: the
+    payload is the frame's winners' bits, selection bit left out. From the
+    first frame that does not, every frame is coded: its reference is no
+    longer the fallback's.
     """
     w = BitWriter()
     param_bits = write_param_set(w, qparams) if qparams is not None else 0
@@ -440,15 +440,17 @@ def _encode_period(
                 fallback.results[offset], source, frame_idx, frame_type, regions,
                 qparams, ctx, config.qp, lam):
             res = fallback.results[offset]
-            unit = fallback.unit(offset, cols, rows)
-            unit.regions = list(regions)
+            frame_bits.append(rewrite_frame(
+                w, fallback.data, fallback.unit_start(offset), fallback.frame_bits[offset],
+                int(res.winners()[1].sum(dtype=np.int64)), frame_type, res.modes,
+                regions))
         else:
             fallback = None
             unit, res = _encode_frame(
                 source, prev_recon, frame_idx, frame_type, regions,
                 qparams, ctx, config.qp, lam, config.search_range,
             )
-        frame_bits.append(write_frame(w, unit, cols, rows))
+            frame_bits.append(write_frame(w, unit, cols, rows))
         results.append(res)
         distortion += res.distortion
         prev_recon = res.recon

@@ -55,7 +55,19 @@ class BitWriter:
         """Write an array of 0/1 values, first element first."""
         n = len(bits)
         packed = np.packbits(bits).tobytes()
-        acc = (self._acc << n) | (int.from_bytes(packed, "big") >> (-n % 8))
+        self._write_int(int.from_bytes(packed, "big") >> (-n % 8), n)
+
+    def copy_bits(self, data: bytes, start: int, n: int) -> None:
+        """Write the n bits of data that begin at bit start, as they are."""
+        end = start + n
+        if not 0 <= start <= end <= len(data) * 8:
+            raise ValueError(f"bits {start}..{end} outside {len(data)} bytes")
+        window = int.from_bytes(data[start >> 3:(end + 7) >> 3], "big")
+        self._write_int((window >> (-end % 8)) & ((1 << n) - 1), n)
+
+    def _write_int(self, value: int, n: int) -> None:
+        """Write an integer of at most n bits as n bits, in bulk."""
+        acc = (self._acc << n) | value
         nacc = self._nacc + n
         self._buf += (acc >> (nacc & 7)).to_bytes(nacc >> 3, "big")
         self._acc = acc & ((1 << (nacc & 7)) - 1)

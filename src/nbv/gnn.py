@@ -31,21 +31,36 @@ allocates every temporary, with the same BLAS products on the same
 operands, so the trained weights are that form's to the bit.
 
 Each step runs on two threads, the caller's and one worker that train
-starts and joins before it returns or raises. Two phases run at once:
-the output layer's elementwise tail (bias, ReLU, error, scale, mask), one
-half of its rows on each thread; then the output layer's weight-gradient
-product on the worker while the caller sums the bias gradient, makes the
-propagation product and runs the smaller layers' backward. Elementwise
-operations give the same value for each element whichever thread runs
-them, but a matrix product split by rows or columns can round differently
-from the whole product (OpenBLAS picks its kernels and blocking by shape),
-so every product stays whole and moves between threads unchanged. No
-thread writes an array the other reads before the worker is joined.
+starts and joins before it returns or raises. Two phases run at once.
+First the output layer's forward product and its elementwise tail (bias,
+ReLU, error, scale, mask) are split by rows: the worker makes the first
+product_cut(n) rows of one preallocated (n, 1536) array and the caller
+the rest. Then the worker makes the output layer's weight-gradient
+product while the caller sums the bias gradient, makes the propagation
+product and runs the smaller layers' backward. No reduction is split, and
+no thread writes an array the other reads before the worker is joined.
+
+Elementwise operations give the same value for each element whichever
+thread runs them; a product split by rows need not, since OpenBLAS picks
+its kernels and blocking by shape. So the forward product is cut only at
+a multiple of ROW_CUT = 24 rows with at least 24 rows on each side, and
+a product under 48 rows stays whole. Measured on float32 products of 64
+to 1,024 rows with BLAS pinned to one thread, on a 2-core x86-64 machine:
+OpenBLAS's Haswell kernels (OPENBLAS_CORETYPE=Haswell) kept the whole
+product's bits only at cuts on multiples of 24 rows, and cuts at 8, 16,
+32, 64, 128, 256, 320 and 512 rows changed them; its SkylakeX and
+Sandybridge kernels kept them at every cut tried from 8 rows up; a 1-row
+slice changed them on all three, since numpy runs it as a matrix-vector
+product. So half of a 1,024-row minibatch, 512 rows, is no safe cut. On
+the Haswell kernels the whole product's bits also change with the BLAS
+thread count, so there the trainer equals its plain form, which makes
+every product whole, only with BLAS pinned to one thread.
 
 With BLAS pinned to one thread, 100 steps of the default network on 576
-rows take 0.59-0.70 s (median of six to eight runs on a shared 2-core
-x86-64 machine with OpenBLAS), against 1.20-1.38 s for the same trainer
-in float64; with BLAS at its default two threads they take 0.73-0.78 s.
+rows take 0.59-0.60 s (median of two sets of eight interleaved runs on a
+shared 2-core x86-64 machine with OpenBLAS); with BLAS at its default two
+threads they take 0.77-0.82 s, since OpenBLAS's threads then compete with
+the worker for the two cores.
 """
 
 from __future__ import annotations
@@ -148,8 +163,24 @@ def backward(params: Params, inputs: np.ndarray, targets: np.ndarray) -> Params:
     The ReLU subgradient at exactly 0 is taken as 0, matching forward(),
     where a unit at 0 contributes nothing downstream.
     """
+    n, k = np.atleast_2d(targets).shape
     with ThreadPoolExecutor(max_workers=1) as pool:
-        return _backward(pool, params, inputs, targets, np.empty_like(params[-1][0]))
+        return _backward(pool, params, inputs, targets,
+                         np.empty((n, k), params[-1][0].dtype),
+                         np.empty_like(params[-1][0]))
+
+
+# A split of the output layer's forward product falls on a multiple of
+# this many rows, which keeps every bit of the whole product on each
+# OpenBLAS sgemm kernel family measured (see the module docstring).
+ROW_CUT = 24
+
+
+def product_cut(n: int) -> int:
+    """The rows of an n-row output product that the worker computes: the
+    largest multiple of ROW_CUT at most n / 2, so each thread gets at least
+    ROW_CUT rows, or 0, which keeps a product under 2 * ROW_CUT rows whole."""
+    return ROW_CUT * (n // (2 * ROW_CUT))
 
 
 def _output_delta(a: np.ndarray, b: np.ndarray, t: np.ndarray, scale: float) -> None:
@@ -170,13 +201,23 @@ def _output_delta(a: np.ndarray, b: np.ndarray, t: np.ndarray, scale: float) -> 
     a *= live
 
 
+def _output_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray, t: np.ndarray,
+                 scale: float, out: np.ndarray) -> None:
+    """The output layer's product of the rows x into out, then
+    _output_delta over it."""
+    np.matmul(x, w.T, out=out)
+    _output_delta(out, b, t, scale)
+
+
 def _backward(pool: ThreadPoolExecutor, params: Params, inputs: np.ndarray,
-              targets: np.ndarray, out_grad: np.ndarray) -> Params:
+              targets: np.ndarray, delta: np.ndarray, out_grad: np.ndarray) -> Params:
     """backward() on the calling thread and pool's one worker.
 
-    The worker takes the first half of the output rows' elementwise tail,
-    then the output layer's weight gradient, which it writes into
-    out_grad, while this thread does the rest. Neither thread writes an
+    The worker takes the output layer's first product_cut(n) rows: it
+    makes their share of the forward product and their elementwise tail
+    in delta, (n, 1536), while this thread does the same for the other
+    rows. Then the worker makes the output layer's weight gradient into
+    out_grad while this thread does the rest. Neither thread writes an
     array the other reads before the worker's task is joined.
     """
     dtype = params[-1][0].dtype
@@ -188,14 +229,14 @@ def _backward(pool: ThreadPoolExecutor, params: Params, inputs: np.ndarray,
         a += b
         np.maximum(a, 0.0, out=a)
         acts.append(a)
-    delta = acts[-1] @ params[-1][0].T
     n, k = t.shape
-    half = n // 2
-    b = params[-1][1]
-    job = pool.submit(_output_delta, delta[:half], b, t[:half], n * k / 2)
-    _output_delta(delta[half:], b, t[half:], n * k / 2)
+    cut = product_cut(n)
+    w, b = params[-1]
+    a = acts[-1]
+    job = pool.submit(_output_rows, a[:cut], w, b, t[:cut], n * k / 2, delta[:cut])
+    _output_rows(a[cut:], w, b, t[cut:], n * k / 2, delta[cut:])
     job.result()
-    job = pool.submit(np.matmul, delta.T, acts[-1], out=out_grad)
+    job = pool.submit(np.matmul, delta.T, a, out=out_grad)
     grads: Params = [None] * len(params)  # type: ignore[list-item]
     grads[-1] = (out_grad, delta.sum(axis=0))
     for li in range(len(params) - 1, 0, -1):
@@ -252,7 +293,9 @@ def train(layer_sizes, inputs: np.ndarray, targets: np.ndarray,
     slots = [(p, np.zeros_like(p), np.zeros_like(p), np.empty_like(p))
              for layer in params for p in layer]
 
-    out_grad = np.empty_like(params[-1][0])  # the worker's product lands here
+    # the output layer's rows and its weight gradient land here
+    delta = np.empty((min(n, BATCH_SIZE), params[-1][0].shape[0]), np.float32)
+    out_grad = np.empty_like(params[-1][0])
 
     order = np.empty(0, dtype=np.int64)
     cursor = 0
@@ -267,7 +310,7 @@ def train(layer_sizes, inputs: np.ndarray, targets: np.ndarray,
                 idx = order[cursor:cursor + BATCH_SIZE]
                 cursor += BATCH_SIZE
                 bx, bt = x[idx], t[idx]
-            grads = [g for layer in _backward(pool, params, bx, bt, out_grad)
+            grads = [g for layer in _backward(pool, params, bx, bt, delta, out_grad)
                      for g in layer]
             tstep = step + 1
             bc1 = 1.0 - ADAM_BETA1 ** tstep

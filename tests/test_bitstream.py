@@ -30,6 +30,7 @@ from nbv.bitstream import (
     parse_param_set,
     parse_stream,
     region_map,
+    rewrite_frame,
     write_frame,
     write_header,
     write_param_set,
@@ -534,6 +535,45 @@ class TestFrameUnit:
         write_frame(w, unit, cols, rows)
         assert w.to_bytes().hex() == (
             "02b56b559affffffffffff5fffffffffffebfffffffffffc")
+
+    @pytest.mark.parametrize("frame_type", ["I", "P"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rewrite_is_write_frame_with_regions_added(self, frame_type, seed):
+        # the unit sits after a ragged prefix, and the regions' selection
+        # bits put its payload at another offset from the byte
+        rng = np.random.default_rng(seed)
+        cols, rows = 4, 3
+        unit = random_unit(rng, frame_type, cols, rows, [])
+        data = BitWriter()
+        data.write_bits(5, 3)
+        data.byte_align()
+        start = data.bit_position
+        bits = write_frame(data, unit, cols, rows)
+        payload_bits = int(block_syntax_bits(frame_type, unit.modes, unit.mvds).sum()
+                           + block_tiles_bits(unit.blocks).sum())
+        for regions in ([], [RegionSpec(3, 0, 3, 2, True)],
+                        [RegionSpec(0, 0, 1, 0, True), RegionSpec(2, 1, 3, 2, True)]):
+            got, want = BitWriter(), BitWriter()
+            got_bits = rewrite_frame(got, data.to_bytes(), start, bits, payload_bits,
+                                     frame_type, unit.modes, regions)
+            unit.regions = regions
+            assert got_bits == write_frame(want, unit, cols, rows)
+            assert got.to_bytes() == want.to_bytes()
+
+    def test_rewrite_refuses_a_forced_region_or_a_wrong_payload(self):
+        # the unit: head 10, DC symbol 1, 24 empty tiles, padding 5
+        w = BitWriter()
+        unit = single_block_unit()
+        bits = write_frame(w, unit, 1, 1)
+        data = w.to_bytes()
+        with pytest.raises(ValueError, match="forced"):
+            rewrite_frame(BitWriter(), data, 0, bits, 25, "I", unit.modes,
+                          [RegionSpec(0, 0, 0, 0, False)])
+        for payload_bits in (17, 31):
+            with pytest.raises(ValueError, match="payload"):
+                rewrite_frame(BitWriter(), data, 0, bits, payload_bits, "I",
+                              unit.modes, [])
+        rewrite_frame(BitWriter(), data, 0, bits, 25, "I", unit.modes, [])
 
     def test_unit_consistency_enforced_on_write(self):
         bad = single_block_unit("I", BlockMode.INTER, mvd=(0, 0))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nbv.bitstream
 import nbv.encoder
 from conftest import encode_frame_oracle, fast_train, forced_stream, rand_frame
 from nbv.bitstream import (
@@ -556,6 +557,13 @@ class TestMotionFieldPerFrame:
             written.append(unit.frame_type == "P")
             return real_write(w, unit, *args)
 
+        # a replayed frame is written by rewrite_frame
+        real_rewrite = nbv.encoder.rewrite_frame
+
+        def counting_rewrite(w, data, start, bits, payload_bits, frame_type, *args):
+            written.append(frame_type == "P")
+            return real_rewrite(w, data, start, bits, payload_bits, frame_type, *args)
+
         def counting_gm(*args):
             gm_calls.append(args)
             return real_gm(*args)
@@ -567,6 +575,7 @@ class TestMotionFieldPerFrame:
         monkeypatch.setattr(nbv.encoder, "motion_field", counting_field)
         monkeypatch.setattr(nbv.encoder, "_encode_frame", counting_encode)
         monkeypatch.setattr(nbv.encoder, "write_frame", counting_write)
+        monkeypatch.setattr(nbv.encoder, "rewrite_frame", counting_rewrite)
         monkeypatch.setattr(nbv.encoder, "estimate_global_motion", counting_gm)
         monkeypatch.setattr(nbv.encoder, "block_motion", counting_block)
         encode_sequence(frames, config, train_cfg=fast_train(20), zoom_hint=hint)
@@ -776,7 +785,13 @@ class TestReplayedNetworkPass:
             coded.append(args[2])
             return real_encode(*args)
 
+        def no_parse(*args):
+            raise AssertionError("a network pass parsed a frame unit")
+
         monkeypatch.setattr(nbv.encoder, "_encode_frame", counting_encode)
+        # a replayed frame copies its payload bits and reads nothing back
+        monkeypatch.setattr(nbv.bitstream, "parse_frame", no_parse)
+        monkeypatch.setattr(nbv.encoder, "parse_frame", no_parse, raising=False)
         for stop, (budget, want) in enumerate(zip(budgets, wants)):
             got = _encode_period(*args, budget=budget, fallback=fallback)
             if stop == 0:
@@ -790,8 +805,30 @@ class TestReplayedNetworkPass:
                 assert frames_equal(a.recon, b.recon)
         return full, coded_in_full
 
+    # The right column alone, or the left column too: then four selection
+    # bits sit before the copied payload. On the flat 128 blocks of the
+    # left column the flat generators lose by far more than lambda.
+    REGIONS = {
+        "one": [RegionSpec(2, 0, 2, 1, True)],
+        "two": [RegionSpec(0, 0, 0, 1, True), RegionSpec(2, 0, 2, 1, True)],
+    }
+
     @pytest.mark.parametrize("clip", ["flat", "pan"])
     def test_generator_never_wins(self, clip, monkeypatch):
+        self.never_wins(clip, "one", monkeypatch)
+
+    @pytest.mark.parametrize("clip", ["flat", "pan"])
+    def test_two_regions_generator_never_wins(self, clip, monkeypatch):
+        self.never_wins(clip, "two", monkeypatch)
+
+    def test_hands_over_at_the_first_generated_block(self, monkeypatch):
+        self.hands_over("one", monkeypatch)
+
+    def test_two_regions_hand_over_at_the_first_generated_block(self, monkeypatch):
+        self.hands_over("two", monkeypatch)
+
+    def never_wins(self, clip, regions, monkeypatch):
+        regions = [self.REGIONS[regions]] * (self.N if clip == "flat" else 8)
         if clip == "flat":
             # at frame K the generator loses block (2, 0) by 3686.4, under
             # lambda: 1536 * 5^2 + 25 lambda against 1536 * 3^2 + 28 lambda
@@ -801,20 +838,19 @@ class TestReplayedNetworkPass:
             n, qp = 8, 8
             frames = synth_sequence("pan", 96, 64, n, velocity=(4, 0), seed=7)
             ctx = SetContext(3, 2, 0, n)
-            qparams, _ = train_param_set(frames, 0, [[RegionSpec(2, 0, 2, 1, True)]] * n,
-                                         ctx, (3, 4, 1536), fast_train(20))
-        regions = [[RegionSpec(2, 0, 2, 1, True)]] * n
+            qparams, _ = train_param_set(frames, 0, regions, ctx, (3, 4, 1536),
+                                         fast_train(20))
         full, coded = self.passes(frames, regions, qparams, qp, monkeypatch)
         assert [mode_counts(r.modes)[2] for r in full.results] == [0] * n
         assert coded == []
 
-    def test_hands_over_at_the_first_generated_block(self, monkeypatch):
+    def hands_over(self, regions, monkeypatch):
         # at frame K the generator wins block (2, 0) by 3993.6, under
         # lambda: 1536 * 6^2 + 25 lambda against 1536 * 5^2 + 28 lambda.
         # Frame K + 1 is flat again, but its reference is not the fallback
         # pass's: there DC beats inter, which the fallback frame chose.
         frames = flat_clip(self.N, {(self.K, 2, 0): 123})
-        regions = [[RegionSpec(2, 0, 2, 1, True)]] * self.N
+        regions = [self.REGIONS[regions]] * self.N
         full, coded = self.passes(frames, regions, flat_generator(117), 51, monkeypatch)
         assert [mode_counts(r.modes)[2] for r in full.results] == [0, 0, 1, 0, 0]
         assert full.results[self.K + 1].modes[0, 2] == BlockMode.INTRA_DC

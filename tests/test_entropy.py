@@ -92,6 +92,29 @@ class TestBitWriter:
         w.write_bits(0xFFFFFFFF, 32)
         assert w.to_bytes() == b"\xff\xff\xff\xff"
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_copy_bits_writes_the_bits_as_they_are(self, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.integers(0, 256, 40, dtype=np.uint8).tobytes()
+        bits = np.unpackbits(np.frombuffer(data, np.uint8))
+        for _ in range(30):
+            ahead = int(rng.integers(0, 16))
+            start = int(rng.integers(0, 320))
+            n = int(rng.integers(0, 320 - start + 1))
+            w, want = BitWriter(), BitWriter()
+            for writer in (w, want):
+                writer.write_bits(0b1011 % (1 << ahead), ahead)
+            w.copy_bits(data, start, n)
+            for bit in bits[start:start + n]:
+                want.write_bits(int(bit), 1)
+            assert w.bit_position == want.bit_position
+            assert w.to_bytes() == want.to_bytes()
+
+    @pytest.mark.parametrize("start, n", [(-1, 4), (0, 321), (318, 3)])
+    def test_copy_bits_refuses_bits_outside_the_data(self, start, n):
+        with pytest.raises(ValueError):
+            BitWriter().copy_bits(bytes(40), start, n)
+
 
 class TestBitReader:
     def test_reads_back_what_was_written(self):

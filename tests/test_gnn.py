@@ -39,6 +39,7 @@ from nbv.gnn import (
     loss,
     outputs_to_block,
     param_count,
+    product_cut,
     quantize_params,
     train,
 )
@@ -417,12 +418,13 @@ class TestTrainerMatchesOracle:
 
 
 # (layer sizes, rows, steps, input spread) for the two-thread step: the
-# worker takes the first n // 2 output rows, so one row leaves it none and
-# three and 577 split unevenly; 2,100 rows take the minibatch path, whose
-# 1,024-row batches split evenly; the 3-1536 net's output layer is also its
-# first, so the worker's product reads the inputs themselves. Inputs spread
-# over [0, 40) kill the output units whose weights are all negative on every
-# row and others on some rows, so the output error holds signed zeros.
+# worker takes the output layer's first product_cut(n) rows, so one and
+# three rows leave it none and 577 split unevenly; 2,100 rows take the
+# minibatch path, whose 1,024-row batches split at 504; the 3-1536 net's
+# output layer is also its first, so the product reads the inputs
+# themselves. Inputs spread over [0, 40) kill the output units whose
+# weights are all negative on every row and others on some rows, so the
+# output error holds signed zeros.
 THREAD_CASES = [
     (DEFAULT_ARCH, 1, 20, 1.0),
     (DEFAULT_ARCH, 3, 20, 1.0),
@@ -438,6 +440,49 @@ TRAIN_SCRIPT = """
 from test_golden import trained_params_sha256
 print(trained_params_sha256())
 """
+
+
+# Rows about each cut of the forward product: under 48 it stays whole,
+# 48 and 49 cut at 24, 96 at 48, 575 to 577 at 288, and 1,025 rows train
+# in 1,024-row minibatches cut at 504 (a naive n // 2 cut, 512, changes
+# bits on OpenBLAS's Haswell kernels).
+CUT_ROWS = [1, 23, 47, 48, 49, 96, 575, 576, 577, 1025]
+
+ONE_BLAS_THREAD = dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+
+
+def cut_case_equal(n: int) -> bool:
+    """Whether train and backward equal their oracles to the byte on n rows
+    of the default net: backward in float32 and float64, before and after
+    3 steps, on at most one minibatch."""
+    rng = np.random.default_rng(n)
+    x, t = rng.uniform(0, 1, (n, 3)), rng.uniform(0, 1, (n, 1536))
+    cfg = TrainConfig(steps=3, seed=4)
+    want = train_oracle(DEFAULT_ARCH, x, t, cfg)
+    if params_bytes(trained_float32(train(DEFAULT_ARCH, x, t, cfg))) != params_bytes(want):
+        return False
+    batch = x[:BATCH_SIZE], t[:BATCH_SIZE]
+    for params in (init_params(DEFAULT_ARCH, seed=4), want):
+        for typed in (cast(params, np.float32), cast(params, np.float64)):
+            if params_bytes(backward(typed, *batch)) != params_bytes(
+                    backward_oracle(typed, *batch)):
+                return False
+    return True
+
+
+# Prints the CUT_ROWS counts at which cut_case_equal fails.
+CUT_SCRIPT = """
+from test_gnn import CUT_ROWS, cut_case_equal
+print([n for n in CUT_ROWS if not cut_case_equal(n)])
+"""
+
+
+def subprocess_env(**extra) -> dict:
+    """This environment, with the package and these tests on the path."""
+    here = Path(__file__).resolve().parent
+    src = str(Path(nbv.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join((src, str(here))), **extra)
 
 
 class TestTwoThreadTrainer:
@@ -517,14 +562,31 @@ class TestTwoThreadTrainer:
         assert not any(th.is_alive() for th in threads)
         assert results == [want] * 3
 
+    def test_cut_falls_on_a_multiple_of_24_rows(self):
+        for n in range(1, 2000):
+            cut = product_cut(n)
+            assert cut % 24 == 0 and (cut == 0 or min(cut, n - cut) >= 24)
+            assert (cut == 0) == (n < 48) and n - cut - cut < 48
+        assert [product_cut(n) for n in (47, 48, 96, 576, 1024)] == [0, 24, 48, 288, 504]
+
+    @pytest.mark.parametrize("n", CUT_ROWS)
+    def test_rows_about_each_cut_equal_the_oracle(self, n):
+        assert cut_case_equal(n)
+
+    @pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
+    def test_rows_about_each_cut_equal_the_oracle_on_other_kernels(self, coretype):
+        # Haswell keeps the whole product's bits only at cuts on multiples
+        # of 24 rows; Sandybridge has no FMA. BLAS is pinned to one thread:
+        # on Haswell the whole product's bits change with its thread count.
+        out = subprocess.run([sys.executable, "-c", CUT_SCRIPT], env=subprocess_env(
+            OPENBLAS_CORETYPE=coretype, **ONE_BLAS_THREAD), capture_output=True,
+            text=True, check=True, timeout=600)
+        assert out.stdout.split() == ["[]"]
+
     def test_trained_set_does_not_depend_on_blas_threads(self):
-        here = Path(__file__).resolve().parent
-        src = str(Path(nbv.__file__).resolve().parents[1])
         runs = {}
         for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, str(here))),
-                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       MKL_NUM_THREADS=threads)
+            env = subprocess_env(**dict.fromkeys(ONE_BLAS_THREAD, threads))
             out = subprocess.run([sys.executable, "-c", TRAIN_SCRIPT], env=env,
                                  capture_output=True, text=True, check=True, timeout=600)
             runs[threads] = out.stdout.split()
