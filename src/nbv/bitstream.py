@@ -311,11 +311,13 @@ class FrameUnit:
 
 @dataclass
 class FrameBits:
-    """Where one frame unit's bits went; modes covers everything not mv/residual."""
+    """Where one frame unit's bits went; modes covers everything not
+    mv/residual, pad too: the zero bits that end the unit on a byte."""
 
     modes: int = 0
     mvs: int = 0
     residuals: int = 0
+    pad: int = 0
 
     @property
     def total(self) -> int:
@@ -345,11 +347,16 @@ def _check_frame_unit(fu: FrameUnit, cols: int, rows: int) -> None:
         raise ValueError("motion vector difference beyond +-(2^31 - 1)")
 
 
+# A frame unit with no regions begins with its tag, its frame type and
+# ue(0), the region count; its payload follows.
+_BARE_HEAD_BITS = 8 + 1 + 1
+
+
 def _write_frame_head(w: BitWriter, frame_type: str, regions: list[RegionSpec],
-                      modes: np.ndarray) -> int:
+                      gen: np.ndarray) -> int:
     """Write a frame unit's tag, frame type and regions, then a selection
-    bit per selectable-region block, set where modes is GEN; returns the
-    bits written."""
+    bit per selectable-region block, set where gen is; returns the bits
+    written."""
     start = w.bit_position
     w.write_bits(UNIT_FRAME, 8)
     w.write_bits(0 if frame_type == "I" else 1, 1)
@@ -358,36 +365,39 @@ def _write_frame_head(w: BitWriter, frame_type: str, regions: list[RegionSpec],
         for corner in (reg.x0, reg.y0, reg.x1, reg.y1):
             ue_encode(w, corner)
         w.write_bits(1 if reg.selectable else 0, 1)
-    gen = modes == BlockMode.GEN
     for reg in regions:
         if reg.selectable:
             w.write_bit_array(gen[reg.area].reshape(-1))
     return w.bit_position - start
 
 
-def rewrite_frame(w: BitWriter, data: bytes, start: int, bits: FrameBits,
-                  payload_bits: int, frame_type: str, modes: np.ndarray,
-                  regions: list[RegionSpec]) -> FrameBits:
-    """Write a frame unit of data again with regions; returns its bits.
+def rewrite_frame(w: BitWriter, unit: bytes, bits: FrameBits,
+                  regions: list[RegionSpec], cols: int, rows: int) -> FrameBits:
+    """Write unit, a frame unit with no regions whose FrameBits are bits,
+    again with regions; returns the new unit's bits.
 
-    The unit begins at bit start of data, has no regions and generates no
-    block; bits is its FrameBits and payload_bits its payload's length,
-    which follows its head. The new unit has the regions, none of whose
-    blocks is selected, and the same payload bit for bit: what write_frame
-    would write with the regions added to the unit. A forced region would
-    generate its blocks, so it is refused, and so is a payload that does
-    not end where the unit's padding begins.
+    The new unit has the regions, none of whose blocks is selected, and
+    unit's payload bit for bit: what write_frame would write with the
+    regions added to the unit. A forced region would generate its blocks,
+    so it is refused, and so is a unit with regions.
     """
-    if np.any(region_map(regions, modes.shape[1], modes.shape[0]) == FORCED):
+    r = BitReader(unit)
+    if r.read_bits(8) != UNIT_FRAME:
+        raise ValueError("not a frame unit")
+    frame_type = "I" if r.read_bits(1) == 0 else "P"
+    if r.read_bits(1) != 1:  # ue(0)
+        raise ValueError("frame unit already has regions")
+    kinds = region_map(regions, cols, rows)
+    if np.any(kinds == FORCED):
         raise ValueError("forced-region block not marked generated")
-    head = _write_frame_head(BitWriter(), frame_type, [], modes)
-    if not 0 <= bits.total - head - payload_bits < 8:
-        raise ValueError("payload does not end the frame unit")
-    out = FrameBits(_write_frame_head(w, frame_type, regions, modes), bits.mvs,
+    none = np.zeros((rows, cols), dtype=bool)
+    out = FrameBits(_write_frame_head(w, frame_type, regions, none), bits.mvs,
                     bits.residuals)
-    w.copy_bits(data, start + head, payload_bits)
-    # the payload's mode symbols are the rest of it
-    out.modes += payload_bits - bits.mvs - bits.residuals + w.byte_align()
+    payload = bits.total - _BARE_HEAD_BITS - bits.pad
+    w.copy_bits(unit, _BARE_HEAD_BITS, payload)
+    out.pad = w.byte_align()
+    # the payload's mode symbols and the padding are the rest of modes
+    out.modes += payload - bits.mvs - bits.residuals + out.pad
     return out
 
 
@@ -398,7 +408,8 @@ def write_frame(w: BitWriter, fu: FrameUnit, cols: int, rows: int) -> FrameBits:
     # before it writes anything.
     if np.any((fu.blocks > MAX_LEVEL) | (fu.blocks < -MAX_LEVEL)):
         raise ValueError(f"residual level beyond +-{MAX_LEVEL}")
-    bits = FrameBits(_write_frame_head(w, fu.frame_type, fu.regions, fu.modes))
+    bits = FrameBits(_write_frame_head(w, fu.frame_type, fu.regions,
+                                       fu.modes == BlockMode.GEN))
     # The payload is all exp-Golomb codes: each coded block's mode symbol
     # and an inter block's vector difference, before its 24 tiles' codes.
     modes = fu.modes.reshape(-1)
@@ -419,7 +430,8 @@ def write_frame(w: BitWriter, fu: FrameUnit, cols: int, rows: int) -> FrameBits:
     bits.modes += mode_bits
     bits.mvs += mv_bits
     bits.residuals += payload_bits - mode_bits - mv_bits
-    bits.modes += w.byte_align()
+    bits.pad = w.byte_align()
+    bits.modes += bits.pad
     return bits
 
 
@@ -531,7 +543,9 @@ def _parse_frame_body(r: BitReader, cols: int, rows: int,
                    np.zeros((rows, cols, 2), dtype=np.int32),
                    np.zeros((rows * cols, TILES_PER_BLOCK, 64), dtype=np.int16))
     _read_payloads(r, fu, bits)
-    bits.modes += r.byte_align()
+    pad = r.byte_align()
+    bits.modes += pad
+    bits.pad += pad
     return fu
 
 

@@ -20,9 +20,10 @@ frame costs only its generated candidates, and while no winner moves,
 its decisions, pixels and distortion are the first pass's, and its unit
 is that pass's with the regions and their selection bits in its head and
 the payload bits copied as they are. The first frame where the generator
-wins, or a region is forced, and every later frame are coded in full. The first pass's per-block winning costs go into the
-period's record. Every candidate is costed with exact coded bits, and
-every block is rebuilt through the decoder's own block walk, which keeps
+wins, or a region is forced, and every later frame are coded in full.
+The first pass's per-block winning costs go into the period's record.
+Every candidate is costed with exact coded bits, and every block is
+rebuilt through the decoder's own block walk, which keeps
 the two bit-identical. The walk visits a frame one anti-diagonal of
 blocks at a time: a block's intra prediction and its vector predictor
 read only its left and top neighbours, which lie on earlier diagonals, so
@@ -399,9 +400,11 @@ class _PeriodPass:
     def j(self, lam: float) -> float:
         return self.distortion + lam * self.total_bits
 
-    def unit_start(self, offset: int) -> int:
-        """The bit of data where the frame unit at offset begins."""
-        return self.param_bits + sum(fb.total for fb in self.frame_bits[:offset])
+    def unit_bytes(self, offset: int) -> bytes:
+        """The bytes of the frame unit at offset; each unit ends on a byte
+        boundary."""
+        start = self.param_bits + sum(fb.total for fb in self.frame_bits[:offset])
+        return self.data[start // 8:(start + self.frame_bits[offset].total) // 8]
 
 
 def _encode_period(
@@ -419,10 +422,9 @@ def _encode_period(
     Given the period's fallback pass, coded with no regions and no
     network, a frame that _replays it takes its decisions, pixels and
     distortion from there, and its unit is written again with this pass's
-    regions and no block selected, its payload copied bit for bit: the
-    payload is the frame's winners' bits, selection bit left out. From the
-    first frame that does not, every frame is coded: its reference is no
-    longer the fallback's.
+    regions and no block selected, its payload copied bit for bit. From
+    the first frame that does not, every frame is coded: its reference is
+    no longer the fallback's.
     """
     w = BitWriter()
     param_bits = write_param_set(w, qparams) if qparams is not None else 0
@@ -440,10 +442,8 @@ def _encode_period(
                 fallback.results[offset], source, frame_idx, frame_type, regions,
                 qparams, ctx, config.qp, lam):
             res = fallback.results[offset]
-            frame_bits.append(rewrite_frame(
-                w, fallback.data, fallback.unit_start(offset), fallback.frame_bits[offset],
-                int(res.winners()[1].sum(dtype=np.int64)), frame_type, res.modes,
-                regions))
+            frame_bits.append(rewrite_frame(w, fallback.unit_bytes(offset),
+                                            fallback.frame_bits[offset], regions, cols, rows))
         else:
             fallback = None
             unit, res = _encode_frame(

@@ -34,27 +34,34 @@ Each step runs on two threads, the caller's and one worker that train
 starts and joins before it returns or raises. Two phases run at once.
 First the output layer's forward product and its elementwise tail (bias,
 ReLU, error, scale, mask) are split by rows: the worker makes the first
-product_cut(n) rows of one preallocated (n, 1536) array and the caller
-the rest. Then the worker makes the output layer's weight-gradient
-product while the caller sums the bias gradient, makes the propagation
-product and runs the smaller layers' backward. No reduction is split, and
-no thread writes an array the other reads before the worker is joined.
+row_split(n) rows of one preallocated (n, 1536) array and the caller the
+rest. Where row_split gives 0 the caller makes the whole product and the
+tail alone is split, at half the rows. Then the worker makes the output
+layer's weight-gradient product while the caller sums the bias gradient,
+makes the propagation product and runs the smaller layers' backward. No
+reduction is split, and no thread writes an array the other reads before
+the worker is joined.
 
 Elementwise operations give the same value for each element whichever
 thread runs them; a product split by rows need not, since OpenBLAS picks
-its kernels and blocking by shape. So the forward product is cut only at
-a multiple of ROW_CUT = 24 rows with at least 24 rows on each side, and
-a product under 48 rows stays whole. Measured on float32 products of 64
-to 1,024 rows with BLAS pinned to one thread, on a 2-core x86-64 machine:
-OpenBLAS's Haswell kernels (OPENBLAS_CORETYPE=Haswell) kept the whole
-product's bits only at cuts on multiples of 24 rows, and cuts at 8, 16,
-32, 64, 128, 256, 320 and 512 rows changed them; its SkylakeX and
-Sandybridge kernels kept them at every cut tried from 8 rows up; a 1-row
-slice changed them on all three, since numpy runs it as a matrix-vector
-product. So half of a 1,024-row minibatch, 512 rows, is no safe cut. On
-the Haswell kernels the whole product's bits also change with the BLAS
-thread count, so there the trainer equals its plain form, which makes
-every product whole, only with BLAS pinned to one thread.
+its kernels and blocking by shape and by its thread count. So the
+forward product is cut only where that was measured to keep the whole
+product's bits: numpy's BLAS is an OpenBLAS running one thread on its
+Haswell, SkylakeX or Sandybridge sgemm kernels, and the cut falls on a
+multiple of ROW_CUT = 24 rows with at least 24 rows on each side, so a
+product under 48 rows stays whole. Measured on float32 products of 64 to
+1,024 rows with BLAS pinned to one thread, on a 2-core x86-64 machine
+with OpenBLAS 0.3.31: the Haswell kernels (OPENBLAS_CORETYPE=Haswell)
+kept the whole product's bits only at cuts on multiples of 24 rows, and
+cuts at 8, 16, 32, 64, 128, 256, 320 and 512 rows changed them; the
+SkylakeX and Sandybridge kernels kept them at every cut tried from 8 rows
+up; a 1-row slice changed them on all three, since numpy runs it as a
+matrix-vector product. So half of a 1,024-row minibatch, 512 rows, is no
+safe cut. With two BLAS threads the Haswell kernels' whole product
+itself changes bits with the thread count, and a cut on a multiple of 24
+rows no longer reproduces it, so the split waits for one BLAS thread.
+Other BLAS builds and kernel families (MKL, ARM, AVX2 cores that OpenBLAS
+names otherwise) were not measured and keep the product whole.
 
 With BLAS pinned to one thread, 100 steps of the default network on 576
 rows take 0.59-0.60 s (median of two sets of eight interleaved runs on a
@@ -65,8 +72,10 @@ the worker for the two cores.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -175,12 +184,70 @@ def backward(params: Params, inputs: np.ndarray, targets: np.ndarray) -> Params:
 # OpenBLAS sgemm kernel family measured (see the module docstring).
 ROW_CUT = 24
 
+# The OpenBLAS kernel families, as openblas_get_corename names them in
+# lower case, on which that was measured.
+MEASURED_CORES = frozenset({"haswell", "skylakex", "sandybridge"})
+
 
 def product_cut(n: int) -> int:
-    """The rows of an n-row output product that the worker computes: the
-    largest multiple of ROW_CUT at most n / 2, so each thread gets at least
-    ROW_CUT rows, or 0, which keeps a product under 2 * ROW_CUT rows whole."""
+    """Where a cut of an n-row output product may fall: the largest
+    multiple of ROW_CUT at most n / 2, so each side gets at least ROW_CUT
+    rows, or 0, which keeps a product under 2 * ROW_CUT rows whole."""
     return ROW_CUT * (n // (2 * ROW_CUT))
+
+
+@functools.cache
+def _openblas():
+    """numpy's OpenBLAS as (corename, get_num_threads) functions, or None
+    where numpy's BLAS is no OpenBLAS or its library is not found loaded
+    (found through /proc/self/maps, so on Linux only)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in str(blas.get("name", "")).lower():
+        return None
+    try:
+        with open("/proc/self/maps") as f:
+            paths = {line.split(None, 5)[-1].strip() for line in f}
+    except OSError:
+        return None
+    # numpy's own copy first, should another package have loaded another
+    for path in sorted(paths, key=lambda path: ("numpy" not in path, path)):
+        if "openblas" not in os.path.basename(path).lower():
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            try:
+                core = getattr(lib, f"{prefix}_get_corename{suffix}")
+                threads = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+            except AttributeError:
+                continue
+            core.argtypes, core.restype = [], ctypes.c_char_p
+            threads.argtypes, threads.restype = [], ctypes.c_int
+            return core, threads
+    return None
+
+
+def blas_state() -> tuple[str, int] | None:
+    """numpy's OpenBLAS's kernel family and its thread count now, or None
+    where this module cannot ask them."""
+    lib = _openblas()
+    if lib is None:
+        return None
+    core, threads = lib
+    return core().decode("ascii", "replace"), int(threads())
+
+
+def row_split(n: int) -> int:
+    """The rows of an n-row output product that the worker computes:
+    product_cut(n) where BLAS runs one thread on a kernel family in
+    MEASURED_CORES, else 0, which keeps the product whole."""
+    state = blas_state()
+    if state is None or state[0].lower() not in MEASURED_CORES or state[1] != 1:
+        return 0
+    return product_cut(n)
 
 
 def _output_delta(a: np.ndarray, b: np.ndarray, t: np.ndarray, scale: float) -> None:
@@ -213,12 +280,14 @@ def _backward(pool: ThreadPoolExecutor, params: Params, inputs: np.ndarray,
               targets: np.ndarray, delta: np.ndarray, out_grad: np.ndarray) -> Params:
     """backward() on the calling thread and pool's one worker.
 
-    The worker takes the output layer's first product_cut(n) rows: it
-    makes their share of the forward product and their elementwise tail
-    in delta, (n, 1536), while this thread does the same for the other
-    rows. Then the worker makes the output layer's weight gradient into
-    out_grad while this thread does the rest. Neither thread writes an
-    array the other reads before the worker's task is joined.
+    The worker takes the output layer's first row_split(n) rows: it makes
+    their share of the forward product and their elementwise tail in
+    delta, (n, 1536), while this thread does the same for the other rows.
+    Where row_split gives 0 this thread makes the whole product and the
+    worker takes the first half of the rows' tail. Then the worker makes
+    the output layer's weight gradient into out_grad while this thread
+    does the rest. Neither thread writes an array the other reads before
+    the worker's task is joined.
     """
     dtype = params[-1][0].dtype
     x = np.atleast_2d(np.asarray(inputs, dtype=dtype))
@@ -230,11 +299,17 @@ def _backward(pool: ThreadPoolExecutor, params: Params, inputs: np.ndarray,
         np.maximum(a, 0.0, out=a)
         acts.append(a)
     n, k = t.shape
-    cut = product_cut(n)
     w, b = params[-1]
     a = acts[-1]
-    job = pool.submit(_output_rows, a[:cut], w, b, t[:cut], n * k / 2, delta[:cut])
-    _output_rows(a[cut:], w, b, t[cut:], n * k / 2, delta[cut:])
+    cut = row_split(n)
+    if cut:
+        job = pool.submit(_output_rows, a[:cut], w, b, t[:cut], n * k / 2, delta[:cut])
+        _output_rows(a[cut:], w, b, t[cut:], n * k / 2, delta[cut:])
+    else:
+        np.matmul(a, w.T, out=delta)
+        cut = n // 2
+        job = pool.submit(_output_delta, delta[:cut], b, t[:cut], n * k / 2)
+        _output_delta(delta[cut:], b, t[cut:], n * k / 2)
     job.result()
     job = pool.submit(np.matmul, delta.T, a, out=out_grad)
     grads: Params = [None] * len(params)  # type: ignore[list-item]

@@ -560,9 +560,9 @@ class TestMotionFieldPerFrame:
         # a replayed frame is written by rewrite_frame
         real_rewrite = nbv.encoder.rewrite_frame
 
-        def counting_rewrite(w, data, start, bits, payload_bits, frame_type, *args):
-            written.append(frame_type == "P")
-            return real_rewrite(w, data, start, bits, payload_bits, frame_type, *args)
+        def counting_rewrite(w, unit, *args):
+            written.append(bool(unit[1] & 0x80))  # the type bit after the tag: P
+            return real_rewrite(w, unit, *args)
 
         def counting_gm(*args):
             gm_calls.append(args)

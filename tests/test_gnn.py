@@ -1,5 +1,6 @@
 """Coordinate-network generator: sizing, math, training, quantization."""
 
+import json
 import math
 import os
 import subprocess
@@ -29,6 +30,7 @@ from nbv.gnn import (
     SetContext,
     TrainConfig,
     backward,
+    blas_state,
     block_to_targets,
     check_architecture,
     dequantize_params,
@@ -41,6 +43,7 @@ from nbv.gnn import (
     param_count,
     product_cut,
     quantize_params,
+    row_split,
     train,
 )
 from nbv.tools import synth_sequence
@@ -417,10 +420,11 @@ class TestTrainerMatchesOracle:
         assert np.any(forward(params, x) == 0.0)
 
 
-# (layer sizes, rows, steps, input spread) for the two-thread step: the
-# worker takes the output layer's first product_cut(n) rows, so one and
-# three rows leave it none and 577 split unevenly; 2,100 rows take the
-# minibatch path, whose 1,024-row batches split at 504; the 3-1536 net's
+# (layer sizes, rows, steps, input spread) for the two-thread step: with
+# BLAS on one thread the worker takes the output layer's first
+# product_cut(n) rows, so one and three rows leave it none and 577 split
+# unevenly, and 2,100 rows take the minibatch path, whose 1,024-row
+# batches split at 504; with more BLAS threads the product stays whole; the 3-1536 net's
 # output layer is also its first, so the product reads the inputs
 # themselves. Inputs spread over [0, 40) kill the output units whose
 # weights are all negative on every row and others on some rows, so the
@@ -471,10 +475,15 @@ def cut_case_equal(n: int) -> bool:
     return True
 
 
-# Prints the CUT_ROWS counts at which cut_case_equal fails.
+# Prints the CUT_ROWS counts at which cut_case_equal fails, then BLAS's
+# kernel family and thread count as the trainer sees them and the rows of
+# a 576-row product that its worker computes.
 CUT_SCRIPT = """
+import json
+from nbv.gnn import blas_state, row_split
 from test_gnn import CUT_ROWS, cut_case_equal
-print([n for n in CUT_ROWS if not cut_case_equal(n)])
+print(json.dumps({"failed": [n for n in CUT_ROWS if not cut_case_equal(n)],
+                  "state": blas_state(), "split": row_split(576)}))
 """
 
 
@@ -573,15 +582,44 @@ class TestTwoThreadTrainer:
     def test_rows_about_each_cut_equal_the_oracle(self, n):
         assert cut_case_equal(n)
 
-    @pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
-    def test_rows_about_each_cut_equal_the_oracle_on_other_kernels(self, coretype):
+    @pytest.mark.parametrize("coretype, threads", [
+        (None, "1"), ("Haswell", "1"), ("Sandybridge", "1"), ("Haswell", "2")])
+    def test_rows_about_each_cut_equal_the_oracle_on_other_kernels(self, coretype, threads):
         # Haswell keeps the whole product's bits only at cuts on multiples
-        # of 24 rows; Sandybridge has no FMA. BLAS is pinned to one thread:
-        # on Haswell the whole product's bits change with its thread count.
-        out = subprocess.run([sys.executable, "-c", CUT_SCRIPT], env=subprocess_env(
-            OPENBLAS_CORETYPE=coretype, **ONE_BLAS_THREAD), capture_output=True,
-            text=True, check=True, timeout=600)
-        assert out.stdout.split() == ["[]"]
+        # of 24 rows; Sandybridge has no FMA. With two BLAS threads the
+        # Haswell kernels' whole product changes bits with the thread
+        # count, so there the product must stay whole.
+        env = subprocess_env(**dict.fromkeys(ONE_BLAS_THREAD, threads))
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = subprocess.run([sys.executable, "-c", CUT_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True, timeout=600)
+        got = json.loads(out.stdout)
+        assert got["failed"] == []
+        if got["state"] is None:  # a BLAS the trainer cannot ask keeps products whole
+            assert got["split"] == 0
+            return
+        core, n_threads = got["state"]
+        assert n_threads == int(threads)
+        if coretype is not None:
+            assert core == coretype
+        measured = core.lower() in nbv.gnn.MEASURED_CORES
+        assert got["split"] == (288 if measured and threads == "1" else 0)
+
+    @pytest.mark.parametrize("state, split", [
+        (None, 0), (("Haswell", 1), 288), (("SkylakeX", 1), 288),
+        (("Sandybridge", 1), 288), (("Haswell", 2), 0), (("SkylakeX", 4), 0),
+        (("Zen", 1), 0), (("NEOVERSEN1", 1), 0)])
+    def test_product_is_split_only_on_one_thread_of_a_measured_kernel(
+            self, monkeypatch, state, split):
+        monkeypatch.setattr(nbv.gnn, "blas_state", lambda: state)
+        assert row_split(576) == split
+        assert row_split(47) == 0
+
+    def test_blas_state_reads_the_thread_count(self):
+        state = blas_state()
+        if state is not None:
+            assert isinstance(state[0], str) and state[1] >= 1
 
     def test_trained_set_does_not_depend_on_blas_threads(self):
         runs = {}
