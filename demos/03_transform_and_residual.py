@@ -5,21 +5,24 @@ step that doubles every 6 qp, round half away from zero, run-level code
 the survivors in zigzag order. A 32x32 block is 16 luma tiles plus 4+4
 chroma tiles, 24 in all. Lower qp keeps more coefficients and costs more
 bits; qp 0 has step 1 and reconstructs within +/-2 per sample. The
-decoder side (dequantization and inverse DCT) runs in fixed-point int64,
-so every machine rebuilds the same pixels; the float inverse below is the
-reference it is tested against.
+decoder side (dequantization and inverse DCT) runs in exact integer
+arithmetic, so every machine rebuilds the same pixels; the float inverse
+below is the reference it is tested against. The residual section runs
+what the encoder runs on each candidate: blocks cut into tiles once,
+levels, rebuilt tiles and bits all in tile layout.
 """
 
 import numpy as np
 
 from nbv.core import Block32
 from nbv.residual import (
-    apply_block_residual,
+    block_tiles,
     block_tiles_bits,
     dct8_forward,
     dct8_inverse,
-    encode_block_residual,
+    encode_tiles,
     qstep,
+    rebuild_tiles,
 )
 
 rng = np.random.default_rng(3)
@@ -42,16 +45,17 @@ def mk_block(seed):
                    r.integers(0, 256, (16, 16), dtype=np.uint8))
 
 
-src, pred = mk_block(10), mk_block(11)
+# the 24 tiles of each block, (24, 8, 8): 16 luma, then 4 Cb and 4 Cr
+src, pred = block_tiles(mk_block(10)), block_tiles(mk_block(11))
 
 print("\nresidual cost and error vs qp (random source, random prediction)")
 for qp in (0, 12, 24, 36):
-    tiles = encode_block_residual(src, pred, qp)
-    recon = apply_block_residual(pred, tiles, qp)
-    err = max(int(np.abs(recon.y.astype(int) - src.y.astype(int)).max()),
-              int(np.abs(recon.cb.astype(int) - src.cb.astype(int)).max()))
-    print(f"  qp {qp:2d}: {block_tiles_bits(tiles):6d} bits, max error {err:3d}")
+    levels = encode_tiles(src, pred, qp)
+    recon = rebuild_tiles(pred, levels, qp)
+    d = recon.astype(np.int32) - src
+    print(f"  qp {qp:2d}: {block_tiles_bits(levels):6d} bits, "
+          f"max error {np.abs(d).max():3d}, SSD {int((d * d).sum()):9d}")
 
 # perfect prediction leaves nothing to code: 24 single-bit tiles
-silent = encode_block_residual(src, src, 24)
+silent = encode_tiles(src, src, 24)
 print(f"\nperfect prediction: {block_tiles_bits(silent)} bits for 24 tiles")

@@ -27,9 +27,15 @@ MAX_LUMA_SAMPLES = 35_651_584
 MAX_SEARCH_RANGE = 64
 
 
-def round_half_away(x):
-    """Round to nearest integer, halves away from zero. Works elementwise."""
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+def round_half_away(x, out=None):
+    """Round to nearest integer, halves away from zero. Works elementwise;
+    out, an array that may be x itself, takes the result.
+
+    x + copysign(0.5, x) rounds like -(|x| + 0.5) for x < 0, so the
+    result is sign(x) * floor(|x| + 0.5) in value for every float; only
+    the zero's sign can differ (-0.0 at x = -0.0).
+    """
+    return np.trunc(np.add(x, np.copysign(0.5, x), out=out), out=out)
 
 
 class BlockCoord(NamedTuple):

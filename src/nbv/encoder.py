@@ -29,8 +29,11 @@ blocks at a time: a block's intra prediction and its vector predictor
 read only its left and top neighbours, which lie on earlier diagonals, so
 the blocks of one diagonal are decided together. Each block's candidates
 sit in one slot per BlockMode, in rank order; every candidate on the
-diagonal is stacked on one axis, and one batched call each quantizes,
-bit-counts and reconstructs all of them. Each block keeps its first
+diagonal is stacked on one axis and costed in tile layout: the frame's
+source blocks are cut into 8x8 tiles once, and one batched call each
+quantizes, bit-counts and rebuilds all the candidates' tiles, whose SSD
+is taken there. Only each block's winner goes back into planes, for the
+walk. Each block keeps its first
 minimum-cost candidate, so ties go to the earlier rank, and the decisions
 are those of a block-by-block raster walk. A P frame's motion vectors
 come from one whole-frame search against the previous reconstruction, its
@@ -87,9 +90,11 @@ from .gnn import (
 from .prediction import MotionVector, block_motion, motion_compensate, motion_field
 from .residual import (
     TILES_PER_BLOCK,
-    apply_block_residual,
+    block_tiles,
     block_tiles_bits,
-    encode_block_residual,
+    encode_tiles,
+    rebuild_tiles,
+    tile_block,
 )
 from .tools import csv_text, frame_psnr
 
@@ -210,18 +215,22 @@ def choose_block_mode(j: np.ndarray) -> np.ndarray:
     return np.argmin(j, axis=-1)
 
 
-def _candidate_costs(src: Block32, bases: Block32, frame_type: str, modes,
+def _candidate_costs(src: np.ndarray, bases: np.ndarray, frame_type: str, modes,
                      mvds, qp: int):
-    """(levels, rebuilt blocks, SSD, bits) of candidates with the given
-    bases for the source blocks src, all along one leading axis; the bits
-    are the tiles' and block_syntax_bits' for the candidates' modes and
-    vector differences, the selection bit left out."""
-    levels = encode_block_residual(src, bases, qp)
-    rec = apply_block_residual(bases, levels, qp)
-    ssd = 0
-    for ps, pr in ((src.y, rec.y), (src.cb, rec.cb), (src.cr, rec.cr)):
-        d = pr.astype(np.int64) - ps.astype(np.int64)
-        ssd = ssd + (d * d).sum(axis=(-2, -1))
+    """(levels, rebuilt tiles, SSD, bits) of candidates with the given basis
+    tiles for the source tiles src, (n, 24, 8, 8) uint8 each in
+    residual.block_tiles' layout; the bits are the tiles' and
+    block_syntax_bits' for the candidates' modes and vector differences,
+    the selection bit left out.
+
+    The SSD is taken in tile layout, a permutation of the planes' samples.
+    The differences are squared in int32, since 255^2 overflows int16; a
+    block's SSD is at most 1536 * 255^2 < 2^27, so int32 holds it.
+    """
+    levels = encode_tiles(src, bases, qp)
+    rec = rebuild_tiles(bases, levels, qp)
+    d = np.subtract(rec, src, dtype=np.int16).astype(np.int32)
+    ssd = np.einsum("...ijk,...ijk->...", d, d)
     bits = block_tiles_bits(levels) + block_syntax_bits(frame_type, modes, mvds)
     return levels, rec, ssd, bits
 
@@ -291,14 +300,15 @@ def _encode_frame(
     frame before it: a P frame's vectors from one whole-frame search, its
     inter bases from one motion-compensation gather. Per diagonal, the
     intra bases come from one prediction, and every candidate of every
-    block on the diagonal is stacked on one axis and costed in one call
-    each to quantize, count tile bits and reconstruct.
+    block on the diagonal is stacked on one axis and costed in tile layout
+    by _candidate_costs; the source blocks are cut into tiles once per
+    frame, and only the winners are rebuilt as planes.
     """
     walk = FrameWalk(source.display_width, source.display_height)
     rows, cols = walk.modes.shape
     by, bx = np.indices((rows, cols))
     grid = np.stack([bx, by], axis=-1)
-    src = extract_block(source, grid)
+    src = block_tiles(extract_block(source, grid))
     kinds = region_map(regions, cols, rows)
     slots = _candidate_slots(kinds, frame_type, qparams is not None)
     # the bases of the walk-free slots
@@ -332,7 +342,8 @@ def _encode_frame(
         block, mode = np.nonzero(have)
         mvd = mvs[by, bx] - walk.mv_pred(coords)
         levels, rec, ssd, bits = _candidate_costs(
-            src[by[block], bx[block]], cand, frame_type, mode, mvd[block], qp)
+            src[by[block], bx[block]], block_tiles(cand), frame_type, mode,
+            mvd[block], qp)
         slot_ssd[by[block], bx[block], mode] = ssd
         slot_bits[by[block], bx[block], mode] = bits
         j = _slot_costs(slot_ssd[by, bx], slot_bits[by, bx], have, sel[by, bx], lam)
@@ -341,7 +352,7 @@ def _encode_frame(
         stacked[have] = np.arange(len(mode))
         i = stacked[np.arange(len(coords)), win]  # the winners in the stack
 
-        walk.put(coords, win, mvs[by, bx], rec[i])
+        walk.put(coords, win, mvs[by, bx], tile_block(rec[i]))
         mvds[by, bx] = np.where((win == BlockMode.INTER)[:, None], mvd, 0)
         blocks[by * cols + bx] = levels[i]
 
@@ -374,7 +385,8 @@ def _replays(
     if len(by):
         coords = np.stack([bx, by], axis=-1)
         _, _, ssd, bits = _candidate_costs(
-            extract_block(source, coords), generated_blocks(qparams, ctx, frame_idx, coords),
+            block_tiles(extract_block(source, coords)),
+            block_tiles(generated_blocks(qparams, ctx, frame_idx, coords)),
             frame_type, BlockMode.GEN, None, qp)
         slot_ssd[by, bx, BlockMode.GEN], slot_bits[by, bx, BlockMode.GEN] = ssd, bits
     win = choose_block_mode(

@@ -66,16 +66,21 @@ names otherwise) were not measured and keep the product whole.
 With BLAS pinned to one thread, 100 steps of the default network on 576
 rows take 0.59-0.60 s (median of two sets of eight interleaved runs on a
 shared 2-core x86-64 machine with OpenBLAS); with BLAS at its default two
-threads they take 0.77-0.82 s, since OpenBLAS's threads then compete with
-the worker for the two cores.
+threads they took 0.77-0.82 s, since OpenBLAS's threads then compete with
+the worker for the two cores. So train pins numpy's OpenBLAS to one
+thread while it runs, through the same library handle, and restores the
+caller's count after; that also makes the split, and the trained set,
+the same whatever thread count the caller set.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -198,9 +203,9 @@ def product_cut(n: int) -> int:
 
 @functools.cache
 def _openblas():
-    """numpy's OpenBLAS as (corename, get_num_threads) functions, or None
-    where numpy's BLAS is no OpenBLAS or its library is not found loaded
-    (found through /proc/self/maps, so on Linux only)."""
+    """numpy's OpenBLAS as (corename, get_num_threads, set_num_threads)
+    functions, or None where numpy's BLAS is no OpenBLAS or its library is
+    not found loaded (found through /proc/self/maps, so on Linux only)."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     if "openblas" not in str(blas.get("name", "")).lower():
         return None
@@ -222,11 +227,13 @@ def _openblas():
             try:
                 core = getattr(lib, f"{prefix}_get_corename{suffix}")
                 threads = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                pin = getattr(lib, f"{prefix}_set_num_threads{suffix}")
             except AttributeError:
                 continue
             core.argtypes, core.restype = [], ctypes.c_char_p
             threads.argtypes, threads.restype = [], ctypes.c_int
-            return core, threads
+            pin.argtypes, pin.restype = [ctypes.c_int], None
+            return core, threads, pin
     return None
 
 
@@ -236,8 +243,39 @@ def blas_state() -> tuple[str, int] | None:
     lib = _openblas()
     if lib is None:
         return None
-    core, threads = lib
+    core, threads, _ = lib
     return core().decode("ascii", "replace"), int(threads())
+
+
+# How many one_blas_thread blocks are open, and the OpenBLAS thread count
+# the first of them found; changed under _PIN_LOCK only.
+_PIN_LOCK = threading.Lock()
+_pinned = {"open": 0, "threads": 0}
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Pin numpy's OpenBLAS to one thread for the block, then restore the
+    count it had. Blocks that overlap, on any threads, share one pin: the
+    first in sets it and the last out restores it. Does nothing where
+    this module cannot reach OpenBLAS's thread count."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    _, threads, pin = lib
+    with _PIN_LOCK:
+        if not _pinned["open"]:
+            _pinned["threads"] = int(threads())
+            pin(1)
+        _pinned["open"] += 1
+    try:
+        yield
+    finally:
+        with _PIN_LOCK:
+            _pinned["open"] -= 1
+            if not _pinned["open"]:
+                pin(_pinned["threads"])
 
 
 def row_split(n: int) -> int:
@@ -349,7 +387,9 @@ def train(layer_sizes, inputs: np.ndarray, targets: np.ndarray,
     and targets of another dtype are cast to float32 once; float32 ones,
     as train_param_set builds them, are used as they are and not copied.
     Each step runs on the calling thread and one worker thread, which is
-    joined before train returns or raises.
+    joined before train returns or raises. numpy's OpenBLAS runs one
+    thread meanwhile (one_blas_thread), so on given BLAS kernels the
+    trained set is the same whatever thread count the caller set.
     """
     cfg = cfg or TrainConfig()
     x = np.asarray(inputs, dtype=np.float32)
@@ -374,7 +414,7 @@ def train(layer_sizes, inputs: np.ndarray, targets: np.ndarray,
 
     order = np.empty(0, dtype=np.int64)
     cursor = 0
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
         for step in range(cfg.steps):
             if full:
                 bx, bt = x, t

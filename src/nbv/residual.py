@@ -4,9 +4,11 @@ A coding unit decomposes into 24 8x8 tiles (16 luma, 4 Cb, 4 Cr, each group
 in raster order). Each tile is transformed with the orthonormal 8x8 DCT-II,
 quantized with a uniform scalar step of 2^(qp/6), and entropy coded as
 run-level pairs in zigzag order: ue(count), then per nonzero ue(run) and
-se(level). encode_block_residual quantizes a block's tiles through
-dct8_forward and quantize, in floating point: they only choose the levels,
-and the decoder never runs them.
+se(level). block_tiles cuts a coding unit's planes into its tiles and
+tile_block puts them back. encode_tiles quantizes source tiles against
+basis tiles through dct8_forward and quantize, in floating point: they
+only choose the levels, and the decoder never runs them.
+encode_block_residual is encode_tiles on planes.
 
 Reconstruction is pure integer arithmetic, in the style of HEVC's core
 transform (Budagavi et al., "Core Transform Design in the HEVC Standard",
@@ -14,18 +16,20 @@ IEEE JSTSP 2013), so every machine and every memory layout rebuilds the
 same pixels: a level times LEVEL_SCALE[qp % 6] << (qp // 6), 2^(qp/6)
 with 12 fractional bits, through DCT_INT^T . C . DCT_INT with DCT_INT =
 round(DCT_MATRIX * 2^14), then one shift of 40 that rounds half away
-from zero. residual_planes folds the zigzag scan and both passes into one
+from zero. residual_tiles folds the zigzag scan and both passes into one
 integer basis, RECON_BASIS, and runs one exact float64 matrix product of
-the raw levels, then the scale and the shift in int64, on the tiles that
-hold a nonzero level only, as HEVC's coded-block flags let a decoder skip
-empty transform blocks. add_residual adds the planes to the integer
-basis and clips to 0..255, and apply_block_residual is the two steps in
-one call. The encoder and decoder share that arithmetic, so there is no
-drift. The precision was measured against the float reconstruction, each
-level times 2^(qp/6) and then dct8_inverse (the tests keep that float
-dequantizer as their oracle): with a 12-bit basis, 20,000 random legal
-tiles moved pixels by 2 from the float result, with 13 or 14 bits by at
-most 1 (14 bits halves how often).
+the raw levels, then the scale and the shift as one exact float64
+multiply and a rounding, on the tiles that hold a nonzero level only, as
+HEVC's coded-block flags let a decoder skip empty transform blocks. A
+rebuilt sample is the basis sample plus the residual, clipped to 0..255:
+rebuild_tiles does that in tile layout for the encoder, add_residual on
+residual_planes' planes for the decoder. The encoder and decoder share
+that arithmetic, so there is no drift. The precision was measured
+against the float reconstruction, each level times 2^(qp/6) and then
+dct8_inverse (the tests keep that float dequantizer as their oracle):
+with a 12-bit basis, 20,000 random legal tiles moved pixels by 2 from
+the float result, with 13 or 14 bits by at most 1 (14 bits halves how
+often).
 
 Levels are bounded by MAX_LEVEL = 2040, checked when a stream is parsed
 (scatter_tiles), so a level fits in int16 and the reconstruction stays in
@@ -41,15 +45,16 @@ time, and decodes them with one scatter_tiles assignment; frame units are
 the only place tiles are written or read.
 
 Like dct8_forward, the block-level functions work on batches: leading axes
-of the basis planes and of the levels pass through. The encoder stacks the
-RDO candidates of every block on one anti-diagonal of the frame on one
-such axis and costs them all in one call to encode_block_residual,
-block_tiles_bits and apply_block_residual; the decoder builds the residual
-planes of a whole frame unit in one residual_planes call, then adds them
-with add_residual, all inter blocks at once, all generated blocks at once
-and the intra blocks in dependency waves. Every tile meets the same
-arithmetic whatever the batch, so a batch gives bitwise the levels, bits
-and pixels of one call per block.
+of the bases and of the levels pass through. The encoder stacks the RDO
+candidates of every block on one anti-diagonal of the frame on one such
+axis and costs them all in tile layout, one call each to encode_tiles,
+block_tiles_bits and rebuild_tiles, and puts only the winners back into
+planes; the decoder builds the residual planes of a whole frame unit in
+one residual_planes call, then adds them with add_residual, all inter
+blocks at once, all generated blocks at once and the intra blocks in
+dependency waves. Every tile meets the same arithmetic whatever the
+batch, so a batch gives bitwise the levels, bits and pixels of one call
+per block.
 """
 
 from __future__ import annotations
@@ -111,8 +116,8 @@ def quantize(coeffs: np.ndarray, qp: int) -> np.ndarray:
     in zigzag order, shape (..., 64)."""
     step = qstep(qp)
     c = np.asarray(coeffs, np.float64)
-    flat = round_half_away(c.reshape(c.shape[:-2] + (64,)) / step)
-    return flat.astype(np.int32)[..., ZIGZAG]
+    flat = c.reshape(c.shape[:-2] + (64,)) / step
+    return round_half_away(flat, out=flat).astype(np.int32)[..., ZIGZAG]
 
 
 # Fixed-point reconstruction: a coefficient carries _SCALE_BITS fractional
@@ -129,7 +134,7 @@ _BASIS_FLOAT = RECON_BASIS.astype(np.float64)
 LEVEL_SCALE = np.round(2.0 ** (np.arange(6) / 6 + _SCALE_BITS)).astype(np.int64)
 # The largest |level| a residual in [-255, 255] quantizes to; see scatter_tiles.
 MAX_LEVEL = 2040
-# Tiles per matrix product in residual_planes: 256 tiles keep each
+# Tiles per matrix product in residual_tiles: 256 tiles keep each
 # temporary at 128 KiB, in cache.
 _RECON_CHUNK = 256
 
@@ -138,15 +143,19 @@ def _pairs(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The run-level pairs of (n, 64) tiles in stream order: each pair's
     tile index, the zero run before it and its level's se code number.
 
-    Only the nonzero levels are visited: np.nonzero lists them tile by
+    Only the nonzero levels are visited: their flat indices come tile by
     tile in scan order, so a pair's run is the gap back to the previous
-    pair's scan position, or to -1 at the first pair of a tile.
+    pair's scan position, or to -1 at the first pair of a tile. (A flat
+    index split with >> 6 and & 63 costs a fraction of np.nonzero's
+    2-D form on int levels.)
     """
-    tile, scan = np.nonzero(flat)
+    values = flat.reshape(-1)
+    at = np.flatnonzero(values != 0)
+    tile, scan = at >> 6, at & 63
     prev = np.empty_like(scan)
     prev[:1] = -1
     prev[1:] = np.where(tile[1:] == tile[:-1], scan[:-1], -1)
-    return tile, scan - prev - 1, se_to_ue(flat[tile, scan].astype(np.int64))
+    return tile, scan - prev - 1, se_to_ue(values[at].astype(np.int64))
 
 
 def coeff_bits(levels: np.ndarray) -> np.ndarray:
@@ -232,7 +241,7 @@ def scatter_tiles(values: np.ndarray, starts: np.ndarray, out: np.ndarray) -> No
     the encoder produces: a residual in [-255, 255] has a DC of at most
     8 * 255, every AC term is bounded by 255 * (sqrt 8)^2 as well
     (Cauchy-Schwarz on each orthonormal basis row), and the step is at
-    least 1. With the bound, a level fits in int16, and residual_planes'
+    least 1. With the bound, a level fits in int16, and residual_tiles'
     sums stay exact (see there).
     """
     if not len(starts):
@@ -259,105 +268,115 @@ def scatter_tiles(values: np.ndarray, starts: np.ndarray, out: np.ndarray) -> No
     out[tile, pos] = ue_to_se(codes)
 
 
-def _plane_tiles(plane: np.ndarray) -> np.ndarray:
-    """View (..., 8m, 8n) planes as (..., m*n, 8, 8) tiles in raster order."""
-    *lead, h, w = plane.shape
-    return (plane.reshape(*lead, h // _N, _N, w // _N, _N)
-            .swapaxes(-3, -2)
-            .reshape(*lead, -1, _N, _N))
-
-
-def _tiles_to_plane(tiles: np.ndarray, h: int, w: int) -> np.ndarray:
-    lead = tiles.shape[:-3]
-    return (tiles.reshape(*lead, h // _N, w // _N, _N, _N)
-            .swapaxes(-3, -2)
-            .reshape(*lead, h, w))
-
-
 def _block_planes(block: Block32):
     return (block.y, block.cb, block.cr)
 
 
+def block_tiles(block: Block32) -> np.ndarray:
+    """Coding units' planes as their 24 tiles in coding order, (..., 24, 8, 8):
+    the 16 luma tiles, then 4 Cb and 4 Cr, each group in raster order."""
+    tiles = []
+    for plane in _block_planes(block):
+        *lead, h, w = plane.shape
+        tiles.append(plane.reshape(*lead, h // _N, _N, w // _N, _N)
+                     .swapaxes(-3, -2).reshape(*lead, -1, _N, _N))
+    return np.concatenate(tiles, axis=-3)
+
+
+def tile_block(tiles: np.ndarray) -> Block32:
+    """block_tiles' inverse: (..., 24, 8, 8) tiles back to coding units' planes."""
+    lead = tiles.shape[:-3]
+    planes = []
+    offset = 0
+    for size in (BLOCK, CHROMA_BLOCK, CHROMA_BLOCK):
+        m = size // _N
+        planes.append(tiles[..., offset:offset + m * m, :, :]
+                      .reshape(*lead, m, m, _N, _N).swapaxes(-3, -2).reshape(*lead, size, size))
+        offset += m * m
+    return Block32(*planes)
+
+
+def encode_tiles(source: np.ndarray, basis: np.ndarray, qp: int) -> np.ndarray:
+    """Quantized residual levels of uint8 source tiles against uint8 basis
+    tiles, (..., 24, 8, 8) each (leading axes broadcast), in zigzag order,
+    (..., 24, 64). The difference is taken in int16, where it is exact."""
+    return quantize(dct8_forward(np.subtract(source, basis, dtype=np.int16)), qp)
+
+
 def encode_block_residual(source: Block32, basis: Block32, qp: int) -> np.ndarray:
-    """Quantized residual levels of all 24 tiles in zigzag order, (..., 24, 64).
+    """encode_tiles of coding units' planes, (..., 24, 64).
 
     The basis planes may carry leading candidate axes, (..., 32, 32) and
     (..., 16, 16); they pass through to the levels, so one call costs all of
     a block's candidates against the same source.
     """
-    tiles = np.concatenate([
-        _plane_tiles(src.astype(np.int32) - bas.astype(np.int32))
-        for src, bas in zip(_block_planes(source), _block_planes(basis))
-    ], axis=-3)
-    return quantize(dct8_forward(tiles), qp)
+    return encode_tiles(block_tiles(source), block_tiles(basis), qp)
 
 
-def residual_planes(levels: np.ndarray, qp: int) -> Block32:
-    """The int16 residual planes of coding units' levels, (..., 24, 64) ->
-    planes (..., 32, 32), (..., 16, 16) and (..., 16, 16).
+def residual_tiles(levels: np.ndarray, qp: int) -> np.ndarray:
+    """The int16 residual tiles of coding units' levels, (..., 24, 64) ->
+    (..., 24, 8, 8), in block_tiles' layout.
 
     A tile's residual is its levels times RECON_BASIS, times the level
     scale, shifted right by 40 with halves away from zero: the scan order
     and both passes of DCT_INT^T . C . DCT_INT in one matrix product. The
     product runs in float64 and is exact in any summation order: every
     column of |RECON_BASIS| sums to at most 43,284^2 < 1.9e9, so with
-    |level| <= MAX_LEVEL every partial sum is an integer below 2^42. The
-    scale, at most 5793 << 8 < 2^21 (qp 51), keeps it below 2^63 in int64.
+    |level| <= MAX_LEVEL every partial sum is an integer x below 2^42.
+    The scale and shift are one float64 multiply, by LEVEL_SCALE[qp % 6]
+    times 2^(qp // 6 - 40), a power of two times an integer below 2^13:
+    while |x| * LEVEL_SCALE < 2^53 the result v is exact, and beyond that
+    |v| >= 2^13, which the clip to +-255 maps exactly even after a
+    relative error of 2^-53. A v under 2^12 in size is a multiple of 2^-40, so
+    round_half_away's v +- 0.5 is exact too: the result is the integer
+    form's floor((x * scale + 2^39 - (x < 0)) / 2^40) to the bit.
 
     Only tiles with a nonzero level are transformed, _RECON_CHUNK at a
     time, so the work follows the coded levels and the temporaries stay
     the same size whatever the batch; an empty tile's residual is exactly
-    0. Residuals are clipped to +-255, which add_residual's clip to
-    0..255 makes exact for any uint8 basis.
+    0. Residuals are clipped to +-255, which the clip of a rebuilt sample
+    to 0..255 makes exact for any uint8 basis.
     """
     levels = np.asarray(levels)
     if levels.shape[-2:] != (TILES_PER_BLOCK, 64):
         raise ValueError(f"expected {TILES_PER_BLOCK} tiles of 64 levels, "
                          f"got shape {levels.shape}")
     qstep(qp)  # range check, also when no tile is coded
-    scale = int(LEVEL_SCALE[qp % 6]) << (qp // 6)
+    scale = float(LEVEL_SCALE[qp % 6]) * 2.0 ** (qp // 6 - _SHIFT)
     flat = levels.reshape(-1, 64)
     tiles = np.zeros(flat.shape, dtype=np.int16)
     coded = np.flatnonzero(flat.any(axis=1))
     for lo in range(0, len(coded), _RECON_CHUNK):
         at = coded[lo:lo + _RECON_CHUNK]
-        x = (flat[at].astype(np.float64) @ _BASIS_FLOAT).astype(np.int64)
+        x = flat[at].astype(np.float64) @ _BASIS_FLOAT
         x *= scale
-        # floor((x + 2^(s-1)) / 2^s) rounds halves up; one less for x < 0
-        # rounds them down, so halves go away from zero
-        x += (1 << (_SHIFT - 1)) - (x < 0)
-        x >>= _SHIFT
-        tiles[at] = np.clip(x, -255, 255, out=x)
-    tiles = tiles.reshape(levels.shape[:-1] + (_N, _N))
-    planes = []
-    offset = 0
-    for size in (BLOCK, CHROMA_BLOCK, CHROMA_BLOCK):
-        n = (size // _N) ** 2
-        planes.append(_tiles_to_plane(tiles[..., offset:offset + n, :, :], size, size))
-        offset += n
-    return Block32(*planes)
+        tiles[at] = np.clip(round_half_away(x, out=x), -255, 255, out=x)
+    return tiles.reshape(levels.shape[:-1] + (_N, _N))
+
+
+def residual_planes(levels: np.ndarray, qp: int) -> Block32:
+    """residual_tiles as planes, (..., 32, 32), (..., 16, 16) and
+    (..., 16, 16) int16, for add_residual."""
+    return tile_block(residual_tiles(levels, qp))
+
+
+def _rebuild(basis: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    total = basis + residual  # int16: -255..510
+    return np.clip(total, 0, 255, out=total).astype(np.uint8)
 
 
 def add_residual(basis: Block32, planes: Block32) -> Block32:
     """Coding units rebuilt from their uint8 bases and residual_planes'
     planes: the sum, clipped to 0..255. Leading axes broadcast."""
-    out = []
-    for bas, res in zip(_block_planes(basis), _block_planes(planes)):
-        total = bas + res  # int16: -255..510
-        np.maximum(total, 0, out=total)
-        out.append(np.minimum(total, 255, out=total).astype(np.uint8))
-    return Block32(*out)
+    return Block32(*(_rebuild(bas, res)
+                     for bas, res in zip(_block_planes(basis), _block_planes(planes))))
 
 
-def apply_block_residual(basis: Block32, levels: np.ndarray, qp: int) -> Block32:
-    """Reconstruct coding units from their bases and coded residual levels.
-
-    levels is (..., 24, 64) and its leading axes match the basis planes',
-    as encode_block_residual returns them. It is add_residual over
-    residual_planes, the decoder's two steps in one call, so the encoder's
-    candidates are rebuilt with the decoder's arithmetic.
-    """
-    return add_residual(basis, residual_planes(levels, qp))
+def rebuild_tiles(basis: np.ndarray, levels: np.ndarray, qp: int) -> np.ndarray:
+    """Coding units rebuilt in tile layout from their uint8 basis tiles,
+    (..., 24, 8, 8), and coded levels, (..., 24, 64): add_residual's sum and
+    clip on residual_tiles, so every sample is the decoder's."""
+    return _rebuild(basis, residual_tiles(levels, qp))
 
 
 def block_tiles_bits(tiles: np.ndarray) -> np.ndarray:

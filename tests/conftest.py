@@ -1,8 +1,9 @@
 """Shared fixtures: small deterministic sequences, one cached encode,
 frame units built by hand, tiles included, the block-by-block frame code
 and rebuild the diagonal encoder and batched decoder are checked against,
-the tile-by-tile payload reader the frame parser is checked against, and
-the float and plain integer dequantizers the reconstruction is held to.
+the tile-by-tile payload reader the frame parser is checked against, the
+plane-layout rebuild the encoder's tile-layout costing is checked against,
+and the float and plain integer dequantizers the reconstruction is held to.
 
 Session scope keeps the expensive pieces (synthesis, training, encoding)
 to a single run; every test that needs them must treat them as read-only.
@@ -58,13 +59,21 @@ from nbv.residual import (
     MAX_LEVEL,
     TILES_PER_BLOCK,
     ZIGZAG,
-    apply_block_residual,
+    add_residual,
     block_tiles_bits,
     encode_block_residual,
     qstep,
+    residual_planes,
     tile_codes,
 )
 from nbv.tools import synth_sequence
+
+
+def apply_block_residual(basis: Block32, levels: np.ndarray, qp: int) -> Block32:
+    """Coding units rebuilt in plane layout from their bases and levels, as
+    encode_block_residual returns them: add_residual over residual_planes,
+    the decoder's two steps in one call."""
+    return add_residual(basis, residual_planes(levels, qp))
 
 
 def rand_frame(width: int, height: int, seed: int = 0) -> Frame:

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import frame_unit, parse_tiles, tile_frame
+from conftest import apply_block_residual, frame_unit, parse_tiles, tile_frame
 from nbv.bitstream import (
     BlockMode,
     RegionSpec,
@@ -55,7 +55,6 @@ from nbv.gnn import (
     train,
 )
 from nbv.residual import (
-    apply_block_residual,
     dct8_forward,
     dct8_inverse,
     encode_block_residual,

@@ -43,6 +43,30 @@ class TestRoundHalfAway:
         assert np.array_equal(round_half_away(vals),
                               np.array([0.0, 1.0, 0.0, -1.0, 2.0, -2.0, 0.0]))
 
+    @staticmethod
+    def four_pass(x):
+        """The former sign(x) * floor(|x| + 0.5), kept as the oracle."""
+        return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+    def test_equals_the_four_pass_form(self):
+        k = np.arange(0.0, 200.0)
+        edges = np.array([0.0, 0.49999999999999994, 2.0 ** 52 + 1, 1e300,
+                          5e-324, np.inf, 2.0 ** 52 - 0.5, 2.0 ** 53])
+        rng = np.random.default_rng(9)
+        vals = np.concatenate([k + 0.5, k, edges, rng.normal(0, 1e3, 10_000),
+                               rng.uniform(-4, 4, 10_000)])
+        vals = np.concatenate([vals, -vals])
+        got, want = round_half_away(vals), self.four_pass(vals)
+        # equal in value everywhere; only a zero's sign may differ
+        assert np.array_equal(got, want)
+        differ = np.signbit(got) != np.signbit(want)
+        assert np.all(got[differ] == 0.0)
+        buf = vals.copy()  # in place, as quantize and residual_tiles round
+        assert round_half_away(buf, out=buf) is buf
+        assert buf.tobytes() == got.tobytes()
+        assert round_half_away(0.49999999999999994) == 1.0  # 0.5 + it rounds to 1
+        assert np.isnan(round_half_away(np.nan))
+
 
 class TestGridDims:
     @pytest.mark.parametrize("wh,expected", [

@@ -13,10 +13,17 @@ from hypothesis import strategies as st
 
 import nbv.bitstream
 import nbv.encoder
-from conftest import encode_frame_oracle, fast_train, forced_stream, rand_frame
+from conftest import (
+    apply_block_residual,
+    encode_frame_oracle,
+    fast_train,
+    forced_stream,
+    rand_frame,
+)
 from nbv.bitstream import (
     BlockMode,
     RegionSpec,
+    block_syntax_bits,
     param_set_bits,
     parse_stream,
     region_map,
@@ -33,6 +40,7 @@ from nbv.core import (
 from nbv.decoder import decode_sequence, mode_counts
 from nbv.encoder import (
     PeriodRecord,
+    _candidate_costs,
     _encode_frame,
     _encode_period,
     _network_pass,
@@ -54,6 +62,7 @@ from nbv.gnn import (
     quantize_params,
 )
 from nbv.prediction import MotionVector, motion_field, motion_search
+from nbv.residual import block_tiles, block_tiles_bits, encode_block_residual, tile_block
 from nbv.tools import synth_sequence
 from test_golden import CASES, GOLDEN, encode_case
 
@@ -191,6 +200,45 @@ class TestDiagonalEncodeOracle:
             assert frames_equal(res.recon, want_recon), frame_type
             assert res.distortion == want_dist, frame_type
             prev = want_recon
+
+
+class TestTileCostsAtTheExtremes:
+    """_candidate_costs takes levels, rebuilt blocks, SSD and bits in tile
+    layout, squaring differences in int32; they must equal the plane-layout
+    path (encode_block_residual, apply_block_residual, an int64 SSD) where
+    the residuals are largest: sources of 255 on bases of 0 and the
+    reverse, and speckled 0/255 sources on their negatives, at qp 0 and at
+    qp 51, whose coarse step leaves the largest errors."""
+
+    @pytest.mark.parametrize("qp", [0, 51])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_equal_the_plane_layout_path(self, qp, stacked):
+        rng = np.random.default_rng(qp)
+        sources = np.concatenate([np.full((1, 24, 8, 8), 255, np.uint8),
+                                  np.zeros((1, 24, 8, 8), np.uint8),
+                                  rng.choice(np.array([0, 255], np.uint8), (3, 24, 8, 8))])
+        cases = [sources] if stacked else [sources[i:i + 1] for i in range(len(sources))]
+        worst = 0
+        for src_tiles in cases:
+            bases_tiles = 255 - src_tiles
+            modes = np.full(len(src_tiles), BlockMode.INTRA_DC)
+            levels, rec, ssd, bits = _candidate_costs(
+                src_tiles, bases_tiles, "I", modes, None, qp)
+            src, bases = tile_block(src_tiles), tile_block(bases_tiles)
+            want_levels = encode_block_residual(src, bases, qp)
+            want_rec = apply_block_residual(bases, want_levels, qp)
+            diffs = [pr.astype(np.int64) - ps for ps, pr in zip(
+                (src.y, src.cb, src.cr), (want_rec.y, want_rec.cb, want_rec.cr))]
+            assert np.array_equal(levels, want_levels)
+            got = tile_block(rec)
+            for a, b in ((got.y, want_rec.y), (got.cb, want_rec.cb), (got.cr, want_rec.cr)):
+                assert a.dtype == np.uint8 and np.array_equal(a, b)
+            assert np.array_equal(ssd, sum((d * d).sum(axis=(-2, -1)) for d in diffs))
+            assert np.array_equal(bits, block_tiles_bits(want_levels)
+                                  + block_syntax_bits("I", modes))
+            worst = max([worst] + [int(np.abs(d).max()) for d in diffs])
+        # at qp 51 some sample's squared error is beyond int16's 32,767
+        assert (worst ** 2 > 32767) == (qp == 51)
 
 
 def windowed_pair(shift: tuple[int, int], size=(128, 96), margin=16, seed=21):

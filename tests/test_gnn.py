@@ -39,6 +39,7 @@ from nbv.gnn import (
     gnn_input,
     init_params,
     loss,
+    one_blas_thread,
     outputs_to_block,
     param_count,
     product_cut,
@@ -76,6 +77,13 @@ def backward_oracle(params, inputs, targets):
 
 
 def train_oracle(layer_sizes, inputs, targets, cfg=None, dtype=np.float32):
+    """plain_train with numpy's OpenBLAS pinned to one thread, as train
+    pins it."""
+    with one_blas_thread():
+        return plain_train(layer_sizes, inputs, targets, cfg, dtype)
+
+
+def plain_train(layer_sizes, inputs, targets, cfg=None, dtype=np.float32):
     """Reference trainer: the plain form of train, fresh arrays every step,
     run in dtype from the seeded initialization cast once; returns the
     params in dtype."""
@@ -620,6 +628,111 @@ class TestTwoThreadTrainer:
         state = blas_state()
         if state is not None:
             assert isinstance(state[0], str) and state[1] >= 1
+
+    @staticmethod
+    def fake_openblas(monkeypatch, threads):
+        """Stand a fake OpenBLAS handle with threads threads in for the real
+        one; returns the list of counts it is pinned to."""
+        state = {"threads": threads}
+        pins = []
+
+        def pin(n):
+            pins.append(n)
+            state["threads"] = n
+
+        monkeypatch.setattr(nbv.gnn, "_openblas",
+                            lambda: (lambda: b"Fake", lambda: state["threads"], pin))
+        return pins
+
+    def test_train_pins_blas_to_one_thread_and_restores_the_count(self, monkeypatch):
+        pins = self.fake_openblas(monkeypatch, 3)
+        seen = []
+        real = nbv.gnn._output_delta
+
+        def spy(*args):
+            seen.append(blas_state())
+            real(*args)
+
+        monkeypatch.setattr(nbv.gnn, "_output_delta", spy)
+        x, t = self.dataset(64, 1.0)
+        train((3, 8, 1536), x, t, TrainConfig(steps=2))
+        assert set(seen) == {("Fake", 1)} and pins == [1, 3]
+        assert blas_state() == ("Fake", 3)
+
+    def test_overlapping_pins_share_one(self, monkeypatch):
+        pins = self.fake_openblas(monkeypatch, 2)
+        inside = threading.Barrier(3)
+        states = []
+
+        def run():
+            with one_blas_thread():
+                inside.wait(timeout=60)  # all three open at once
+                states.append(blas_state())
+                inside.wait(timeout=60)
+
+        threads = [threading.Thread(target=run) for _ in range(3)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        assert states == [("Fake", 1)] * 3
+        assert pins == [1, 2] and blas_state() == ("Fake", 2)
+
+    def test_pin_holds_under_contention(self, monkeypatch):
+        # six threads on the machine's cores open and close pins as fast
+        # as the interpreter switches: a lost count would restore the
+        # thread count while another block is still open
+        pins = self.fake_openblas(monkeypatch, 4)
+        unpinned = []
+
+        def run():
+            for _ in range(1000):
+                with one_blas_thread():
+                    if blas_state()[1] != 1:
+                        unpinned.append(blas_state())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert unpinned == [] and blas_state() == ("Fake", 4)
+        assert pins and pins == [1, 4] * (len(pins) // 2)
+
+    def test_pin_restores_the_count_when_train_fails(self, monkeypatch):
+        pins = self.fake_openblas(monkeypatch, 2)
+        monkeypatch.setattr(nbv.gnn, "_output_delta", lambda *args: 1 / 0)
+        x, t = self.dataset(64, 1.0)
+        with pytest.raises(ZeroDivisionError):
+            train((3, 8, 1536), x, t, TrainConfig(steps=2))
+        assert pins == [1, 2]
+
+    def test_train_runs_where_blas_cannot_be_pinned(self, monkeypatch):
+        monkeypatch.setattr(nbv.gnn, "_openblas", lambda: None)
+        x, t = self.dataset(64, 1.0)
+        cfg = TrainConfig(steps=3, seed=5)
+        got = trained_float32(train((3, 8, 1536), x, t, cfg))
+        assert params_bytes(got) == params_bytes(plain_train((3, 8, 1536), x, t, cfg))
+
+    def test_train_restores_the_real_blas_count(self):
+        lib = nbv.gnn._openblas()
+        if lib is None:
+            pytest.skip("numpy's BLAS is no OpenBLAS this module can reach")
+        _, threads, pin = lib
+        before = threads()
+        x, t = self.dataset(64, 1.0)
+        try:
+            pin(2)
+            train((3, 8, 1536), x, t, TrainConfig(steps=2))
+            assert threads() == 2
+        finally:
+            pin(before)
 
     def test_trained_set_does_not_depend_on_blas_threads(self):
         runs = {}

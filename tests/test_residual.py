@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nbv.residual
 from conftest import (
+    apply_block_residual,
     dct8_inverse_int64,
     dequantize,
     dequantize_int,
@@ -23,6 +25,7 @@ from nbv.entropy import (
     BitWriter,
     StreamError,
     se_encode,
+    se_to_ue,
     ue_encode,
     ue_lengths,
     write_ue_codes,
@@ -35,9 +38,8 @@ from nbv.residual import (
     MAX_LEVEL,
     RECON_BASIS,
     ZIGZAG,
-    _plane_tiles,
     add_residual,
-    apply_block_residual,
+    block_tiles,
     block_tiles_bits,
     coeff_bits,
     dct8_forward,
@@ -146,12 +148,6 @@ def legal_levels(rng, n, qp):
     return levels.astype(np.int32)
 
 
-def planes_as_tiles(planes: Block32) -> np.ndarray:
-    """residual_planes' planes back to (..., 24, 8, 8) tiles in coding order."""
-    return np.concatenate([_plane_tiles(p) for p in (planes.y, planes.cb, planes.cr)],
-                          axis=-3)
-
-
 def kernel_tiles(levels, qp):
     """The codec's residual of any number of (n, 64) level tiles, (n, 8, 8),
     through residual_planes (so clipped to +-255): the tiles are padded
@@ -160,7 +156,7 @@ def kernel_tiles(levels, qp):
     n = len(levels)
     padded = np.zeros((-(-n // 24) * 24, 64), levels.dtype)
     padded[:n] = levels
-    tiles = planes_as_tiles(residual_planes(padded.reshape(-1, 24, 64), qp))
+    tiles = block_tiles(residual_planes(padded.reshape(-1, 24, 64), qp))
     return tiles.reshape(-1, 8, 8)[:n]
 
 
@@ -271,7 +267,7 @@ class TestFixedPoint:
     def test_result_is_independent_of_layout_and_batching(self, qp, n, seed):
         rng = np.random.default_rng(seed)
         levels = legal_levels(rng, n * 24, qp).reshape(n, 24, 64)
-        want = planes_as_tiles(residual_planes(levels, qp))
+        want = block_tiles(residual_planes(levels, qp))
         assert np.array_equal(want, int64_residual(levels, qp))
         transposed = np.ascontiguousarray(levels.swapaxes(-1, -2)).swapaxes(-1, -2)
         assert not transposed.flags.c_contiguous
@@ -279,10 +275,10 @@ class TestFixedPoint:
         strided[..., ::2] = levels
         for layout in (np.asfortranarray(levels), transposed, strided[..., ::2],
                        levels.astype(np.int16), levels.astype(np.int64)):
-            assert np.array_equal(planes_as_tiles(residual_planes(layout, qp)), want)
-        assert np.array_equal(planes_as_tiles(residual_planes(levels[::-1], qp)),
+            assert np.array_equal(block_tiles(residual_planes(layout, qp)), want)
+        assert np.array_equal(block_tiles(residual_planes(levels[::-1], qp)),
                               want[::-1])
-        one_at_a_time = np.stack([planes_as_tiles(residual_planes(b, qp))
+        one_at_a_time = np.stack([block_tiles(residual_planes(b, qp))
                                   for b in levels])
         assert np.array_equal(one_at_a_time, want)
 
@@ -328,7 +324,7 @@ class TestReconBasis:
         for levels in self.batches(qp):
             want = int64_residual(levels, qp)
             for dtype in (np.int16, np.int32):
-                got = planes_as_tiles(residual_planes(levels.astype(dtype), qp))
+                got = block_tiles(residual_planes(levels.astype(dtype), qp))
                 assert np.array_equal(got, want)
 
 
@@ -685,7 +681,7 @@ class TestResidualPlanes:
         assert planes.y.shape == levels.shape[:-2] + (32, 32)
         assert planes.cb.shape == planes.cr.shape == levels.shape[:-2] + (16, 16)
         assert all(p.dtype == np.int16 for p in (planes.y, planes.cb, planes.cr))
-        assert np.array_equal(planes_as_tiles(planes), want)
+        assert np.array_equal(block_tiles(planes), want)
 
     def test_clip_to_255_is_exact_for_every_uint8_basis(self):
         # a residual beyond +-255 takes every basis to the same end of 0..255
@@ -696,7 +692,7 @@ class TestResidualPlanes:
         for value in (0, 1, 128, 254, 255):
             basis = Block32(*(np.full(p.shape, value, np.uint8)
                               for p in (planes.y, planes.cb, planes.cr)))
-            got = planes_as_tiles(add_residual(basis, planes))
+            got = block_tiles(add_residual(basis, planes))
             assert np.array_equal(got, np.clip(value + raw, 0, 255))
 
     def test_rejects_a_bad_qp_even_with_nothing_coded(self):
@@ -741,6 +737,31 @@ class TestSparsePairs:
             one, _ = tile_codes(t)
             assert ue_lengths(one).sum() == want == coeff_bits(t)
         assert np.array_equal(coeff_bits(tiles.reshape(4, 3, 64)), bits.reshape(4, 3))
+
+    @staticmethod
+    def nonzero_pairs(flat):
+        """The former _pairs, from the 2-D np.nonzero, kept as the oracle."""
+        tile, scan = np.nonzero(flat)
+        prev = np.empty_like(scan)
+        prev[:1] = -1
+        prev[1:] = np.where(tile[1:] == tile[:-1], scan[:-1], -1)
+        return tile, scan - prev - 1, se_to_ue(flat[tile, scan].astype(np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32])
+    def test_equal_the_2d_nonzero_form(self, monkeypatch, dtype):
+        rng = np.random.default_rng(14)
+        sparse = rng.integers(-9, 10, (40, 64))
+        sparse[rng.random((40, 64)) < 0.9] = 0
+        batches = [self.edge_tiles(), np.zeros((5, 64), np.int32),
+                   sparse, rng.choice([-MAX_LEVEL, -3, 2, MAX_LEVEL], (6, 64)),
+                   np.zeros((0, 64), np.int32)]
+        for tiles in (t.astype(dtype) for t in batches):
+            got = coeff_bits(tiles), *tile_codes(tiles)
+            with monkeypatch.context() as m:
+                m.setattr(nbv.residual, "_pairs", self.nonzero_pairs)
+                want = coeff_bits(tiles), *tile_codes(tiles)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
     def test_scan_63_alone_runs_63_zeros(self):
         tile = np.zeros(64, np.int32)
