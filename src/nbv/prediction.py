@@ -17,11 +17,15 @@ once per P frame for every inter block, and the encoder once per P frame
 for every block's inter candidate.
 
 The search runs a whole frame at a time: motion_field pads the reference
-once by edge replication and, per offset, takes one int16 absolute
-difference of the whole frame, summed per block. block_motion is the same
-search on any set of blocks, each against its own clamped window, all
-stacked on one axis, so a few sample blocks cost only their windows;
-global-motion estimation reads its sixteen samples that way.
+once by edge replication and visits the offsets one dx at a time. The
+padded reference's columns for that dx are copied once into a contiguous
+int16 array; every dy then takes one int16 absolute difference of the
+whole frame against a run of its rows, summed per block. That is not tie
+order, so each block keeps its best SAD together with the offset's tie
+rank, and the vectors are those of a search in tie order. block_motion
+is the same search on any set of blocks, each against its own clamped
+window, all stacked on one axis, so a few sample blocks cost only their
+windows; global-motion estimation reads its sixteen samples that way.
 motion_search is its one-block case, which only the benchmark's per-call
 timing and the tests call.
 """
@@ -178,32 +182,42 @@ def _search(cur: np.ndarray, padded_ref: np.ndarray, r: int) -> MotionField:
     the block at (y, x) starts at padded_ref[r + y + dy, r + x + dx].
     Trailing axes pass through, one picture and reference each, and the
     field's arrays are (rows, cols, ...); a row of every picture is then
-    one contiguous run. Offsets are visited in tie order and a later one
-    wins only with a strictly smaller SAD, which is the argmin over the
-    offset axis without holding every offset's SADs.
+    one contiguous run.
+
+    The offsets are visited one dx at a time: the reference's columns for
+    that dx are copied once into a contiguous int16 array, and every dy is
+    a run of its rows. That is not tie order, so each block keeps the key
+    SAD * n + rank, rank being the offset's index in _search_offsets and n
+    their count; the smallest key is the argmin over the offsets with ties
+    going to the smaller rank, without holding every offset's SADs.
     """
     h, w, *trail = cur.shape
     rows, cols = h // BLOCK, w // BLOCK
     offsets = _search_offsets(r)
+    n = len(offsets)
+    rank = np.empty((2 * r + 1, 2 * r + 1), np.int64)
+    rank[offsets[:, 0] + r, offsets[:, 1] + r] = np.arange(n)
     cur16 = cur.astype(np.int16)
-    ref16 = padded_ref.astype(np.int16)
+    column = np.empty((h + 2 * r, w, *trail), np.int16)
     diff = np.empty(cur.shape, np.int16)
-    # 32 rows of |difference| sum to at most 32 * 255, within int16.
-    row_sums = np.empty((rows, w, *trail), np.int16)
-    grid = (rows, cols, *trail)
-    sad = np.empty(grid, np.int32)
-    best = np.full(grid, np.iinfo(np.int32).max, np.int32)
-    best_k = np.zeros(grid, np.intp)
-    better = np.empty(grid, bool)
-    for k, (dy, dx) in enumerate(offsets):
-        np.subtract(cur16, ref16[r + dy:r + dy + h, r + dx:r + dx + w], out=diff)
-        np.abs(diff, out=diff)
-        diff.reshape(rows, BLOCK, w, *trail).sum(axis=1, dtype=np.int16, out=row_sums)
-        row_sums.reshape(rows, cols, BLOCK, *trail).sum(axis=2, dtype=np.int32, out=sad)
-        np.less(sad, best, out=better)
-        np.copyto(best, sad, where=better)
-        np.copyto(best_k, k, where=better)
-    return MotionField(offsets[best_k, 1], offsets[best_k, 0], best)
+    # 32 rows of |difference| sum to at most 32 * 255, within int16; one
+    # dx's row sums are summed over the block columns in one call.
+    row_sums = np.empty((2 * r + 1, rows, w, *trail), np.int16)
+    keys = np.empty((2 * r + 1, rows, cols, *trail), np.int64)
+    best = np.full((rows, cols, *trail), np.iinfo(np.int64).max, np.int64)
+    for dx in range(-r, r + 1):
+        np.copyto(column, padded_ref[:, r + dx:r + dx + w], casting="unsafe")
+        for j in range(2 * r + 1):  # dy = j - r
+            np.subtract(cur16, column[j:j + h], out=diff)
+            np.abs(diff, out=diff)
+            diff.reshape(rows, BLOCK, w, *trail).sum(axis=1, dtype=np.int16, out=row_sums[j])
+        row_sums.reshape(2 * r + 1, rows, cols, BLOCK, *trail).sum(
+            axis=3, dtype=np.int64, out=keys)
+        keys *= n
+        keys += rank[:, dx + r].reshape((-1,) + (1,) * (keys.ndim - 1))
+        np.minimum(best, keys.min(axis=0), out=best)
+    sad, k = np.divmod(best, n)
+    return MotionField(offsets[k, 1], offsets[k, 0], sad.astype(np.int32))
 
 
 def motion_field(cur: Frame, ref: Frame, search_range: int) -> MotionField:

@@ -6,8 +6,15 @@ quantized with a uniform scalar step of 2^(qp/6), and entropy coded as
 run-level pairs in zigzag order: ue(count), then per nonzero ue(run) and
 se(level). block_tiles cuts a coding unit's planes into its tiles and
 tile_block puts them back. encode_tiles quantizes source tiles against
-basis tiles through dct8_forward and quantize, in floating point: they
-only choose the levels, and the decoder never runs them.
+basis tiles in floating point, with one float64 product per batch: each
+flat tile times FORWARD_BASIS, dct8_forward's two passes with the zigzag
+scan folded into its columns, divided by the step on each call. It only
+chooses the levels, and the decoder never runs it. The product rounds
+otherwise than two 8x8 passes and a division, so where the quotient lies
+exactly on a half step a level can land one off the two-stage form's;
+flat and row- or column-constant residuals put quotients there only when
+the step is a power of two (qp a multiple of 6), and the two-stage
+form's ties already differed between BLAS kernels with and without FMA.
 encode_block_residual is encode_tiles on planes.
 
 Reconstruction is pure integer arithmetic, in the style of HEVC's core
@@ -44,17 +51,18 @@ in a chunk of codes through tile_jumps' composed jumps, a whole block at a
 time, and decodes them with one scatter_tiles assignment; frame units are
 the only place tiles are written or read.
 
-Like dct8_forward, the block-level functions work on batches: leading axes
-of the bases and of the levels pass through. The encoder stacks the RDO
-candidates of every block on one anti-diagonal of the frame on one such
-axis and costs them all in tile layout, one call each to encode_tiles,
-block_tiles_bits and rebuild_tiles, and puts only the winners back into
-planes; the decoder builds the residual planes of a whole frame unit in
-one residual_planes call, then adds them with add_residual, all inter
-blocks at once, all generated blocks at once and the intra blocks in
-dependency waves. Every tile meets the same arithmetic whatever the
-batch, so a batch gives bitwise the levels, bits and pixels of one call
-per block.
+The block-level functions work on batches: leading axes of the bases
+and of the levels pass through. The encoder stacks the RDO candidates of
+every block on one anti-diagonal of the frame on one such axis and costs
+them all in tile layout, one call each to encode_tiles, block_tiles_bits
+and rebuild_tiles, and puts only the winners back into planes; the
+decoder builds the residual planes of a whole frame unit in one
+residual_planes call, then adds them with add_residual, all inter blocks
+at once, all generated blocks at once and the intra blocks in dependency
+waves. Every tile meets the same arithmetic whatever the batch, so a
+batch gives bitwise the levels, bits and pixels of one call per block;
+for encode_tiles' product that rests on BLAS rounding a row alike at any
+row count, which the tests check from 24 rows to 9,600.
 """
 
 from __future__ import annotations
@@ -91,12 +99,19 @@ ZIGZAG = np.array([
     53, 60, 61, 54, 47, 55, 62, 63,
 ], dtype=np.int64)
 
+# Flat tile index 8i + j -> scan position z, both passes of dct8_forward
+# and the zigzag scan in one matrix: FORWARD_BASIS[8i + j, z] =
+# DCT_MATRIX[k, i] * DCT_MATRIX[l, j] with ZIGZAG[z] = 8k + l.
+FORWARD_BASIS = np.ascontiguousarray(
+    np.einsum("ki,lj->ijkl", DCT_MATRIX, DCT_MATRIX).reshape(64, 64)[:, ZIGZAG])
+
 # Coded length of ue(v) for every value a run or level mapping can produce.
 _UE_LEN = ue_lengths(np.arange(1 << 16))
 
 
 def dct8_forward(tile: np.ndarray) -> np.ndarray:
-    """Orthonormal 2-D DCT-II of one or more 8x8 tiles (leading axes pass through)."""
+    """Orthonormal 2-D DCT-II of one or more 8x8 tiles (leading axes pass
+    through). The encoder runs it folded into FORWARD_BASIS instead."""
     return DCT_MATRIX @ np.asarray(tile, dtype=np.float64) @ DCT_MATRIX.T
 
 
@@ -109,15 +124,6 @@ def qstep(qp: int) -> float:
     if not 0 <= qp <= 51:
         raise ValueError(f"qp out of range [0, 51]: {qp}")
     return 2.0 ** (qp / 6.0)
-
-
-def quantize(coeffs: np.ndarray, qp: int) -> np.ndarray:
-    """Quantize 8x8 coefficient tiles, shape (..., 8, 8), to integer levels
-    in zigzag order, shape (..., 64)."""
-    step = qstep(qp)
-    c = np.asarray(coeffs, np.float64)
-    flat = c.reshape(c.shape[:-2] + (64,)) / step
-    return round_half_away(flat, out=flat).astype(np.int32)[..., ZIGZAG]
 
 
 # Fixed-point reconstruction: a coefficient carries _SCALE_BITS fractional
@@ -299,8 +305,21 @@ def tile_block(tiles: np.ndarray) -> Block32:
 def encode_tiles(source: np.ndarray, basis: np.ndarray, qp: int) -> np.ndarray:
     """Quantized residual levels of uint8 source tiles against uint8 basis
     tiles, (..., 24, 8, 8) each (leading axes broadcast), in zigzag order,
-    (..., 24, 64). The difference is taken in int16, where it is exact."""
-    return quantize(dct8_forward(np.subtract(source, basis, dtype=np.int16)), qp)
+    (..., 24, 64) int16.
+
+    The difference is taken in int16, where it is exact. Each flat tile
+    then meets one float64 product with FORWARD_BASIS / qstep(qp), the
+    transform, the scan and the division by the step at once, and the
+    result is rounded half away from zero. The levels lie within
+    +-MAX_LEVEL (see scatter_tiles), so int16 holds them. The product
+    rounds otherwise than the two 8x8 passes and a division: where the
+    quotient lies on a half step, which a flat or row- or column-constant
+    residual puts there only when the step is a power of two (qp a
+    multiple of 6), a level can land one off the two-stage form's.
+    """
+    d = np.subtract(source, basis, dtype=np.int16)
+    x = d.reshape(-1, 64).astype(np.float64) @ (FORWARD_BASIS / qstep(qp))
+    return round_half_away(x, out=x).astype(np.int16).reshape(d.shape[:-2] + (64,))
 
 
 def encode_block_residual(source: Block32, basis: Block32, qp: int) -> np.ndarray:

@@ -3,6 +3,7 @@ frame units built by hand, tiles included, the block-by-block frame code
 and rebuild the diagonal encoder and batched decoder are checked against,
 the tile-by-tile payload reader the frame parser is checked against, the
 plane-layout rebuild the encoder's tile-layout costing is checked against,
+the two-stage quantizer the folded forward product is checked against,
 and the float and plain integer dequantizers the reconstruction is held to.
 
 Session scope keeps the expensive pieces (synthesis, training, encoding)
@@ -35,6 +36,7 @@ from nbv.core import (
     extract_block,
     insert_block,
     make_frame,
+    round_half_away,
 )
 from nbv.encoder import (
     _encode_period,
@@ -351,6 +353,17 @@ def motion_compensate_py(ref: Frame, c: BlockCoord, mv: MotionVector) -> Block32
 
 # Tile index -> scan position, the inverse of ZIGZAG.
 UNZIGZAG = np.argsort(ZIGZAG)
+
+
+def quantize(coeffs: np.ndarray, qp: int) -> np.ndarray:
+    """Quantize 8x8 coefficient tiles, shape (..., 8, 8), to integer levels
+    in zigzag order, shape (..., 64): the second stage of the two-stage
+    forward path, dct8_forward then quantize, that encode_tiles folds into
+    one product."""
+    step = qstep(qp)
+    c = np.asarray(coeffs, np.float64)
+    flat = c.reshape(c.shape[:-2] + (64,)) / step
+    return round_half_away(flat, out=flat).astype(np.int32)[..., ZIGZAG]
 
 
 def dequantize(levels: np.ndarray, qp: int) -> np.ndarray:

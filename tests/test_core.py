@@ -61,7 +61,7 @@ class TestRoundHalfAway:
         assert np.array_equal(got, want)
         differ = np.signbit(got) != np.signbit(want)
         assert np.all(got[differ] == 0.0)
-        buf = vals.copy()  # in place, as quantize and residual_tiles round
+        buf = vals.copy()  # in place, as encode_tiles and residual_tiles round
         assert round_half_away(buf, out=buf) is buf
         assert buf.tobytes() == got.tobytes()
         assert round_half_away(0.49999999999999994) == 1.0  # 0.5 + it rounds to 1

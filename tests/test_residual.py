@@ -14,6 +14,7 @@ from conftest import (
     dequantize,
     dequantize_int,
     parse_tiles,
+    quantize,
     rand_frame,
     start_tile_frame,
     tile_frame,
@@ -34,9 +35,11 @@ from nbv.residual import (
     _RECON_CHUNK,
     DCT_INT,
     DCT_MATRIX,
+    FORWARD_BASIS,
     LEVEL_SCALE,
     MAX_LEVEL,
     RECON_BASIS,
+    TILES_PER_BLOCK,
     ZIGZAG,
     add_residual,
     block_tiles,
@@ -45,8 +48,8 @@ from nbv.residual import (
     dct8_forward,
     dct8_inverse,
     encode_block_residual,
+    encode_tiles,
     qstep,
-    quantize,
     residual_planes,
     tile_codes,
 )
@@ -138,6 +141,74 @@ class TestQuantization:
         levels = quantize(coeffs, 0)
         assert levels[2] == 12 and np.count_nonzero(levels) == 1
         assert dequantize(levels, 0)[1, 0] == pytest.approx(12.0)
+
+
+def residual_kinds(rng, n=240):
+    """(name, source, basis) uint8 tile batches, (n, 24, 8, 8) each, whose
+    differences are random, flat, constant along each row or constant
+    along each column. A tile's DC coefficient is its sum over 8, which at
+    a power-of-two step can put its quotient exactly on a half step."""
+    shape = (n, TILES_PER_BLOCK, 8, 8)
+    basis = rng.integers(0, 256, shape, dtype=np.uint8)
+    flat = rng.integers(-255, 256, (n, TILES_PER_BLOCK, 1, 1))
+    rows = rng.integers(-255, 256, (n, TILES_PER_BLOCK, 8, 1))
+    cols = rng.integers(-255, 256, (n, TILES_PER_BLOCK, 1, 8))
+    kinds = [("random", rng.integers(0, 256, shape, dtype=np.uint8), basis)]
+    for name, d in (("flat", flat), ("row-constant", rows), ("column-constant", cols)):
+        # a basis that keeps basis + d within 0..255 everywhere
+        lo, hi = np.maximum(0, -d), np.minimum(255, 255 - d)
+        bas = (lo + rng.integers(0, 256, shape) % (hi - lo + 1)).astype(np.uint8)
+        kinds.append((name, (bas + d).astype(np.uint8), bas))
+    return kinds
+
+
+def two_stage(source, basis, qp):
+    """encode_tiles' levels from the two 8x8 passes of dct8_forward, then
+    the division by the step and the zigzag gather of quantize."""
+    return quantize(dct8_forward(np.subtract(source, basis, dtype=np.int16)), qp)
+
+
+class TestFoldedForward:
+    """encode_tiles' one product against the two-stage form."""
+
+    def test_basis_is_both_passes_and_the_scan(self):
+        rng = np.random.default_rng(7)
+        tiles = rng.uniform(-255, 255, (50, 8, 8))
+        want = dct8_forward(tiles).reshape(-1, 64)[:, ZIGZAG]
+        assert np.max(np.abs(tiles.reshape(-1, 64) @ FORWARD_BASIS - want)) < 1e-9
+        assert np.max(np.abs(FORWARD_BASIS.T @ FORWARD_BASIS - np.eye(64))) < 1e-12
+
+    @pytest.mark.parametrize("qp", range(52))
+    def test_levels_match_the_two_stage_form(self, qp):
+        """Identical unless qp is a multiple of 6; there a level may differ
+        only where the two-stage quotient lies on a half step."""
+        step = qstep(qp)
+        for name, src, bas in residual_kinds(np.random.default_rng(qp)):
+            got = encode_tiles(src, bas, qp)
+            want = two_stage(src, bas, qp)
+            assert got.dtype == np.int16 and got.shape == want.shape
+            assert np.max(np.abs(got), initial=0) <= MAX_LEVEL
+            differ = got != want
+            if qp % 6:
+                assert not differ.any(), (name, int(differ.sum()))
+                continue
+            d = np.subtract(src, bas, dtype=np.int16)
+            quotient = dct8_forward(d).reshape(want.shape)[..., ZIGZAG] / step
+            half_off = np.abs(np.abs(quotient) % 1 - 0.5)
+            assert np.all(half_off[differ] < 1e-9), name
+            assert np.all(np.abs(got[differ] - want[differ]) == 1), name
+
+    @pytest.mark.parametrize("qp", [0, 8, 20, 32])
+    def test_batch_size_does_not_move_levels(self, qp):
+        """A block's levels do not depend on how many blocks share the
+        product, from one block (24 rows) to 400 (9,600 rows), so a BLAS
+        kernel chosen by the matrix size may not round a row differently."""
+        for name, src, bas in residual_kinds(np.random.default_rng(100 + qp), n=400):
+            whole = encode_tiles(src, bas, qp)
+            for lo, hi in ((0, 1), (1, 3), (3, 40), (40, 137), (137, 400)):
+                assert np.array_equal(encode_tiles(src[lo:hi], bas[lo:hi], qp),
+                                      whole[lo:hi]), (name, lo, hi)
+        assert encode_tiles(src[:0], bas[:0], qp).shape == (0, TILES_PER_BLOCK, 64)
 
 
 def legal_levels(rng, n, qp):
