@@ -158,6 +158,27 @@ SYNTH_GOLDEN = {
         "c8ff18118d0fa964bb5a311a0918d9ce6fea539cd3b8a0c2b60aa93e460d8b6f",
     ("zoom_out", 1280, 720, 2, (8, 0), 21):
         "8c3cfc4d635de363addef15858a50d273e78451338efc76ce6b4a8fb790a90f5",
+    # Synthesis renders only the canvas window the frames read. Pans with
+    # negative and odd velocities put the window's first row or column on
+    # an odd sample, where a frame's chroma offset inside the window is not
+    # half its luma offset; a zoom each way reaches the canvas edge on its
+    # widest frame; and a 1920x1080 zoom crosses window and band edges.
+    ("pan", 200, 120, 6, (-3, -1), 9):
+        "af138d8cfbdb26d3622021363ad646bde44396ed8ca749241f988d06620cfb3b",
+    ("pan", 96, 64, 5, (0, -3), 4):
+        "754d30c7bc4dc282f745730f72f76ae52c08ffb1c1833cd45015876b5a01f837",
+    ("pan", 96, 64, 4, (-1, -3), 4):
+        "610413193bfc09e96fad51b063f912e167f4e45615df996ab14978d2e20f57c7",
+    ("pan", 130, 74, 7, (5, 3), 11):
+        "3bdc9434b64d936dce67ba294c9b4b375b56d2ad59fffd9aed0ea704cded0bb3",
+    ("static", 66, 38, 2, (0, 0), 12):
+        "b6928b8c703104210a507a0e28fdccedfcf97c7b80927f44eeb9f11f24fd9a2c",
+    ("zoom_out", 96, 64, 13, (8, 0), 5):
+        "6aa56e350a9f40c7df74e902309476be7cb9014f80654c934b1b44d580beb8bf",
+    ("zoom_in", 64, 48, 9, (-8, 0), 6):
+        "9d89105360a3e15aac3aca4ca76953c98cee7d818bdc7fa0b03112d3f2030114",
+    ("zoom_in", 1920, 1080, 2, (333, 0), 27):
+        "b7885628f339e8631070e6d41e19ce4604c43ac6fb1d643d747263c0faf7c6cd",
 }
 
 
