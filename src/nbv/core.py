@@ -27,15 +27,25 @@ MAX_LUMA_SAMPLES = 35_651_584
 MAX_SEARCH_RANGE = 64
 
 
+_SIGN_BIT = np.uint64(1 << 63)
+_HALF_BITS = np.float64(0.5).view(np.uint64)
+
+
 def round_half_away(x, out=None):
-    """Round to nearest integer, halves away from zero. Works elementwise;
-    out, an array that may be x itself, takes the result.
+    """Round to nearest integer, halves away from zero. Works elementwise
+    on x taken as float64; out, an array that may be x itself, takes the
+    result.
 
     x + copysign(0.5, x) rounds like -(|x| + 0.5) for x < 0, so the
     result is sign(x) * floor(|x| + 0.5) in value for every float; only
-    the zero's sign can differ (-0.0 at x = -0.0).
+    the zero's sign can differ (-0.0 at x = -0.0). The signed half is x's
+    sign bit OR'd onto 0.5's bits: on cache-sized arrays, two integer
+    passes over the float64 view take less time than one np.copysign.
     """
-    return np.trunc(np.add(x, np.copysign(0.5, x), out=out), out=out)
+    x = np.asarray(x, dtype=np.float64)
+    half = np.bitwise_and(x.view(np.uint64), _SIGN_BIT)
+    half |= _HALF_BITS
+    return np.trunc(np.add(x, half.view(np.float64), out=out), out=out)
 
 
 class BlockCoord(NamedTuple):

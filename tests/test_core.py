@@ -67,6 +67,24 @@ class TestRoundHalfAway:
         assert round_half_away(0.49999999999999994) == 1.0  # 0.5 + it rounds to 1
         assert np.isnan(round_half_away(np.nan))
 
+    def test_sign_bits_equal_the_copysign_form_bit_for_bit(self):
+        k = np.arange(0.0, 300.0)
+        tiny = np.finfo(np.float64).smallest_subnormal
+        specials = np.array([0.0, np.inf, np.nan, tiny, 2 * tiny, 1e-310,
+                             np.finfo(np.float64).smallest_normal * (1 - 2.0 ** -52),
+                             0.49999999999999994, 2.0 ** 52 + 0.5, 1e300])
+        rng = np.random.default_rng(10)
+        vals = np.concatenate([k + 0.5, k, specials, rng.normal(0, 1e3, 4096)])
+        vals = np.concatenate([vals, -vals])
+        assert np.signbit(vals[np.isnan(vals)]).any()  # a NaN with its sign bit set
+        want = np.trunc(vals + np.copysign(0.5, vals))
+        assert round_half_away(vals).tobytes() == want.tobytes()
+        buf = vals.copy()
+        assert round_half_away(buf, out=buf).tobytes() == want.tobytes()
+        for v in (-0.0, 0.0, -2.5, 2.5, -tiny):
+            assert np.float64(round_half_away(v)).tobytes() == np.trunc(
+                v + np.copysign(0.5, v)).tobytes()
+
 
 class TestGridDims:
     @pytest.mark.parametrize("wh,expected", [

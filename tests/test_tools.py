@@ -197,21 +197,40 @@ def test_synth_sequence_matches_golden(case):
     assert h.hexdigest() == SYNTH_GOLDEN[case]
 
 
+def synthesis_peak(kind, width, height, frames, velocity):
+    """tracemalloc peak of one synth_sequence call, and the bytes of the
+    frames it returns."""
+    synth_sequence(kind, 8, 8, 1)  # first-call imports are not synthesis
+    tracemalloc.start()
+    try:
+        out = synth_sequence(kind, width, height, frames, velocity=velocity, seed=21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, sum(p.nbytes for f in out for p in (f.y, f.cb, f.cr))
+
+
 @pytest.mark.parametrize("kind, width, height, frames, velocity", [
     ("pan", 640, 384, 4, (3, 1)),  # the wide_qp32_nogen benchmark's clip
     ("zoom_out", 320, 192, 16, (2, 0)),  # zoom_qp8_gen's
 ])
 def test_synthesis_peaks_below_two_float64_luma_canvases(kind, width, height,
                                                          frames, velocity):
-    # the canvas is 3x the frame each way; rendering whole-canvas float64
-    # temporaries peaked at 5.0 such canvases
-    tracemalloc.start()
-    try:
-        synth_sequence(kind, width, height, frames, velocity=velocity, seed=21)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * (9 * width * height * 8)
+    # Only the canvas window the frames read is ever float64, so beyond
+    # the frames it returns synthesis holds less than half of one float64
+    # luma canvas (3x the frame each way). Whole-canvas float64 fields
+    # held 2.4 (pan) and 2.1 (zoom) such halves, and whole-canvas
+    # temporaries before them 10.
+    peak, frame_bytes = synthesis_peak(kind, width, height, frames, velocity)
+    assert peak - frame_bytes < (9 * width * height * 8) / 2
+
+
+def test_paper_scale_zoom_synthesis_peak():
+    # 1920x1080x8 zoom_out: 25 MB of frames, 34 MB at the peak; a float64
+    # field for the whole canvas peaked at 177 MB
+    peak, frame_bytes = synthesis_peak("zoom_out", 1920, 1080, 8, (4, 0))
+    assert frame_bytes == 8 * 1920 * 1088 * 3 // 2
+    assert peak < 40e6
 
 
 class TestPsnr:
@@ -235,6 +254,26 @@ class TestPsnr:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             plane_psnr(np.zeros((4, 4)), np.zeros((4, 5)))
+
+    def test_only_uint8_planes(self):
+        a = np.zeros((4, 4), np.uint8)
+        with pytest.raises(TypeError):
+            plane_psnr(a, a.astype(np.int32))
+        with pytest.raises(TypeError):
+            plane_psnr(a.astype(np.float64), a)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (37, 53), (384, 640), (1088, 1920)])
+    def test_integer_sum_equals_the_float64_mean_to_the_bit(self, shape):
+        rng = np.random.default_rng(shape[0])
+        a = rng.integers(0, 256, shape, dtype=np.uint8)
+        cases = [rng.integers(0, 256, shape, dtype=np.uint8),
+                 np.clip(a.astype(np.int16) + rng.integers(-3, 4, shape), 0, 255)
+                 .astype(np.uint8),
+                 np.where(a < 128, 255, 0).astype(np.uint8)]  # every error near 255
+        for b in cases:
+            mse = float(np.mean((a.astype(np.float64) - b.astype(np.float64)) ** 2))
+            want = PSNR_CAP if mse == 0.0 else min(PSNR_CAP, 10.0 * math.log10(255.0 ** 2 / mse))
+            assert plane_psnr(a, b) == want
 
     def test_frame_psnr_ignores_padding(self):
         y = np.full((64, 64), 50, np.uint8)
