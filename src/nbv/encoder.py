@@ -8,7 +8,10 @@ overfits the generator network on the source blocks of those regions, and
 encodes the period with the network (parameter-set bits included). The
 network is kept only when that pass's total rate-distortion cost
 J = SSD + lambda * bits is strictly below the cost of the same period coded
-without it, so enabling the generator can never lose to the baseline.
+without it, so enabling the generator can never lose to the baseline. A
+frame unit lists only the regions that hold a generated block; a forced
+region always does, and a selectable region where the generator wins no
+block is left out, selection bits and all.
 
 The pass without the network runs first and its J becomes the budget.
 Because J with the network is at least lambda times the parameter-set
@@ -17,10 +20,10 @@ training; otherwise the network pass stops as soon as its cost so far
 reaches the budget. That pass replays the first one until the generator
 wins a block: the first pass keeps every candidate's SSD and bits, so a
 frame costs only its generated candidates, and while no winner moves,
-its decisions, pixels and distortion are the first pass's, and its unit
-is that pass's with the regions and their selection bits in its head and
-the payload bits copied as they are. The first frame where the generator
-wins, or a region is forced, and every later frame are coded in full.
+its decisions, pixels and distortion are the first pass's, and so are its
+unit's bytes, since a frame that generates nothing lists no region. The
+first frame where the generator wins, or a region is forced, and every
+later frame are coded in full.
 The first pass's per-block winning costs go into the period's record.
 Every candidate is costed with exact coded bits, and every block is
 rebuilt through the decoder's own block walk, which keeps
@@ -59,7 +62,6 @@ from .bitstream import (
     block_syntax_bits,
     param_set_bits,
     region_map,
-    rewrite_frame,
     write_frame,
     write_header,
     write_param_set,
@@ -302,7 +304,8 @@ def _encode_frame(
     intra bases come from one prediction, and every candidate of every
     block on the diagonal is stacked on one axis and costed in tile layout
     by _candidate_costs; the source blocks are cut into tiles once per
-    frame, and only the winners are rebuilt as planes.
+    frame, and only the winners are rebuilt as planes. The unit lists only
+    the regions that hold a generated block.
     """
     walk = FrameWalk(source.display_width, source.display_height)
     rows, cols = walk.modes.shape
@@ -356,7 +359,9 @@ def _encode_frame(
         mvds[by, bx] = np.where((win == BlockMode.INTER)[:, None], mvd, 0)
         blocks[by * cols + bx] = levels[i]
 
-    unit = FrameUnit(frame_type, list(regions), walk.modes, mvds, blocks)
+    won = walk.modes == BlockMode.GEN
+    unit = FrameUnit(frame_type, [r for r in regions if won[r.area].any()],
+                     walk.modes, mvds, blocks)
     return unit, _FrameResult(walk.recon, walk.modes, slot_ssd, slot_bits)
 
 
@@ -432,11 +437,11 @@ def _encode_period(
     frame by frame, so a stopped pass could not have finished below budget.
 
     Given the period's fallback pass, coded with no regions and no
-    network, a frame that _replays it takes its decisions, pixels and
-    distortion from there, and its unit is written again with this pass's
-    regions and no block selected, its payload copied bit for bit. From
-    the first frame that does not, every frame is coded: its reference is
-    no longer the fallback's.
+    network, a frame that _replays it takes its decisions, pixels,
+    distortion and unit bytes from there: it generates no block, so
+    _encode_frame would list none of its regions. From the first frame
+    that does not, every frame is coded: its reference is no longer the
+    fallback's.
     """
     w = BitWriter()
     param_bits = write_param_set(w, qparams) if qparams is not None else 0
@@ -454,8 +459,8 @@ def _encode_period(
                 fallback.results[offset], source, frame_idx, frame_type, regions,
                 qparams, ctx, config.qp, lam):
             res = fallback.results[offset]
-            frame_bits.append(rewrite_frame(w, fallback.unit_bytes(offset),
-                                            fallback.frame_bits[offset], regions, cols, rows))
+            w.write_bytes(fallback.unit_bytes(offset))
+            frame_bits.append(fallback.frame_bits[offset])
         else:
             fallback = None
             unit, res = _encode_frame(

@@ -30,7 +30,6 @@ from nbv.bitstream import (
     parse_param_set,
     parse_stream,
     region_map,
-    rewrite_frame,
     write_frame,
     write_header,
     write_param_set,
@@ -535,55 +534,6 @@ class TestFrameUnit:
         write_frame(w, unit, cols, rows)
         assert w.to_bytes().hex() == (
             "02b56b559affffffffffff5fffffffffffebfffffffffffc")
-
-    @pytest.mark.parametrize("frame_type", ["I", "P"])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_rewrite_is_write_frame_with_regions_added(self, frame_type, seed):
-        # the regions' selection bits put the payload at another offset
-        # from the byte, and the padding changes with it
-        rng = np.random.default_rng(seed)
-        cols, rows = 4, 3
-        unit = random_unit(rng, frame_type, cols, rows, [])
-        w = BitWriter()
-        bits = write_frame(w, unit, cols, rows)
-        pads = set()
-        for regions in ([], [RegionSpec(3, 0, 3, 2, True)],
-                        [RegionSpec(0, 0, 1, 0, True), RegionSpec(2, 1, 3, 2, True)],
-                        [RegionSpec(0, 0, 0, 0, True)]):
-            got, want = BitWriter(), BitWriter()
-            got_bits = rewrite_frame(got, w.to_bytes(), bits, regions, cols, rows)
-            unit.regions = regions
-            assert got_bits == write_frame(want, unit, cols, rows)
-            assert got.to_bytes() == want.to_bytes()
-            pads.add(got_bits.pad)
-        assert len(pads) > 1
-
-    def test_rewrite_takes_the_bits_a_parse_gives(self):
-        unit = random_unit(np.random.default_rng(7), "P", 4, 3, [])
-        w = BitWriter()
-        written = write_frame(w, unit, 4, 3)
-        parsed = FrameBits()
-        parse_frame(BitReader(w.to_bytes()), 4, 3, parsed)
-        assert parsed == written and parsed.pad == written.pad
-        regions = [RegionSpec(1, 1, 2, 2, True)]
-        got = rewrite_frame(BitWriter(), w.to_bytes(), parsed, regions, 4, 3)
-        unit.regions = regions
-        assert got == write_frame(BitWriter(), unit, 4, 3)
-
-    def test_rewrite_refuses_a_forced_region_or_a_unit_with_regions(self):
-        w = BitWriter()
-        unit = single_block_unit()
-        bits = write_frame(w, unit, 1, 1)
-        with pytest.raises(ValueError, match="forced"):
-            rewrite_frame(BitWriter(), w.to_bytes(), bits,
-                          [RegionSpec(0, 0, 0, 0, False)], 1, 1)
-        w = BitWriter()
-        unit = single_block_unit(regions=[RegionSpec(0, 0, 0, 0, True)])
-        bits = write_frame(w, unit, 1, 1)
-        with pytest.raises(ValueError, match="regions"):
-            rewrite_frame(BitWriter(), w.to_bytes(), bits, [], 1, 1)
-        with pytest.raises(ValueError, match="frame unit"):
-            rewrite_frame(BitWriter(), bytes([UNIT_PARAM_SET, 0]), bits, [], 1, 1)
 
     def test_unit_consistency_enforced_on_write(self):
         bad = single_block_unit("I", BlockMode.INTER, mvd=(0, 0))

@@ -27,7 +27,9 @@ from nbv.bitstream import (
     param_set_bits,
     parse_stream,
     region_map,
+    write_header,
     write_param_set,
+    write_stream,
 )
 from nbv.core import (
     BlockCoord,
@@ -584,12 +586,14 @@ class TestEncodeSequence:
 class TestMotionFieldPerFrame:
     def count_searches(self, frames, config, monkeypatch, hint="none"):
         """What one encode searched: motion_field calls, whether each frame
-        _encode_frame codes is a P frame, whether each written frame is,
+        _encode_frame codes is a P frame, whether each frame written, by
+        write_frame or as a replay of the fallback pass, is,
         estimate_global_motion calls and block_motion calls."""
         calls, coded, written, gm_calls, block_calls = [], [], [], [], []
         real_field = nbv.encoder.motion_field
         real_encode = nbv.encoder._encode_frame
         real_write = nbv.encoder.write_frame
+        real_replays = nbv.encoder._replays
         real_gm = nbv.encoder.estimate_global_motion
         real_block = nbv.encoder.block_motion
 
@@ -605,12 +609,11 @@ class TestMotionFieldPerFrame:
             written.append(unit.frame_type == "P")
             return real_write(w, unit, *args)
 
-        # a replayed frame is written by rewrite_frame
-        real_rewrite = nbv.encoder.rewrite_frame
-
-        def counting_rewrite(w, unit, *args):
-            written.append(bool(unit[1] & 0x80))  # the type bit after the tag: P
-            return real_rewrite(w, unit, *args)
+        def counting_replays(*args):
+            replayed = real_replays(*args)
+            if replayed:
+                written.append(args[3] == "P")
+            return replayed
 
         def counting_gm(*args):
             gm_calls.append(args)
@@ -623,7 +626,7 @@ class TestMotionFieldPerFrame:
         monkeypatch.setattr(nbv.encoder, "motion_field", counting_field)
         monkeypatch.setattr(nbv.encoder, "_encode_frame", counting_encode)
         monkeypatch.setattr(nbv.encoder, "write_frame", counting_write)
-        monkeypatch.setattr(nbv.encoder, "rewrite_frame", counting_rewrite)
+        monkeypatch.setattr(nbv.encoder, "_replays", counting_replays)
         monkeypatch.setattr(nbv.encoder, "estimate_global_motion", counting_gm)
         monkeypatch.setattr(nbv.encoder, "block_motion", counting_block)
         encode_sequence(frames, config, train_cfg=fast_train(20), zoom_hint=hint)
@@ -732,6 +735,14 @@ class TestRdBound:
         with_gnn = _network_pass(period, fallback, free, config, fast_train(steps),
                                  hint, lam)
         assert free.outcome == "kept" and free.frames_coded_with == len(period)
+        # the generator wins no block, so every frame replays the fallback
+        # pass: the kept pass is its parameter set, then the fallback's bytes
+        assert [mode_counts(r.modes)[2] for r in with_gnn.results] == [0] * len(period)
+        assert with_gnn.data[with_gnn.param_bits // 8:] == fallback.data
+        decoded, _ = decode_sequence(period_stream(config, with_gnn))
+        assert len(decoded) == len(period)
+        for got, res in zip(decoded, with_gnn.results):
+            assert frames_equal(got, res.recon)
         # a tie at the full J runs every frame, then goes to the fallback
         tie = PeriodRecord(0, with_gnn.j(lam), free.param_bits)
         assert _network_pass(period, fallback, tie, config, fast_train(steps),
@@ -766,6 +777,14 @@ class TestRdBound:
         assert tight.frame_bits == full.frame_bits
         first = full.results[0].distortion + lam * full.frame_bits[0].total
         assert len(_encode_period(*args, budget=first).results) == 1
+
+
+def period_stream(config: SequenceConfig, period) -> bytes:
+    """The stream header, then the units of one period's pass."""
+    w = BitWriter()
+    write_header(w, config.header())
+    w.write_bytes(period.data)
+    return w.to_bytes()
 
 
 def flat_generator(value: int) -> QuantizedGnnParams:
@@ -837,7 +856,7 @@ class TestReplayedNetworkPass:
             raise AssertionError("a network pass parsed a frame unit")
 
         monkeypatch.setattr(nbv.encoder, "_encode_frame", counting_encode)
-        # a replayed frame copies its payload bits and reads nothing back
+        # a replayed frame writes the fallback's bytes and reads nothing back
         monkeypatch.setattr(nbv.bitstream, "parse_frame", no_parse)
         monkeypatch.setattr(nbv.encoder, "parse_frame", no_parse, raising=False)
         for stop, (budget, want) in enumerate(zip(budgets, wants)):
@@ -853,9 +872,9 @@ class TestReplayedNetworkPass:
                 assert frames_equal(a.recon, b.recon)
         return full, coded_in_full
 
-    # The right column alone, or the left column too: then four selection
-    # bits sit before the copied payload. On the flat 128 blocks of the
-    # left column the flat generators lose by far more than lambda.
+    # The right column alone, or the left column too. On the flat 128
+    # blocks of the left column the flat generators lose by far more than
+    # lambda, so no frame lists it.
     REGIONS = {
         "one": [RegionSpec(2, 0, 2, 1, True)],
         "two": [RegionSpec(0, 0, 0, 1, True), RegionSpec(2, 0, 2, 1, True)],
@@ -913,6 +932,56 @@ class TestReplayedNetworkPass:
         assert [mode_counts(r.modes)[2] for r in full.results] == [0, 0, 1, 0, 0]
         assert full.results[self.K + 1].modes[1, 2] == BlockMode.INTRA_DC
         assert coded == list(range(self.K, self.N))
+
+
+class TestListedRegions:
+    """A frame unit lists only the regions that hold a generated block.
+
+    The clip and generator of TestReplayedNetworkPass.hands_over, with both
+    columns on every frame: the generator wins block (2, 0) of the right
+    column at frame K and no block of the left column at any frame.
+    """
+
+    K, N = TestReplayedNetworkPass.K, TestReplayedNetworkPass.N
+    LEFT, RIGHT = TestReplayedNetworkPass.REGIONS["two"]
+
+    def coded_units(self):
+        """The stream header and the parsed units of the period coded in
+        full with both columns."""
+        n = self.N
+        config = SequenceConfig(width=96, height=64, frame_count=n, qp=51,
+                                gnn_interval=n)
+        period = _encode_period(
+            flat_clip(n, {(self.K, 2, 0): 123}), 0, [[self.LEFT, self.RIGHT]] * n,
+            flat_generator(117), SetContext(3, 2, 0, n), config, rd_lambda(51), 3, 2)
+        _, units = parse_stream(period_stream(config, period))
+        return config.header(), list(units)
+
+    def test_a_frame_lists_only_the_regions_it_generates_in(self):
+        _, units = self.coded_units()
+        listed = [[(r.x0, r.y0, r.x1, r.y1, r.selectable) for r in unit.regions]
+                  for kind, unit in units if kind == "frame"]
+        assert listed == [[]] * self.K + [[(2, 0, 2, 1, True)]] + [[]] * (
+            self.N - self.K - 1)
+
+    def test_a_region_that_selects_nothing_decodes_as_no_region(self):
+        header, units = self.coded_units()
+        stream = write_stream(header, units)
+        # both columns on every frame, as an encoder that lists every
+        # planned region writes them: the ones that select nothing only
+        # add their corners and selection bits
+        for kind, unit in units:
+            if kind == "frame":
+                unit.regions = [self.LEFT, self.RIGHT]
+        listing_all = write_stream(header, units)
+        assert len(listing_all) > len(stream)
+        want, want_report = decode_sequence(stream)
+        got, got_report = decode_sequence(listing_all)
+        assert got_report.rows == want_report.rows
+        assert [r.n_gen for r in got_report.rows] == [0] * self.K + [1] + [0] * (
+            self.N - self.K - 1)
+        for a, b in zip(got, want, strict=True):
+            assert frames_equal(a, b)
 
 
 class TestPeriodBlockRecord:
