@@ -102,6 +102,8 @@ def _build_config(args, qp: int, gnn_enabled: bool) -> SequenceConfig:
 def _train_config(args) -> TrainConfig:
     if args.gnn_steps < 0:
         raise UsageError("--gnn-steps must be nonnegative")
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
     return TrainConfig(steps=args.gnn_steps, seed=args.seed)
 
 

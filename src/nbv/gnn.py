@@ -31,46 +31,27 @@ allocates every temporary, with the same BLAS products on the same
 operands, so the trained weights are that form's to the bit.
 
 Each step runs on two threads, the caller's and one worker that train
-starts and joins before it returns or raises. Two phases run at once.
-First the output layer's forward product and its elementwise tail (bias,
-ReLU, error, scale, mask) are split by rows: the worker makes the first
-row_split(n) rows of one preallocated (n, 1536) array and the caller the
-rest. Where row_split gives 0 the caller makes the whole product and the
-tail alone is split, at half the rows. Then the worker makes the output
-layer's weight-gradient product while the caller sums the bias gradient,
-makes the propagation product and runs the smaller layers' backward. No
-reduction is split, and no thread writes an array the other reads before
-the worker is joined.
-
-Elementwise operations give the same value for each element whichever
-thread runs them; a product split by rows need not, since OpenBLAS picks
-its kernels and blocking by shape and by its thread count. So the
-forward product is cut only where that was measured to keep the whole
-product's bits: numpy's BLAS is an OpenBLAS running one thread on its
-Haswell, SkylakeX or Sandybridge sgemm kernels, and the cut falls on a
-multiple of ROW_CUT = 24 rows with at least 24 rows on each side, so a
-product under 48 rows stays whole. Measured on float32 products of 64 to
-1,024 rows with BLAS pinned to one thread, on a 2-core x86-64 machine
-with OpenBLAS 0.3.31: the Haswell kernels (OPENBLAS_CORETYPE=Haswell)
-kept the whole product's bits only at cuts on multiples of 24 rows, and
-cuts at 8, 16, 32, 64, 128, 256, 320 and 512 rows changed them; the
-SkylakeX and Sandybridge kernels kept them at every cut tried from 8 rows
-up; a 1-row slice changed them on all three, since numpy runs it as a
-matrix-vector product. So half of a 1,024-row minibatch, 512 rows, is no
-safe cut. With two BLAS threads the Haswell kernels' whole product
-itself changes bits with the thread count, and a cut on a multiple of 24
-rows no longer reproduces it, so the split waits for one BLAS thread.
-Other BLAS builds and kernel families (MKL, ARM, AVX2 cores that OpenBLAS
-names otherwise) were not measured and keep the product whole.
+starts and joins before it returns or raises. First the output layer's
+forward product and its elementwise tail (bias, ReLU, error, scale,
+mask) are split by rows; then the worker makes that layer's
+weight-gradient product while the caller makes the rest. No reduction
+is split, and no thread writes an array the other reads before the
+worker is joined. A product split by rows need not keep the whole
+product's bits, since a BLAS picks its kernels and blocking by shape and
+thread count. So train cuts it at product_cut(n) only where it pinned
+BLAS to one thread and cut_keeps_bits, run once per product shape in a
+process, finds that the cut keeps every bit; elsewhere, and always in
+backward, the product stays whole and only its tail is split. (On
+OpenBLAS's Haswell kernels only cuts on multiples of ROW_CUT = 24 rows
+keep the bits.)
 
 With BLAS pinned to one thread, 100 steps of the default network on 576
 rows take 0.59-0.60 s (median of two sets of eight interleaved runs on a
 shared 2-core x86-64 machine with OpenBLAS); with BLAS at its default two
 threads they took 0.77-0.82 s, since OpenBLAS's threads then compete with
 the worker for the two cores. So train pins numpy's OpenBLAS to one
-thread while it runs, through the same library handle, and restores the
-caller's count after; that also makes the split, and the trained set,
-the same whatever thread count the caller set.
+thread while it runs and restores the caller's count after, which also
+makes the trained set the same whatever thread count the caller set.
 """
 
 from __future__ import annotations
@@ -78,6 +59,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import hashlib
 import math
 import os
 import threading
@@ -175,23 +157,16 @@ def backward(params: Params, inputs: np.ndarray, targets: np.ndarray) -> Params:
     """Exact gradients of loss() for every weight and bias.
 
     The ReLU subgradient at exactly 0 is taken as 0, matching forward(),
-    where a unit at 0 contributes nothing downstream.
+    where a unit at 0 contributes nothing downstream. The output layer's
+    forward product stays whole whatever the BLAS state.
     """
-    n, k = np.atleast_2d(targets).shape
+    delta = np.empty(np.atleast_2d(targets).shape, params[-1][0].dtype)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        return _backward(pool, params, inputs, targets,
-                         np.empty((n, k), params[-1][0].dtype),
+        return _backward(pool, 0, params, inputs, targets, delta,
                          np.empty_like(params[-1][0]))
 
 
-# A split of the output layer's forward product falls on a multiple of
-# this many rows, which keeps every bit of the whole product on each
-# OpenBLAS sgemm kernel family measured (see the module docstring).
-ROW_CUT = 24
-
-# The OpenBLAS kernel families, as openblas_get_corename names them in
-# lower case, on which that was measured.
-MEASURED_CORES = frozenset({"haswell", "skylakex", "sandybridge"})
+ROW_CUT = 24  # a cut of the output product falls on a multiple of this
 
 
 def product_cut(n: int) -> int:
@@ -202,8 +177,27 @@ def product_cut(n: int) -> int:
 
 
 @functools.cache
+def cut_keeps_bits(n: int, m: int, k: int, dtype, cut: int) -> bool:
+    """Whether a seeded (n, k) @ (m, k).T product in dtype, made as two
+    row halves into slices of one (n, m) array as _backward lays them out,
+    the first cut rows on a worker and the rest on this thread, gives the
+    whole product's bytes. Cached, so it runs once per shape in a
+    process; train asks it only with BLAS pinned to one thread."""
+    rng = np.random.default_rng(0)
+    a, w = (rng.uniform(-1.0, 1.0, shape).astype(dtype) for shape in ((n, k), (m, k)))
+    out = np.empty((n, m), dtype)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        job = pool.submit(np.matmul, a[:cut], w.T, out=out[:cut])
+        np.matmul(a[cut:], w.T, out=out[cut:])
+        job.result()
+    # digests, so that one (n, m) array is all the check holds
+    halves = hashlib.sha256(out).digest()
+    return hashlib.sha256(np.matmul(a, w.T, out=out)).digest() == halves
+
+
+@functools.cache
 def _openblas():
-    """numpy's OpenBLAS as (corename, get_num_threads, set_num_threads)
+    """numpy's OpenBLAS as its (get_num_threads, set_num_threads)
     functions, or None where numpy's BLAS is no OpenBLAS or its library is
     not found loaded (found through /proc/self/maps, so on Linux only)."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -225,26 +219,14 @@ def _openblas():
         for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
                                ("openblas", "64_"), ("openblas", "")):
             try:
-                core = getattr(lib, f"{prefix}_get_corename{suffix}")
                 threads = getattr(lib, f"{prefix}_get_num_threads{suffix}")
                 pin = getattr(lib, f"{prefix}_set_num_threads{suffix}")
             except AttributeError:
                 continue
-            core.argtypes, core.restype = [], ctypes.c_char_p
             threads.argtypes, threads.restype = [], ctypes.c_int
             pin.argtypes, pin.restype = [ctypes.c_int], None
-            return core, threads, pin
+            return threads, pin
     return None
-
-
-def blas_state() -> tuple[str, int] | None:
-    """numpy's OpenBLAS's kernel family and its thread count now, or None
-    where this module cannot ask them."""
-    lib = _openblas()
-    if lib is None:
-        return None
-    core, threads, _ = lib
-    return core().decode("ascii", "replace"), int(threads())
 
 
 # How many one_blas_thread blocks are open, and the OpenBLAS thread count
@@ -256,36 +238,26 @@ _pinned = {"open": 0, "threads": 0}
 @contextlib.contextmanager
 def one_blas_thread():
     """Pin numpy's OpenBLAS to one thread for the block, then restore the
-    count it had. Blocks that overlap, on any threads, share one pin: the
-    first in sets it and the last out restores it. Does nothing where
-    this module cannot reach OpenBLAS's thread count."""
-    lib = _openblas()
-    if lib is None:
-        yield
+    count it had; yields whether it pinned. Blocks that overlap, on any
+    threads, share one pin: the first in sets it and the last out
+    restores it. Pins nothing, and yields False, where this module cannot
+    reach OpenBLAS's thread count."""
+    if (lib := _openblas()) is None:
+        yield False
         return
-    _, threads, pin = lib
+    threads, pin = lib
     with _PIN_LOCK:
         if not _pinned["open"]:
             _pinned["threads"] = int(threads())
             pin(1)
         _pinned["open"] += 1
     try:
-        yield
+        yield True
     finally:
         with _PIN_LOCK:
             _pinned["open"] -= 1
             if not _pinned["open"]:
                 pin(_pinned["threads"])
-
-
-def row_split(n: int) -> int:
-    """The rows of an n-row output product that the worker computes:
-    product_cut(n) where BLAS runs one thread on a kernel family in
-    MEASURED_CORES, else 0, which keeps the product whole."""
-    state = blas_state()
-    if state is None or state[0].lower() not in MEASURED_CORES or state[1] != 1:
-        return 0
-    return product_cut(n)
 
 
 def _output_delta(a: np.ndarray, b: np.ndarray, t: np.ndarray, scale: float) -> None:
@@ -314,18 +286,19 @@ def _output_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray, t: np.ndarray,
     _output_delta(out, b, t, scale)
 
 
-def _backward(pool: ThreadPoolExecutor, params: Params, inputs: np.ndarray,
+def _backward(pool: ThreadPoolExecutor, cut: int, params: Params, inputs: np.ndarray,
               targets: np.ndarray, delta: np.ndarray, out_grad: np.ndarray) -> Params:
     """backward() on the calling thread and pool's one worker.
 
-    The worker takes the output layer's first row_split(n) rows: it makes
-    their share of the forward product and their elementwise tail in
-    delta, (n, 1536), while this thread does the same for the other rows.
-    Where row_split gives 0 this thread makes the whole product and the
-    worker takes the first half of the rows' tail. Then the worker makes
-    the output layer's weight gradient into out_grad while this thread
-    does the rest. Neither thread writes an array the other reads before
-    the worker's task is joined.
+    The worker takes the output layer's first cut rows: their share of
+    the forward product and their elementwise tail in delta, (n, 1536),
+    while this thread does the other rows. A cut other than 0 must be one
+    cut_keeps_bits passes in the BLAS state the product runs in. Where
+    cut is 0 this thread makes the whole product and the worker the first
+    half of the rows' tail. Then the worker makes the output layer's
+    weight gradient into out_grad while this thread does the rest.
+    Neither thread writes an array the other reads before the worker's
+    task is joined.
     """
     dtype = params[-1][0].dtype
     x = np.atleast_2d(np.asarray(inputs, dtype=dtype))
@@ -339,7 +312,6 @@ def _backward(pool: ThreadPoolExecutor, params: Params, inputs: np.ndarray,
     n, k = t.shape
     w, b = params[-1]
     a = acts[-1]
-    cut = row_split(n)
     if cut:
         job = pool.submit(_output_rows, a[:cut], w, b, t[:cut], n * k / 2, delta[:cut])
         _output_rows(a[cut:], w, b, t[cut:], n * k / 2, delta[cut:])
@@ -389,7 +361,9 @@ def train(layer_sizes, inputs: np.ndarray, targets: np.ndarray,
     Each step runs on the calling thread and one worker thread, which is
     joined before train returns or raises. numpy's OpenBLAS runs one
     thread meanwhile (one_blas_thread), so on given BLAS kernels the
-    trained set is the same whatever thread count the caller set.
+    trained set is the same whatever thread count the caller set. The
+    output product is cut at product_cut of a step's rows where that pin
+    took and cut_keeps_bits passes for it, else kept whole.
     """
     cfg = cfg or TrainConfig()
     x = np.asarray(inputs, dtype=np.float32)
@@ -408,13 +382,17 @@ def train(layer_sizes, inputs: np.ndarray, targets: np.ndarray,
     slots = [(p, np.zeros_like(p), np.zeros_like(p), np.empty_like(p))
              for layer in params for p in layer]
 
-    # the output layer's rows and its weight gradient land here
-    delta = np.empty((min(n, BATCH_SIZE), params[-1][0].shape[0]), np.float32)
-    out_grad = np.empty_like(params[-1][0])
-
     order = np.empty(0, dtype=np.int64)
     cursor = 0
-    with one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
+    rows = min(n, BATCH_SIZE)
+    w = params[-1][0]
+    with one_blas_thread() as pinned, ThreadPoolExecutor(max_workers=1) as pool:
+        cut = product_cut(rows)
+        cut = cut if pinned and cut and cut_keeps_bits(rows, *w.shape, w.dtype, cut) else 0
+        # the output layer's rows and its weight gradient land here, made
+        # after the check so that its product does not add to their peak
+        delta = np.empty((rows, len(w)), np.float32)
+        out_grad = np.empty_like(w)
         for step in range(cfg.steps):
             if full:
                 bx, bt = x, t
@@ -425,7 +403,7 @@ def train(layer_sizes, inputs: np.ndarray, targets: np.ndarray,
                 idx = order[cursor:cursor + BATCH_SIZE]
                 cursor += BATCH_SIZE
                 bx, bt = x[idx], t[idx]
-            grads = [g for layer in _backward(pool, params, bx, bt, delta, out_grad)
+            grads = [g for layer in _backward(pool, cut, params, bx, bt, delta, out_grad)
                      for g in layer]
             tstep = step + 1
             bc1 = 1.0 - ADAM_BETA1 ** tstep

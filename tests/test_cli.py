@@ -210,6 +210,25 @@ class TestExitCodes:
         ])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["encode", "sweep"])
+    def test_negative_seed_is_usage_error_with_no_output(
+            self, workdir, tmp_path, capsys, monkeypatch, command):
+        def no_read(*args):
+            raise AssertionError("input read before the flags were checked")
+
+        monkeypatch.setattr("nbv.cli.read_yuv", no_read)
+        out = tmp_path / "never"
+        flags = (["--qp", "20"] if command == "encode" else ["--qps", "20"])
+        code = main([
+            command, "--input", str(workdir / "in.yuv"), "--output", str(out),
+            "--width", "96", "--height", "64", "--frames", "4", *flags,
+            "--gnn-interval", "4", "--gnn-arch", "8", "--gnn-steps", "2",
+            "--seed", "-1",
+        ])
+        assert code == EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_is_io_error(self, tmp_path):
         code = main([
             "encode", "--input", str(tmp_path / "absent.yuv"),

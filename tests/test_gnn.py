@@ -1,5 +1,6 @@
 """Coordinate-network generator: sizing, math, training, quantization."""
 
+import functools
 import json
 import math
 import os
@@ -30,7 +31,6 @@ from nbv.gnn import (
     SetContext,
     TrainConfig,
     backward,
-    blas_state,
     block_to_targets,
     check_architecture,
     dequantize_params,
@@ -44,7 +44,6 @@ from nbv.gnn import (
     param_count,
     product_cut,
     quantize_params,
-    row_split,
     train,
 )
 from nbv.tools import synth_sequence
@@ -428,15 +427,15 @@ class TestTrainerMatchesOracle:
         assert np.any(forward(params, x) == 0.0)
 
 
-# (layer sizes, rows, steps, input spread) for the two-thread step: with
-# BLAS on one thread the worker takes the output layer's first
-# product_cut(n) rows, so one and three rows leave it none and 577 split
-# unevenly, and 2,100 rows take the minibatch path, whose 1,024-row
-# batches split at 504; with more BLAS threads the product stays whole; the 3-1536 net's
-# output layer is also its first, so the product reads the inputs
-# themselves. Inputs spread over [0, 40) kill the output units whose
-# weights are all negative on every row and others on some rows, so the
-# output error holds signed zeros.
+# (layer sizes, rows, steps, input spread) for the two-thread step: where
+# train pins BLAS to one thread and the check passes, the worker takes the
+# output layer's first product_cut(n) rows, so one and three rows leave it
+# none and 577 split unevenly, and 2,100 rows take the minibatch path,
+# whose 1,024-row batches split at 504; backward keeps the product whole;
+# the 3-1536 net's output layer is also its first, so the product reads
+# the inputs themselves. Inputs spread over [0, 40) kill the output units
+# whose weights are all negative on every row and others on some rows, so
+# the output error holds signed zeros.
 THREAD_CASES = [
     (DEFAULT_ARCH, 1, 20, 1.0),
     (DEFAULT_ARCH, 3, 20, 1.0),
@@ -483,15 +482,49 @@ def cut_case_equal(n: int) -> bool:
     return True
 
 
-# Prints the CUT_ROWS counts at which cut_case_equal fails, then BLAS's
-# kernel family and thread count as the trainer sees them and the rows of
-# a 576-row product that its worker computes.
+def cuts_taken(n: int) -> tuple[int, int]:
+    """The rows of an n-row output product of the default net that the
+    worker computes in one train step and in backward."""
+    cuts = []
+    real = nbv.gnn._backward
+
+    def spy(*args):
+        cuts.append(args[1])
+        return real(*args)
+
+    nbv.gnn._backward = spy
+    try:
+        x, t = np.zeros((n, 3)), np.zeros((n, 1536))
+        train(DEFAULT_ARCH, x, t, TrainConfig(steps=1))
+        backward(init_params(DEFAULT_ARCH, seed=0), x, t)
+    finally:
+        nbv.gnn._backward = real
+    return cuts[0], cuts[1]
+
+
+# Prints the CUT_ROWS counts at which cut_case_equal fails, whether the
+# trainer reaches OpenBLAS's thread count, and the cuts train and backward
+# take of a 576-row float32 product.
 CUT_SCRIPT = """
 import json
-from nbv.gnn import blas_state, row_split
-from test_gnn import CUT_ROWS, cut_case_equal
+import nbv.gnn
+from test_gnn import CUT_ROWS, cut_case_equal, cuts_taken
 print(json.dumps({"failed": [n for n in CUT_ROWS if not cut_case_equal(n)],
-                  "state": blas_state(), "split": row_split(576)}))
+                  "pinned": nbv.gnn._openblas() is not None,
+                  "cuts": cuts_taken(576)}))
+"""
+
+# Prints whether the check passes cuts of 8 and 288 of 576 rows and of
+# 512 of 1,024 rows, with BLAS pinned as train pins it, or null where the
+# trainer cannot reach OpenBLAS's thread count.
+CHECK_SCRIPT = """
+import json
+import numpy as np
+from nbv.gnn import cut_keeps_bits, one_blas_thread
+with one_blas_thread() as pinned:
+    kept = [cut_keeps_bits(n, 1536, 60, np.dtype(np.float32), cut)
+            for n, cut in ((576, 8), (576, 288), (1024, 512))]
+print(json.dumps(kept if pinned else None))
 """
 
 
@@ -591,12 +624,14 @@ class TestTwoThreadTrainer:
         assert cut_case_equal(n)
 
     @pytest.mark.parametrize("coretype, threads", [
-        (None, "1"), ("Haswell", "1"), ("Sandybridge", "1"), ("Haswell", "2")])
+        (None, "1"), ("Haswell", "1"), ("Sandybridge", "1"), ("Nehalem", "1"),
+        ("Prescott", "1"), ("Haswell", "2")])
     def test_rows_about_each_cut_equal_the_oracle_on_other_kernels(self, coretype, threads):
         # Haswell keeps the whole product's bits only at cuts on multiples
-        # of 24 rows; Sandybridge has no FMA. With two BLAS threads the
-        # Haswell kernels' whole product changes bits with the thread
-        # count, so there the product must stay whole.
+        # of 24 rows; Sandybridge, Nehalem and Prescott have no FMA. With
+        # two BLAS threads the Haswell kernels' whole product changes bits
+        # with the thread count: train pins BLAS to one thread and cuts
+        # there, while backward, which does not pin, keeps it whole.
         env = subprocess_env(**dict.fromkeys(ONE_BLAS_THREAD, threads))
         if coretype is not None:
             env["OPENBLAS_CORETYPE"] = coretype
@@ -604,35 +639,31 @@ class TestTwoThreadTrainer:
                              capture_output=True, text=True, check=True, timeout=600)
         got = json.loads(out.stdout)
         assert got["failed"] == []
-        if got["state"] is None:  # a BLAS the trainer cannot ask keeps products whole
-            assert got["split"] == 0
-            return
-        core, n_threads = got["state"]
-        assert n_threads == int(threads)
-        if coretype is not None:
-            assert core == coretype
-        measured = core.lower() in nbv.gnn.MEASURED_CORES
-        assert got["split"] == (288 if measured and threads == "1" else 0)
+        # a BLAS the trainer cannot pin keeps products whole
+        assert got["cuts"] == [288 if got["pinned"] else 0, 0]
 
-    @pytest.mark.parametrize("state, split", [
-        (None, 0), (("Haswell", 1), 288), (("SkylakeX", 1), 288),
-        (("Sandybridge", 1), 288), (("Haswell", 2), 0), (("SkylakeX", 4), 0),
-        (("Zen", 1), 0), (("NEOVERSEN1", 1), 0)])
-    def test_product_is_split_only_on_one_thread_of_a_measured_kernel(
-            self, monkeypatch, state, split):
-        monkeypatch.setattr(nbv.gnn, "blas_state", lambda: state)
-        assert row_split(576) == split
-        assert row_split(47) == 0
+    def test_check_refuses_cuts_off_24_rows_on_haswell(self):
+        env = subprocess_env(OPENBLAS_CORETYPE="Haswell", **ONE_BLAS_THREAD)
+        out = subprocess.run([sys.executable, "-c", CHECK_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True, timeout=600)
+        kept = json.loads(out.stdout)
+        if kept is None:
+            pytest.skip("numpy's BLAS is no OpenBLAS this module can reach")
+        assert kept == [False, True, False]
 
-    def test_blas_state_reads_the_thread_count(self):
-        state = blas_state()
-        if state is not None:
-            assert isinstance(state[0], str) and state[1] >= 1
+    def test_train_equals_the_oracle_where_the_check_refuses(self, monkeypatch):
+        monkeypatch.setattr(nbv.gnn, "cut_keeps_bits", lambda *key: False)
+        assert cuts_taken(577) == (0, 0)
+        x, t = self.dataset(577, 1.0)
+        cfg = TrainConfig(steps=8, seed=3)
+        got = trained_float32(train(DEFAULT_ARCH, x, t, cfg))
+        assert params_bytes(got) == params_bytes(train_oracle(DEFAULT_ARCH, x, t, cfg))
 
     @staticmethod
     def fake_openblas(monkeypatch, threads):
         """Stand a fake OpenBLAS handle with threads threads in for the real
-        one; returns the list of counts it is pinned to."""
+        one; returns the list of counts it is pinned to. The check gets a
+        fresh cache meanwhile, since the fake pins no real BLAS."""
         state = {"threads": threads}
         pins = []
 
@@ -640,9 +671,15 @@ class TestTwoThreadTrainer:
             pins.append(n)
             state["threads"] = n
 
-        monkeypatch.setattr(nbv.gnn, "_openblas",
-                            lambda: (lambda: b"Fake", lambda: state["threads"], pin))
+        monkeypatch.setattr(nbv.gnn, "_openblas", lambda: (lambda: state["threads"], pin))
+        monkeypatch.setattr(nbv.gnn, "cut_keeps_bits",
+                            functools.cache(nbv.gnn.cut_keeps_bits.__wrapped__))
         return pins
+
+    @staticmethod
+    def blas_threads():
+        """The thread count the (fake) OpenBLAS handle reports."""
+        return nbv.gnn._openblas()[0]()
 
     def test_train_pins_blas_to_one_thread_and_restores_the_count(self, monkeypatch):
         pins = self.fake_openblas(monkeypatch, 3)
@@ -650,14 +687,14 @@ class TestTwoThreadTrainer:
         real = nbv.gnn._output_delta
 
         def spy(*args):
-            seen.append(blas_state())
+            seen.append(self.blas_threads())
             real(*args)
 
         monkeypatch.setattr(nbv.gnn, "_output_delta", spy)
         x, t = self.dataset(64, 1.0)
         train((3, 8, 1536), x, t, TrainConfig(steps=2))
-        assert set(seen) == {("Fake", 1)} and pins == [1, 3]
-        assert blas_state() == ("Fake", 3)
+        assert set(seen) == {1} and pins == [1, 3]
+        assert self.blas_threads() == 3
 
     def test_overlapping_pins_share_one(self, monkeypatch):
         pins = self.fake_openblas(monkeypatch, 2)
@@ -665,9 +702,9 @@ class TestTwoThreadTrainer:
         states = []
 
         def run():
-            with one_blas_thread():
+            with one_blas_thread() as pinned:
                 inside.wait(timeout=60)  # all three open at once
-                states.append(blas_state())
+                states.append((pinned, self.blas_threads()))
                 inside.wait(timeout=60)
 
         threads = [threading.Thread(target=run) for _ in range(3)]
@@ -675,8 +712,8 @@ class TestTwoThreadTrainer:
             th.start()
         for th in threads:
             th.join(timeout=60)
-        assert states == [("Fake", 1)] * 3
-        assert pins == [1, 2] and blas_state() == ("Fake", 2)
+        assert states == [(True, 1)] * 3
+        assert pins == [1, 2] and self.blas_threads() == 2
 
     def test_pin_holds_under_contention(self, monkeypatch):
         # six threads on the machine's cores open and close pins as fast
@@ -688,8 +725,8 @@ class TestTwoThreadTrainer:
         def run():
             for _ in range(1000):
                 with one_blas_thread():
-                    if blas_state()[1] != 1:
-                        unpinned.append(blas_state())
+                    if self.blas_threads() != 1:
+                        unpinned.append(self.blas_threads())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -702,7 +739,7 @@ class TestTwoThreadTrainer:
         finally:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
-        assert unpinned == [] and blas_state() == ("Fake", 4)
+        assert unpinned == [] and self.blas_threads() == 4
         assert pins and pins == [1, 4] * (len(pins) // 2)
 
     def test_pin_restores_the_count_when_train_fails(self, monkeypatch):
@@ -715,6 +752,9 @@ class TestTwoThreadTrainer:
 
     def test_train_runs_where_blas_cannot_be_pinned(self, monkeypatch):
         monkeypatch.setattr(nbv.gnn, "_openblas", lambda: None)
+        with one_blas_thread() as pinned:
+            assert pinned is False
+        assert cuts_taken(577) == (0, 0)
         x, t = self.dataset(64, 1.0)
         cfg = TrainConfig(steps=3, seed=5)
         got = trained_float32(train((3, 8, 1536), x, t, cfg))
@@ -724,7 +764,7 @@ class TestTwoThreadTrainer:
         lib = nbv.gnn._openblas()
         if lib is None:
             pytest.skip("numpy's BLAS is no OpenBLAS this module can reach")
-        _, threads, pin = lib
+        threads, pin = lib
         before = threads()
         x, t = self.dataset(64, 1.0)
         try:
