@@ -138,6 +138,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
     try:
         frames = synth_sequence(args.kind, args.width, args.height, args.frames,
                                 _parse_velocity(args.velocity), args.seed)

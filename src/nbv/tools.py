@@ -6,19 +6,18 @@ frames from it: a fixed crop (static), a crop translating by an integer
 velocity per frame (pan), or a centered window growing or shrinking per
 frame with bilinear resampling (zoom). Pan frames are exact integer shifts
 of each other wherever they overlap, which motion search should recover.
-No canvas-sized array is made. Each canvas plane is rendered in
-full-width bands of BAND_ROWS rows, each band gives its min and max to
-the canvas-wide stretch, and float64 samples are kept only for the
-window the frames read: the union of the pan or static crops, or of a
-zoom's bilinear taps. A zoom frame is resampled FRAME_BAND_ROWS rows at
-a time. Both reuse their band buffers: fresh band temporaries above
-malloc's 128 KB mmap threshold are mapped and faulted in anew for every
-operation, which took 7x the page faults of a whole-canvas field for a
-640x384 pan. Process peak RSS and time, imports included, on a shared
-2-core x86-64 machine: a 16-frame 1280x720 zoom clip 66 MB in 1.2 s,
-and an 8-frame 1920x1080 clip 71 MB in 1.9 s (zoom) or 68 MB in 1.2 s
-(pan). A float64 field for the whole canvas took 114 MB in 1.8 s, and
-210 MB in 3.3 s (zoom) or 2.4 s (pan).
+The gradient and the sinusoids are one small matrix product of per-row
+and per-column tables, and no canvas-sized array is made: each canvas
+plane is rendered in full-width bands of BAND_ROWS rows, each band gives
+its min and max to the canvas-wide stretch, and float64 samples are kept
+only for the window the frames read: the union of the pan or static
+crops, or of a zoom's bilinear taps. A zoom frame is resampled
+FRAME_BAND_ROWS rows at a time. Both reuse their band buffers: fresh band
+temporaries above malloc's 128 KB mmap threshold are mapped and faulted
+in anew for every operation. Process peak RSS and time, imports included,
+on a shared 2-core x86-64 machine: a 16-frame 1280x720 zoom clip 67 MB
+in 0.57 s, and an 8-frame 1920x1080 clip 72 MB in 0.76 s (zoom) or 69 MB
+in 0.28 s (pan); a sine per canvas sample took 1.45, 1.97 and 1.39 s.
 
 bit_accounting folds the per-unit bit counts parse_stream reports into
 five categories that sum exactly to the stream size, and csv_text renders
@@ -85,53 +84,49 @@ def _render_canvas(w: int, h: int, rng: np.random.Generator, n_sine: int,
     sinusoids and anti-aliased disks, stretched to [lo, hi] over the whole
     canvas and quantized to 8 bits.
 
-    Every parameter is drawn first. The canvas is then rendered in
-    full-width bands of BAND_ROWS rows: the gradient, the sinusoids, then
-    each disk clipped to the band, in draw order, so each sample sees the
-    float64 operations of a whole-canvas render in the same order. A disk
-    adds amp * 0.0 wherever dist >= rad + 0.5, which leaves every sample as
-    it was, so each disk is drawn only over the rows and columns within
-    rad + 0.5 of its centre, rounded outwards. Each band gives its min and
-    max to the stretch and keeps only its samples inside the window, which
-    is then quantized band by band: no canvas-sized array is made.
+    Every parameter is drawn first. The gradient and each sinusoid are
+    separable, amp sin(A(x) + B(y)) = amp sin A cos B + amp cos A sin B,
+    so all are one product of a row table (h, 2 + 2 n_sine) and a column
+    table (2 + 2 n_sine, w): a sine per row and per column, not per
+    sample. Each band of BAND_ROWS full-width rows is its rows of that
+    product plus each disk in draw order, drawn only within rad + 0.5 of
+    its centre (beyond, it adds amp * 0.0, which changes nothing). Each
+    band gives its min and max to the stretch and keeps only its samples
+    inside the window, which is then quantized band by band.
+
+    The product sums a sample's terms in another order than a sine per
+    sample, and in one that differs between BLAS kernels: the float64
+    field moves by about 1e-15 relative, which the 8-bit rounding absorbs
+    unless a sample lies within about 1e-12 of a half level. Tests pin the
+    bytes against a sine per sample and by SYNTH_GOLDEN, with and without FMA.
     """
     rows, cols = window
-    xs = np.arange(w, dtype=np.float64)
-    ys = np.arange(h, dtype=np.float64)[:, None]
+    xs, ys = np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64)
     xn, yn = xs / w, ys / h
     gx, gy = rng.uniform(-1.0, 1.0, size=2)
-    sines = []
-    for _ in range(n_sine):
+    left, right = np.empty((h, 2 + 2 * n_sine)), np.empty((2 + 2 * n_sine, w))
+    left[:, 0], left[:, 1], right[0], right[1] = 1.0, gy * yn, gx * xn, 1.0
+    for k in range(2, 2 + 2 * n_sine, 2):
         fx, fy = rng.uniform(0.5, 7.0, size=2)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        amp = rng.uniform(0.1, 0.5)
-        sines.append((fx, fy, phase, amp))
+        phase, amp = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.1, 0.5)
+        a, b = 2.0 * np.pi * fx * xn + phase, 2.0 * np.pi * fy * yn
+        left[:, k], left[:, k + 1] = np.cos(b), np.sin(b)
+        right[k], right[k + 1] = amp * np.sin(a), amp * np.cos(a)
     disks = []
     for _ in range(n_disks):
-        cx = rng.uniform(0.0, w)
-        cy = rng.uniform(0.0, h)
-        rad = rng.uniform(0.02, 0.12) * min(w, h)
+        cx, cy = rng.uniform(0.0, w), rng.uniform(0.0, h)
+        reach = rng.uniform(0.02, 0.12) * min(w, h) + 0.5  # the radius, plus 0.5
         amp = rng.uniform(-1.0, 1.0)
-        reach = rad + 0.5
         x0, x1 = max(0, math.floor(cx - reach)), min(w, math.ceil(cx + reach) + 1)
         y0, y1 = max(0, math.floor(cy - reach)), min(h, math.ceil(cy + reach) + 1)
-        disks.append((y0, y1, x0, x1, (ys[y0:y1] - cy) ** 2, (xs[x0:x1] - cx) ** 2,
+        disks.append((y0, y1, x0, x1, (ys[y0:y1, None] - cy) ** 2, (xs[x0:x1] - cx) ** 2,
                       reach, amp))
     v = np.empty((rows.stop - rows.start, cols.stop - cols.start))
     vlo, vhi = math.inf, -math.inf
-    bufs = np.empty((2, BAND_ROWS, w))
+    buf = np.empty((BAND_ROWS, w))
     for r in range(0, h, BAND_ROWS):
         r1 = min(h, r + BAND_ROWS)
-        band, term, ynb = bufs[0, :r1 - r], bufs[1, :r1 - r], yn[r:r1]
-        np.add(gx * xn, gy * ynb, out=band)
-        for fx, fy, phase, amp in sines:
-            # amp * sin(2 pi (fx x + fy y) + phase), in one reused plane
-            np.add(fx * xn, fy * ynb, out=term)
-            term *= 2.0 * np.pi
-            term += phase
-            np.sin(term, out=term)
-            term *= amp
-            band += term
+        band = np.matmul(left[r:r1], right, out=buf[:r1 - r])
         for y0, y1, x0, x1, dy2, dx2, reach, amp in disks:
             a, b = max(y0, r), min(y1, r1)
             if a < b:
@@ -168,8 +163,7 @@ def _zoom_taps(cw: int, ch: int, width: int, height: int, zw: float):
     """One zoom frame's (row, column) taps on the luma canvas and on the
     chroma canvases, for a centered window zw luma samples wide."""
     zh = height * zw / width
-    x0 = (cw - zw) / 2.0
-    y0 = (ch - zh) / 2.0
+    x0, y0 = (cw - zw) / 2.0, (ch - zh) / 2.0
     if x0 < 0 or y0 < 0:
         raise ValueError("zoom window leaves the canvas")
     xs = x0 + (np.arange(width) + 0.5) * zw / width - 0.5
@@ -188,23 +182,29 @@ def _tap_window(taps) -> tuple[slice, slice]:
 
 def _resample(win: np.ndarray, window, taps_y, taps_x) -> np.ndarray:
     """Bilinear resampling of a canvas window at full-canvas taps,
-    FRAME_BAND_ROWS output rows at a time, rounded to 8 bits. The gathered
-    uint8 samples convert exactly in each float64 product, so only the
-    band's samples are ever float64."""
+    FRAME_BAND_ROWS output rows at a time, rounded to 8 bits. Each band
+    gathers its tap rows, then their tap columns, into reused uint8
+    buffers; those samples convert exactly in each float64 product, so
+    only the band's samples are ever float64."""
     rows, cols = window
     y0, y1, fy = taps_y[0] - rows.start, taps_y[1] - rows.start, taps_y[2][:, None]
     x0, x1, fx = taps_x[0] - cols.start, taps_x[1] - cols.start, taps_x[2][None, :]
     gx = 1 - fx
     out = np.empty((len(y0), len(x0)), np.uint8)
     bufs = np.empty((3, FRAME_BAND_ROWS, len(x0)))
+    lines, samples = (np.empty((FRAME_BAND_ROWS, n), np.uint8) for n in (win.shape[1], len(x0)))
     for r in range(0, len(y0), FRAME_BAND_ROWS):
         a, b, f = (t[r:r + FRAME_BAND_ROWS] for t in (y0, y1, fy))
         top, bot, term = bufs[:, :len(a)]
-        # top * (1 - f) + bot * f, each term rounded as written, in place
-        np.multiply(win[np.ix_(a, x0)], gx, out=top)
-        top += np.multiply(win[np.ix_(a, x1)], fx, out=term)
-        np.multiply(win[np.ix_(b, x0)], gx, out=bot)
-        bot += np.multiply(win[np.ix_(b, x1)], fx, out=term)
+        line, tap = lines[:len(a)], samples[:len(a)]
+        # top * (1 - f) + bot * f, each term rounded as written, in place.
+        # take writes straight to out= only when not in its default mode,
+        # "raise", which fills a temporary first; every tap is in the window
+        for ys, acc in ((a, top), (b, bot)):
+            np.take(win, ys, axis=0, out=line, mode="clip")
+            for xs, weight, dst in ((x0, gx, acc), (x1, fx, term)):
+                np.multiply(np.take(line, xs, axis=1, out=tap, mode="clip"), weight, out=dst)
+            acc += term
         top *= 1 - f
         bot *= f
         top += bot

@@ -229,6 +229,19 @@ class TestExitCodes:
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_synth_negative_seed_is_usage_error_with_no_output(
+            self, tmp_path, capsys, monkeypatch):
+        def no_synth(*args):
+            raise AssertionError("synthesis ran before the flags were checked")
+
+        monkeypatch.setattr("nbv.cli.synth_sequence", no_synth)
+        out = tmp_path / "never.yuv"
+        code = main(["synth", "--kind", "pan", "--width", "64", "--height", "32",
+                     "--frames", "2", "--seed", "-1", "--output", str(out)])
+        assert code == EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_is_io_error(self, tmp_path):
         code = main([
             "encode", "--input", str(tmp_path / "absent.yuv"),

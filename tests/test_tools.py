@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nbv import tools
 from nbv.bitstream import BIT_CATEGORIES, param_set_bits
-from nbv.core import Frame, block_grid_dims
+from nbv.core import Frame, block_grid_dims, round_half_away
 from nbv.entropy import StreamError
 from nbv.gnn import param_count
 from nbv.tools import (
@@ -195,6 +196,90 @@ def test_synth_sequence_matches_golden(case):
         for plane in (f.y, f.cb, f.cr):
             h.update(plane.tobytes())
     assert h.hexdigest() == SYNTH_GOLDEN[case]
+
+
+def render_canvas_oracle(w, h, rng, n_sine, n_disks, lo, hi, window):
+    """The whole-canvas render with a sine per sample that the banded
+    product replaced: the gradient, each amp * sin(2 pi (fx x + fy y) +
+    phase), then each disk, in draw order; stretched over the canvas and
+    cut to the window before quantization."""
+    xs = np.arange(w, dtype=np.float64)
+    ys = np.arange(h, dtype=np.float64)[:, None]
+    xn, yn = xs / w, ys / h
+    gx, gy = rng.uniform(-1.0, 1.0, size=2)
+    field = gx * xn + gy * yn
+    for _ in range(n_sine):
+        fx, fy = rng.uniform(0.5, 7.0, size=2)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        amp = rng.uniform(0.1, 0.5)
+        field += amp * np.sin((fx * xn + fy * yn) * (2.0 * np.pi) + phase)
+    for _ in range(n_disks):
+        cx, cy = rng.uniform(0.0, w), rng.uniform(0.0, h)
+        rad = rng.uniform(0.02, 0.12) * min(w, h)
+        amp = rng.uniform(-1.0, 1.0)
+        dist = np.sqrt((xs - cx) ** 2 + (ys - cy) ** 2)
+        field += amp * np.clip(rad + 0.5 - dist, 0.0, 1.0)
+    vlo, vhi = field.min(), field.max()
+    v = (field[window] - vlo) / (vhi - vlo) if vhi > vlo else np.full(field[window].shape, 0.5)
+    v = v * (hi - lo) + lo
+    return np.clip(round_half_away(v), 0, 255).astype(np.uint8)
+
+
+def resample_oracle(win, window, taps_y, taps_x):
+    """Bilinear resampling by four 2-D fancy indexes of the whole frame."""
+    rows, cols = window
+    y0, y1, fy = taps_y[0] - rows.start, taps_y[1] - rows.start, taps_y[2][:, None]
+    x0, x1, fx = taps_x[0] - cols.start, taps_x[1] - cols.start, taps_x[2][None, :]
+    top = win[np.ix_(y0, x0)] * (1 - fx) + win[np.ix_(y0, x1)] * fx
+    bot = win[np.ix_(y1, x0)] * (1 - fx) + win[np.ix_(y1, x1)] * fx
+    return np.clip(round_half_away(top * (1 - fy) + bot * fy), 0, 255).astype(np.uint8)
+
+
+# (kind, width, height, frames, velocity): every kind; the quarter-size
+# renders perfbench/content.py scores (80x48, whose 144-row canvas ends
+# in a partial band, and 160x96); 270- and 135-row canvases that end in
+# partial bands, and 33-row chroma canvases that end in a one-row band;
+# and pans whose window starts on an odd row or column, where the chroma
+# crop is not half the luma offset inside the window
+ORACLE_CASES = [
+    ("pan", 80, 48, 1, (0, 0)), ("zoom_out", 80, 48, 1, (0, 0)),
+    ("pan", 160, 96, 1, (0, 0)), ("zoom_out", 160, 96, 1, (0, 0)),
+    ("static", 64, 32, 3, (2, 0)), ("zoom_in", 98, 90, 4, (3, 0)),
+    ("zoom_out", 98, 90, 3, (5, 0)), ("zoom_out", 34, 22, 3, (2, 0)),
+    ("pan", 96, 64, 4, (-1, -3)), ("pan", 130, 74, 3, (5, 3)),
+]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: f"{c[0]}-{c[1]}x{c[2]}")
+def test_synthesis_matches_the_per_sample_oracle(case, monkeypatch):
+    # The product sums each sample's gradient and sinusoid terms in
+    # another order than a sine per sample, which moves the float64 field
+    # by about 1e-15 relative; the 8-bit rounding must absorb that.
+    kind, width, height, frames, velocity = case
+    for seed in range(24):
+        got = synth_sequence(kind, width, height, frames, velocity=velocity, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(tools, "_render_canvas", render_canvas_oracle)
+            m.setattr(tools, "_resample", resample_oracle)
+            want = synth_sequence(kind, width, height, frames, velocity=velocity, seed=seed)
+        for fg, fw in zip(got, want):
+            for pg, pw in ((fg.y, fw.y), (fg.cb, fw.cb), (fg.cr, fw.cr)):
+                assert np.array_equal(pg, pw), (case, seed)
+
+
+def test_synthesis_takes_a_sine_per_row_and_column_not_per_sample(monkeypatch):
+    # One sine and one cosine per canvas row and column for each sinusoid,
+    # not a sine per sample: 2 * n_sine * (w + h) values at most.
+    evaluated = []
+    for name in ("sin", "cos"):
+        def counted(x, *args, ufunc=getattr(np, name), **kwargs):
+            evaluated.append(np.size(x))
+            return ufunc(x, *args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    w, h, n_sine = 288, 192, 4
+    tools._render_canvas(w, h, np.random.default_rng(3), n_sine, 40, 0.0, 255.0,
+                         (slice(0, h), slice(0, w)))
+    assert 0 < sum(evaluated) <= 2 * n_sine * (w + h) < n_sine * w * h
 
 
 def synthesis_peak(kind, width, height, frames, velocity):
