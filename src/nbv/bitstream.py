@@ -37,6 +37,10 @@ its tiles through jump tables; a block that a chunk cuts is read again,
 whole, from the next chunk. It writes modes and vectors and scatters
 levels straight into the unit's arrays, int16 levels as MAX_LEVEL allows.
 The layout above is the same bit for bit as coding each field on its own.
+Neither counts bits as it goes: both hand _frame_bits the unit and the bit
+counts of its head, payload and padding, and it prices the mode symbols
+and vector differences with block_syntax_bits, the RD search's own cost,
+so a unit's FrameBits are counted in one place.
 
 The writers refuse exactly what the parsers refuse: both run
 StreamHeader.check and QuantizedGnnParams.check, which hold every limit on
@@ -323,6 +327,16 @@ class FrameBits:
         return self.modes + self.mvs + self.residuals
 
 
+def _frame_bits(fu: FrameUnit, head: int, payload: int, pad: int) -> FrameBits:
+    """A frame unit's FrameBits from its head (the tag to the selection
+    bits), its payload's and its padding's bit counts. The mode symbols and
+    vector differences cost what block_syntax_bits says; the rest of the
+    payload is the tiles'."""
+    mode_bits = int(block_syntax_bits(fu.frame_type, fu.modes).sum())
+    syntax = int(block_syntax_bits(fu.frame_type, fu.modes, fu.mvds).sum())
+    return FrameBits(head + mode_bits + pad, syntax - mode_bits, payload - syntax)
+
+
 def _check_frame_unit(fu: FrameUnit, cols: int, rows: int) -> None:
     if fu.frame_type not in ("I", "P"):
         raise ValueError(f"bad frame type {fu.frame_type!r}")
@@ -365,7 +379,7 @@ def write_frame(w: BitWriter, fu: FrameUnit, cols: int, rows: int) -> FrameBits:
     for reg in fu.regions:
         if reg.selectable:
             w.write_bit_array(gen[reg.area].reshape(-1))
-    head_bits = w.bit_position - start
+    head = w.bit_position - start
     # The payload is all exp-Golomb codes: each coded block's mode symbol
     # and an inter block's vector difference, before its 24 tiles' codes.
     modes = fu.modes.reshape(-1)
@@ -378,17 +392,13 @@ def write_frame(w: BitWriter, fu: FrameUnit, cols: int, rows: int) -> FrameBits:
     block_start = np.cumsum(block_codes) - block_codes
     # codes inserted at one place keep their given order: the symbol, then
     # the x and the y difference
-    payload_bits = write_ue_codes(w, np.insert(
+    payload = write_ue_codes(w, np.insert(
         tiles, block_start[np.concatenate((coded, inter, inter))],
         np.concatenate((symbols, mv_codes))))
-    mv_bits = int(ue_lengths(mv_codes).sum())
-    mode_bits = int(ue_lengths(symbols).sum())
-    pad = w.byte_align()
-    return FrameBits(head_bits + mode_bits + pad, mv_bits,
-                     payload_bits - mode_bits - mv_bits)
+    return _frame_bits(fu, head, payload, w.byte_align())
 
 
-def _read_payloads(r: BitReader, fu: FrameUnit, bits: FrameBits) -> None:
+def _read_payloads(r: BitReader, fu: FrameUnit) -> None:
     """Read every coded block's mode symbol, vector difference and tiles in
     bulk, into the unit's arrays; its modes hold GEN where the regions and
     selection bits put it.
@@ -465,18 +475,14 @@ def _read_payloads(r: BitReader, fu: FrameUnit, bits: FrameBits) -> None:
         inter = symbols == BlockMode.INTER - first_mode  # -1, none, in an I frame
         mv_values = values[head_at[inter, None] + (1, 2)]
         mvds[np.array(heads, dtype=np.int64)[inter]] = ue_to_se(mv_values)
-        mode_bits = int(ue_lengths(symbols).sum())
-        mv_bits = int(ue_lengths(mv_values).sum())
-        bits.modes += mode_bits
-        bits.mvs += mv_bits
-        bits.residuals += (int(chunk.ends[k - 1]) if k else 0) - mode_bits - mv_bits
         return k, begun == len(generated)
 
     read_ue_codes(r, walk)
 
 
-def _parse_frame_body(r: BitReader, cols: int, rows: int,
-                      bits: FrameBits) -> FrameUnit:
+def _parse_frame_body(r: BitReader, cols: int,
+                      rows: int) -> tuple[FrameUnit, FrameBits]:
+    """A frame unit after its tag, and its FrameBits, tag included."""
     start = r.bit_position - 8  # tag already consumed
     frame_type = "I" if r.read_bits(1) == 0 else "P"
     n_regions = ue_decode(r)
@@ -491,42 +497,13 @@ def _parse_frame_body(r: BitReader, cols: int, rows: int,
         if reg.selectable:
             area = gen[reg.area]  # a view into gen
             area.flat = r.read_bit_array(area.size)
-    bits.modes += r.bit_position - start
+    head = r.bit_position - start
     fu = FrameUnit(frame_type, regions, (gen * BlockMode.GEN).astype(np.int8),
                    np.zeros((rows, cols, 2), dtype=np.int32),
                    np.zeros((rows * cols, TILES_PER_BLOCK, 64), dtype=np.int16))
-    _read_payloads(r, fu, bits)
-    bits.modes += r.byte_align()
-    return fu
-
-
-def parse_frame(r: BitReader, cols: int, rows: int,
-                bits: FrameBits | None = None) -> FrameUnit:
-    tag = r.read_bits(8)
-    if tag != UNIT_FRAME:
-        raise StreamError(f"expected frame unit, found tag {tag}")
-    return _parse_frame_body(r, cols, rows, FrameBits() if bits is None else bits)
-
-
-def write_stream(header: StreamHeader, units) -> bytes:
-    """Assemble a whole stream from ('param_set', qparams) / ('frame', fu) units."""
-    w = BitWriter()
-    write_header(w, header)
-    cols, rows = header.grid()
-    n_frames = 0
-    for kind, payload in units:
-        if kind == "param_set":
-            write_param_set(w, payload)
-        elif kind == "frame":
-            write_frame(w, payload, cols, rows)
-            n_frames += 1
-        else:
-            raise ValueError(f"unknown unit kind {kind!r}")
-    if n_frames != header.frame_count:
-        raise ValueError(
-            f"header promises {header.frame_count} frames, wrote {n_frames}"
-        )
-    return w.to_bytes()
+    _read_payloads(r, fu)
+    payload = r.bit_position - start - head
+    return fu, _frame_bits(fu, head, payload, r.byte_align())
 
 
 def parse_stream(data: bytes, bits: list | None = None):
@@ -566,8 +543,7 @@ def parse_stream(data: bytes, bits: list | None = None):
                     raise StreamError("consecutive parameter sets without a frame")
                 set_frames = header.set_frames(done)
             elif tag == UNIT_FRAME:
-                unit_bits = FrameBits()
-                fu = _parse_frame_body(r, cols, rows, unit_bits)
+                fu, unit_bits = _parse_frame_body(r, cols, rows)
                 if after_set and fu.frame_type != "I":
                     raise StreamError("parameter set must be followed by a keyframe")
                 if fu.frame_type == "P" and not done:

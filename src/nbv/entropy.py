@@ -4,12 +4,13 @@ Bit order is MSB-first within each byte. Zero padding to a byte boundary
 happens only through explicit byte_align() calls at unit boundaries, so a
 stream is a deterministic function of the write calls that produced it.
 
-Header and region fields are coded one call at a time (ue_encode,
-ue_decode and the se pair). A frame's block payloads, which are nothing but
-exp-Golomb codes, are coded in bulk with numpy: write_ue_codes packs an
-array of code numbers in one call, and read_ue_codes feeds the codes at a
-reader's position to a structure walk, peeking windows of at most
-_ITEM_MAX bits, each bit once.
+Header and region fields are unsigned and coded one call at a time
+(ue_encode and ue_decode). A signed value v, a motion-vector difference or
+a residual level, is coded as ue(se_to_ue(v)). A frame's block payloads,
+which are nothing but exp-Golomb codes, are coded in bulk with numpy:
+write_ue_codes packs an array of code numbers in one call, and
+read_ue_codes feeds the codes at a reader's position to a structure walk,
+peeking windows of at most _ITEM_MAX bits, each bit once.
 Both produce and consume exactly the bits of the one-at-a-time calls; the
 wire layout does not depend on which path wrote or reads it.
 """
@@ -149,13 +150,6 @@ _UE_MAX = 0xFFFFFFFE
 _MAX_ZEROS = 31
 
 
-def ue_length(v: int) -> int:
-    """Coded length in bits of ue(v)."""
-    if v < 0 or v > _UE_MAX:
-        raise ValueError(f"ue value out of range: {v}")
-    return 2 * (v + 1).bit_length() - 1
-
-
 def ue_lengths(values) -> np.ndarray:
     """Coded length in bits of ue(v) for each v of an integer array in range."""
     # frexp's exponent is the bit length of v + 1, exact below 2^53
@@ -198,19 +192,6 @@ def ue_to_se(code):
     return ((code + 1) >> 1) * (2 * (code & 1) - 1)
 
 
-def se_length(v: int) -> int:
-    """Coded length in bits of se(v)."""
-    return ue_length(se_to_ue(v))
-
-
-def se_encode(w: BitWriter, v: int) -> None:
-    ue_encode(w, se_to_ue(v))
-
-
-def se_decode(r: BitReader) -> int:
-    return ue_to_se(ue_decode(r))
-
-
 # Bulk codes. The writer packs about _CHUNK_MAX bits per numpy pass. The
 # reader peeks windows of _CHUNK_MIN bits, each _RAMP times the last up to
 # _CHUNK_MAX, so its scratch memory is bounded whatever the size of a frame,
@@ -231,7 +212,7 @@ _BAD = 2 * _MAX_ZEROS + 1  # the byte automaton's malformed-prefix state
 
 
 def _code_tables() -> tuple[list[bytes], np.ndarray]:
-    """The byte automaton peek_ue_codes runs over a window.
+    """The byte automaton _peek runs over a window.
 
     A state says where a byte's first bit falls in the chain of codes: 0 at
     a code start, z in 1..31 after z prefix zeros, 31 + m with m suffix
@@ -274,7 +255,7 @@ def write_ue_codes(w: BitWriter, values) -> int:
     ends = np.cumsum(lengths)
     cuts = np.searchsorted(ends, np.arange(_CHUNK_MAX, ends[-1], _CHUNK_MAX))
     for lo, hi in zip((0, *cuts), (*cuts, v.size)):
-        # the codeword of v is v + 1 right-aligned in ue_length(v) bits;
+        # the codeword of v is v + 1 right-aligned in ue_lengths(v) bits;
         # bit b of the slice is bit (end of its code - 1 - b) of that value
         n = lengths[lo:hi]
         shifts = (np.repeat(ends[lo:hi], n)
@@ -292,10 +273,10 @@ class UeChunk(NamedTuple):
     error: str | None  # why no further code can follow, or None if more bits may
 
 
-def peek_ue_codes(r: BitReader, max_bits: int) -> UeChunk:
-    """The chain of ue codes that starts at r's position and lies wholly in
-    its next max_bits bits, without moving r. The chain stops at the first
-    code that runs past the window or has a prefix of 32 or more zeros.
+def _peek(data: bytes, pos: int, max_bits: int) -> UeChunk:
+    """The chain of ue codes that starts at bit pos of data and lies wholly
+    in its next max_bits bits. The chain stops at the first code that runs
+    past the window or has a prefix of 32 or more zeros.
 
     The window runs to the end of the byte that holds its last bit. One
     table step a byte finds where each byte's first bit falls in the chain
@@ -305,10 +286,6 @@ def peek_ue_codes(r: BitReader, max_bits: int) -> UeChunk:
     syntax item of a frame payload, a whole block of at most 52,663 bits,
     fits in one.
     """
-    return _peek(r._data, r.bit_position, max_bits)
-
-
-def _peek(data: bytes, pos: int, max_bits: int) -> UeChunk:
     first, skew = pos >> 3, pos & 7
     stop = min(len(data), first + (skew + max_bits + 7) // 8)
     size = stop - first

@@ -16,15 +16,17 @@ reach the stream only as 10-bit levels, so float64 training would buy
 nothing a decoder can see. Everything after training is plain float64
 numpy: quantization, dequantization and the forward pass that generates
 blocks, so encoder and decoder compute the same pixels from the same
-levels. Backprop is exact, with the ReLU subgradient taken as 0 at 0, and
-computes in its params' dtype, so backward on float64 params gives
-float64 gradients. Training is seeded and deterministic: the same inputs
-give the same network on the same BLAS kernels. float32 products can
+levels. Backprop (_backward) is exact, with the ReLU subgradient taken as
+0 at 0, and computes in its params' dtype, so float64 params give float64
+gradients; the tests hold it to finite differences of their loss through
+a backward of their own that runs it on one batch. Training is seeded
+and deterministic: the same inputs give the same network on the same
+BLAS kernels. float32 products can
 round differently on another kernel family (one without FMA, say), which
 can move the trained levels and so the stream an encoder writes, but not
 what a decoder makes of a given stream: it sees only the levels.
 
-Training reuses its arrays: backward works over each matrix product it
+Training reuses its arrays: _backward works over each matrix product it
 makes, and the Adam update in the moment arrays and the parameters. It
 runs the same float32 operations in the same order as the plain form that
 allocates every temporary, with the same BLAS products on the same
@@ -40,8 +42,8 @@ worker is joined. A product split by rows need not keep the whole
 product's bits, since a BLAS picks its kernels and blocking by shape and
 thread count. So train cuts it at product_cut(n) only where it pinned
 BLAS to one thread and cut_keeps_bits, run once per product shape in a
-process, finds that the cut keeps every bit; elsewhere, and always in
-backward, the product stays whole and only its tail is split. (On
+process, finds that the cut keeps every bit; elsewhere, and always in the
+tests' backward, the product stays whole and only its tail is split. (On
 OpenBLAS's Haswell kernels only cuts on multiples of ROW_CUT = 24 rows
 keep the bits.)
 
@@ -145,25 +147,6 @@ def forward(params: Params, x: np.ndarray) -> np.ndarray:
         a = a @ w.T + b
         np.maximum(a, 0.0, out=a)
     return a[0] if single else a
-
-
-def loss(params: Params, inputs: np.ndarray, targets: np.ndarray) -> float:
-    """Mean over samples and outputs of squared error against [0, 1] targets."""
-    diff = forward(params, inputs) - np.asarray(targets, dtype=np.float64)
-    return float(np.mean(diff * diff))
-
-
-def backward(params: Params, inputs: np.ndarray, targets: np.ndarray) -> Params:
-    """Exact gradients of loss() for every weight and bias.
-
-    The ReLU subgradient at exactly 0 is taken as 0, matching forward(),
-    where a unit at 0 contributes nothing downstream. The output layer's
-    forward product stays whole whatever the BLAS state.
-    """
-    delta = np.empty(np.atleast_2d(targets).shape, params[-1][0].dtype)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        return _backward(pool, 0, params, inputs, targets, delta,
-                         np.empty_like(params[-1][0]))
 
 
 ROW_CUT = 24  # a cut of the output product falls on a multiple of this
@@ -288,7 +271,10 @@ def _output_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray, t: np.ndarray,
 
 def _backward(pool: ThreadPoolExecutor, cut: int, params: Params, inputs: np.ndarray,
               targets: np.ndarray, delta: np.ndarray, out_grad: np.ndarray) -> Params:
-    """backward() on the calling thread and pool's one worker.
+    """Exact gradients of the mean squared error for every weight and
+    bias, on the calling thread and pool's one worker. The ReLU
+    subgradient at exactly 0 is taken as 0, matching forward(), where a
+    unit at 0 contributes nothing downstream.
 
     The worker takes the output layer's first cut rows: their share of
     the forward product and their elementwise tail in delta, (n, 1536),

@@ -152,11 +152,6 @@ class MotionField(NamedTuple):
     dy: np.ndarray
     sad: np.ndarray
 
-    def at(self, c: BlockCoord) -> tuple[MotionVector, int]:
-        """The vector and SAD of the block at c."""
-        return (MotionVector(int(self.dx[c.by, c.bx]), int(self.dy[c.by, c.bx])),
-                int(self.sad[c.by, c.bx]))
-
 
 def _check_range(r: int) -> None:
     # (2r + 1)^2 offsets, each a pass over the searched samples.

@@ -1,5 +1,7 @@
 """Shared fixtures: small deterministic sequences, one cached encode,
-frame units built by hand, tiles included, the block-by-block frame code
+frame units built by hand, tiles included, whole streams assembled from
+units, the frame parser behind its tag, the network's loss and batch
+gradients, the block-by-block frame code
 and rebuild the diagonal encoder and batched decoder are checked against,
 the tile-by-tile payload reader the frame parser is checked against, the
 plane-layout rebuild the encoder's tile-layout costing is checked against,
@@ -10,10 +12,13 @@ Session scope keeps the expensive pieces (synthesis, training, encoding)
 to a single run; every test that needs them must treat them as read-only.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import nbv.gnn
 from nbv.bitstream import (
     FORCED,
     SELECTABLE,
@@ -22,10 +27,12 @@ from nbv.bitstream import (
     FrameUnit,
     RegionSpec,
     StreamHeader,
+    _parse_frame_body,
     block_syntax_bits,
-    parse_frame,
     region_map,
+    write_frame,
     write_header,
+    write_param_set,
 )
 from nbv.core import (
     Block32,
@@ -53,7 +60,7 @@ from nbv.entropy import (
     ue_to_se,
     write_ue_codes,
 )
-from nbv.gnn import SetContext, TrainConfig, generate_block
+from nbv.gnn import Params, SetContext, TrainConfig, forward, generate_block
 from nbv.prediction import IntraMode, MotionVector, intra_predict, motion_field
 from nbv.residual import (
     DCT_INT,
@@ -120,6 +127,53 @@ def random_unit(rng, frame_type, cols, rows, regions):
     return FrameUnit(frame_type, list(regions), modes, mvds, levels.astype(np.int32))
 
 
+def write_stream(header: StreamHeader, units) -> bytes:
+    """A whole stream from ('param_set', qparams) and ('frame', fu) units."""
+    w = BitWriter()
+    write_header(w, header)
+    cols, rows = header.grid()
+    n_frames = 0
+    for kind, payload in units:
+        if kind == "param_set":
+            write_param_set(w, payload)
+        elif kind == "frame":
+            write_frame(w, payload, cols, rows)
+            n_frames += 1
+        else:
+            raise ValueError(f"unknown unit kind {kind!r}")
+    if n_frames != header.frame_count:
+        raise ValueError(
+            f"header promises {header.frame_count} frames, wrote {n_frames}"
+        )
+    return w.to_bytes()
+
+
+def parse_frame(r: BitReader, cols: int, rows: int):
+    """(FrameUnit, FrameBits) of the frame unit at r, tag included, read as
+    parse_stream reads one."""
+    tag = r.read_bits(8)
+    if tag != UNIT_FRAME:
+        raise StreamError(f"expected frame unit, found tag {tag}")
+    return _parse_frame_body(r, cols, rows)
+
+
+def loss(params: Params, inputs: np.ndarray, targets: np.ndarray) -> float:
+    """Mean over samples and outputs of squared error against [0, 1] targets."""
+    diff = forward(params, inputs) - np.asarray(targets, dtype=np.float64)
+    return float(np.mean(diff * diff))
+
+
+def backward(params: Params, inputs: np.ndarray, targets: np.ndarray) -> Params:
+    """Exact gradients of loss() for every weight and bias: the trainer's
+    _backward on one batch, its output layer's forward product whole
+    whatever the BLAS state. It calls _backward through the module, so that
+    a test that wraps nbv.gnn._backward sees this call too."""
+    delta = np.empty(np.atleast_2d(targets).shape, params[-1][0].dtype)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return nbv.gnn._backward(pool, 0, params, inputs, targets, delta,
+                                 np.empty_like(params[-1][0]))
+
+
 def mutate(data: bytes, draw) -> bytes:
     """1-3 bit flips anywhere in the stream, or a truncation."""
     if draw(st.booleans()):
@@ -167,7 +221,7 @@ def parse_tiles(data: bytes, n: int) -> np.ndarray:
     """The first n tiles of a tile_frame unit, read by the frame parser,
     which must consume the whole unit."""
     r = BitReader(data)
-    unit = parse_frame(r, -(-n // TILES_PER_BLOCK), 1)
+    unit, _ = parse_frame(r, -(-n // TILES_PER_BLOCK), 1)
     assert r.bits_remaining == 0
     return unit.blocks.reshape(-1, 64)[:n]
 
@@ -269,7 +323,7 @@ def walk_tiles_oracle(values: list, k: int, n: int, rows: list) -> int:
     return k
 
 
-def read_payloads_oracle(r: BitReader, fu: FrameUnit, bits) -> None:
+def read_payloads_oracle(r: BitReader, fu: FrameUnit) -> None:
     """bitstream._read_payloads one Python step per block and per tile."""
     modes = fu.modes.reshape(-1)
     mvds = fu.mvds.reshape(-1, 2)
@@ -285,8 +339,6 @@ def read_payloads_oracle(r: BitReader, fu: FrameUnit, bits) -> None:
         k = 0
         first_row = begun * TILES_PER_BLOCK - tiles_left
         rows: list = []
-        head_codes: list[int] = []
-        mv_codes: list[int] = []
         while True:
             if not tiles_left:
                 if begun == len(generated):
@@ -302,9 +354,7 @@ def read_payloads_oracle(r: BitReader, fu: FrameUnit, bits) -> None:
                         if k + 3 > len(values):
                             break
                         mvds[begun] = ue_to_se(values[k + 1]), ue_to_se(values[k + 2])
-                        mv_codes += (k + 1, k + 2)
                     modes[begun] = mode
-                    head_codes.append(k)
                     k += 3 if mode == BlockMode.INTER else 1
                 begun += 1
                 tiles_left = TILES_PER_BLOCK
@@ -315,12 +365,6 @@ def read_payloads_oracle(r: BitReader, fu: FrameUnit, bits) -> None:
                 break
         if rows:
             tile_rows[first_row:first_row + len(rows)] = rows
-        lengths = np.diff(chunk.ends, prepend=0)
-        mode_bits = int(lengths[head_codes].sum())
-        mv_bits = int(lengths[mv_codes].sum())
-        bits.modes += mode_bits
-        bits.mvs += mv_bits
-        bits.residuals += (int(chunk.ends[k - 1]) if k else 0) - mode_bits - mv_bits
         return k, begun == len(generated) and not tiles_left
 
     read_ue_codes_oracle(r, walk)
@@ -474,7 +518,7 @@ def encode_frame_oracle(source: Frame, prev_recon, frame_idx: int,
             cands.append((BlockMode.GEN, None, None))
         else:
             if frame_type == "P":
-                mv, _ = field.at(c)
+                mv = MotionVector(int(field.dx[c.by, c.bx]), int(field.dy[c.by, c.bx]))
                 cands.append((BlockMode.INTER,
                               (mv.dx - mv_pred.dx, mv.dy - mv_pred.dy),
                               motion_compensate_py(prev_recon, c, mv)))

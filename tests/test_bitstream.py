@@ -11,21 +11,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nbv.bitstream
-from conftest import frame_unit, mutate, random_unit, read_payloads_oracle
+from conftest import (
+    frame_unit,
+    mutate,
+    parse_frame,
+    random_unit,
+    read_payloads_oracle,
+    write_stream,
+)
 from nbv.bitstream import (
     FORCED,
     SELECTABLE,
     UNIT_FRAME,
     UNIT_PARAM_SET,
     BlockMode,
-    FrameBits,
     FrameUnit,
     RegionSpec,
     StreamHeader,
     _pack_levels,
     block_syntax_bits,
     param_set_bits,
-    parse_frame,
     parse_header,
     parse_param_set,
     parse_stream,
@@ -33,7 +38,6 @@ from nbv.bitstream import (
     write_frame,
     write_header,
     write_param_set,
-    write_stream,
 )
 from nbv.core import MAX_LUMA_SAMPLES, SequenceConfig, block_grid_dims
 from nbv.decoder import decode_sequence
@@ -42,9 +46,8 @@ from nbv.entropy import (
     BitReader,
     BitWriter,
     StreamError,
-    se_length,
+    se_to_ue,
     ue_encode,
-    ue_length,
     write_ue_codes,
 )
 from nbv.gnn import QuantizedGnnParams, QuantizedLayer, init_params, quantize_params
@@ -59,6 +62,14 @@ def zero_tiles():
 
 def qparams_for(arch, seed=0):
     return quantize_params(init_params(arch, seed=seed))
+
+
+def ue_bits(*values) -> int:
+    """Bits ue_encode writes for the values, one call each."""
+    w = BitWriter()
+    for v in values:
+        ue_encode(w, v)
+    return w.bit_position
 
 
 def single_block_unit(frame_type="I", mode=BlockMode.INTRA_DC, mvd=None,
@@ -435,7 +446,7 @@ class TestRegionScale:
         w.byte_align()
         data = w.to_bytes()
         start = time.perf_counter()
-        unit = parse_frame(BitReader(data), cols, rows)
+        unit, _ = parse_frame(BitReader(data), cols, rows)
         assert time.perf_counter() - start < 1.0
         assert len(unit.regions) == cols * rows
         assert np.all(unit.modes == BlockMode.GEN)
@@ -452,7 +463,7 @@ class TestRegionScale:
         data = w.to_bytes()
         tracemalloc.start()
         try:
-            unit = parse_frame(BitReader(data), cols, rows)
+            unit, _ = parse_frame(BitReader(data), cols, rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -506,8 +517,7 @@ class TestFrameUnit:
         unit = frame_unit("P", blocks, cols, regions)
         w = BitWriter()
         bits = write_frame(w, unit, cols, rows)
-        got_bits = FrameBits()
-        back = parse_frame(BitReader(w.to_bytes()), cols, rows, got_bits)
+        back, got_bits = parse_frame(BitReader(w.to_bytes()), cols, rows)
         assert back.frame_type == "P"
         for a, b in zip(back.regions, regions):
             assert (a.x0, a.y0, a.x1, a.y1, a.selectable) == (
@@ -848,10 +858,10 @@ class TestBulkFramePayload:
                                  unit.mvds.reshape(-1, 2).tolist()):
                 syntax += block_syntax_bits(unit.frame_type, mode, mvd)
                 if mode == BlockMode.INTER:
-                    mvs += se_length(mvd[0]) + se_length(mvd[1])
+                    mvs += ue_bits(se_to_ue(mvd[0]), se_to_ue(mvd[1]))
             tiles = int(block_tiles_bits(unit.blocks).sum())
             # tag, frame type, one region: count, corners, kind, selections
-            fixed = 9 + ue_length(1) + sum(ue_length(v) for v in (cols - 1, 0, cols - 1, rows - 1))
+            fixed = 9 + ue_bits(1, cols - 1, 0, cols - 1, rows - 1)
             fixed += 1 + rows
             pad = -(fixed + syntax + tiles) % 8
             assert (bits.modes + bits.mvs, bits.mvs, bits.residuals) == (
@@ -864,8 +874,7 @@ class TestBulkFramePayload:
             w = BitWriter()
             bits = write_frame(w, unit, cols, rows)
             assert bits.residuals > 8 * 24 * 64 * 10
-            got = FrameBits()
-            back = parse_frame(BitReader(w.to_bytes()), cols, rows, got)
+            back, got = parse_frame(BitReader(w.to_bytes()), cols, rows)
             assert got == bits
             assert np.array_equal(back.modes, unit.modes)
             assert np.array_equal(back.mvds, unit.mvds)
@@ -883,9 +892,8 @@ def parsed_or_error(data: bytes, cols: int, rows: int):
     """What parse_frame makes of a frame unit: its arrays, bits and end
     position, or the message of the StreamError it ends in."""
     r = BitReader(data)
-    bits = FrameBits()
     try:
-        unit = parse_frame(r, cols, rows, bits)
+        unit, bits = parse_frame(r, cols, rows)
     except StreamError as e:
         return str(e)
     corners = [(g.x0, g.y0, g.x1, g.y1, g.selectable) for g in unit.regions]
@@ -903,7 +911,7 @@ def parse_both(data: bytes, cols: int, rows: int):
 
 
 def draw_frame(draw):
-    """(unit bytes, cols, rows) of a random legal frame unit: I or P, every
+    """(unit, cols, rows) of a random legal frame unit: I or P, every
     mode, no region or one forced or selectable region, levels from empty
     to dense up to +-MAX_LEVEL and vector differences up to +-2^20, so
     the payload runs from a few bits to several hundred kbit, many
@@ -918,9 +926,14 @@ def draw_frame(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     unit = random_unit(rng, frame_type, cols, rows, regions)
     unit.mvds <<= draw(st.integers(0, 14))
+    return unit, cols, rows
+
+
+def written(unit: FrameUnit, cols: int, rows: int):
+    """(unit bytes, FrameBits) from write_frame."""
     w = BitWriter()
-    write_frame(w, unit, cols, rows)
-    return w.to_bytes(), cols, rows
+    bits = write_frame(w, unit, cols, rows)
+    return w.to_bytes(), bits
 
 
 class TestParserOracle:
@@ -931,16 +944,25 @@ class TestParserOracle:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_random_frames_equal_the_oracle(self, data):
-        unit_bytes, cols, rows = draw_frame(data.draw)
+        unit, cols, rows = draw_frame(data.draw)
+        unit_bytes, bits = written(unit, cols, rows)
         got, want = parse_both(unit_bytes, cols, rows)
         assert not isinstance(want, str)
         assert got == want
+        # The bit breakdown, counted apart from the RD cost function that
+        # prices it: the vector differences coded one at a time, and the
+        # tiles' codes as the writer packs them.
+        inter = unit.mvds[unit.modes == BlockMode.INTER].reshape(-1).tolist()
+        assert bits.mvs == ue_bits(*(se_to_ue(d) for d in inter))
+        assert bits.residuals == write_ue_codes(BitWriter(), tile_codes(unit.blocks)[0])
+        assert got[5] == bits  # the parsed unit's FrameBits
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_mutated_frames_equal_the_oracle(self, data):
         # bit flips past the unit's tag, or a truncation
-        unit_bytes, cols, rows = draw_frame(data.draw)
+        unit, cols, rows = draw_frame(data.draw)
+        unit_bytes, _ = written(unit, cols, rows)
         tag, body = unit_bytes[:1], unit_bytes[1:]
         got, want = parse_both(tag + mutate(body, data.draw), cols, rows)
         assert got == want

@@ -8,9 +8,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import frame_unit
+from conftest import frame_unit, write_stream
 from nbv import decoder, encoder
-from nbv.bitstream import BlockMode, StreamHeader, write_stream
+from nbv.bitstream import BlockMode, StreamHeader
 from nbv.cli import EXIT_IO, EXIT_OK, EXIT_STREAM, EXIT_USAGE, main
 from nbv.tools import bit_accounting
 

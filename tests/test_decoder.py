@@ -12,6 +12,7 @@ from conftest import (
     frame_unit,
     mutate,
     random_unit,
+    write_stream,
 )
 from test_golden import encode_case
 from nbv.bitstream import (
@@ -20,7 +21,6 @@ from nbv.bitstream import (
     StreamHeader,
     parse_stream,
     write_header,
-    write_stream,
 )
 from nbv.core import BlockCoord, SequenceConfig, extract_block
 from nbv.decoder import CSV_COLUMNS, FrameWalk, decode_sequence

@@ -19,6 +19,7 @@ from conftest import (
     fast_train,
     forced_stream,
     rand_frame,
+    write_stream,
 )
 from nbv.bitstream import (
     BlockMode,
@@ -29,7 +30,6 @@ from nbv.bitstream import (
     region_map,
     write_header,
     write_param_set,
-    write_stream,
 )
 from nbv.core import (
     BlockCoord,
@@ -857,8 +857,7 @@ class TestReplayedNetworkPass:
 
         monkeypatch.setattr(nbv.encoder, "_encode_frame", counting_encode)
         # a replayed frame writes the fallback's bytes and reads nothing back
-        monkeypatch.setattr(nbv.bitstream, "parse_frame", no_parse)
-        monkeypatch.setattr(nbv.encoder, "parse_frame", no_parse, raising=False)
+        monkeypatch.setattr(nbv.bitstream, "_parse_frame_body", no_parse)
         for stop, (budget, want) in enumerate(zip(budgets, wants)):
             got = _encode_period(*args, budget=budget, fallback=fallback)
             if stop == 0:

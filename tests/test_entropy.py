@@ -11,15 +11,11 @@ from nbv.entropy import (
     BitReader,
     BitWriter,
     StreamError,
-    peek_ue_codes,
+    _peek,
     read_ue_codes,
-    se_decode,
-    se_encode,
-    se_length,
     se_to_ue,
     ue_decode,
     ue_encode,
-    ue_length,
     ue_lengths,
     ue_to_se,
     write_ue_codes,
@@ -37,9 +33,7 @@ def ue_bits(v: int) -> str:
 
 
 def se_bits(v: int) -> str:
-    w = BitWriter()
-    se_encode(w, v)
-    return bits_of(w.to_bytes(), w.bit_position)
+    return ue_bits(se_to_ue(v))
 
 
 class TestBitWriter:
@@ -136,9 +130,9 @@ class TestUnsignedExpGolomb:
         assert ue_bits(7) == "0001000"
 
     def test_length_formula(self):
-        for v in [0, 1, 2, 3, 7, 8, 100, 1 << 15, (1 << 16) - 1]:
-            assert ue_length(v) == 2 * (v + 1).bit_length() - 1
-            assert len(ue_bits(v)) == ue_length(v)
+        values = [0, 1, 2, 3, 7, 8, 100, 1 << 15, (1 << 16) - 1]
+        for v, n in zip(values, ue_lengths(values).tolist()):
+            assert n == 2 * (v + 1).bit_length() - 1 == len(ue_bits(v))
 
     def test_round_trip_exhaustive_16bit(self):
         w = BitWriter()
@@ -160,8 +154,6 @@ class TestUnsignedExpGolomb:
         w = BitWriter()
         with pytest.raises(ValueError):
             ue_encode(w, -1)
-        with pytest.raises(ValueError):
-            ue_length(-1)
 
     def test_32_zero_prefix_is_stream_error(self):
         r = BitReader(bytes(8))
@@ -188,26 +180,27 @@ class TestSignedExpGolomb:
         assert se_bits(3) == ue_bits(5)
 
     def test_length_matches_encoding(self):
-        for v in [-40000, -512, -3, -1, 0, 1, 2, 511, 32767]:
-            assert se_length(v) == len(se_bits(v))
+        values = [-40000, -512, -3, -1, 0, 1, 2, 511, 32767]
+        lengths = ue_lengths(se_to_ue(np.array(values)))
+        assert lengths.tolist() == [len(se_bits(v)) for v in values]
 
     def test_round_trip_exhaustive_16bit(self):
         w = BitWriter()
         for v in range(-32768, 32768):
-            se_encode(w, v)
+            ue_encode(w, se_to_ue(v))
         r = BitReader(w.to_bytes())
         for v in range(-32768, 32768):
-            assert se_decode(r) == v
+            assert ue_to_se(ue_decode(r)) == v
 
     def test_mixed_stream_round_trip(self):
         values = [0, -1, 1, -32768, 32767, 12, -500]
         w = BitWriter()
         for v in values:
-            se_encode(w, v)
+            ue_encode(w, se_to_ue(v))
             ue_encode(w, abs(v))
         r = BitReader(w.to_bytes())
         for v in values:
-            assert se_decode(r) == v
+            assert ue_to_se(ue_decode(r)) == v
             assert ue_decode(r) == abs(v)
 
 
@@ -241,7 +234,7 @@ class TestBulkCodes:
 
     def test_lengths_match_scalar(self):
         values = mixed_values(0)
-        assert ue_lengths(values).tolist() == [ue_length(v) for v in values]
+        assert ue_lengths(values).tolist() == [len(ue_bits(v)) for v in values]
 
     @pytest.mark.parametrize("offset", range(8))
     def test_packing_equals_scalar_loop(self, offset):
@@ -253,7 +246,7 @@ class TestBulkCodes:
         for v in values:
             ue_encode(scalar, v)
         written = write_ue_codes(bulk, values)
-        assert written == sum(ue_length(v) for v in values)
+        assert written == sum(len(ue_bits(v)) for v in values)
         assert bulk.bit_position == scalar.bit_position
         assert bulk.to_bytes() == scalar.to_bytes()
         # the writer goes on from where the packed codes stopped
@@ -290,11 +283,11 @@ class TestBulkCodes:
         w.write_bits(0, 5)
         for v in values:
             ue_encode(w, v)
-        ends = np.cumsum([ue_length(v) for v in values])
+        ends = np.cumsum([len(ue_bits(v)) for v in values])
         r = BitReader(w.to_bytes())
         r.read_bits(5)
         for size in list(range(1, 80)) + [500, 4099, _CHUNK_MAX]:
-            chunk = peek_ue_codes(r, size)
+            chunk = _peek(r._data, r.bit_position, size)
             # the window ends at a byte boundary; codes ending before it fit
             fit = int(np.searchsorted(ends, (5 + size + 7) // 8 * 8 - 5, "right"))
             assert chunk.values.tolist() == values[:fit]
@@ -307,7 +300,7 @@ class TestBulkCodes:
         w.write_bits(0, 32)
         w.write_bits(0xFFFFFFFF, 32)
         r = BitReader(w.to_bytes())
-        chunk = peek_ue_codes(r, 1000)
+        chunk = _peek(r._data, r.bit_position, 1000)
         assert chunk.values.tolist() == [3, 0]
         assert chunk.error == "malformed exp-Golomb prefix"
         with pytest.raises(StreamError):
@@ -433,4 +426,3 @@ class TestBulkCodes:
         assert np.array_equal(se_to_ue(np.array(values)), codes)
         assert [ue_to_se(c) for c in codes] == values
         assert np.array_equal(ue_to_se(np.array(codes)), values)
-        assert [se_length(v) for v in values] == [ue_length(c) for c in codes]

@@ -30,7 +30,6 @@ from nbv.gnn import (
     QUANT_MAX,
     SetContext,
     TrainConfig,
-    backward,
     block_to_targets,
     check_architecture,
     dequantize_params,
@@ -38,7 +37,6 @@ from nbv.gnn import (
     generate_block,
     gnn_input,
     init_params,
-    loss,
     one_blas_thread,
     outputs_to_block,
     param_count,
@@ -46,6 +44,7 @@ from nbv.gnn import (
     quantize_params,
     train,
 )
+from conftest import backward, loss
 from nbv.tools import synth_sequence
 from test_golden import TRAINED_GOLDEN
 

@@ -2,7 +2,9 @@
 script imports from nbv, or reads as an attribute of an nbv module, exists.
 
 A deletion from nbv that the benchmark still reaches fails here in seconds,
-instead of only when the harness runs.
+instead of only when the harness runs. The other way round, a top-level
+definition in nbv that neither the package itself nor a perfbench script
+names fails here too: only tests and demos reach it.
 """
 
 import ast
@@ -75,3 +77,36 @@ def test_every_nbv_name_resolves(script):
             resolve(path)
         except (AttributeError, ImportError) as e:
             pytest.fail(f"{script.name} uses {path}, which does not resolve: {e}")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "nbv"
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """Every name a piece of code reads or imports: plain names,
+    attributes and the names of from-imports."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            names.update(alias.name for alias in n.names)
+    return names
+
+
+def test_every_package_definition_is_reached_outside_the_tests():
+    # A top-level function or class of src/nbv that no other statement of
+    # the package names, and no perfbench script reaches, serves only the
+    # tests and demos: it belongs in the tests, or nowhere.
+    statements = [(path.stem, stmt) for path in sorted(SRC.glob("*.py"))
+                  for stmt in ast.parse(path.read_text()).body]
+    reads = [names_read(stmt) for _, stmt in statements]
+    harness = all_paths()
+    unreached = sorted(
+        f"{module}.{stmt.name}" for i, (module, stmt) in enumerate(statements)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and f"nbv.{module}.{stmt.name}" not in harness
+        and not any(stmt.name in r for j, r in enumerate(reads) if j != i))
+    assert not unreached, f"named only by tests and demos: {', '.join(unreached)}"

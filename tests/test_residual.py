@@ -13,19 +13,18 @@ from conftest import (
     dct8_inverse_int64,
     dequantize,
     dequantize_int,
+    parse_frame,
     parse_tiles,
     quantize,
     rand_frame,
     start_tile_frame,
     tile_frame,
 )
-from nbv.bitstream import parse_frame
 from nbv.core import Block32, BlockCoord, extract_block, round_half_away
 from nbv.entropy import (
     BitReader,
     BitWriter,
     StreamError,
-    se_encode,
     se_to_ue,
     ue_encode,
     ue_lengths,
@@ -454,9 +453,9 @@ class TestLevelBound:
         write_ue_codes(w, tile_codes(np.zeros((3, 64), np.int32))[0])
         for v in (2, 0):  # two coefficients, the first at position 0
             ue_encode(w, v)
-        se_encode(w, 1)
+        ue_encode(w, se_to_ue(1))
         ue_encode(w, 5)
-        se_encode(w, level)
+        ue_encode(w, se_to_ue(level))
         with pytest.raises(StreamError, match="level beyond"):
             parse_frame(BitReader(w.to_bytes()), 1, 1)
 
@@ -548,7 +547,7 @@ def scalar_tile_codes(w, levels):
     prev = -1
     for idx in nz:
         ue_encode(w, int(idx) - prev - 1)
-        se_encode(w, int(levels[idx]))
+        ue_encode(w, se_to_ue(int(levels[idx])))
         prev = int(idx)
 
 
