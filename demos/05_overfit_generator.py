@@ -27,10 +27,13 @@ from nbv.tools import plane_psnr, synth_sequence
 frame = synth_sequence("pan", 128, 96, 1, velocity=(4, 0), seed=5)[0]
 ctx = SetContext(cols=4, rows=3, start_frame=0, span=1)
 
-coords = [BlockCoord(bx, by) for by in range(3) for bx in range(4)]
-inputs = np.array([gnn_input(ctx, c, 0) for c in coords])
-targets = np.array([block_to_targets(extract_block(frame, c)) for c in coords])
-print(f"dataset: {len(coords)} blocks -> {inputs.shape} inputs, "
+# every block of the 4x3 grid as (rows, cols, 2) coordinates (bx, by); the
+# network's calls take them like the codec's other block operations
+by, bx = np.indices((3, 4))
+coords = np.stack([bx, by], axis=-1)
+inputs = gnn_input(ctx, coords, 0).reshape(-1, 3)
+targets = block_to_targets(extract_block(frame, coords)).reshape(-1, 1536)
+print(f"dataset: {len(inputs)} blocks -> {inputs.shape} inputs, "
       f"{targets.shape} targets in [0, 1]")
 
 arch = (3, 32, 48, 1536)
@@ -44,14 +47,16 @@ for i, layer in enumerate(qparams.layers):
     print(f"  layer {i}: scale {float(layer.scale):.6f}, "
           f"levels in [{layer.weights.min()}, {layer.weights.max()}]")
 
-# the decoder-side call: quantized parameters + coordinate -> block
-worst = 99.0
-for c in coords:
-    gen = generate_block(qparams, c, 0, ctx)
-    src = extract_block(frame, c)
-    worst = min(worst, plane_psnr(gen.y, src.y))
+# the decoder-side call: quantized parameters + coordinates -> blocks
+gen = generate_block(qparams, coords, 0, ctx)
+src = extract_block(frame, coords)
+worst = min(plane_psnr(g, s) for g, s in
+            zip(gen.y.reshape(-1, 32, 32), src.y.reshape(-1, 32, 32)))
 print(f"\nworst generated-block luma PSNR over the training set: {worst:.1f} dB")
 
-again = generate_block(qparams, coords[0], 0, ctx)
-first = generate_block(qparams, coords[0], 0, ctx)
-print(f"generation is deterministic: {np.array_equal(again.y, first.y)}")
+# each block is its own one-row product, so a block generated alone has
+# the bytes of its slot in the grid's call
+alone = generate_block(qparams, BlockCoord(3, 2), 0, ctx)
+print(f"one block alone matches the batch: {np.array_equal(alone.y, gen.y[2, 3])}")
+again = generate_block(qparams, coords, 0, ctx)
+print(f"generation is deterministic: {np.array_equal(again.y, gen.y)}")

@@ -33,7 +33,7 @@ exact = all((d.y == r.y).all() and (d.cb == r.cb).all() and (d.cr == r.cr).all()
             for d, r in zip(decoded, report_on.recon_frames))
 print(f"\ndecoded {len(decoded)} frames, bit-exact vs encoder: {exact}")
 print(f"parameter sets seen: {dreport.n_param_sets}, "
-      f"generator calls: {sum(r.n_gen for r in dreport.rows)}")
+      f"generated blocks: {sum(r.n_gen for r in dreport.rows)}")
 
 print("\nframe  type  psnr_y   modes(i/p/g)")
 for row, drow, frame in zip(report_on.rows, dreport.rows, frames):

@@ -19,7 +19,7 @@ from .decoder import decode_sequence
 from .encoder import ZOOM_HINTS, encode_sequence
 from .entropy import StreamError
 from .gnn import INPUT_SIZE, OUTPUT_SIZE, TrainConfig, check_architecture
-from .tools import SYNTH_KINDS, bit_accounting, frame_psnr, synth_sequence
+from .tools import SYNTH_KINDS, bit_accounting, csv_text, frame_psnr, synth_sequence
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -132,7 +132,7 @@ def cmd_decode(args) -> int:
     if args.report:
         _write_text(args.report, report.to_csv())
     print(f"decoded {len(frames)} frames "
-          f"({sum(r.n_gen for r in report.rows)} generator calls, "
+          f"({sum(r.n_gen for r in report.rows)} generated blocks, "
           f"{report.n_param_sets} parameter sets)", file=_summary_file(args.report))
     return EXIT_OK
 
@@ -164,11 +164,8 @@ def cmd_metrics(args) -> int:
         n_frames = args.frames
     ref = _read_input_frames(args.ref, args.width, args.height, n_frames)
     test = _read_input_frames(args.test, args.width, args.height, n_frames)
-    lines = ["frame,psnr_y,psnr_cb,psnr_cr"]
-    for i, (a, b) in enumerate(zip(ref, test)):
-        py, pcb, pcr = frame_psnr(a, b)
-        lines.append(f"{i},{py:.4f},{pcb:.4f},{pcr:.4f}")
-    _write_text(args.output, "\n".join(lines) + "\n")
+    rows = [(i, *frame_psnr(a, b)) for i, (a, b) in enumerate(zip(ref, test))]
+    _write_text(args.output, csv_text(rows, ("frame", "psnr_y", "psnr_cb", "psnr_cr")))
     return EXIT_OK
 
 
@@ -200,13 +197,12 @@ def cmd_sweep(args) -> int:
                for qp in qps for gnn_on in (True, False)]
     train_cfg = _train_config(args)
     frames = _read_input_frames(args.input, args.width, args.height, args.frames)
-    lines = ["qp,mode,total_bits,mean_psnr_y"]
+    rows = []
     for cfg in configs:
         data, report = encode_sequence(frames, cfg, train_cfg, args.zoom_hint)
         mean_y = sum(r.psnr_y for r in report.rows) / len(report.rows)
-        mode = "on" if cfg.gnn_enabled else "off"
-        lines.append(f"{cfg.qp},{mode},{len(data) * 8},{mean_y:.4f}")
-    _write_text(args.output, "\n".join(lines) + "\n")
+        rows.append((cfg.qp, "on" if cfg.gnn_enabled else "off", len(data) * 8, mean_y))
+    _write_text(args.output, csv_text(rows, ("qp", "mode", "total_bits", "mean_psnr_y")))
     return EXIT_OK
 
 

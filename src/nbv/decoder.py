@@ -9,22 +9,22 @@ the dependency structure of HEVC's wavefront parallel processing (Chi et
 al., "Parallel Scalability and Efficiency of HEVC Parallelization
 Approaches", IEEE TCSVT 2012). The walk keeps the vector predictor, the one
 place its left-neighbour rule is written, and gives intra blocks their
-predictions; generated_blocks gives generated blocks theirs. The encoder
-codes and rebuilds every frame through the same walk, the same generator
-call and the same residual arithmetic, so its reconstruction is the
-decoder's by construction.
+predictions; one generate_block call gives generated blocks theirs. The
+encoder codes and rebuilds every frame through the same walk, the same
+generator call and the same residual arithmetic, so its reconstruction is
+the decoder's by construction.
 
 The decoder rebuilds a frame in batches. First the residual planes of the
 whole unit are built at once, paying only for tiles with a nonzero level,
 and the walk resolves every vector at once, as running sums along rows.
 Inter and generated blocks do not read the frame being rebuilt, so all
 inter blocks come from one motion-compensation gather and all generated
-blocks from the generator, each kind added and written in one call. Then
-the intra blocks are rebuilt in waves, each with one intra prediction,
-one add and one write: a block joins the wave after the latest one
-holding its left or top neighbour. In an I frame the waves are the
-diagonals; in a P frame, where most neighbours are inter blocks, an
-intra block rarely waits. Integer arithmetic gives the same sums in any
+blocks from one generator call, each kind added and written in one
+call. Then the intra blocks are rebuilt in waves, each with one intra
+prediction, one add and one write: a block joins the wave after the
+latest one holding its left or top neighbour. In an I frame the waves
+are the diagonals; in a P frame, where most neighbours are inter blocks,
+an intra block rarely waits. Integer arithmetic gives the same sums in any
 order, so the pixels are those of a block-by-block raster walk.
 
 A parameter-set unit installs the generator for the frames that follow it,
@@ -42,21 +42,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitstream import BlockMode, FrameUnit, parse_stream
-from .core import BLOCK, Block32, BlockCoord, Frame, blank_frame, insert_block
+from .core import BLOCK, Block32, Frame, blank_frame, insert_block
 from .gnn import QuantizedGnnParams, SetContext, generate_block
 from .prediction import intra_predict, motion_compensate
 from .residual import add_residual, residual_planes
 from .tools import csv_text
-
-
-def generated_blocks(qparams: QuantizedGnnParams, ctx: SetContext, frame_idx: int,
-                     coords: np.ndarray) -> Block32:
-    """The generator's predictions of the (n, 2) blocks at coords in frame
-    frame_idx, one evaluation a block, stacked on a leading axis."""
-    blocks = [generate_block(qparams, BlockCoord(bx, by), frame_idx, ctx)
-              for bx, by in coords.tolist()]
-    return Block32(*(np.stack(planes) for planes in
-                     zip(*((b.y, b.cb, b.cr) for b in blocks))))
 
 
 class FrameWalk:
@@ -192,7 +182,7 @@ def _decode_frame(
             coords = np.stack([bx, by], axis=-1)
             pred = (motion_compensate(prev_recon, coords, mvs[by, bx])
                     if mode == BlockMode.INTER
-                    else generated_blocks(qparams, ctx, frame_idx, coords))
+                    else generate_block(qparams, coords, frame_idx, ctx))
             insert_block(walk.recon, coords, add_residual(pred, res[by * cols + bx]))
     # 4. the intra blocks, one wave at a time
     intra = (fu.modes != BlockMode.INTER) & (fu.modes != BlockMode.GEN)

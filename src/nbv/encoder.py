@@ -41,8 +41,8 @@ minimum-cost candidate, so ties go to the earlier rank, and the decisions
 are those of a block-by-block raster walk. A P frame's motion vectors
 come from one whole-frame search against the previous reconstruction, its
 inter bases from one motion-compensation gather, and the generated bases
-from the generator, all made before the walk; global motion searches only
-its sixteen sample blocks' windows between source frames.
+from one generator call, all made before the walk; global motion searches
+only its sixteen sample blocks' windows between source frames.
 """
 
 from __future__ import annotations
@@ -69,14 +69,13 @@ from .bitstream import (
 from .core import (
     BLOCK,
     CHROMA_BLOCK,
-    BlockCoord,
     Block32,
     Frame,
     SequenceConfig,
     block_grid_dims,
     extract_block,
 )
-from .decoder import FrameWalk, generated_blocks, mode_counts
+from .decoder import FrameWalk, mode_counts
 from .entropy import BitWriter
 from .gnn import (
     INPUT_SIZE,
@@ -85,6 +84,7 @@ from .gnn import (
     SetContext,
     TrainConfig,
     block_to_targets,
+    generate_block,
     gnn_input,
     quantize_params,
     train,
@@ -187,23 +187,23 @@ def train_param_set(
 
     The dataset is every (block, frame) pair inside any of that frame's
     regions, targeting source pixels. It is built once, in the float32
-    arrays train uses without a copy: each row is made in float64 and
-    rounded as it is written. Returns (None, 0) when no frame has regions.
+    arrays train uses without a copy: each frame's rows are made in
+    float64 from its region blocks' coordinates and rounded as they are
+    written. Returns (None, 0) when no frame has regions.
     """
-    blocks = [np.nonzero(region_map(regs, ctx.cols, ctx.rows))
+    coords = [np.argwhere(region_map(regs, ctx.cols, ctx.rows))[:, ::-1]
               for regs in regions_per_frame]
-    n = sum(len(bys) for bys, _ in blocks)
+    n = sum(map(len, coords))
     if not n:
         return None, 0
     inputs = np.empty((n, INPUT_SIZE), np.float32)
     targets = np.empty((n, OUTPUT_SIZE), np.float32)
     row = 0
-    for offset, (bys, bxs) in enumerate(blocks):
-        for by, bx in zip(bys, bxs):
-            c = BlockCoord(int(bx), int(by))
-            inputs[row] = gnn_input(ctx, c, start_frame + offset)
-            targets[row] = block_to_targets(extract_block(src_frames[offset], c))
-            row += 1
+    for offset, at in enumerate(coords):
+        rows = slice(row, row + len(at))
+        inputs[rows] = gnn_input(ctx, at, start_frame + offset)
+        targets[rows] = block_to_targets(extract_block(src_frames[offset], at))
+        row += len(at)
     return quantize_params(train(layer_sizes, inputs, targets, cfg)), n
 
 
@@ -324,7 +324,7 @@ def _encode_frame(
         bases[:, :, BlockMode.INTER] = motion_compensate(prev_recon, grid, mvs)
     gen = slots[..., BlockMode.GEN]
     if gen.any():
-        bases[gen, BlockMode.GEN] = generated_blocks(qparams, ctx, frame_idx, grid[gen])
+        bases[gen, BlockMode.GEN] = generate_block(qparams, grid[gen], frame_idx, ctx)
     sel = kinds == SELECTABLE
     # each candidate's costs, and the unit's arrays, filled with each
     # diagonal's winners as the walk goes; levels are within +-MAX_LEVEL
@@ -391,7 +391,7 @@ def _replays(
         coords = np.stack([bx, by], axis=-1)
         _, _, ssd, bits = _candidate_costs(
             block_tiles(extract_block(source, coords)),
-            block_tiles(generated_blocks(qparams, ctx, frame_idx, coords)),
+            block_tiles(generate_block(qparams, coords, frame_idx, ctx)),
             frame_type, BlockMode.GEN, None, qp)
         slot_ssd[by, bx, BlockMode.GEN], slot_bits[by, bx, BlockMode.GEN] = ssd, bits
     win = choose_block_mode(
@@ -625,7 +625,8 @@ def encode_sequence(
     total_dist = 0
 
     for start in range(0, config.frame_count, config.gnn_interval):
-        period = frames[start:start + config.gnn_interval]
+        span = config.header().set_frames(start)
+        period = frames[span.start:span.stop]
         fallback = _encode_period(
             period, start, [[] for _ in period], None, None,
             config, lam, cols, rows,

@@ -6,8 +6,10 @@ order, then 256 Cb, then 256 Cr. The encoder overfits it on the source
 blocks of one keyframe period, quantizes every layer to 10-bit integers
 with one float32 scale per layer, and ships the result in the stream; the
 decoder rebuilds blocks by evaluating the dequantized network at each
-block's coordinate. ReLU is applied after every layer including the last,
-which keeps outputs non-negative like the pixel values they model.
+block's coordinate: generate_block takes (..., 2) block coordinates like
+the codec's other block operations, so a frame's generated blocks are one
+call. ReLU is applied after every layer including the last, which keeps
+outputs non-negative like the pixel values they model.
 
 Training runs in float32: inputs, targets, weights, Adam moments and
 every product. The seeded float64 initialization is cast once, and train
@@ -16,15 +18,17 @@ reach the stream only as 10-bit levels, so float64 training would buy
 nothing a decoder can see. Everything after training is plain float64
 numpy: quantization, dequantization and the forward pass that generates
 blocks, so encoder and decoder compute the same pixels from the same
-levels. Backprop (_backward) is exact, with the ReLU subgradient taken as
-0 at 0, and computes in its params' dtype, so float64 params give float64
-gradients; the tests hold it to finite differences of their loss through
-a backward of their own that runs it on one batch. Training is seeded
-and deterministic: the same inputs give the same network on the same
-BLAS kernels. float32 products can
-round differently on another kernel family (one without FMA, say), which
-can move the trained levels and so the stream an encoder writes, but not
-what a decoder makes of a given stream: it sees only the levels.
+levels. The blocks are a stack of one-row products, since one gemm over
+an (n, 3) batch rounds the outputs' low bits differently. Backprop
+(_backward) is exact, with the ReLU subgradient taken as 0 at 0, and
+computes in its params' dtype, so float64 params give float64 gradients;
+the tests hold it to finite differences of their loss through a backward
+of their own that runs it on one batch. Training is seeded and
+deterministic: the same inputs give the same network on the same BLAS
+kernels. float32 products can round differently on another kernel family
+(one without FMA, say), which can move the trained levels and so the
+stream an encoder writes, but not what a decoder makes of a given
+stream: it sees only the levels.
 
 Training reuses its arrays: _backward works over each matrix product it
 makes, and the Adam update in the moment arrays and the parameters. It
@@ -75,7 +79,6 @@ from .core import (
     CHROMA_BLOCK,
     SAMPLES_PER_BLOCK,
     Block32,
-    BlockCoord,
     round_half_away,
 )
 
@@ -138,15 +141,13 @@ def init_params(layer_sizes, seed) -> Params:
 
 
 def forward(params: Params, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network; accepts one input vector or a batch of rows."""
+    """Evaluate the network on the inputs along x's last axis; leading
+    axes pass through."""
     a = np.asarray(x, dtype=np.float64)
-    single = a.ndim == 1
-    if single:
-        a = a[None, :]
     for w, b in params:
         a = a @ w.T + b
         np.maximum(a, 0.0, out=a)
-    return a[0] if single else a
+    return a
 
 
 ROW_CUT = 24  # a cut of the output product falls on a multiple of this
@@ -499,41 +500,46 @@ class SetContext:
     span: int
 
 
-def gnn_input(ctx: SetContext, c: BlockCoord, frame_idx: int) -> np.ndarray:
-    fx = c.bx / (ctx.cols - 1) if ctx.cols > 1 else 0.0
-    fy = c.by / (ctx.rows - 1) if ctx.rows > 1 else 0.0
+def gnn_input(ctx: SetContext, c, frame_idx: int) -> np.ndarray:
+    """The (..., 3) network inputs of the blocks at c, a BlockCoord or
+    (..., 2) coordinates (bx, by), in frame frame_idx."""
+    xy = np.asarray(c, dtype=np.float64) / np.maximum([ctx.cols - 1, ctx.rows - 1], 1)
     ft = (frame_idx - ctx.start_frame) / max(1, ctx.span - 1)
-    return np.array([fx, fy, ft], dtype=np.float64)
+    return np.concatenate([xy, np.full(xy.shape[:-1] + (1,), ft)], axis=-1)
 
 
 def block_to_targets(block: Block32) -> np.ndarray:
-    """Flatten a coding unit to 1536 training targets in [0, 1]."""
-    return np.concatenate([
-        block.y.reshape(-1), block.cb.reshape(-1), block.cr.reshape(-1)
-    ]).astype(np.float64) / 255.0
+    """Flatten coding units to 1536 training targets each in [0, 1];
+    leading axes pass through."""
+    planes = [p.reshape(p.shape[:-2] + (-1,)) for p in (block.y, block.cb, block.cr)]
+    return np.concatenate(planes, axis=-1).astype(np.float64) / 255.0
 
 
 def outputs_to_block(outputs: np.ndarray) -> Block32:
-    """Map 1536 network outputs back to pixels: round half away, clamp to 8 bits."""
-    if outputs.shape != (OUTPUT_SIZE,):
+    """Map network outputs (..., 1536) back to pixels: round half away,
+    clamp to 8 bits; leading axes pass through."""
+    if outputs.shape[-1:] != (OUTPUT_SIZE,):
         raise ValueError(f"expected {OUTPUT_SIZE} outputs, got {outputs.shape}")
     pix = np.clip(round_half_away(outputs * 255.0), 0, 255).astype(np.uint8)
     ny = BLOCK * BLOCK
     nc = CHROMA_BLOCK * CHROMA_BLOCK
-    return Block32(
-        pix[:ny].reshape(BLOCK, BLOCK),
-        pix[ny:ny + nc].reshape(CHROMA_BLOCK, CHROMA_BLOCK),
-        pix[ny + nc:].reshape(CHROMA_BLOCK, CHROMA_BLOCK),
-    )
+    luma, chroma = pix.shape[:-1] + (BLOCK, BLOCK), pix.shape[:-1] + (CHROMA_BLOCK,) * 2
+    return Block32(pix[..., :ny].reshape(luma), pix[..., ny:ny + nc].reshape(chroma),
+                   pix[..., ny + nc:].reshape(chroma))
 
 
-def generate_block(qparams: QuantizedGnnParams, c: BlockCoord,
-                   frame_idx: int, ctx: SetContext) -> Block32:
-    """Decode one coding unit from the quantized network.
+def generate_block(qparams: QuantizedGnnParams, c, frame_idx: int,
+                   ctx: SetContext) -> Block32:
+    """Decode the coding units at c, a BlockCoord or (..., 2) coordinates
+    whose leading axes pass through, in frame frame_idx.
 
-    Evaluates the set's dequantized network, made once per set, at the
-    block's normalized coordinate, one row a block, and maps outputs to
-    pixels. Encoder and decoder both call exactly this, so generated
-    blocks can never drift between the two.
+    Evaluates the set's dequantized network, made once per set, at each
+    block's normalized coordinate and maps outputs to pixels. Encoder and
+    decoder both call exactly this, so generated blocks can never drift
+    between the two. The blocks are a stack of one-row products, not one
+    (n, 3) batch: numpy runs each row through the one-row BLAS call a
+    lone block makes, so a block's pixels do not depend on which blocks
+    share the call, where a gemm over the batch rounds differently.
     """
-    return outputs_to_block(forward(qparams.dequantized, gnn_input(ctx, c, frame_idx)))
+    x = gnn_input(ctx, c, frame_idx)[..., None, :]
+    return outputs_to_block(forward(qparams.dequantized, x)[..., 0, :])

@@ -21,7 +21,7 @@ in 0.28 s (pan); a sine per canvas sample took 1.45, 1.97 and 1.39 s.
 
 bit_accounting folds the per-unit bit counts parse_stream reports into
 five categories that sum exactly to the stream size, and csv_text renders
-the encoder's and decoder's per-frame reports.
+every CSV table: the per-frame reports and `nbv metrics` and `nbv sweep`.
 """
 
 from __future__ import annotations
@@ -324,11 +324,12 @@ def bit_accounting(data: bytes) -> BitAccounting:
 
 
 def csv_text(rows, columns) -> str:
-    """A report's rows as CSV, one column per attribute; floats to 4 places."""
+    """Rows as CSV under the header columns, floats to 4 places; a row is
+    a tuple of its values or an object with one attribute per column."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for r in rows:
-        values = (getattr(r, c) for c in columns)
+        values = r if isinstance(r, tuple) else (getattr(r, c) for c in columns)
         writer.writerow([f"{v:.4f}" if isinstance(v, float) else v for v in values])
     return buf.getvalue()

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import nbv
+import nbv.decoder
 import nbv.gnn
 from nbv.core import Block32, BlockCoord, extract_block
 from nbv.gnn import (
@@ -44,7 +45,7 @@ from nbv.gnn import (
     quantize_params,
     train,
 )
-from conftest import backward, loss
+from conftest import backward, forced_stream, loss
 from nbv.tools import synth_sequence
 from test_golden import TRAINED_GOLDEN
 
@@ -257,6 +258,17 @@ class TestForward:
         batch = forward(params, xs)
         for i in range(5):
             assert np.allclose(batch[i], forward(params, xs[i]))
+
+    @pytest.mark.parametrize("arch", [DEFAULT_ARCH, (3, 4, 1536)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stacked_one_row_products_keep_per_row_bits(self, arch, seed):
+        # generate_block's form: every block its own one-row product, so a
+        # block's outputs do not depend on which blocks share the call
+        params = dequantize_params(quantize_params(init_params(arch, seed)))
+        xs = np.random.default_rng(seed).uniform(0.0, 1.0, (40, 3))
+        stacked = forward(params, xs[:, None, :])[:, 0]
+        rows = np.stack([forward(params, x) for x in xs])
+        assert np.array_equal(stacked.view(np.uint64), rows.view(np.uint64))
 
 
 class TestLossAndGradients:
@@ -909,6 +921,32 @@ class TestGenerateBlock:
         for (w, b), (w0, b0) in zip(first, dequantize_params(q)):
             assert w.tobytes() == w0.tobytes() and b.tobytes() == b0.tobytes()
             assert not w.flags.writeable and not b.flags.writeable
+
+    def test_coordinate_arrays_match_per_block_calls(self):
+        ctx = SetContext(cols=5, rows=3, start_frame=2, span=6)
+        q = quantize_params(init_params(DEFAULT_ARCH, seed=18))
+        by, bx = np.indices((3, 5))
+        grid = np.stack([bx, by], axis=-1)
+        for coords in (grid, grid.reshape(-1, 2)[::-2]):
+            got = generate_block(q, coords, 4, ctx)
+            blocks = [generate_block(q, BlockCoord(*c), 4, ctx)
+                      for c in coords.reshape(-1, 2).tolist()]
+            for name in ("y", "cb", "cr"):
+                want = np.stack([getattr(b, name) for b in blocks])
+                assert np.array_equal(getattr(got, name), want.reshape(
+                    coords.shape[:-1] + want.shape[1:]))
+
+    def test_decoder_calls_the_generator_once_per_generating_frame(self, monkeypatch):
+        stream, period = forced_stream()
+        calls = []
+
+        def spy(qparams, c, frame_idx, ctx):
+            calls.append(frame_idx)
+            return generate_block(qparams, c, frame_idx, ctx)
+
+        monkeypatch.setattr("nbv.decoder.generate_block", spy)
+        _, report = nbv.decoder.decode_sequence(stream)
+        assert calls == [r.frame for r in report.rows if r.n_gen] == [0, 1, 2]
 
     def test_pure_function(self):
         ctx = SetContext(cols=2, rows=2, start_frame=0, span=2)
